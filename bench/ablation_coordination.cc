@@ -120,21 +120,6 @@ Outcome Run(Mode mode, MultiRunAudit* audit) {
 }
 
 void Print(const char* name, const Outcome& o) {
-  BenchReport& rep = BenchReport::Instance();
-  const std::string prefix = std::string(name) + ".";
-  rep.RecordMetric(prefix + "skew", false, 0, o.skew_us, "us");
-  rep.RecordMetric(prefix + "max_gap", false, 0, o.max_gap_us, "us");
-  rep.RecordMetric(prefix + "mean_gap", false, 0, o.mean_gap_us, "us");
-  rep.RecordMetric(prefix + "retransmits", false, 0,
-                   static_cast<double>(o.retransmits), "");
-  rep.RecordMetric(prefix + "timeouts", false, 0,
-                   static_cast<double>(o.timeouts), "");
-  rep.RecordMetric(prefix + "dup_acks", false, 0,
-                   static_cast<double>(o.dup_acks), "");
-  rep.RecordMetric(prefix + "completed", false, 0, o.completed ? 1 : 0, "");
-  if (JsonQuiet()) {
-    return;
-  }
   std::printf("%-14s skew %9.1f us   max-gap %10.1f us   mean-gap %6.2f us   "
               "retx %4lu  timeouts %3lu  dupacks %5lu  completed %d\n",
               name, o.skew_us, o.max_gap_us, o.mean_gap_us,

@@ -79,17 +79,9 @@ int Run(uint64_t file_bytes, bool audit) {
   PrintSection("download results");
   for (size_t i = 1; i < swarm.peer_count(); ++i) {
     BitTorrentPeer* peer = swarm.peer(i);
-    {
-      char label[64];
-      std::snprintf(label, sizeof label, "client%zu.finished_at", i);
-      BenchReport::Instance().RecordMetric(label, false, 0,
-                                           ToSeconds(peer->completion_time()), "s");
-    }
-    if (!JsonQuiet()) {
-      std::printf("client %zu: complete=%d pieces=%zu finished at t=%.1f s (virtual)\n",
-                  i, peer->complete(), peer->pieces_held(),
-                  ToSeconds(peer->completion_time()));
-    }
+    std::printf("client %zu: complete=%d pieces=%zu finished at t=%.1f s (virtual)\n",
+                i, peer->complete(), peer->pieces_held(),
+                ToSeconds(peer->completion_time()));
   }
   PrintValue("checkpoints taken",
              static_cast<double>(experiment->coordinator().history().size()), "");
@@ -104,17 +96,8 @@ int Run(uint64_t file_bytes, bool audit) {
     const SimTime w1 = w0 + ckpt_window;
     const double inside = series.MeanInWindow(w0, w1);
     const double outside = series.MeanInWindow(start, w0);
-    {
-      char label[64];
-      std::snprintf(label, sizeof label, "client%zu.mbs_before_ckpts", i);
-      BenchReport::Instance().RecordMetric(label, false, 0, outside, "MB/s");
-      std::snprintf(label, sizeof label, "client%zu.mbs_during_ckpts", i);
-      BenchReport::Instance().RecordMetric(label, false, 0, inside, "MB/s");
-    }
-    if (!JsonQuiet()) {
-      std::printf("client %zu: mean MB/s before ckpts %.3f, during ckpts %.3f\n", i,
-                  outside, inside);
-    }
+    std::printf("client %zu: mean MB/s before ckpts %.3f, during ckpts %.3f\n", i,
+                outside, inside);
   }
   PrintNote("paper: ~1 MB/s per client on their hardware; shape criterion is that");
   PrintNote("the center line during the checkpointed window matches the line outside it.");

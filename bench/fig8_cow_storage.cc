@@ -72,16 +72,6 @@ BonnieApp::Results RunBonnie(const Config& config, bool aged, MultiRunAudit* aud
 }
 
 void PrintResults(const char* label, const BonnieApp::Results& r) {
-  BenchReport& rep = BenchReport::Instance();
-  const std::string prefix = std::string(label) + ".";
-  rep.RecordMetric(prefix + "block_reads", false, 0, r.block_read_mbs, "MB/s");
-  rep.RecordMetric(prefix + "char_reads", false, 0, r.char_read_mbs, "MB/s");
-  rep.RecordMetric(prefix + "rewrites", false, 0, r.rewrite_mbs, "MB/s");
-  rep.RecordMetric(prefix + "block_writes", false, 0, r.block_write_mbs, "MB/s");
-  rep.RecordMetric(prefix + "char_writes", false, 0, r.char_write_mbs, "MB/s");
-  if (JsonQuiet()) {
-    return;
-  }
   std::printf("%-14s block-reads %7.2f  char-reads %7.2f  rewrites %7.2f  "
               "block-writes %7.2f  char-writes %7.2f  (MB/s)\n",
               label, r.block_read_mbs, r.char_read_mbs, r.rewrite_mbs, r.block_write_mbs,

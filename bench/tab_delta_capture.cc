@@ -13,7 +13,7 @@
 // digests must match pairwise across modes (delta restores go through
 // ImageStore::Materialize, exercising the parent chain).
 //
-//   $ ./build/bench/tab_delta_capture [--json]
+//   $ ./build/bench/tab_delta_capture
 //
 // Exit code is non-zero when a restore digest mismatches or the steady-state
 // bytes-per-checkpoint reduction falls below 5x.
@@ -247,32 +247,8 @@ int main(int argc, char** argv) {
                 ? "all restores digest-equal across full and delta paths"
                 : "RESTORE DIGEST MISMATCH between full and delta paths");
 
-  {
-    std::string rows = "[\n";
-    for (size_t k = 0; k < delta.captures.size(); ++k) {
-      char buf[256];
-      std::snprintf(buf, sizeof buf,
-                    "    {\"capture\": %zu, \"full_bytes\": %llu, "
-                    "\"delta_bytes\": %llu, \"delta_chunks\": %zu, "
-                    "\"version_skips\": %zu, \"crc_fallbacks\": %zu}%s\n",
-                    k, static_cast<unsigned long long>(full.captures[k].bytes),
-                    static_cast<unsigned long long>(delta.captures[k].bytes),
-                    delta.captures[k].delta_chunks,
-                    delta.captures[k].version_skips,
-                    delta.captures[k].crc_fallbacks,
-                    k + 1 < delta.captures.size() ? "," : "");
-      rows += buf;
-    }
-    rows += "  ]";
-    BenchReport::Instance().AddExtra("captures", rows);
-    BenchReport::Instance().AddExtra("restores_match",
-                                     restores_match ? "true" : "false");
-    BenchReport::Instance().AddExtra("steady_fallbacks_zero",
-                                     fallbacks_zero ? "true" : "false");
-  }
-
   const bool ok = restores_match && ratio >= 5.0 && fallbacks_zero;
-  if (!ok && !JsonQuiet()) {
+  if (!ok) {
     std::printf("\nFAIL: %s\n",
                 !restores_match      ? "restore digests mismatch"
                 : !fallbacks_zero    ? "steady-state CRC fallbacks nonzero"

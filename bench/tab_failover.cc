@@ -9,16 +9,16 @@
 // faulty run's external-observer trace is bit-identical to the fault-free
 // one — same record sequence, zero time delta, zero value delta — with equal
 // per-node behavior digests. Recovery latency (wall) and output hold time
-// (simulated) are the reported costs of that transparency.
+// (simulated) are the reported costs of that transparency; neither gates.
 //
-//   $ ./build/bench/tab_failover [--json] [--mc-hz=N] [--kills=K] [--seed=S]
-//        [--sim-ms=T] [--sync]
+//   $ ./build/bench/tab_failover [--mc-hz=N] [--kills=K] [--seed=S]
+//        [--sim-ms=T] [--sync] [--ledger[=FILE]]
 //
 // --mc-hz sets the micro-checkpoint frequency in simulated hertz (default
 // 50, i.e. a 20 ms epoch); --sync switches to synchronous capture (lag 0),
-// the digest-oracle configuration. Hold time is a function of the commit
-// lag, so --sync roughly halves it; recovery latency is dominated by image
-// restore + replay and is what the trajectory baseline tracks.
+// the digest-oracle configuration. Hold time is bounded by (1 + lag)
+// periods, so --sync roughly halves it; recovery latency is dominated by
+// image restore + replay.
 
 #include <algorithm>
 #include <chrono>
@@ -30,7 +30,6 @@
 #include <vector>
 
 #include "bench/bench_util.h"
-#include "bench/ledger_util.h"
 #include "src/emulab/external_observer.h"
 #include "src/ha/fault_injector.h"
 #include "src/ha/micro_checkpointer.h"
@@ -58,14 +57,13 @@ struct HaRun {
   uint64_t discarded = 0;
   uint64_t suppressed = 0;
   double hold_ms_mean = 0;
-  double hold_ms_p99 = 0;
+  double hold_ms_max = 0;
   double recovery_ms_mean = 0;
   double recovery_ms_max = 0;
   double rollback_ms_mean = 0;
   size_t recoveries = 0;
   bool recovered_ok = true;
   double wall_s = 0;
-  LedgerAttribution ledger;
 };
 
 HaRun RunOnce(const Scale& scale, SimTime period, SimTime horizon,
@@ -87,13 +85,12 @@ HaRun RunOnce(const Scale& scale, SimTime period, SimTime horizon,
     mc.SetFaultInjector(faults);
   }
 
-  obs::EpochLedger::Global().Enable();
+  RestartLedger();
   const auto start = std::chrono::steady_clock::now();
   mc.RunUntil(horizon);
   const auto stop = std::chrono::steady_clock::now();
 
   HaRun r;
-  r.ledger = AnalyzeLedgerRun();
   r.trace = observer.trace();
   Fnv1aDigest behavior;
   for (size_t i = 0; i < topo->node_count(); ++i) {
@@ -108,7 +105,7 @@ HaRun RunOnce(const Scale& scale, SimTime period, SimTime horizon,
   const obs::Histogram* hold =
       obs::MetricsRegistry::Global().FindHistogram("ha.buffer.hold_time_us");
   r.hold_ms_mean = hold->mean() / 1000.0;
-  r.hold_ms_p99 = hold->ApproxPercentile(99) / 1000.0;
+  r.hold_ms_max = hold->max() / 1000.0;
   for (const ha::RecoveryRecord& rec : mc.failover()->recoveries()) {
     r.recovered_ok = r.recovered_ok && rec.ok;
     r.recovery_ms_mean += rec.wall_ms;
@@ -152,12 +149,7 @@ int main(int argc, char** argv) {
 
   const Scale scales[] = {{100, 5, 5}, {1000, 10, 25}};
   bool ok = true;
-  bool coverage_ok = true;
-  double min_coverage = 1.0;
-  double recovery_ms_worst_mean = 0;
-  std::string rows = "[\n";
-  for (size_t i = 0; i < 2; ++i) {
-    const Scale& scale = scales[i];
+  for (const Scale& scale : scales) {
     const HaRun clean = RunOnce(scale, period, horizon, sync_mode, nullptr);
     ha::FaultInjector faults(seed);
     faults.GenerateKillSchedule(/*partitions=*/4, kills, horizon);
@@ -170,8 +162,6 @@ int main(int argc, char** argv) {
         faulty.behavior_digest == clean.behavior_digest &&
         faulty.recovered_ok && faulty.recoveries == kills;
     ok = ok && transparent;
-    recovery_ms_worst_mean =
-        std::max(recovery_ms_worst_mean, faulty.recovery_ms_mean);
 
     char section[96];
     std::snprintf(section, sizeof section,
@@ -181,7 +171,7 @@ int main(int argc, char** argv) {
     PrintValue("epochs committed", static_cast<double>(faulty.epochs), "");
     PrintValue("output released", static_cast<double>(faulty.released), "pkts");
     PrintValue("hold time mean", faulty.hold_ms_mean, "ms");
-    PrintValue("hold time p99", faulty.hold_ms_p99, "ms");
+    PrintValue("hold time max", faulty.hold_ms_max, "ms");
     PrintValue("recovery latency mean", faulty.recovery_ms_mean, "ms");
     PrintValue("recovery latency max", faulty.recovery_ms_max, "ms");
     PrintValue("rollback depth mean", faulty.rollback_ms_mean, "sim ms");
@@ -189,68 +179,27 @@ int main(int argc, char** argv) {
     PrintValue("holds discarded", static_cast<double>(faulty.discarded), "");
     PrintValue("re-emissions suppressed",
                static_cast<double>(faulty.suppressed), "");
-    PrintValue("ledger coverage (faulty, min epoch)",
-               faulty.ledger.min_coverage, "");
-    PrintValue("straggler slack (mean)", faulty.ledger.straggler_slack_ms,
-               "ms");
-    PrintValue("ledger hold p99", faulty.ledger.hold_p99_us / 1000.0, "ms");
-    const bool cover_ok = faulty.ledger.ok && clean.ledger.ok &&
-                          faulty.ledger.min_coverage >= 0.95 &&
-                          clean.ledger.min_coverage >= 0.95;
-    coverage_ok = coverage_ok && cover_ok;
-    min_coverage = std::min(
-        {min_coverage, faulty.ledger.min_coverage, clean.ledger.min_coverage});
-    PrintNote(transparent
-                  ? "faulty trace bit-identical to fault-free at the "
-                    "external observer"
-                  : std::string("TRANSPARENCY FAILED: ") + diff.Describe());
-    BenchReport::Instance().RecordDigest(faulty.behavior_digest);
-
-    char buf[768];
-    std::snprintf(
-        buf, sizeof buf,
-        "    {\"hosts\": %u, \"mc_hz\": %llu, \"kills\": %u, \"epochs\": %llu, "
-        "\"released\": %llu, \"hold_ms_mean\": %.4f, \"hold_ms_p99\": %.4f, "
-        "\"recovery_ms\": %.4f, \"recovery_ms_max\": %.4f, "
-        "\"rollback_sim_ms\": %.4f, \"replayed\": %llu, \"discarded\": %llu, "
-        "\"suppressed\": %llu, \"transparent\": %s, "
-        "\"ledger_coverage\": %.3f, \"straggler_partition\": %d, "
-        "\"straggler_slack_ms\": %.3f, \"ledger_hold_p99_ms\": %.4f}%s\n",
-        scale.hosts, static_cast<unsigned long long>(mc_hz), kills,
-        static_cast<unsigned long long>(faulty.epochs),
-        static_cast<unsigned long long>(faulty.released), faulty.hold_ms_mean,
-        faulty.hold_ms_p99, faulty.recovery_ms_mean, faulty.recovery_ms_max,
-        faulty.rollback_ms_mean,
-        static_cast<unsigned long long>(faulty.replayed),
-        static_cast<unsigned long long>(faulty.discarded),
-        static_cast<unsigned long long>(faulty.suppressed),
-        transparent ? "true" : "false", faulty.ledger.min_coverage,
-        faulty.ledger.straggler_partition, faulty.ledger.straggler_slack_ms,
-        faulty.ledger.hold_p99_us / 1000.0, i == 0 ? "," : "");
-    rows += buf;
-  }
-  rows += "  ]";
-  BenchReport::Instance().AddExtra("failover", rows);
-  {
-    char buf[64];
-    std::snprintf(buf, sizeof buf, "%.4f", recovery_ms_worst_mean);
-    BenchReport::Instance().AddExtra("recovery_ms", buf);
-  }
-  BenchReport::Instance().AddExtra("transparency_ok", ok ? "true" : "false");
-  {
-    char buf[32];
-    std::snprintf(buf, sizeof buf, "%.3f", min_coverage);
-    BenchReport::Instance().AddExtra("ledger_min_coverage", buf);
-  }
-  BenchReport::Instance().AddExtra("ledger_coverage_ok",
-                                   coverage_ok ? "true" : "false");
-
-  if (!JsonQuiet()) {
-    if (!ok) {
-      std::printf("\nFAIL: failover was visible to the external observer\n");
-    } else if (!coverage_ok) {
-      std::printf("\nFAIL: ledger attribution below 95%% of epoch wall time\n");
+    if (transparent) {
+      PrintNote("faulty trace bit-identical to fault-free at the external "
+                "observer");
+    } else {
+      // Every value the gate read, so a failure explains itself.
+      char why[256];
+      std::snprintf(why, sizeof why,
+                    "; max time delta %lld ns, max value delta %g; behavior "
+                    "digest %016llx vs %016llx; %zu of %u kills recovered%s",
+                    static_cast<long long>(diff.max_time_delta),
+                    diff.max_value_delta,
+                    static_cast<unsigned long long>(faulty.behavior_digest),
+                    static_cast<unsigned long long>(clean.behavior_digest),
+                    faulty.recoveries, kills,
+                    faulty.recovered_ok ? "" : ", a recovery failed");
+      PrintNote("TRANSPARENCY FAILED: " + diff.Describe() + why);
     }
   }
-  return bm.Finish(ok && coverage_ok ? 0 : 1);
+
+  if (!ok) {
+    std::printf("\nFAIL: failover was visible to the external observer\n");
+  }
+  return bm.Finish(ok ? 0 : 1);
 }

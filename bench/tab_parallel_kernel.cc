@@ -10,14 +10,13 @@
 // checkpoint images are bit-identical to the oracle's — the acceptance
 // criterion of the partitioned kernel.
 //
-//   $ ./build/bench/tab_parallel_kernel [--json] [--hosts=N] [--partitions=P]
-//        [--shape=fattree|zones] [--epoch-ms=E] [--sim-ms=T]
+//   $ ./build/bench/tab_parallel_kernel [--hosts=N] [--partitions=P]
+//        [--shape=fattree|zones] [--epoch-ms=E] [--sim-ms=T] [--ledger[=FILE]]
 //
 // Speedup is reported against the p=1 sequential baseline. On a single
 // hardware thread the honest number is <= 1; the digest identity is the
 // machine-independent claim.
 
-#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -28,7 +27,6 @@
 #include <vector>
 
 #include "bench/bench_util.h"
-#include "bench/ledger_util.h"
 #include "src/checkpoint/epoch_coordinator.h"
 #include "src/net/topology.h"
 #include "src/repo/checkpoint_repo.h"
@@ -112,7 +110,6 @@ struct SpillRunResult {
   uint64_t captures_digest = 0;
   bool spill_ok = true;            // every epoch committed
   bool reopen_ok = false;          // a fresh process saw identical bytes
-  LedgerAttribution ledger;
 };
 
 SpillRunResult RunSpill(GeneratedTopologyParams params, uint32_t hosts,
@@ -142,9 +139,8 @@ SpillRunResult RunSpill(GeneratedTopologyParams params, uint32_t hosts,
     });
   }
   epochs.AttachRepository(repo.get());
-  obs::EpochLedger::Global().Enable();
+  RestartLedger();
   epochs.RunUntil(horizon);
-  r.ledger = AnalyzeLedgerRun();
 
   r.epochs = epochs.history().size();
   for (const auto& rec : epochs.history()) {
@@ -213,9 +209,7 @@ int main(int argc, char** argv) {
 
   bool ok = true;
   double baseline_eps = 0;
-  std::string rows = "[\n";
-  for (size_t i = 0; i < sweep.size(); ++i) {
-    const uint32_t p = sweep[i];
+  for (const uint32_t p : sweep) {
     const RunResult oracle = RunOnce(params, p, /*workers=*/0, horizon,
                                      epoch_period);
     const RunResult parallel = RunOnce(params, p, /*workers=*/p - 1, horizon,
@@ -250,58 +244,48 @@ int main(int argc, char** argv) {
                static_cast<double>(parallel.epoch_image_bytes), "B");
     PrintValue("epoch capture cost (parallel)", parallel.epoch_wall_ms, "ms");
     PrintValue("epoch capture cost (oracle)", oracle.epoch_wall_ms, "ms");
-    PrintNote(digest_ok ? "digest merge bit-identical to sequential oracle"
-                        : "DIGEST MISMATCH vs sequential oracle");
-    if (!guards_ok) {
-      PrintNote("QUEUE GUARD VIOLATIONS detected");
+    if (digest_ok) {
+      PrintNote("digest merge bit-identical to sequential oracle");
+    } else {
+      char why[256];
+      std::snprintf(why, sizeof why,
+                    "DIGEST MISMATCH vs sequential oracle (events %016llx vs "
+                    "%016llx, captures %016llx vs %016llx, behavior %016llx vs "
+                    "%016llx, %llu vs %llu events)",
+                    static_cast<unsigned long long>(parallel.event_digest),
+                    static_cast<unsigned long long>(oracle.event_digest),
+                    static_cast<unsigned long long>(parallel.captures_digest),
+                    static_cast<unsigned long long>(oracle.captures_digest),
+                    static_cast<unsigned long long>(parallel.behavior_digest),
+                    static_cast<unsigned long long>(oracle.behavior_digest),
+                    static_cast<unsigned long long>(parallel.total_events),
+                    static_cast<unsigned long long>(oracle.total_events));
+      PrintNote(why);
     }
-    BenchReport::Instance().RecordDigest(parallel.event_digest);
-
-    char buf[512];
-    std::snprintf(
-        buf, sizeof buf,
-        "    {\"partitions\": %u, \"effective\": %zu, \"events\": %llu, "
-        "\"cross_events\": %llu, \"windows\": %llu, "
-        "\"oracle_events_per_sec\": %.0f, \"parallel_events_per_sec\": %.0f, "
-        "\"speedup\": %.3f, \"epochs\": %zu, \"epoch_image_bytes\": %llu, "
-        "\"epoch_wall_ms\": %.3f, \"digest_ok\": %s}%s\n",
-        p, oracle.partitions, static_cast<unsigned long long>(oracle.total_events),
-        static_cast<unsigned long long>(oracle.cross_events),
-        static_cast<unsigned long long>(oracle.windows),
-        oracle.events_per_sec, parallel.events_per_sec, speedup,
-        parallel.epochs, static_cast<unsigned long long>(parallel.epoch_image_bytes),
-        parallel.epoch_wall_ms, digest_ok ? "true" : "false",
-        i + 1 < sweep.size() ? "," : "");
-    rows += buf;
+    if (!guards_ok) {
+      PrintNote("QUEUE GUARD VIOLATIONS detected: " +
+                std::to_string(oracle.guard_violations) + " oracle, " +
+                std::to_string(parallel.guard_violations) + " parallel");
+    }
   }
-  rows += "  ]";
-  BenchReport::Instance().AddExtra("partition_sweep", rows);
-  BenchReport::Instance().AddExtra("digest_oracle_ok", ok ? "true" : "false");
 
   // Epoch spill cost at 100 and 1000 hosts: 4 partitions, 3 workers, one
   // group commit per epoch, gated by a byte-identical cross-process reopen.
   // Both capture modes run; the two-phase run's captures digest must match
-  // the synchronous one's (async_capture_ok).
-  bool async_ok = true;
-  bool coverage_ok = true;
-  double min_coverage = 1.0;
-  std::string spill_rows = "[\n";
-  const uint32_t spill_hosts[] = {100, 1000};
-  for (size_t i = 0; i < 2; ++i) {
-    const SpillRunResult spill = RunSpill(params, spill_hosts[i],
-                                          /*async=*/false, horizon,
-                                          epoch_period);
-    const SpillRunResult aspill = RunSpill(params, spill_hosts[i],
-                                           /*async=*/true, horizon,
-                                           epoch_period);
+  // the synchronous one's.
+  for (const uint32_t hosts : {100u, 1000u}) {
+    const SpillRunResult spill = RunSpill(params, hosts, /*async=*/false,
+                                          horizon, epoch_period);
+    const SpillRunResult aspill = RunSpill(params, hosts, /*async=*/true,
+                                           horizon, epoch_period);
     const bool mode_ok = spill.captures_digest == aspill.captures_digest &&
                          spill.epochs == aspill.epochs;
-    async_ok = async_ok && mode_ok && aspill.spill_ok && aspill.reopen_ok;
-    ok = ok && spill.spill_ok && spill.reopen_ok && mode_ok;
+    const bool spills_ok = spill.spill_ok && spill.reopen_ok &&
+                           aspill.spill_ok && aspill.reopen_ok;
+    ok = ok && spills_ok && mode_ok;
 
     char section[64];
-    std::snprintf(section, sizeof section, "epoch spill, %u hosts",
-                  spill_hosts[i]);
+    std::snprintf(section, sizeof section, "epoch spill, %u hosts", hosts);
     PrintSection(section);
     PrintValue("epochs spilled", static_cast<double>(spill.epochs), "");
     PrintValue("epoch image bytes",
@@ -310,57 +294,34 @@ int main(int argc, char** argv) {
     PrintValue("epoch spill cost (group commit)", spill.spill_ms, "ms");
     PrintValue("frozen window, sync", spill.frozen_ms, "ms");
     PrintValue("frozen window, two-phase", aspill.frozen_ms, "ms");
-    PrintValue("ledger coverage (two-phase, min epoch)",
-               aspill.ledger.min_coverage, "");
-    PrintValue("straggler slack (mean)", aspill.ledger.straggler_slack_ms,
-               "ms");
-    const bool cover_ok = spill.ledger.ok && aspill.ledger.ok &&
-                          spill.ledger.min_coverage >= 0.95 &&
-                          aspill.ledger.min_coverage >= 0.95;
-    coverage_ok = coverage_ok && cover_ok;
-    min_coverage = std::min(
-        {min_coverage, spill.ledger.min_coverage, aspill.ledger.min_coverage});
-    PrintNote(spill.spill_ok && spill.reopen_ok
-                  ? "all epochs committed; reopen byte-identical"
-                  : "EPOCH SPILL FAILED OR DIVERGED ON REOPEN");
-    PrintNote(mode_ok ? "two-phase captures digest matches synchronous"
-                      : "ASYNC CAPTURE DIVERGED from synchronous");
-
-    char buf[512];
-    std::snprintf(
-        buf, sizeof buf,
-        "    {\"hosts\": %u, \"epochs\": %zu, \"epoch_image_bytes\": %llu, "
-        "\"capture_ms\": %.3f, \"spill_ms\": %.3f, \"sync_frozen_ms\": %.3f, "
-        "\"async_frozen_ms\": %.3f, \"spill_ok\": %s, \"reopen_ok\": %s, "
-        "\"async_capture_ok\": %s, \"ledger_coverage\": %.3f, "
-        "\"straggler_partition\": %d, \"straggler_slack_ms\": %.3f}%s\n",
-        spill_hosts[i], spill.epochs,
-        static_cast<unsigned long long>(spill.epoch_image_bytes),
-        spill.capture_ms, spill.spill_ms, spill.frozen_ms, aspill.frozen_ms,
-        spill.spill_ok ? "true" : "false",
-        spill.reopen_ok ? "true" : "false", mode_ok ? "true" : "false",
-        aspill.ledger.min_coverage, aspill.ledger.straggler_partition,
-        aspill.ledger.straggler_slack_ms, i == 0 ? "," : "");
-    spill_rows += buf;
+    if (spills_ok) {
+      PrintNote("all epochs committed; reopen byte-identical");
+    } else {
+      const auto word = [](bool b) { return b ? "ok" : "FAILED"; };
+      char why[160];
+      std::snprintf(why, sizeof why,
+                    "EPOCH SPILL FAILED OR DIVERGED ON REOPEN (sync: spill %s, "
+                    "reopen %s; two-phase: spill %s, reopen %s)",
+                    word(spill.spill_ok), word(spill.reopen_ok),
+                    word(aspill.spill_ok), word(aspill.reopen_ok));
+      PrintNote(why);
+    }
+    if (mode_ok) {
+      PrintNote("two-phase captures digest matches synchronous");
+    } else {
+      char why[160];
+      std::snprintf(why, sizeof why,
+                    "ASYNC CAPTURE DIVERGED from synchronous (captures "
+                    "%016llx vs %016llx, %zu vs %zu epochs)",
+                    static_cast<unsigned long long>(aspill.captures_digest),
+                    static_cast<unsigned long long>(spill.captures_digest),
+                    aspill.epochs, spill.epochs);
+      PrintNote(why);
+    }
   }
-  spill_rows += "  ]";
-  BenchReport::Instance().AddExtra("epoch_spill", spill_rows);
-  BenchReport::Instance().AddExtra("async_capture_ok",
-                                   async_ok ? "true" : "false");
-  {
-    char buf[32];
-    std::snprintf(buf, sizeof buf, "%.3f", min_coverage);
-    BenchReport::Instance().AddExtra("ledger_min_coverage", buf);
-  }
-  BenchReport::Instance().AddExtra("ledger_coverage_ok",
-                                   coverage_ok ? "true" : "false");
-  ok = ok && coverage_ok;
 
-  if (!ok && !JsonQuiet()) {
-    std::printf("\nFAIL: %s\n",
-                coverage_ok
-                    ? "parallel run diverged from the sequential oracle"
-                    : "ledger attribution below 95% of epoch wall time");
+  if (!ok) {
+    std::printf("\nFAIL: parallel run diverged from the sequential oracle\n");
   }
   return bm.Finish(ok ? 0 : 1);
 }

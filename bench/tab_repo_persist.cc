@@ -226,20 +226,17 @@ int Run() {
   // to the single-writer batch, and a cross-process reopen must reproduce the
   // same bytes.
   struct SpillShape {
-    const char* key;
     size_t hosts;
     size_t chunks_per_host;
     size_t chunk_bytes;
   };
   const SpillShape shapes[] = {
-      {"100", 100, 8, 4096},
-      {"1k", 1000, 8, 4096},
+      {100, 8, 4096},
+      {1000, 8, 4096},
   };
-  double spill_metrics[2][3] = {};  // [shape] -> per-put, batch, speedup
   bool spill_verified = true;
 
-  for (size_t s = 0; s < 2; ++s) {
-    const SpillShape& shape = shapes[s];
+  for (const SpillShape& shape : shapes) {
     char title[96];
     std::snprintf(title, sizeof title,
                   "epoch spill (%zu hosts x %zu chunks x %zu KiB)", shape.hosts,
@@ -388,10 +385,7 @@ int Run() {
     }
     fs::remove_all(per_put_dir, ec);
 
-    spill_metrics[s][0] = spill_mb / per_put_s;
-    spill_metrics[s][1] = spill_mb / best_batch_s;
-    spill_metrics[s][2] = per_put_s / best_batch_s;
-    PrintValue("group-commit speedup", spill_metrics[s][2], "x");
+    PrintValue("group-commit speedup", per_put_s / best_batch_s, "x");
   }
   PrintNote(spill_verified
                 ? "spill sweep digest-identical across writers and reopen"
@@ -399,24 +393,6 @@ int Run() {
   if (!spill_verified) {
     rc = 1;
   }
-
-  char extra[1024];
-  std::snprintf(
-      extra, sizeof extra,
-      "{\"put_mb_per_s\": %.6g, \"materialize_mb_per_s\": %.6g, "
-      "\"compact_ms\": %.6g, \"gc_ms\": %.6g, \"reopen_ms\": %.6g, "
-      "\"dedup_ratio\": %.6g, \"verified\": %s, "
-      "\"spill_100_per_put_mb_per_s\": %.6g, "
-      "\"spill_100_batch_mb_per_s\": %.6g, \"spill_100_speedup\": %.6g, "
-      "\"spill_1k_per_put_mb_per_s\": %.6g, "
-      "\"spill_1k_batch_mb_per_s\": %.6g, \"spill_1k_speedup\": %.6g, "
-      "\"spill_verified\": %s}",
-      logical_mb / put_s, mat_mb / mat_s, compact_s * 1000.0, gc_s * 1000.0,
-      reopen_s * 1000.0, dedup, rc == 0 ? "true" : "false",
-      spill_metrics[0][0], spill_metrics[0][1], spill_metrics[0][2],
-      spill_metrics[1][0], spill_metrics[1][1], spill_metrics[1][2],
-      spill_verified ? "true" : "false");
-  BenchReport::Instance().AddExtra("repo_persist", extra);
   return rc;
 }
 

@@ -8,10 +8,7 @@
 // the run the checkpoint is; image restore stays flat — that gap is the
 // point of the layer.
 //
-//   $ ./build/bench/tab_restore_path [--json]
-//
-// --json emits one machine-readable object (for trend tracking) instead of
-// the human-readable table.
+//   $ ./build/bench/tab_restore_path
 
 #include <chrono>
 #include <cstdio>
@@ -48,7 +45,6 @@ struct Row {
 
 int main(int argc, char** argv) {
   BenchMain bm(argc, argv, "tab_restore_path");
-  const bool json = JsonQuiet();
 
   TimeTravelTree tree([] {
     BasicExperimentRun::Params params;
@@ -76,31 +72,6 @@ int main(int argc, char** argv) {
   bool all_ok = true;
   for (const Row& row : rows) {
     all_ok = all_ok && row.restore_ok && row.reexec_ok;
-  }
-
-  if (json) {
-    std::string ckpts = "[\n";
-    for (size_t i = 0; i < rows.size(); ++i) {
-      const Row& row = rows[i];
-      char buf[320];
-      std::snprintf(buf, sizeof buf,
-                    "    {\"id\": %d, \"t_s\": %.3f, \"image_bytes\": %llu, "
-                    "\"restore_image_wall_s\": %.6f, \"reexec_wall_s\": %.6f, "
-                    "\"speedup\": %.2f, \"digests_match\": %s}%s\n",
-                    row.id, row.time_s,
-                    static_cast<unsigned long long>(row.image_bytes),
-                    row.restore_image_wall_s, row.reexec_wall_s,
-                    row.restore_image_wall_s > 0
-                        ? row.reexec_wall_s / row.restore_image_wall_s
-                        : 0.0,
-                    row.restore_ok && row.reexec_ok ? "true" : "false",
-                    i + 1 < rows.size() ? "," : "");
-      ckpts += buf;
-    }
-    ckpts += "  ]";
-    BenchReport::Instance().AddExtra("checkpoints", ckpts);
-    BenchReport::Instance().AddExtra("all_digests_match", all_ok ? "true" : "false");
-    return bm.Finish(all_ok ? 0 : 1);
   }
 
   std::printf("Restore path: image-based rollback vs re-execution from t=0\n");

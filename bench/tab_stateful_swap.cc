@@ -177,18 +177,6 @@ int RunRepoBacked(MultiRunAudit* audit) {
                 ? "every swap-in verified byte-identical against the repository"
                 : "REPO VERIFICATION FAILED: persisted image diverged");
 
-  char extra[512];
-  std::snprintf(extra, sizeof extra,
-                "{\"bytes_written\": %llu, \"bytes_read\": %llu, "
-                "\"logical_put_bytes\": %llu, \"physical_put_bytes\": %llu, "
-                "\"dedup_ratio\": %.6g, \"verified\": %s}",
-                static_cast<unsigned long long>(repo->bytes_written()),
-                static_cast<unsigned long long>(repo->bytes_read()),
-                static_cast<unsigned long long>(repo->logical_put_bytes()),
-                static_cast<unsigned long long>(repo->physical_put_bytes()),
-                dedup, cycles.repo_verified ? "true" : "false");
-  BenchReport::Instance().AddExtra("repo", extra);
-
   const int rc = cycles.repo_verified ? 0 : 1;
   repo.reset();
   fs::remove_all(dir, ec);

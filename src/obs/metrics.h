@@ -11,9 +11,8 @@
 // the event digest to it).
 //
 // The registry is process-wide (MetricsRegistry::Global()): benches that run
-// several simulations accumulate across them, which is exactly what the
-// consolidated BENCH_PR5.json wants. Tests call ResetAll() between cases —
-// values are zeroed but entries (and handles) stay valid forever.
+// several simulations accumulate across them. Tests call ResetAll() between
+// cases — values are zeroed but entries (and handles) stay valid forever.
 
 #ifndef TCSIM_SRC_OBS_METRICS_H_
 #define TCSIM_SRC_OBS_METRICS_H_
