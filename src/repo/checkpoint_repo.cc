@@ -627,20 +627,20 @@ CheckpointRepo::BatchCommitResult CheckpointRepo::CommitBatch(
   }
 
   // Publish in memory: register payload offsets, install the records, and
-  // rebuild retention once per epoch instead of once per image.
+  // retain each new image in handle order (parents first). A put only adds
+  // live records, so this reaches the state a full rebuild would, at a cost
+  // proportional to the new images rather than to the whole history.
   result.images = staged.size();
-  for (const auto& [handle, rec] : staged) {
+  next_handle_ += staged.size();
+  for (auto& [handle, rec] : staged) {
     for (const ChunkRef& cr : rec.chunks) {
       if (cr.kind == kRepoChunkPayloadRef) {
         payloads_[cr.key].offset = cr.offset;
       }
     }
-  }
-  next_handle_ += staged.size();
-  for (auto& [handle, rec] : staged) {
     records_.emplace(handle, std::move(rec));
+    Retain(handle);
   }
-  RebuildRetention();
   for (const auto& [ticket, handle] : ticket_handle) {
     result.handles[ticket - 1] = handle;
   }
@@ -915,43 +915,37 @@ CheckpointRepo::GcResult CheckpointRepo::CollectGarbage() {
   return result;
 }
 
+void CheckpointRepo::Retain(uint64_t handle) {
+  // Ancestors are needed exactly while records along the chain still carry
+  // unresolved parent refs. The retained set is closed under this walk, so
+  // it stops at the first record already retained.
+  auto it = records_.find(handle);
+  while (it != records_.end() && retained_.insert(it->first).second) {
+    const ImageRecord& rec = it->second;
+    bool has_parent_ref = false;
+    for (const ChunkRef& cr : rec.chunks) {
+      if (cr.kind == kRepoChunkParentRef) {
+        has_parent_ref = true;
+      } else if (payloads_[cr.key].refs++ == 0) {
+        live_payload_bytes_ += kSegmentRecordOverhead + cr.key.size;
+      }
+    }
+    if (rec.parent_handle == 0 || !has_parent_ref) {
+      break;
+    }
+    it = records_.find(rec.parent_handle);  // end() = broken chain
+  }
+}
+
 void CheckpointRepo::RebuildRetention() {
   retained_.clear();
-  for (const auto& [handle, rec] : records_) {
-    if (!rec.live) {
-      continue;
-    }
-    retained_.insert(handle);
-    // Ancestors are needed exactly while records along the chain still carry
-    // unresolved parent refs.
-    const ImageRecord* r = &rec;
-    while (r->parent_handle != 0 &&
-           std::any_of(r->chunks.begin(), r->chunks.end(),
-                       [](const ChunkRef& cr) {
-                         return cr.kind == kRepoChunkParentRef;
-                       })) {
-      auto it = records_.find(r->parent_handle);
-      if (it == records_.end() || !retained_.insert(it->first).second) {
-        break;  // missing (broken chain) or already walked from here up
-      }
-      r = &it->second;
-    }
-  }
-
   for (auto& [key, entry] : payloads_) {
     entry.refs = 0;
   }
-  for (uint64_t handle : retained_) {
-    for (const ChunkRef& cr : records_.at(handle).chunks) {
-      if (cr.kind == kRepoChunkPayloadRef) {
-        ++payloads_[cr.key].refs;
-      }
-    }
-  }
   live_payload_bytes_ = 0;
-  for (const auto& [key, entry] : payloads_) {
-    if (entry.refs != 0) {
-      live_payload_bytes_ += kSegmentRecordOverhead + key.size;
+  for (const auto& [handle, rec] : records_) {
+    if (rec.live) {
+      Retain(handle);
     }
   }
 }

@@ -233,9 +233,14 @@ class CheckpointRepo {
       const ImageRecord& rec, const std::string& id, uint32_t expected_crc,
       bool check_crc, const std::map<uint64_t, ImageRecord>& staged) const;
 
-  // Recomputes the retained set, payload refcounts and live byte count
-  // after any mutation. O(images * chunks) — repository populations are
-  // small; correctness over cleverness.
+  // Adds `handle` and the ancestors its delta chunks resolve through to the
+  // retained set, raising the payload refcounts and live byte count of each
+  // newly retained record. Its cost is the records it newly retains, so a
+  // commit retains its images in O(new images), not O(history).
+  void Retain(uint64_t handle);
+
+  // Clears retention, then retains every live record: the full recompute
+  // for the mutations that can shrink retention (open, retire, compact, GC).
   void RebuildRetention();
 
   // Appends a journal record with the publication barrier (segment flushed

@@ -543,6 +543,96 @@ TEST_F(RepoTest, BatchRejectionIsAllOrNothing) {
   EXPECT_EQ(repo->live_image_count(), 2u);
 }
 
+TEST_F(RepoTest, IncrementalRetentionMatchesRebuild) {
+  // A commit retains only its new images; Open recomputes retention from the
+  // whole history. After every step of a mixed history, the live repository
+  // must account exactly what a fresh Open of the same directory does.
+  auto repo = OpenRepo();
+  auto expect_matches_rebuild = [&](const std::string& step) {
+    std::string error;
+    auto rebuilt = CheckpointRepo::Open(dir_, RepoOptions{}, &error);
+    ASSERT_NE(rebuilt, nullptr) << step << ": " << error;
+    EXPECT_EQ(repo->live_payload_bytes(), rebuilt->live_payload_bytes())
+        << step;
+    EXPECT_EQ(repo->garbage_payload_bytes(), rebuilt->garbage_payload_bytes())
+        << step;
+    EXPECT_EQ(repo->LiveHandles(), rebuilt->LiveHandles()) << step;
+  };
+  auto commit = [&](std::unique_ptr<RepoWriteBatch> batch) {
+    const auto result = repo->CommitBatch(std::move(batch));
+    EXPECT_TRUE(result.ok) << result.error;
+    return result.handles;
+  };
+
+  const uint64_t h1 = repo->PutImage(FullImage(1, 10, 20));
+  ASSERT_NE(h1, 0u) << repo->error();
+  expect_matches_rebuild("full image");
+
+  // One epoch: a full image, a delta on it by ticket, a delta on h1 from an
+  // earlier commit, and a full image whose payloads all dedup against h1.
+  auto batch = repo->BeginBatch();
+  const uint64_t t2 = batch->Stage(FullImage(2, 30, 40));
+  const uint64_t t3 = batch->Stage(DeltaImage(3, 2, 31, 40), 0, t2);
+  const uint64_t t4 = batch->Stage(DeltaImage(4, 1, 11, 20), h1);
+  const uint64_t t5 = batch->Stage(FullImage(5, 10, 20));
+  const std::vector<uint64_t> epoch1 = commit(std::move(batch));
+  ASSERT_EQ(epoch1.size(), 4u);
+  const uint64_t h2 = epoch1[t2 - 1];
+  const uint64_t h3 = epoch1[t3 - 1];
+  const uint64_t h4 = epoch1[t4 - 1];
+  const uint64_t h5 = epoch1[t5 - 1];
+  ASSERT_EQ(repo->ParentHandleOf(h3), h2);
+  ASSERT_EQ(repo->ParentHandleOf(h4), h1);
+  expect_matches_rebuild("mixed epoch");
+
+  // A retired ancestor pinned by a live child stays a valid delta parent.
+  ASSERT_TRUE(repo->RetireImage(h1)) << repo->error();
+  expect_matches_rebuild("retire pinned ancestor");
+  const uint64_t h6 = repo->PutImage(DeltaImage(6, 1, 12, 20), h1);
+  EXPECT_NE(h6, 0u) << repo->error();
+  expect_matches_rebuild("delta on retired, pinned ancestor");
+
+  ASSERT_TRUE(repo->RetireImage(h2)) << repo->error();
+  ASSERT_TRUE(repo->RetireImage(h5)) << repo->error();
+  expect_matches_rebuild("retire in-batch parent and dedup twin");
+
+  // Folding the chains unpins h1 and h2: a new delta on h1 is refused and
+  // leaves the repository unchanged.
+  ASSERT_EQ(repo->CompactChains(), 3u);
+  expect_matches_rebuild("compact");
+  EXPECT_GT(repo->garbage_payload_bytes(), 0u);
+  const size_t images_before = repo->image_count();
+  EXPECT_EQ(repo->PutImage(DeltaImage(7, 1, 13, 20), h1), 0u);
+  EXPECT_NE(repo->error().find("unretained"), std::string::npos)
+      << repo->error();
+  EXPECT_EQ(repo->image_count(), images_before);
+  expect_matches_rebuild("rejected delta on unpinned ancestor");
+
+  ASSERT_TRUE(repo->CollectGarbage().ok) << repo->error();
+  EXPECT_FALSE(repo->Has(h1));
+  EXPECT_FALSE(repo->Has(h2));
+  expect_matches_rebuild("gc");
+
+  // Commits after GC: a full image sharing one payload with the folded h3,
+  // a delta on h3 across batches, and a delta on that delta by ticket.
+  batch = repo->BeginBatch();
+  batch->Stage(FullImage(8, 30, 40));
+  const uint64_t t9 = batch->Stage(DeltaImage(9, 3, 32, 40), h3);
+  const uint64_t t10 = batch->Stage(DeltaImage(10, 9, 33, 40), 0, t9);
+  const std::vector<uint64_t> epoch2 = commit(std::move(batch));
+  ASSERT_EQ(epoch2.size(), 3u);
+  expect_matches_rebuild("epoch after gc");
+
+  ASSERT_TRUE(repo->RetireImage(h3)) << repo->error();
+  ASSERT_TRUE(repo->RetireImage(epoch2[t9 - 1])) << repo->error();
+  ASSERT_TRUE(repo->RetireImage(h4)) << repo->error();
+  ASSERT_NE(repo->PutImage(DeltaImage(11, 10, 34, 40), epoch2[t10 - 1]), 0u)
+      << repo->error();
+  expect_matches_rebuild("delta under a retired chain");
+  EXPECT_GT(repo->live_payload_bytes(), 0u);
+  EXPECT_GT(repo->garbage_payload_bytes(), 0u);
+}
+
 std::vector<uint8_t> FileBytes(const fs::path& p) {
   std::ifstream in(p, std::ios::binary);
   return std::vector<uint8_t>(std::istreambuf_iterator<char>(in),
