@@ -10,8 +10,8 @@
 //
 // Both modes run the identical deterministic scenario, checkpoint at the
 // same instants, and every image is restored into a fresh node — the state
-// digests must match pairwise across modes (delta restores go through
-// ImageStore::Materialize, exercising the parent chain).
+// digests must match pairwise across modes (delta restores go through the
+// engine's last_image(), rebuilt from its tracked component payloads).
 //
 //   $ ./build/bench/tab_delta_capture
 //
@@ -57,7 +57,6 @@ CheckpointPolicy BenchPolicy(bool delta) {
   CheckpointPolicy policy;
   policy.resume_timer_latency = 0;  // digests must be reproducible
   policy.delta_images = delta;
-  policy.retain_image_chain = true;  // keep the chain materializable by id
   return policy;
 }
 
@@ -78,7 +77,6 @@ uint64_t NodeDigest(const Simulator& sim, ExperimentNode& node) {
 }
 
 struct Capture {
-  uint64_t image_id = 0;
   uint64_t bytes = 0;
   size_t payload_chunks = 0;
   size_t delta_chunks = 0;
@@ -90,7 +88,7 @@ struct Capture {
 
 struct ModeResult {
   std::vector<Capture> captures;
-  uint64_t delta_refs_stored = 0;  // across the retained chain
+  uint64_t delta_refs_stored = 0;  // across all captures
 };
 
 // Restores `image` into a fresh node and returns its state digest, or 0 on
@@ -147,20 +145,17 @@ ModeResult RunMode(bool delta) {
       }
     });
     const CaptureStats& stats = engine.last_capture_stats();
-    cap.image_id = stats.image_id;
     cap.bytes = stats.serialized_bytes;
     cap.payload_chunks = stats.payload_chunks;
     cap.delta_chunks = stats.delta_chunks;
     cap.version_skips = stats.version_skips;
     cap.crc_fallbacks = stats.crc_fallbacks;
-    // The restore source: delta captures are materialized through the store
-    // (walking the parent chain); full captures come back verbatim.
-    cap.image = engine.image_store().Materialize(cap.image_id);
+    // The restore source: the engine's self-contained publication of the
+    // capture, whichever format it was emitted in.
+    cap.image = *engine.last_image();
+    result.delta_refs_stored += cap.delta_chunks;
     result.captures.push_back(std::move(cap));
     sim.RunUntil(sim.Now() + kCaptureSpacing);
-  }
-  for (const Capture& cap : result.captures) {
-    result.delta_refs_stored += engine.image_store().DeltaRefCount(cap.image_id);
   }
   return result;
 }

@@ -155,14 +155,13 @@ void LocalCheckpointEngine::BuildCompositeImage() {
     tracks_.assign(components.size(), ComponentTrack{});
   }
 
-  const uint64_t image_id = store_.NextId();
   const uint64_t parent = policy_.delta_images ? parent_image_id_ : 0;
   CaptureStats stats;
-  stats.image_id = image_id;
+  stats.image_id = next_image_id_++;
   stats.parent_id = parent;
 
   CheckpointImageBuilder builder;
-  builder.SetDeltaHeader(image_id, parent);
+  builder.SetDeltaHeader(stats.image_id, parent);
 
   // Engine metadata: the saved instant plus the record and accounting a
   // restore target needs to continue exactly where the original paused.
@@ -175,7 +174,8 @@ void LocalCheckpointEngine::BuildCompositeImage() {
   meta.Write<uint64_t>(residual_dirty_);
   meta.Write<uint64_t>(saver_.last_image_bytes());
   rng_.Save(&meta);
-  builder.AddChunk("sim.time", meta.Take());
+  const std::vector<uint8_t> meta_bytes = meta.Take();
+  builder.AddChunk("sim.time", meta_bytes);
   ++stats.payload_chunks;
 
   for (size_t i = 0; i < components.size(); ++i) {
@@ -205,6 +205,7 @@ void LocalCheckpointEngine::BuildCompositeImage() {
       ++stats.delta_chunks;
       ++stats.crc_fallbacks;
     } else {
+      track.payload = payload;
       builder.AddChunk(component->checkpoint_id(), std::move(payload));
       ++stats.payload_chunks;
     }
@@ -213,7 +214,7 @@ void LocalCheckpointEngine::BuildCompositeImage() {
     track.valid = true;
   }
 
-  FinishCapture(&builder, stats);
+  FinishCapture(&builder, meta_bytes, stats);
 }
 
 void LocalCheckpointEngine::SnapshotComponents() {
@@ -287,18 +288,20 @@ void LocalCheckpointEngine::CommitPendingCapture() {
   const auto t0 = std::chrono::steady_clock::now();
   const uint64_t parent = pending_parent_;
   CaptureStats stats;
-  stats.image_id = store_.NextId();
+  stats.image_id = next_image_id_++;
   stats.parent_id = parent;
 
   CheckpointImageBuilder builder;
   builder.SetDeltaHeader(stats.image_id, parent);
 
+  std::vector<uint8_t> meta_bytes;
   for (size_t i = 0; i < staged_.entries.size(); ++i) {
     const StagedEntry& entry = staged_.entries[i];
     if (i == 0) {
       // Engine metadata: always a payload chunk.
       const uint8_t* p = staged_.entry_data(entry);
-      builder.AddChunk(entry.id, std::vector<uint8_t>(p, p + entry.size));
+      meta_bytes.assign(p, p + entry.size);
+      builder.AddChunk(entry.id, meta_bytes);
       ++stats.payload_chunks;
       continue;
     }
@@ -317,6 +320,7 @@ void LocalCheckpointEngine::CommitPendingCapture() {
       ++stats.delta_chunks;
       ++stats.crc_fallbacks;
     } else {
+      track.payload = payload;
       builder.AddChunk(entry.id, std::move(payload));
       ++stats.payload_chunks;
     }
@@ -325,7 +329,7 @@ void LocalCheckpointEngine::CommitPendingCapture() {
     track.valid = true;
   }
 
-  FinishCapture(&builder, stats);
+  FinishCapture(&builder, meta_bytes, stats);
   pool_.Release(&staged_);
 
   const double wall_us = WallMicros(t0, std::chrono::steady_clock::now());
@@ -340,17 +344,15 @@ void LocalCheckpointEngine::CommitPendingCapture() {
 }
 
 void LocalCheckpointEngine::FinishCapture(CheckpointImageBuilder* builder,
+                                          const std::vector<uint8_t>& meta,
                                           CaptureStats stats) {
-  const uint64_t image_id = stats.image_id;
   stats.total_chunks = builder->chunk_count();
-  std::vector<uint8_t> bytes = builder->Serialize();
-  stats.serialized_bytes = bytes.size();
+  const auto bytes =
+      std::make_shared<const std::vector<uint8_t>>(builder->Serialize());
+  stats.serialized_bytes = bytes->size();
 
   const bool self_contained = stats.delta_chunks == 0;
-  const uint64_t stored_id = store_.Put(std::move(bytes));
-  assert(stored_id == image_id);
-  (void)stored_id;
-  parent_image_id_ = image_id;
+  parent_image_id_ = stats.image_id;
   last_capture_stats_ = stats;
 
   captures_counter_->Increment();
@@ -367,29 +369,38 @@ void LocalCheckpointEngine::FinishCapture(CheckpointImageBuilder* builder,
        {"serialized_bytes", static_cast<double>(stats.serialized_bytes)}});
 
   // Publish a self-contained image: holders (the time-travel tree, swap-out)
-  // restore it without consulting this engine's store. Self-contained
-  // captures share the store's buffer outright — no copy.
-  last_image_ =
-      self_contained
-          ? store_.RawShared(image_id)
-          : std::make_shared<const std::vector<uint8_t>>(
-                store_.Materialize(image_id));
+  // restore it without any delta chain. A parentless capture is one as
+  // emitted and is shared outright; otherwise every chunk, delta ref or not,
+  // resolves to its component's tracked payload.
+  if (stats.parent_id == 0) {
+    last_image_ = bytes;
+  } else {
+    CheckpointImageBuilder full;
+    full.SetDeltaHeader(stats.image_id, 0);
+    full.AddChunk("sim.time", meta);
+    const std::vector<Checkpointable*>& components = Components();
+    for (size_t i = 0; i < tracks_.size(); ++i) {
+      full.AddChunk(components[i]->checkpoint_id(), tracks_[i].payload);
+    }
+    last_image_ =
+        std::make_shared<const std::vector<uint8_t>>(full.Serialize());
+  }
 
   // Spill-to-repository: persist the capture as emitted (delta against the
-  // previously spilled generation when possible), falling back to a
-  // self-contained materialization when the repository has no usable parent.
-  // The batch API shares the store's buffer with the repository — the only
-  // bytes copied on this path are the ones the segment file writes to disk.
+  // previously spilled generation when possible), falling back to
+  // last_image() when the repository has no usable parent. Both buffers are
+  // shared with the repository batch — the only bytes copied on this path
+  // are the ones the segment file writes to disk.
   if (repo_ != nullptr) {
     uint64_t handle = 0;
     {
       std::unique_ptr<RepoWriteBatch> batch = repo_->BeginBatch();
       if (self_contained) {
-        batch->Stage(store_.RawShared(image_id));
+        batch->Stage(bytes);
       } else if (repo_parent_handle_ != 0) {
-        batch->Stage(store_.RawShared(image_id), repo_parent_handle_);
+        batch->Stage(bytes, repo_parent_handle_);
       } else {
-        batch->Stage(store_.Materialize(image_id));
+        batch->Stage(last_image_);
       }
       const CheckpointRepo::BatchCommitResult result =
           repo_->CommitBatch(std::move(batch));
@@ -401,7 +412,7 @@ void LocalCheckpointEngine::FinishCapture(CheckpointImageBuilder* builder,
       // Legacy fallback: a rejected spill (e.g. the spilled parent was
       // retired and collected under us) degrades to self-contained.
       std::unique_ptr<RepoWriteBatch> retry = repo_->BeginBatch();
-      retry->Stage(store_.Materialize(image_id));
+      retry->Stage(last_image_);
       const CheckpointRepo::BatchCommitResult result =
           repo_->CommitBatch(std::move(retry));
       if (result.ok) {
@@ -413,10 +424,6 @@ void LocalCheckpointEngine::FinishCapture(CheckpointImageBuilder* builder,
         node_->name(), "repo.spill", sim_->Now(),
         {{"handle", static_cast<double>(handle)},
          {"delta", self_contained ? 0.0 : 1.0}});
-  }
-
-  if (!policy_.retain_image_chain) {
-    store_.PruneExcept(image_id);
   }
 }
 
@@ -435,7 +442,7 @@ bool LocalCheckpointEngine::RestoreImage(const std::vector<uint8_t>& image_bytes
   }
   if (view.is_delta()) {
     // An unresolved delta image cannot prime a run: its unchanged chunks
-    // live in the parent chain. Materialize through an ImageStore first.
+    // live in the parent chain. Materialize it through the repository first.
     return false;
   }
   ArchiveReader meta(view.Chunk("sim.time"));

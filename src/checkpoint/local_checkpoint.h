@@ -31,7 +31,6 @@
 #include "src/repo/checkpoint_repo.h"
 #include "src/sim/checkpointable.h"
 #include "src/sim/image.h"
-#include "src/sim/image_store.h"
 #include "src/sim/staging.h"
 #include "src/sim/random.h"
 #include "src/sim/simulator.h"
@@ -66,13 +65,6 @@ struct CheckpointPolicy {
   // Disabling this re-serializes everything into self-contained images (the
   // PR-2 baseline, and what tab_delta_capture compares against).
   bool delta_images = true;
-
-  // Keep the whole parent chain in the engine's image store. Off by default:
-  // the store is pruned to the latest capture after each checkpoint, which
-  // bounds memory while still allowing delta emission against that parent.
-  // Tests and the time-travel bench turn this on to materialize arbitrary
-  // chain members later.
-  bool retain_image_chain = false;
 
   // Two-phase capture: during the frozen window only clone component state
   // into reusable staging buffers (SnapshotState, no framing/CRC/repo I/O);
@@ -146,9 +138,9 @@ class LocalCheckpointEngine : public CheckpointParticipant {
 
   // The composite image captured by the last completed save; null before
   // the first checkpoint. Shared, so time-travel tree nodes can retain
-  // thousands of images cheaply. Always self-contained (materialized from
-  // the delta chain when delta capture is on), so holders can restore it
-  // without consulting the engine's image store.
+  // thousands of images cheaply. Always self-contained with parent id 0
+  // (built from the tracked component payloads when the capture had a
+  // parent), so holders can restore it without any delta chain.
   //
   // These accessors force any pending two-phase capture to commit first
   // (EnsureCaptureCommitted), so a held engine — saved but not yet resumed —
@@ -158,28 +150,13 @@ class LocalCheckpointEngine : public CheckpointParticipant {
     return last_image_;
   }
 
-  // Store id of the last captured image (0 before the first checkpoint).
-  // With policy().retain_image_chain, image_store() holds the whole chain
-  // and can materialize any earlier capture by id.
-  uint64_t last_image_id() {
-    EnsureCaptureCommitted();
-    return parent_image_id_;
-  }
-
   // Emission breakdown of the last capture (delta vs payload chunks, bytes).
   const CaptureStats& last_capture_stats() {
     EnsureCaptureCommitted();
     return last_capture_stats_;
   }
 
-  // The engine's image store: owns the capture chain, materializes full
-  // images by id, and hard-rejects broken chains on ingest.
-  ImageStore& image_store() {
-    EnsureCaptureCommitted();
-    return store_;
-  }
-
-  // Commits a pending two-phase capture (serialize + delta diff + store +
+  // Commits a pending two-phase capture (serialize + delta diff + publish +
   // repo spill) if one is staged; no-op otherwise. Called automatically at
   // atomic resume and from the accessors above.
   void EnsureCaptureCommitted();
@@ -191,7 +168,7 @@ class LocalCheckpointEngine : public CheckpointParticipant {
   // (the repository resolves them on disk), so the per-capture disk cost is
   // O(changed state) too. If the repository cannot accept the delta (no
   // spilled parent yet, or it rejects the chain), the engine falls back to
-  // spilling a self-contained materialization. Pass null to detach.
+  // spilling last_image(). Pass null to detach.
   void AttachRepository(CheckpointRepo* repo);
 
   // Repository handle of the last spilled capture (0 before the first
@@ -205,9 +182,10 @@ class LocalCheckpointEngine : public CheckpointParticipant {
   // experiment and leaves it suspended-held at the saved instant. Returns
   // false without touching the run if the container is malformed (bad
   // magic, unsupported version, truncated, or CRC mismatch), if it still
-  // contains unresolved delta-ref chunks (materialize through an ImageStore
-  // first), or the engine metadata chunk is missing. Components without a
-  // matching chunk keep their freshly built state (forward compatibility).
+  // contains unresolved delta-ref chunks (materialize it through the
+  // CheckpointRepo first), or the engine metadata chunk is missing.
+  // Components without a matching chunk keep their freshly built state
+  // (forward compatibility).
   bool RestoreImage(const std::vector<uint8_t>& image_bytes);
 
   // Resumes a run primed by RestoreImage — the O(image) restore path.
@@ -238,9 +216,11 @@ class LocalCheckpointEngine : public CheckpointParticipant {
   // emitted at the freeze point — and publishes/spills it.
   void CommitPendingCapture();
 
-  // Shared capture tail: serialize the builder, ingest into the store,
-  // publish last_image(), spill to the repository, prune, emit telemetry.
-  void FinishCapture(CheckpointImageBuilder* builder, CaptureStats stats);
+  // Shared capture tail: serialize the builder, publish last_image(), spill
+  // to the repository, emit telemetry. `meta` is the engine metadata chunk
+  // the builder starts with.
+  void FinishCapture(CheckpointImageBuilder* builder,
+                     const std::vector<uint8_t>& meta, CaptureStats stats);
 
   Simulator* sim_;
   ExperimentNode* node_;
@@ -261,17 +241,19 @@ class LocalCheckpointEngine : public CheckpointParticipant {
   std::vector<Checkpointable*> extra_components_;
   std::shared_ptr<const std::vector<uint8_t>> last_image_;
 
-  // Per-component capture tracking for delta emission: the version counter
-  // and payload CRC as of the last capture. `valid` means the tracked values
-  // describe a chunk present (directly or via refs) in parent_image_id_.
+  // Per-component capture tracking for delta emission: the version counter,
+  // payload CRC and payload bytes as of the last capture. `valid` means the
+  // tracked values describe a chunk present (directly or via refs) in
+  // parent_image_id_; `payload` is what a delta ref to it resolves to.
   struct ComponentTrack {
     uint64_t version = 0;
     uint32_t crc = 0;
     bool valid = false;
+    std::vector<uint8_t> payload;
   };
 
-  ImageStore store_;
   std::vector<ComponentTrack> tracks_;
+  uint64_t next_image_id_ = 1;
   uint64_t parent_image_id_ = 0;  // 0 = next capture is self-contained
   CaptureStats last_capture_stats_;
 

@@ -347,7 +347,7 @@ void Experiment::StatefulSwapIn(bool lazy, std::function<void(const SwapRecord&)
   obs_trace.AddSpanArg(swap_span, "lazy", lazy ? 1.0 : 0.0);
 
   // Read each node's image back from the durable repository and prove it
-  // byte-identical to what the engine's own store would materialize — the
+  // byte-identical to the engine's published self-contained image — the
   // held run resumes from verified state.
   if (CheckpointRepo* repo = testbed_->repo(); repo != nullptr) {
     const uint64_t io_before = repo->bytes_read();
@@ -359,9 +359,9 @@ void Experiment::StatefulSwapIn(bool lazy, std::function<void(const SwapRecord&)
       LocalCheckpointEngine* engine = nodes_[name].engine.get();
       const std::vector<uint8_t> from_repo =
           repo->Materialize(handle_it->second);
-      const std::vector<uint8_t> expected =
-          engine->image_store().Materialize(engine->last_image_id());
-      if (from_repo.empty() || from_repo != expected) {
+      const std::shared_ptr<const std::vector<uint8_t>> expected =
+          engine->last_image();
+      if (from_repo.empty() || expected == nullptr || from_repo != *expected) {
         record->repo_verified = false;
       }
     }

@@ -27,8 +27,9 @@
 //    journal) pair without unreferenced payloads, installing the new epoch
 //    by an atomic CURRENT rename.
 //  - Materialize(handle) rebuilds the stored image as a self-contained
-//    composite image (src/sim/image.h), byte-identical to what the in-memory
-//    ImageStore::Materialize produces for the same image.
+//    composite image (src/sim/image.h): the stored image id, parent id 0,
+//    every chunk as a payload in the original chunk order. This is the one
+//    place delta chains are resolved.
 
 #ifndef TCSIM_SRC_REPO_CHECKPOINT_REPO_H_
 #define TCSIM_SRC_REPO_CHECKPOINT_REPO_H_
@@ -83,9 +84,10 @@ class CheckpointRepo {
   // returns its repository handle (monotonic, never reused), or 0 on
   // rejection (error() says why; the repository is unchanged). A delta image
   // (one carrying parent-ref chunks) requires `parent_handle`: the handle
-  // returned when its parent was put. Validation mirrors ImageStore::Put —
-  // the parent's embedded image id must match the delta's parent link and
-  // every parent-ref CRC must pin actual parent content.
+  // returned when its parent was put. The parent's embedded image id must
+  // match the delta's parent link, and every parent-ref CRC must pin actual
+  // parent content: a missing parent, a ref absent in it or a stale CRC is a
+  // hard rejection, never a silent fallback.
   uint64_t PutImage(const std::vector<uint8_t>& image_bytes,
                     uint64_t parent_handle = 0);
 

@@ -115,91 +115,33 @@ std::vector<uint8_t> CheckpointImageBuilder::Serialize() const {
 }
 
 CheckpointImageView::CheckpointImageView(const std::vector<uint8_t>& image) {
-  ArchiveReader r(image);
-  const uint32_t magic = r.Read<uint32_t>();
-  if (!r.ok() || magic != kImageMagic) {
-    Fail("bad magic");
+  const CheckpointImageLiteView lite(image);
+  version_ = lite.format_version();
+  image_id_ = lite.image_id();
+  parent_id_ = lite.parent_id();
+  if (!lite.ok()) {
+    error_ = lite.error();
     return;
   }
-  version_ = r.Read<uint32_t>();
-  if (!r.ok() || (version_ != kImageFormatVersion &&
-                  version_ != kImageFormatVersionDelta)) {
-    Fail("unsupported format version " + std::to_string(version_));
-    return;
-  }
-  const bool v2 = version_ == kImageFormatVersionDelta;
-  if (v2) {
-    image_id_ = r.Read<uint64_t>();
-    parent_id_ = r.Read<uint64_t>();
-  }
-  const uint64_t count = r.Read<uint64_t>();
-  if (!r.ok()) {
-    Fail("truncated header");
-    return;
-  }
-  for (uint64_t i = 0; i < count; ++i) {
-    const std::string id = r.ReadString();
-    uint8_t kind = kChunkKindPayload;
-    if (v2) {
-      kind = r.Read<uint8_t>();
-      if (r.ok() && kind != kChunkKindPayload && kind != kChunkKindDeltaRef) {
-        Fail("unknown chunk kind in chunk '" + id + "'");
+  for (const auto* chunks : {&lite.chunks(), &lite.shadowed_}) {
+    for (const CheckpointImageLiteView::Chunk& c : *chunks) {
+      if (c.kind == kChunkKindPayload &&
+          Crc32(c.payload.data, c.payload.size) != c.crc) {
+        error_ = "CRC mismatch in chunk '" + c.id + "'";
         return;
       }
     }
-    if (kind == kChunkKindPayload) {
-      const uint64_t len = r.Read<uint64_t>();
-      const uint32_t crc = r.Read<uint32_t>();
-      if (!r.ok() || len > r.remaining()) {
-        Fail("truncated chunk table");
-        return;
-      }
-      std::vector<uint8_t> payload = r.ReadBytes(len);
-      if (!r.ok()) {
-        Fail("truncated chunk payload");
-        return;
-      }
-      if (Crc32(payload) != crc) {
-        Fail("CRC mismatch in chunk '" + id + "'");
-        return;
-      }
-      if (v2 && chunks_.count(id) != 0) {
-        Fail("duplicate chunk id '" + id + "'");
-        return;
-      }
-      // In v1 later duplicates lose; ids are unique in well-formed images.
-      if (chunks_.emplace(id, ParsedChunk{kind, std::move(payload), crc})
-              .second) {
-        order_.push_back(id);
-      }
-    } else {
-      const uint32_t expected_crc = r.Read<uint32_t>();
-      if (!r.ok()) {
-        Fail("truncated delta ref");
-        return;
-      }
-      if (parent_id_ == 0) {
-        Fail("delta ref in chunk '" + id + "' of a parentless image");
-        return;
-      }
-      if (chunks_.count(id) != 0) {
-        Fail("duplicate chunk id '" + id + "'");
-        return;
-      }
-      chunks_.emplace(id, ParsedChunk{kind, {}, expected_crc});
-      order_.push_back(id);
-      ++delta_ref_count_;
-    }
   }
+  for (const CheckpointImageLiteView::Chunk& c : lite.chunks()) {
+    chunks_.emplace(c.id, ParsedChunk{c.kind,
+                                      std::vector<uint8_t>(
+                                          c.payload.data,
+                                          c.payload.data + c.payload.size),
+                                      c.crc});
+    order_.push_back(c.id);
+  }
+  delta_ref_count_ = lite.delta_ref_count();
   ok_ = true;
-}
-
-void CheckpointImageView::Fail(const std::string& why) {
-  ok_ = false;
-  error_ = why;
-  chunks_.clear();
-  order_.clear();
-  delta_ref_count_ = 0;
 }
 
 bool CheckpointImageView::HasChunk(const std::string& id) const {
@@ -326,7 +268,8 @@ CheckpointImageLiteView::CheckpointImageLiteView(
           Fail("duplicate chunk id '" + id + "'");
           return;
         }
-        continue;  // v1: later duplicates lose
+        shadowed_.push_back(Chunk{std::move(id), kind, payload, crc});
+        continue;
       }
       chunks_.push_back(Chunk{std::move(id), kind, payload, crc});
     } else {
@@ -354,6 +297,7 @@ void CheckpointImageLiteView::Fail(const std::string& why) {
   ok_ = false;
   error_ = why;
   chunks_.clear();
+  shadowed_.clear();
   delta_ref_count_ = 0;
 }
 

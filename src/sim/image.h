@@ -111,7 +111,9 @@ class CheckpointImageBuilder {
 };
 
 // Parses and validates a composite image (format v1 or v2), then hands
-// chunks out by id. Does not own the image bytes; they must outlive the view.
+// chunks out by id. The structural parse is CheckpointImageLiteView's; this
+// view adds the CRC check of every payload chunk and copies the payloads
+// into an index by id, so lookups stay valid after the image buffer is gone.
 class CheckpointImageView {
  public:
   explicit CheckpointImageView(const std::vector<uint8_t>& image);
@@ -131,7 +133,7 @@ class CheckpointImageView {
   uint64_t parent_id() const { return parent_id_; }
 
   // True if any chunk is a delta ref (the image cannot be restored without
-  // resolving it against its parent chain — see ImageStore).
+  // resolving it against its parent chain — see CheckpointRepo).
   bool is_delta() const { return delta_ref_count_ != 0; }
   size_t delta_ref_count() const { return delta_ref_count_; }
 
@@ -161,8 +163,6 @@ class CheckpointImageView {
     uint32_t crc;                  // payload: own CRC; delta ref: parent CRC
   };
 
-  void Fail(const std::string& why);
-
   bool ok_ = false;
   std::string error_;
   uint32_t version_ = 0;
@@ -177,10 +177,11 @@ class CheckpointImageView {
 // table in file order, with payload *spans* into the caller's buffer instead
 // of copies, and no eager CRC pass — the batched repository path verifies
 // payload CRCs on its hashing pool, off the staging thread, so parsing here
-// must cost O(chunk count), not O(bytes). Rejects the same structural
-// malformations as CheckpointImageView: bad magic, unsupported version,
-// truncation, unknown chunk kinds, duplicate ids (v2), and delta refs in a
-// parentless image. The image bytes must outlive the view and its spans.
+// must cost O(chunk count), not O(bytes). This is the one parser of the
+// format: it rejects every structural malformation (bad magic, unsupported
+// version, truncation, unknown chunk kinds, duplicate ids (v2), and delta refs
+// in a parentless image), and CheckpointImageView builds on it. The image
+// bytes must outlive the view and its spans.
 class CheckpointImageLiteView {
  public:
   struct Chunk {
@@ -201,10 +202,12 @@ class CheckpointImageLiteView {
   size_t delta_ref_count() const { return delta_ref_count_; }
 
   // Chunks in file order. For v1 images a repeated id keeps the first
-  // occurrence only, matching CheckpointImageView's "later duplicates lose".
+  // occurrence only: later duplicates lose.
   const std::vector<Chunk>& chunks() const { return chunks_; }
 
  private:
+  friend class CheckpointImageView;
+
   void Fail(const std::string& why);
 
   bool ok_ = false;
@@ -214,6 +217,10 @@ class CheckpointImageLiteView {
   uint64_t parent_id_ = 0;
   size_t delta_ref_count_ = 0;
   std::vector<Chunk> chunks_;
+  // The v1 duplicates chunks() drops. No reader uses their bytes, but
+  // CheckpointImageView still proves their CRCs: a flipped bit anywhere in
+  // an image is an error.
+  std::vector<Chunk> shadowed_;
 };
 
 }  // namespace tcsim

@@ -23,7 +23,6 @@ BasicExperimentRun::BasicExperimentRun(Params params)
   CheckpointPolicy policy;
   policy.resume_timer_latency = 0;  // digests must be reproducible
   policy.delta_images = params_.delta_images;
-  policy.retain_image_chain = params_.retain_image_chain;
   policy.async_capture = params_.async_capture;
   engine_ = std::make_unique<LocalCheckpointEngine>(&sim_, node_.get(), policy);
   engine_->AddCheckpointable(this);  // workload progress rides in the image
@@ -144,7 +143,6 @@ CpuExperimentRun::CpuExperimentRun(Params params)
   CheckpointPolicy policy;
   policy.resume_timer_latency = 0;
   policy.delta_images = params_.delta_images;
-  policy.retain_image_chain = params_.retain_image_chain;
   policy.async_capture = params_.async_capture;
   engine_ = std::make_unique<LocalCheckpointEngine>(&sim_, node_.get(), policy);
   engine_->AddCheckpointable(this);

@@ -27,7 +27,6 @@ class BasicExperimentRun : public ReplayableRun, public Checkpointable {
     SimTime mean_tick = 5 * kMillisecond;
     uint64_t blocks_per_tick = 4;
     bool delta_images = true;        // engine emits delta captures
-    bool retain_image_chain = false; // keep the whole chain materializable
     bool async_capture = true;       // two-phase capture (freeze + background)
   };
 
@@ -89,7 +88,6 @@ class CpuExperimentRun : public ReplayableRun, public Checkpointable {
     SimTime mean_gap = 3 * kMillisecond;    // sleep between iterations
     uint64_t touched_bytes = 256 * 1024;    // dirtied per iteration
     bool delta_images = true;
-    bool retain_image_chain = false;
     bool async_capture = true;
   };
 

@@ -189,9 +189,14 @@ bool TimeTravelTree::ReopenFrom(CheckpointRepo* repo, uint64_t manifest_handle) 
   if (!view.ok() || !view.HasChunk(kManifestChunk)) {
     return false;
   }
+  // The manifest is outside input: its count is bounded by the bytes that
+  // follow it, and the tree it describes is checked before any image is read.
   ArchiveReader r(view.Chunk(kManifestChunk));
   const uint64_t count = r.Read<uint64_t>();
-  if (!r.ok()) {
+  constexpr uint64_t kNodeWireSize = 3 * sizeof(int32_t) + sizeof(SimTime) +
+                                     3 * sizeof(uint64_t);
+  if (!r.ok() || r.remaining() < sizeof(int32_t) ||
+      count > (r.remaining() - sizeof(int32_t)) / kNodeWireSize) {
     return false;
   }
   std::vector<TreeNode> nodes;
@@ -205,7 +210,20 @@ bool TimeTravelTree::ReopenFrom(CheckpointRepo* repo, uint64_t manifest_handle) 
     node.image_bytes = r.Read<uint64_t>();
     node.digest = r.Read<uint64_t>();
     node.repo_handle = r.Read<uint64_t>();
-    if (!r.ok()) {
+    // Ids are indices and parents precede their children, so RebuildTo's
+    // walk to the root stays in bounds and ends.
+    if (!r.ok() || node.id != static_cast<int64_t>(i) || node.parent < -1 ||
+        node.parent >= node.id) {
+      return false;
+    }
+    nodes.push_back(std::move(node));
+  }
+  const int branches = r.Read<int32_t>();
+  if (!r.AtEnd() || branches < 0) {
+    return false;
+  }
+  for (TreeNode& node : nodes) {
+    if (node.branch < 0 || node.branch >= branches) {
       return false;
     }
     if (node.repo_handle != 0) {
@@ -216,11 +234,6 @@ bool TimeTravelTree::ReopenFrom(CheckpointRepo* repo, uint64_t manifest_handle) 
       node.image =
           std::make_shared<const std::vector<uint8_t>>(std::move(image));
     }
-    nodes.push_back(std::move(node));
-  }
-  const int branches = r.Read<int32_t>();
-  if (!r.AtEnd()) {
-    return false;
   }
   nodes_ = std::move(nodes);
   branch_count_ = branches;

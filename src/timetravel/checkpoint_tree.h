@@ -90,9 +90,11 @@ class TimeTravelTree {
   uint64_t PersistTo(CheckpointRepo* repo);
 
   // Rebuilds the tree recorded by PersistTo from `repo`. Must be called on
-  // an empty tree (no RecordOriginalRun yet). Node images are materialized
-  // eagerly and re-verified (CRC) as they stream from the repository. False
-  // on failure with the tree left empty.
+  // an empty tree (no RecordOriginalRun yet). The manifest is validated
+  // first (node count against its size, ids equal to indices, parents that
+  // precede their children, branches in range); then node images are
+  // materialized eagerly and re-verified (CRC) as they stream from the
+  // repository. False on failure with the tree left empty.
   bool ReopenFrom(CheckpointRepo* repo, uint64_t manifest_handle);
 
   // Models the paper's restore path: time to load the images on the rollback

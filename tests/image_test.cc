@@ -1,10 +1,13 @@
 // The universal checkpoint-image layer: container framing (magic, version,
-// CRC, truncation), forward-compatible chunk lookup, and per-component
-// save -> mutate -> restore -> save round trips that must be bit-identical.
+// CRC, truncation), forward-compatible chunk lookup, seeded mutation fuzzing
+// of the decoder, and per-component save -> mutate -> restore -> save round
+// trips that must be bit-identical.
 
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <iterator>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -13,7 +16,6 @@
 #include "src/sim/archive.h"
 #include "src/sim/checkpointable.h"
 #include "src/sim/image.h"
-#include "src/sim/image_store.h"
 #include "src/sim/random.h"
 #include "src/sim/simulator.h"
 #include "src/storage/branch_store.h"
@@ -117,6 +119,19 @@ TEST(ImageContainerTest, RejectsFlippedPayloadBit) {
   CheckpointImageView view(image);
   EXPECT_FALSE(view.ok());
   EXPECT_NE(view.error().find("CRC"), std::string::npos) << view.error();
+
+  // In v1 a repeated chunk id loses to the first, but its bytes are still
+  // CRC-checked: a flipped bit anywhere in the image is an error.
+  CheckpointImageBuilder dup;
+  dup.Add(a);
+  dup.Add(a);
+  std::vector<uint8_t> shadowed = dup.Serialize();
+  ASSERT_TRUE(CheckpointImageView(shadowed).ok());
+  shadowed[shadowed.size() - 3] ^= 0x10;
+  CheckpointImageView shadowed_view(shadowed);
+  EXPECT_FALSE(shadowed_view.ok());
+  EXPECT_NE(shadowed_view.error().find("CRC"), std::string::npos)
+      << shadowed_view.error();
 }
 
 TEST(ImageContainerTest, UnknownChunksAreSkipped) {
@@ -260,110 +275,183 @@ TEST(DeltaImageTest, RejectsEveryTruncationPointOfV2) {
   }
 }
 
-// --- ImageStore (parent chains) -------------------------------------------------
+// --- Seeded mutation fuzzing of the decoder ------------------------------------
+//
+// Flips bits in, truncates, splices, and overwrites the length and kind
+// fields of v1, self-contained v2 and delta v2 images. Every mutant must be
+// rejected with an error, or be accepted and round-trip: rebuilt through the
+// builder it parses back to the same header, ids, payloads and delta pins.
+// The sanitize-preset run of this test is the no-UB check of the decoder.
 
-std::vector<uint8_t> FullImage(uint64_t id, uint64_t a, uint64_t b) {
+struct SeedChunk {
+  std::string id;
+  std::vector<uint8_t> payload;  // payload chunk
+  uint32_t pin = 0;              // delta ref (when `delta`)
+  bool delta = false;
+};
+
+struct SeedImage {
+  std::vector<uint8_t> bytes;
+  std::vector<size_t> length_fields;  // u64 offsets: chunk count, id and
+                                      // payload lengths
+  std::vector<size_t> kind_fields;    // u8 offsets (v2 only)
+  std::vector<size_t> boundaries;     // chunk starts, and the image end
+};
+
+// Builds the image and records its field offsets from the layout in
+// src/sim/image.h, checked against the serialized size.
+SeedImage MakeSeed(bool v2, uint64_t image_id, uint64_t parent_id,
+                   const std::vector<SeedChunk>& chunks) {
   CheckpointImageBuilder builder;
-  builder.SetDeltaHeader(id, 0);
-  builder.AddChunk("a", PayloadOf(a));
-  builder.AddChunk("b", PayloadOf(b));
-  return builder.Serialize();
+  if (v2) {
+    builder.SetDeltaHeader(image_id, parent_id);
+  }
+  SeedImage seed;
+  size_t pos = v2 ? 24 : 8;  // magic, version (and the v2 image/parent ids)
+  seed.length_fields.push_back(pos);
+  pos += sizeof(uint64_t);
+  for (const SeedChunk& c : chunks) {
+    seed.boundaries.push_back(pos);
+    seed.length_fields.push_back(pos);
+    pos += sizeof(uint64_t) + c.id.size();
+    if (v2) {
+      seed.kind_fields.push_back(pos);
+      pos += sizeof(uint8_t);
+    }
+    if (c.delta) {
+      builder.AddDeltaChunk(c.id, c.pin);
+      pos += sizeof(uint32_t);
+    } else {
+      seed.length_fields.push_back(pos);
+      pos += sizeof(uint64_t) + sizeof(uint32_t) + c.payload.size();
+      builder.AddChunk(c.id, c.payload);
+    }
+  }
+  seed.boundaries.push_back(pos);
+  seed.bytes = builder.Serialize();
+  EXPECT_EQ(pos, seed.bytes.size());
+  return seed;
 }
 
-// Delta of FullImage: "a" changed to `a`, "b" unchanged from the parent whose
-// "b" payload carried `parent_b`.
-std::vector<uint8_t> DeltaImage(uint64_t id, uint64_t parent, uint64_t a,
-                                uint64_t parent_b) {
+// True if the mutant is rejected with an error, or accepted and round-trips.
+bool RejectedOrRoundTrips(const std::vector<uint8_t>& mutant, bool* accepted) {
+  const CheckpointImageView view(mutant);
+  *accepted = view.ok();
+  if (!view.ok()) {
+    return !view.error().empty() && view.chunk_count() == 0 &&
+           !view.is_delta();
+  }
+  const std::set<std::string> unique(view.ChunkIds().begin(),
+                                     view.ChunkIds().end());
+  if (!CheckpointImageLiteView(mutant).ok() ||
+      unique.size() != view.chunk_count()) {
+    return false;
+  }
   CheckpointImageBuilder builder;
-  builder.SetDeltaHeader(id, parent);
-  builder.AddChunk("a", PayloadOf(a));
-  builder.AddDeltaChunk("b", Crc32(PayloadOf(parent_b)));
-  return builder.Serialize();
+  if (view.format_version() == kImageFormatVersionDelta) {
+    builder.SetDeltaHeader(view.image_id(), view.parent_id());
+  }
+  for (const std::string& id : view.ChunkIds()) {
+    if (view.HasChunk(id)) {
+      builder.AddChunk(id, view.Chunk(id));
+    } else {
+      builder.AddDeltaChunk(id, view.DeltaRefCrc(id));
+    }
+  }
+  const std::vector<uint8_t> rebuilt = builder.Serialize();
+  const CheckpointImageView again(rebuilt);
+  if (!again.ok() || again.format_version() != view.format_version() ||
+      again.image_id() != view.image_id() ||
+      again.parent_id() != view.parent_id() ||
+      again.ChunkIds() != view.ChunkIds() ||
+      again.delta_ref_count() != view.delta_ref_count()) {
+    return false;
+  }
+  for (const std::string& id : view.ChunkIds()) {
+    if (view.HasChunk(id)) {
+      if (!again.HasChunk(id) || again.Chunk(id) != view.Chunk(id)) {
+        return false;
+      }
+    } else if (!again.HasDeltaRef(id) ||
+               again.DeltaRefCrc(id) != view.DeltaRefCrc(id)) {
+      return false;
+    }
+  }
+  return true;
 }
 
-TEST(ImageStoreTest, MaterializesDeltaChainsToFullImages) {
-  ImageStore store;
-  ASSERT_EQ(store.Put(FullImage(1, 10, 20)), 1u) << store.error();
-  ASSERT_EQ(store.Put(DeltaImage(2, 1, 11, 20)), 2u) << store.error();
-  ASSERT_EQ(store.Put(DeltaImage(3, 2, 12, 20)), 3u) << store.error();
-  EXPECT_EQ(store.ParentOf(3), 2u);
-  EXPECT_EQ(store.DeltaRefCount(3), 1u);
+TEST(ImageMutationTest, EveryMutantIsRejectedOrRoundTrips) {
+  const std::vector<SeedImage> seeds = {
+      MakeSeed(/*v2=*/false, 0, 0,
+               {{"alpha", PayloadOf(1)}, {"beta", {1, 2, 3, 4, 5}}, {"", {}}}),
+      MakeSeed(/*v2=*/true, 7, 0,
+               {{"alpha", PayloadOf(2)}, {"beta", {6, 7, 8}}}),
+      MakeSeed(/*v2=*/true, 8, 7,
+               {{"alpha", PayloadOf(3)},
+                {"beta", {}, Crc32(std::vector<uint8_t>{6, 7, 8}), true},
+                {"gamma", {}, 0xDEADBEEF, true}}),
+  };
+  const uint64_t kLengths[] = {0, 1, 4, 8, 13, 0x7FFFFFFFull,
+                               0x4000000000000000ull, ~0ull};
 
-  const std::vector<uint8_t> full = store.Materialize(3);
-  CheckpointImageView view(full);
-  ASSERT_TRUE(view.ok()) << view.error();
-  EXPECT_EQ(view.image_id(), 3u);
-  EXPECT_EQ(view.parent_id(), 0u);
-  EXPECT_FALSE(view.is_delta());
-  Counter a("a"), b("b");
-  EXPECT_TRUE(view.RestoreInto(a));
-  EXPECT_TRUE(view.RestoreInto(b));
-  EXPECT_EQ(a.value, 12u);  // from the newest capture
-  EXPECT_EQ(b.value, 20u);  // resolved through the chain to image 1
-}
-
-TEST(ImageStoreTest, AcceptsV1ImagesWithAssignedIds) {
-  CheckpointImageBuilder builder;  // no delta header: emits v1
-  builder.AddChunk("a", PayloadOf(10));
-  ImageStore store;
-  const uint64_t id = store.Put(builder.Serialize());
-  ASSERT_NE(id, 0u) << store.error();
-  EXPECT_EQ(store.ParentOf(id), 0u);
-  CheckpointImageView view(store.Materialize(id));
-  ASSERT_TRUE(view.ok()) << view.error();
-  EXPECT_TRUE(view.HasChunk("a"));
-}
-
-TEST(ImageStoreTest, RejectsMissingParent) {
-  ImageStore store;
-  EXPECT_EQ(store.Put(DeltaImage(2, 99, 11, 20)), 0u);
-  EXPECT_NE(store.error().find("parent"), std::string::npos) << store.error();
-  EXPECT_EQ(store.image_count(), 0u);
-}
-
-TEST(ImageStoreTest, RejectsStaleParentCrc) {
-  ImageStore store;
-  ASSERT_EQ(store.Put(FullImage(1, 10, 20)), 1u) << store.error();
-  // Delta claims "b" is unchanged from a parent whose "b" held 21 — but the
-  // stored parent's "b" holds 20. The chain is stale; reject, don't resolve.
-  EXPECT_EQ(store.Put(DeltaImage(2, 1, 11, 21)), 0u);
-  EXPECT_NE(store.error().find("stale"), std::string::npos) << store.error();
-  EXPECT_EQ(store.image_count(), 1u);
-}
-
-TEST(ImageStoreTest, RejectsDeltaRefAbsentInParent) {
-  ImageStore store;
-  ASSERT_EQ(store.Put(FullImage(1, 10, 20)), 1u) << store.error();
-  CheckpointImageBuilder builder;
-  builder.SetDeltaHeader(2, 1);
-  builder.AddDeltaChunk("no-such-chunk", 0x1111);
-  EXPECT_EQ(store.Put(builder.Serialize()), 0u);
-  EXPECT_NE(store.error().find("absent"), std::string::npos) << store.error();
-}
-
-TEST(ImageStoreTest, RejectsDuplicateImageId) {
-  ImageStore store;
-  ASSERT_EQ(store.Put(FullImage(1, 10, 20)), 1u) << store.error();
-  EXPECT_EQ(store.Put(FullImage(1, 30, 40)), 0u);
-  EXPECT_NE(store.error().find("duplicate"), std::string::npos) << store.error();
-}
-
-TEST(ImageStoreTest, PrunedChainStaysMaterializable) {
-  ImageStore store;
-  ASSERT_EQ(store.Put(FullImage(1, 10, 20)), 1u) << store.error();
-  ASSERT_EQ(store.Put(DeltaImage(2, 1, 11, 20)), 2u) << store.error();
-  store.PruneExcept(2);
-  EXPECT_EQ(store.image_count(), 1u);
-  EXPECT_FALSE(store.Has(1));
-  // Resolution happened at Put, so the survivor still materializes fully.
-  CheckpointImageView view(store.Materialize(2));
-  ASSERT_TRUE(view.ok()) << view.error();
-  Counter b("b");
-  EXPECT_TRUE(view.RestoreInto(b));
-  EXPECT_EQ(b.value, 20u);
-  // But a new delta naming the pruned image as parent is a broken chain.
-  EXPECT_EQ(store.Put(DeltaImage(3, 1, 12, 20)), 0u);
-  EXPECT_NE(store.error().find("parent"), std::string::npos) << store.error();
+  Rng rng(0x7C6B);
+  const auto below = [&rng](size_t n) {
+    return static_cast<size_t>(rng.NextUint64() % n);
+  };
+  size_t accepted_count = 0, rejected_count = 0;
+  for (int round = 0; round < 3000; ++round) {
+    const SeedImage& seed = seeds[below(seeds.size())];
+    std::vector<uint8_t> mutant = seed.bytes;
+    switch (round % 5) {
+      case 0:  // flip one to three bits
+        for (size_t k = 0, n = 1 + below(3); k < n; ++k) {
+          mutant[below(mutant.size())] ^= static_cast<uint8_t>(1u << below(8));
+        }
+        break;
+      case 1:  // truncate
+        mutant.resize(below(mutant.size()));
+        break;
+      case 2: {  // splice a prefix of this seed onto a suffix of another,
+                 // cut at any byte or at chunk boundaries (which can
+                 // repeat or reorder whole chunks)
+        const SeedImage& other = seeds[below(seeds.size())];
+        const bool at_chunks = below(2) == 0;
+        mutant.resize(at_chunks
+                          ? seed.boundaries[below(seed.boundaries.size())]
+                          : below(mutant.size() + 1));
+        const size_t from =
+            at_chunks ? other.boundaries[below(other.boundaries.size())]
+                      : below(other.bytes.size() + 1);
+        mutant.insert(mutant.end(), other.bytes.begin() + from,
+                      other.bytes.end());
+        break;
+      }
+      case 3: {  // overwrite a length field, near a boundary value
+        const uint64_t base = kLengths[below(std::size(kLengths))];
+        const uint64_t len =
+            below(2) == 0 ? base : base + below(mutant.size());
+        std::memcpy(mutant.data() + seed.length_fields[below(
+                                        seed.length_fields.size())],
+                    &len, sizeof(len));
+        break;
+      }
+      case 4:  // overwrite a kind byte (v1 seeds flip a bit instead)
+        if (seed.kind_fields.empty()) {
+          mutant[below(mutant.size())] ^= static_cast<uint8_t>(1u << below(8));
+        } else {
+          mutant[seed.kind_fields[below(seed.kind_fields.size())]] =
+              static_cast<uint8_t>(below(4));
+        }
+        break;
+    }
+    bool accepted = false;
+    EXPECT_TRUE(RejectedOrRoundTrips(mutant, &accepted))
+        << "mutant " << round << " (mutation " << round % 5 << ")";
+    ++(accepted ? accepted_count : rejected_count);
+  }
+  // Both outcomes occur: the mutator reaches past the rejection paths.
+  EXPECT_GT(accepted_count, 0u);
+  EXPECT_GT(rejected_count, 0u);
 }
 
 // --- Per-component round trips ------------------------------------------------

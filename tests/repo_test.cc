@@ -1,5 +1,5 @@
 // The durable checkpoint repository: put/materialize byte-fidelity against
-// the in-memory ImageStore oracle, content dedup, delta-chain storage and
+// literal self-contained images, content dedup, delta-chain storage and
 // compaction, refcount GC with epoch switch, and crash recovery — including
 // an every-byte truncation sweep of both the journal and the segment (the
 // sanitize-preset run of this file is the no-UB durability acceptance check).
@@ -24,7 +24,6 @@
 #include "src/repo/repo_format.h"
 #include "src/sim/archive.h"
 #include "src/sim/image.h"
-#include "src/sim/image_store.h"
 #include "src/timetravel/basic_run.h"
 #include "src/timetravel/checkpoint_tree.h"
 
@@ -72,6 +71,8 @@ std::vector<uint8_t> FullImage(uint64_t id, uint64_t a, uint64_t b) {
 }
 
 // A delta image: chunk "a" changed, chunk "b" pinned to the parent's content.
+// Resolved against a parent whose "b" holds `parent_b`, it materializes to
+// exactly FullImage(id, a, parent_b).
 std::vector<uint8_t> DeltaImage(uint64_t id, uint64_t parent, uint64_t a,
                                 uint64_t parent_b) {
   CheckpointImageBuilder builder;
@@ -83,26 +84,33 @@ std::vector<uint8_t> DeltaImage(uint64_t id, uint64_t parent, uint64_t a,
 
 // --- Put / Materialize fidelity ------------------------------------------------
 
-TEST_F(RepoTest, MaterializeMatchesImageStoreOracle) {
-  // The same images through both stores: the repository's disk materialization
-  // must be byte-identical to the in-memory ImageStore's.
-  ImageStore store;
+TEST_F(RepoTest, MaterializeMatchesLiteralSelfContainedImages) {
+  // Materialization resolves delta refs through the parent chain into a
+  // self-contained image: the stored image id, parent id 0, every chunk a
+  // payload, in the original chunk order.
   auto repo = OpenRepo();
-
-  const std::vector<uint8_t> full = FullImage(1, 10, 20);
-  const std::vector<uint8_t> delta = DeltaImage(2, 1, 11, 20);
-  ASSERT_EQ(store.Put(full), 1u);
-  ASSERT_EQ(store.Put(delta), 2u);
-  const uint64_t h1 = repo->PutImage(full);
+  const uint64_t h1 = repo->PutImage(FullImage(1, 10, 20));
   ASSERT_NE(h1, 0u) << repo->error();
-  const uint64_t h2 = repo->PutImage(delta, h1);
+  const uint64_t h2 = repo->PutImage(DeltaImage(2, 1, 11, 20), h1);
   ASSERT_NE(h2, 0u) << repo->error();
 
-  EXPECT_EQ(repo->Materialize(h1), store.Materialize(1));
-  EXPECT_EQ(repo->Materialize(h2), store.Materialize(2));
+  EXPECT_EQ(repo->Materialize(h1), FullImage(1, 10, 20));
+  EXPECT_EQ(repo->Materialize(h2), FullImage(2, 11, 20));
   EXPECT_EQ(repo->ChainDepth(h1), 0u);
   EXPECT_EQ(repo->ChainDepth(h2), 1u);
   EXPECT_EQ(repo->ParentHandleOf(h2), h1);
+
+  // A v1 image carries no identity: it is assigned its handle.
+  CheckpointImageBuilder v1;
+  v1.AddChunk("a", PayloadOf(10));
+  const uint64_t h3 = repo->PutImage(v1.Serialize());
+  ASSERT_NE(h3, 0u) << repo->error();
+  EXPECT_EQ(repo->ImageIdOf(h3), h3);
+  EXPECT_EQ(repo->ParentHandleOf(h3), 0u);
+  CheckpointImageBuilder v1_materialized;
+  v1_materialized.SetDeltaHeader(h3, 0);
+  v1_materialized.AddChunk("a", PayloadOf(10));
+  EXPECT_EQ(repo->Materialize(h3), v1_materialized.Serialize());
 }
 
 TEST_F(RepoTest, DedupStoresSharedPayloadsOnce) {
@@ -129,6 +137,13 @@ TEST_F(RepoTest, RejectsBadPuts) {
   EXPECT_EQ(repo->PutImage(DeltaImage(2, 99, 11, 20), h1), 0u);
   // A delta whose CRC pin does not match the parent's actual content.
   EXPECT_EQ(repo->PutImage(DeltaImage(2, 1, 11, /*parent_b=*/999), h1), 0u);
+  EXPECT_NE(repo->error().find("delta ref"), std::string::npos)
+      << repo->error();
+  // A delta ref to a chunk the parent does not have.
+  CheckpointImageBuilder absent;
+  absent.SetDeltaHeader(2, 1);
+  absent.AddDeltaChunk("no-such-chunk", 0x1111);
+  EXPECT_EQ(repo->PutImage(absent.Serialize(), h1), 0u);
   EXPECT_NE(repo->error().find("delta ref"), std::string::npos)
       << repo->error();
   // Rejections leave the repository unchanged.
@@ -158,16 +173,14 @@ TEST_F(RepoTest, RetiredAncestorStaysResolvableForLiveDeltas) {
 }
 
 TEST_F(RepoTest, CompactionFoldsChainsWithoutChangingBytes) {
-  ImageStore store;
   auto repo = OpenRepo();
-  store.Put(FullImage(1, 10, 20));
-  store.Put(DeltaImage(2, 1, 11, 20));
-  store.Put(DeltaImage(3, 2, 12, 20));
   const uint64_t h1 = repo->PutImage(FullImage(1, 10, 20));
   const uint64_t h2 = repo->PutImage(DeltaImage(2, 1, 11, 20), h1);
   const uint64_t h3 = repo->PutImage(DeltaImage(3, 2, 12, 20), h2);
   ASSERT_NE(h3, 0u) << repo->error();
   ASSERT_EQ(repo->ChainDepth(h3), 2u);
+  // "b" resolves two hops up, to image 1.
+  EXPECT_EQ(repo->Materialize(h3), FullImage(3, 12, 20));
   const uint64_t segment_before = repo->segment_bytes();
 
   EXPECT_EQ(repo->CompactChains(), 2u);  // h2 and h3 fold
@@ -176,17 +189,14 @@ TEST_F(RepoTest, CompactionFoldsChainsWithoutChangingBytes) {
   EXPECT_EQ(repo->ParentHandleOf(h3), 0u);
   // Folding rewrites records, not payloads: the segment did not grow.
   EXPECT_EQ(repo->segment_bytes(), segment_before);
-  // Materializations are unchanged and still match the oracle.
-  EXPECT_EQ(repo->Materialize(h2), store.Materialize(2));
-  EXPECT_EQ(repo->Materialize(h3), store.Materialize(3));
+  // Materializations are unchanged: "b" still resolves to image 1's bytes.
+  EXPECT_EQ(repo->Materialize(h2), FullImage(2, 11, 20));
+  EXPECT_EQ(repo->Materialize(h3), FullImage(3, 12, 20));
   // A second pass finds nothing to fold.
   EXPECT_EQ(repo->CompactChains(), 0u);
 }
 
 TEST_F(RepoTest, GcReclaimsUnreferencedPayloadsAndSurvivesReopen) {
-  ImageStore store;
-  store.Put(FullImage(1, 10, 20));
-  store.Put(DeltaImage(2, 1, 11, 20));
   uint64_t h2 = 0;
   {
     auto repo = OpenRepo();
@@ -203,13 +213,13 @@ TEST_F(RepoTest, GcReclaimsUnreferencedPayloadsAndSurvivesReopen) {
     EXPECT_GT(gc.reclaimed_bytes, 0u);
     EXPECT_EQ(repo->garbage_payload_bytes(), 0u);
     EXPECT_FALSE(repo->Has(h1));  // dropped entirely
-    EXPECT_EQ(repo->Materialize(h2), store.Materialize(2));
+    EXPECT_EQ(repo->Materialize(h2), FullImage(2, 11, 20));
   }
   // The GC'd epoch is what a fresh process opens.
   auto repo = OpenRepo();
   ASSERT_NE(repo, nullptr);
   EXPECT_EQ(repo->live_image_count(), 1u);
-  EXPECT_EQ(repo->Materialize(h2), store.Materialize(2));
+  EXPECT_EQ(repo->Materialize(h2), FullImage(2, 11, 20));
   // Handles are never reused, even though the GC dropped records.
   const uint64_t h3 = repo->PutImage(FullImage(7, 1, 2));
   EXPECT_GT(h3, h2);
@@ -218,9 +228,6 @@ TEST_F(RepoTest, GcReclaimsUnreferencedPayloadsAndSurvivesReopen) {
 // --- Recovery ------------------------------------------------------------------
 
 TEST_F(RepoTest, ReopenContinuesWhereTheLastProcessStopped) {
-  ImageStore store;
-  store.Put(FullImage(1, 10, 20));
-  store.Put(DeltaImage(2, 1, 11, 20));
   uint64_t h1 = 0, h2 = 0;
   {
     auto repo = OpenRepo();
@@ -231,8 +238,8 @@ TEST_F(RepoTest, ReopenContinuesWhereTheLastProcessStopped) {
   auto repo = OpenRepo();
   ASSERT_NE(repo, nullptr);
   EXPECT_EQ(repo->LiveHandles(), (std::vector<uint64_t>{h1, h2}));
-  EXPECT_EQ(repo->Materialize(h1), store.Materialize(1));
-  EXPECT_EQ(repo->Materialize(h2), store.Materialize(2));
+  EXPECT_EQ(repo->Materialize(h1), FullImage(1, 10, 20));
+  EXPECT_EQ(repo->Materialize(h2), FullImage(2, 11, 20));
   // The chain extends across the restart.
   const uint64_t h3 = repo->PutImage(DeltaImage(3, 2, 12, 20), h2);
   ASSERT_NE(h3, 0u) << repo->error();
@@ -401,12 +408,65 @@ TEST_F(RepoTest, TreePersistsAndReopensDigestIdentical) {
   }
 }
 
+// A tree manifest as TimeTravelTree::PersistTo lays it out, with `count`
+// written independently of the node records that follow, and no images.
+struct ManifestNode {
+  int32_t id;
+  int32_t parent;
+  int32_t branch;
+};
+
+std::vector<uint8_t> Manifest(uint64_t count,
+                              const std::vector<ManifestNode>& nodes,
+                              int32_t branches) {
+  ArchiveWriter w;
+  w.Write<uint64_t>(count);
+  for (const ManifestNode& node : nodes) {
+    w.Write<int32_t>(node.id);
+    w.Write<int32_t>(node.parent);
+    w.Write<int32_t>(node.branch);
+    w.Write<SimTime>(0);   // time
+    w.Write<uint64_t>(0);  // image bytes
+    w.Write<uint64_t>(0);  // digest
+    w.Write<uint64_t>(0);  // repo handle: no image
+  }
+  w.Write<int32_t>(branches);
+  CheckpointImageBuilder builder;
+  builder.AddChunk("timetravel.tree", w.Take());
+  return builder.Serialize();
+}
+
+TEST_F(RepoTest, ReopenRejectsCraftedManifests) {
+  auto repo = OpenRepo();
+  const auto reopens = [&](const std::vector<uint8_t>& manifest) {
+    const uint64_t handle = repo->PutImage(manifest);
+    EXPECT_NE(handle, 0u) << repo->error();
+    TimeTravelTree tree(TreeFactory());
+    return tree.ReopenFrom(repo.get(), handle);
+  };
+  // Control: the crafted layout is the real one.
+  EXPECT_TRUE(reopens(Manifest(2, {{0, -1, 0}, {1, 0, 0}}, 1)));
+
+  // A count far beyond the bytes that follow (reserve would throw).
+  EXPECT_FALSE(reopens(Manifest(uint64_t{1} << 62, {}, 1)));
+  // A node id that is not its index.
+  EXPECT_FALSE(reopens(Manifest(1, {{5, -1, 0}}, 1)));
+  // Parents outside [-1, id): past the end (RebuildTo reads out of bounds),
+  // the node itself (RebuildTo never reaches the root), below -1.
+  EXPECT_FALSE(reopens(Manifest(2, {{0, -1, 0}, {1, 7, 0}}, 1)));
+  EXPECT_FALSE(reopens(Manifest(2, {{0, -1, 0}, {1, 1, 0}}, 1)));
+  EXPECT_FALSE(reopens(Manifest(1, {{0, -2, 0}}, 1)));
+  // Branches outside [0, branch count).
+  EXPECT_FALSE(reopens(Manifest(1, {{0, -1, 1}}, 1)));
+  EXPECT_FALSE(reopens(Manifest(1, {{0, -1, -1}}, 1)));
+  EXPECT_FALSE(reopens(Manifest(0, {}, -1)));
+}
+
 // --- End-to-end: engine spill-to-repository delta chains -----------------------
 
 TEST_F(RepoTest, EngineSpillChainRestoresDigestIdenticalAcrossHousekeeping) {
   BasicExperimentRun::Params params;
   params.seed = 41;
-  params.retain_image_chain = true;
 
   struct Gen {
     uint64_t handle = 0;
@@ -422,6 +482,9 @@ TEST_F(RepoTest, EngineSpillChainRestoresDigestIdenticalAcrossHousekeeping) {
       const CheckpointCapture cap = run.CaptureCheckpoint();
       const uint64_t handle = run.engine().last_repo_handle();
       ASSERT_NE(handle, 0u) << repo->error();
+      // The engine resolves its delta refs from tracked payloads, the
+      // repository through the spilled chain: the bytes must agree.
+      EXPECT_EQ(repo->Materialize(handle), *cap.image) << "capture " << i;
       gens.push_back({handle, cap.digest});
     }
     // Later captures really were spilled as deltas: the chain has depth.
@@ -465,11 +528,6 @@ TEST_F(RepoTest, EngineSpillChainRestoresDigestIdenticalAcrossHousekeeping) {
 // --- Batched group commit -------------------------------------------------------
 
 TEST_F(RepoTest, BatchCommitsEpochAllAtOnceAndMatchesOracle) {
-  ImageStore store;
-  ASSERT_EQ(store.Put(FullImage(1, 10, 20)), 1u);
-  ASSERT_EQ(store.Put(FullImage(2, 30, 40)), 2u);
-  ASSERT_EQ(store.Put(DeltaImage(3, 2, 31, 40)), 3u);
-
   auto repo = OpenRepo();
   const uint64_t committed = repo->PutImage(FullImage(1, 10, 20));
   ASSERT_NE(committed, 0u) << repo->error();
@@ -494,14 +552,14 @@ TEST_F(RepoTest, BatchCommitsEpochAllAtOnceAndMatchesOracle) {
   EXPECT_EQ(repo->live_image_count(), 3u);
   EXPECT_EQ(repo->ParentHandleOf(h_delta), h_full);
   EXPECT_EQ(repo->ChainDepth(h_delta), 1u);
-  EXPECT_EQ(repo->Materialize(h_full), store.Materialize(2));
-  EXPECT_EQ(repo->Materialize(h_delta), store.Materialize(3));
+  EXPECT_EQ(repo->Materialize(h_full), FullImage(2, 30, 40));
+  EXPECT_EQ(repo->Materialize(h_delta), FullImage(3, 31, 40));
 
   // The epoch survives a restart exactly as committed.
   repo.reset();
   repo = OpenRepo();
   EXPECT_EQ(repo->live_image_count(), 3u);
-  EXPECT_EQ(repo->Materialize(h_delta), store.Materialize(3));
+  EXPECT_EQ(repo->Materialize(h_delta), FullImage(3, 31, 40));
 
   // An empty batch is a no-op commit.
   const auto empty = repo->CommitBatch(repo->BeginBatch());
@@ -710,8 +768,6 @@ TEST_F(RepoTest, ConcurrentStagersProduceByteIdenticalRepository) {
 }
 
 TEST_F(RepoTest, FailedCommitLeavesRepositoryOpenableAtPreviousEpoch) {
-  ImageStore oracle;
-  ASSERT_EQ(oracle.Put(FullImage(1, 10, 20)), 1u);
   uint64_t h1 = 0;
   {
     auto repo = OpenRepo();
@@ -738,14 +794,14 @@ TEST_F(RepoTest, FailedCommitLeavesRepositoryOpenableAtPreviousEpoch) {
   auto retry = repo->BeginBatch();
   retry->Stage(FullImage(3, 50, 60));
   EXPECT_FALSE(repo->CommitBatch(std::move(retry)).ok);
-  EXPECT_EQ(repo->Materialize(h1), oracle.Materialize(1));
+  EXPECT_EQ(repo->Materialize(h1), FullImage(1, 10, 20));
   repo.reset();
 
   // A fresh process opens the previous epoch, whole and writable.
   auto reopened = OpenRepo();
   ASSERT_NE(reopened, nullptr);
   EXPECT_EQ(reopened->live_image_count(), 1u);
-  EXPECT_EQ(reopened->Materialize(h1), oracle.Materialize(1));
+  EXPECT_EQ(reopened->Materialize(h1), FullImage(1, 10, 20));
   EXPECT_NE(reopened->PutImage(FullImage(2, 30, 40)), 0u)
       << reopened->error();
 }
@@ -1027,10 +1083,7 @@ TEST_F(RepoTest, FsyncModeSurvivesFullLifecycleAndReopen) {
     auto repo = CheckpointRepo::Open(dir_, opts, &error);
     ASSERT_NE(repo, nullptr) << error;
     EXPECT_TRUE(repo->IsLive(h2));
-    ImageStore oracle;
-    ASSERT_EQ(oracle.Put(FullImage(1, 10, 20)), 1u);
-    ASSERT_EQ(oracle.Put(DeltaImage(2, 1, 11, 20)), 2u);
-    EXPECT_EQ(repo->Materialize(h2), oracle.Materialize(2)) << repo->error();
+    EXPECT_EQ(repo->Materialize(h2), FullImage(2, 11, 20)) << repo->error();
   }
 }
 

@@ -6,7 +6,6 @@
 #include <memory>
 
 #include "src/sim/image.h"
-#include "src/sim/image_store.h"
 #include "src/timetravel/basic_run.h"
 #include "src/timetravel/distributed_run.h"
 #include "src/timetravel/checkpoint_tree.h"
@@ -125,10 +124,29 @@ TEST(ImageRestoreTest, RestoredDigestMatchesRecordedOnCpuWorkload) {
   }
 }
 
+// Re-emits the self-contained `image` as a delta against `parent`, the way
+// the engine emits its captures: every chunk whose payload the parent holds
+// unchanged becomes a delta ref pinned by that payload's CRC.
+std::vector<uint8_t> DeltaAgainst(const std::vector<uint8_t>& image,
+                                  const std::vector<uint8_t>& parent) {
+  const CheckpointImageView view(image);
+  const CheckpointImageView base(parent);
+  CheckpointImageBuilder builder;
+  builder.SetDeltaHeader(view.image_id(), base.image_id());
+  for (const std::string& id : view.ChunkIds()) {
+    if (base.HasChunk(id) && base.Chunk(id) == view.Chunk(id)) {
+      builder.AddDeltaChunk(id, Crc32(view.Chunk(id)));
+    } else {
+      builder.AddChunk(id, view.Chunk(id));
+    }
+  }
+  return builder.Serialize();
+}
+
 // Runs the same deterministic workload twice — once emitting full images,
 // once emitting a delta chain — captures at the same instants, and verifies
-// that every materialized delta image restores to exactly the state digest
-// the full image restores to. Raw (unmaterialized) delta images must be
+// that every image the delta run publishes restores to exactly the state
+// digest the full image restores to. Unresolved delta images must be
 // rejected by the restore path, never half-applied.
 template <typename RunT>
 void VerifyDeltaChainMatchesFullRestores() {
@@ -136,7 +154,6 @@ void VerifyDeltaChainMatchesFullRestores() {
   full_params.delta_images = false;
   typename RunT::Params delta_params;
   delta_params.delta_images = true;
-  delta_params.retain_image_chain = true;
 
   RunT full(full_params);
   RunT delta(delta_params);
@@ -144,7 +161,6 @@ void VerifyDeltaChainMatchesFullRestores() {
   struct Recorded {
     CheckpointCapture full_cap;
     CheckpointCapture delta_cap;
-    uint64_t image_id = 0;
   };
   std::vector<Recorded> caps;
   for (int k = 1; k <= 4; ++k) {
@@ -153,7 +169,6 @@ void VerifyDeltaChainMatchesFullRestores() {
     Recorded rec;
     rec.full_cap = full.CaptureCheckpoint();
     rec.delta_cap = delta.CaptureCheckpoint();
-    rec.image_id = delta.engine().last_image_id();
     // Identical workloads checkpointed at identical instants: the recorded
     // post-resume digests must agree regardless of the image format.
     ASSERT_EQ(rec.full_cap.digest, rec.delta_cap.digest) << "capture " << k;
@@ -162,9 +177,9 @@ void VerifyDeltaChainMatchesFullRestores() {
   // The chain actually deltified: later captures reference their parents.
   EXPECT_GT(delta.engine().last_capture_stats().delta_chunks, 0u);
 
-  ImageStore& store = delta.engine().image_store();
+  size_t raw_deltas = 0;
   for (size_t k = 0; k < caps.size(); ++k) {
-    const std::vector<uint8_t> materialized = store.Materialize(caps[k].image_id);
+    const std::vector<uint8_t>& materialized = *caps[k].delta_cap.image;
     ASSERT_FALSE(materialized.empty()) << "capture " << k;
 
     RunT from_full(full_params);
@@ -176,15 +191,21 @@ void VerifyDeltaChainMatchesFullRestores() {
     EXPECT_EQ(*df, caps[k].full_cap.digest) << "capture " << k;
     EXPECT_EQ(*dd, caps[k].full_cap.digest) << "capture " << k;
 
-    const std::vector<uint8_t>& raw = store.RawBytes(caps[k].image_id);
+    if (k == 0) {
+      continue;
+    }
+    const std::vector<uint8_t> raw =
+        DeltaAgainst(materialized, *caps[k - 1].delta_cap.image);
     CheckpointImageView raw_view(raw);
     ASSERT_TRUE(raw_view.ok()) << raw_view.error();
     if (raw_view.is_delta()) {
+      ++raw_deltas;
       RunT reject(delta_params);
       EXPECT_FALSE(reject.RestoreFromImage(raw).has_value())
-          << "raw delta image " << caps[k].image_id << " must be rejected";
+          << "raw delta image of capture " << k << " must be rejected";
     }
   }
+  EXPECT_GT(raw_deltas, 0u);
 }
 
 TEST(DeltaChainRestoreTest, BasicRunDeltaChainRestoresDigestIdentical) {
@@ -251,57 +272,6 @@ TEST(ImageRestoreTest, CorruptImageIsRejectedWithoutTouchingTheRun) {
   // The untouched fresh run still works.
   fresh.AdvanceTo(kSecond);
   EXPECT_GT(fresh.counter(), 0u);
-}
-
-// Pruning mid-chain must not break later captures: the survivor anchors the
-// chain (its resolved content is what new delta refs pin), every retained
-// capture stays materializable, and each materialization restores to the
-// digest recorded when it was taken.
-TEST(ImageStorePruneTest, PruneMidChainKeepsLaterCapturesRestorable) {
-  BasicExperimentRun::Params params;
-  params.seed = 51;
-  params.retain_image_chain = true;
-  BasicExperimentRun run(params);
-
-  struct Recorded {
-    uint64_t image_id = 0;
-    uint64_t digest = 0;
-  };
-  std::vector<Recorded> caps;
-  auto capture = [&] {
-    run.AdvanceTo(run.Now() + kSecond);
-    const CheckpointCapture cap = run.CaptureCheckpoint();
-    caps.push_back({run.engine().last_image_id(), cap.digest});
-  };
-
-  for (int k = 0; k < 3; ++k) {
-    capture();
-  }
-  ImageStore& store = run.engine().image_store();
-  const uint64_t anchor = caps.back().image_id;
-  store.PruneExcept(anchor);
-  for (const Recorded& cap : caps) {
-    EXPECT_EQ(store.Has(cap.image_id), cap.image_id == anchor);
-  }
-  // Captures continue against the pruned store: deltas still resolve
-  // because the anchor carries the chain's resolved content.
-  for (int k = 0; k < 3; ++k) {
-    capture();
-  }
-  EXPECT_GT(run.engine().last_capture_stats().delta_chunks, 0u);
-
-  for (const Recorded& cap : caps) {
-    if (!store.Has(cap.image_id)) {
-      EXPECT_TRUE(store.Materialize(cap.image_id).empty());
-      continue;
-    }
-    const std::vector<uint8_t> image = store.Materialize(cap.image_id);
-    ASSERT_FALSE(image.empty()) << "image " << cap.image_id;
-    BasicExperimentRun fresh(params);
-    const std::optional<uint64_t> digest = fresh.RestoreFromImage(image);
-    ASSERT_TRUE(digest.has_value()) << "image " << cap.image_id;
-    EXPECT_EQ(*digest, cap.digest) << "image " << cap.image_id;
-  }
 }
 
 TEST(RestoreTimeTest, RestoreTimeScalesWithImageSize) {
@@ -371,7 +341,6 @@ TEST(DistributedTimeTravelTest, PerturbedReplayExploresDifferentExecutions) {
 template <typename Run>
 void ExpectAsyncCaptureMatchesSync() {
   typename Run::Params params;
-  params.retain_image_chain = true;  // keep delta chains materializable
   params.async_capture = false;
   Run sync_run(params);
   params.async_capture = true;
@@ -413,7 +382,6 @@ TEST(AsyncCaptureTest, StagingBuffersDoNotLeakStaleBytesAcrossRestore) {
   // checks the benign path — the recycled buffer's old contents must not
   // surface in the first post-restore capture.
   BasicExperimentRun::Params params;
-  params.retain_image_chain = true;
   BasicExperimentRun run(params);
   run.AdvanceTo(1 * kSecond);
   const CheckpointCapture c1 = run.CaptureCheckpoint();
