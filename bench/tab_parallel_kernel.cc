@@ -21,7 +21,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <chrono>
-#include <filesystem>
 #include <memory>
 #include <string>
 #include <vector>
@@ -29,8 +28,6 @@
 #include "bench/bench_util.h"
 #include "src/checkpoint/epoch_coordinator.h"
 #include "src/net/topology.h"
-#include "src/repo/checkpoint_repo.h"
-#include "src/sim/digest.h"
 #include "src/sim/scheduler.h"
 #include "src/sim/time.h"
 
@@ -61,6 +58,7 @@ RunResult RunOnce(const GeneratedTopologyParams& params, uint32_t partitions,
       topo->scheduler(), epoch_period,
       [&topo](Partition* p) { return topo->CapturePartitionImage(p->id()); });
 
+  RestartLedger();
   const auto start = std::chrono::steady_clock::now();
   epochs.RunUntil(horizon);
   const auto stop = std::chrono::steady_clock::now();
@@ -93,88 +91,6 @@ uint64_t FlagU64(int argc, char** argv, const char* flag, uint64_t fallback) {
   const char* v = FlagValue(argc, argv, flag);
   return (v != nullptr && *v != '\0') ? std::strtoull(v, nullptr, 10)
                                       : fallback;
-}
-
-// Epoch spill cost: the same checkpointed run with a durable repository
-// attached to the coordinator — every epoch's captures group-commit through
-// the shared write batch while the workers stage concurrently. Run in both
-// capture modes: synchronous (serialize + commit inside the barrier) and
-// two-phase (freeze only; serialize/commit on the background thread). The
-// captures digest must match between them.
-struct SpillRunResult {
-  size_t epochs = 0;
-  uint64_t epoch_image_bytes = 0;  // mean per epoch
-  double capture_ms = 0;           // mean per epoch
-  double spill_ms = 0;             // mean per epoch (the group commit)
-  double frozen_ms = 0;            // mean barrier occupancy per epoch
-  uint64_t captures_digest = 0;
-  bool spill_ok = true;            // every epoch committed
-  bool reopen_ok = false;          // a fresh process saw identical bytes
-};
-
-SpillRunResult RunSpill(GeneratedTopologyParams params, uint32_t hosts,
-                        bool async, SimTime horizon, SimTime epoch_period) {
-  namespace fs = std::filesystem;
-  params.hosts = hosts;
-  const fs::path dir = fs::temp_directory_path() /
-                       ("tcsim_bench_parallel_spill_" + std::to_string(hosts) +
-                        (async ? "_async" : "_sync"));
-  std::error_code ec;
-  fs::remove_all(dir, ec);
-  std::string err;
-  SpillRunResult r;
-  std::unique_ptr<CheckpointRepo> repo =
-      CheckpointRepo::Open(dir.string(), RepoOptions{}, &err);
-  if (repo == nullptr) {
-    r.spill_ok = false;
-    return r;
-  }
-  auto topo = GeneratedTopology::Build(params, /*partitions=*/4, /*workers=*/3);
-  PartitionEpochCoordinator epochs(
-      topo->scheduler(), epoch_period,
-      [&topo](Partition* p) { return topo->CapturePartitionImage(p->id()); });
-  if (async) {
-    epochs.EnableAsyncCapture([&topo](Partition* p, StagedCapture* out) {
-      topo->SnapshotPartition(p->id(), out);
-    });
-  }
-  epochs.AttachRepository(repo.get());
-  RestartLedger();
-  epochs.RunUntil(horizon);
-
-  r.epochs = epochs.history().size();
-  for (const auto& rec : epochs.history()) {
-    r.epoch_image_bytes += rec.image_bytes;
-    r.capture_ms += rec.wall_ms;
-    r.spill_ms += rec.spill_wall_ms;
-    r.frozen_ms += async ? rec.frozen_wall_ms + rec.commit_wait_ms
-                         : rec.wall_ms + rec.spill_wall_ms;
-    r.spill_ok = r.spill_ok && rec.spill_ok;
-  }
-  if (r.epochs > 0) {
-    r.epoch_image_bytes /= r.epochs;
-    r.capture_ms /= static_cast<double>(r.epochs);
-    r.spill_ms /= static_cast<double>(r.epochs);
-    r.frozen_ms /= static_cast<double>(r.epochs);
-  }
-  r.captures_digest = epochs.CapturesDigest();
-
-  auto fold = [](CheckpointRepo* c) {
-    Fnv1aDigest folded;
-    for (const uint64_t handle : c->LiveHandles()) {
-      const std::vector<uint8_t> out = c->Materialize(handle);
-      folded.MixBytes(out.data(), out.size());
-    }
-    return folded.value();
-  };
-  const uint64_t before = fold(repo.get());
-  repo.reset();
-  std::unique_ptr<CheckpointRepo> reopened =
-      CheckpointRepo::Open(dir.string(), RepoOptions{}, &err);
-  r.reopen_ok = reopened != nullptr && fold(reopened.get()) == before;
-  reopened.reset();
-  fs::remove_all(dir, ec);
-  return r;
 }
 
 }  // namespace
@@ -266,57 +182,6 @@ int main(int argc, char** argv) {
       PrintNote("QUEUE GUARD VIOLATIONS detected: " +
                 std::to_string(oracle.guard_violations) + " oracle, " +
                 std::to_string(parallel.guard_violations) + " parallel");
-    }
-  }
-
-  // Epoch spill cost at 100 and 1000 hosts: 4 partitions, 3 workers, one
-  // group commit per epoch, gated by a byte-identical cross-process reopen.
-  // Both capture modes run; the two-phase run's captures digest must match
-  // the synchronous one's.
-  for (const uint32_t hosts : {100u, 1000u}) {
-    const SpillRunResult spill = RunSpill(params, hosts, /*async=*/false,
-                                          horizon, epoch_period);
-    const SpillRunResult aspill = RunSpill(params, hosts, /*async=*/true,
-                                           horizon, epoch_period);
-    const bool mode_ok = spill.captures_digest == aspill.captures_digest &&
-                         spill.epochs == aspill.epochs;
-    const bool spills_ok = spill.spill_ok && spill.reopen_ok &&
-                           aspill.spill_ok && aspill.reopen_ok;
-    ok = ok && spills_ok && mode_ok;
-
-    char section[64];
-    std::snprintf(section, sizeof section, "epoch spill, %u hosts", hosts);
-    PrintSection(section);
-    PrintValue("epochs spilled", static_cast<double>(spill.epochs), "");
-    PrintValue("epoch image bytes",
-               static_cast<double>(spill.epoch_image_bytes), "B");
-    PrintValue("epoch capture cost", spill.capture_ms, "ms");
-    PrintValue("epoch spill cost (group commit)", spill.spill_ms, "ms");
-    PrintValue("frozen window, sync", spill.frozen_ms, "ms");
-    PrintValue("frozen window, two-phase", aspill.frozen_ms, "ms");
-    if (spills_ok) {
-      PrintNote("all epochs committed; reopen byte-identical");
-    } else {
-      const auto word = [](bool b) { return b ? "ok" : "FAILED"; };
-      char why[160];
-      std::snprintf(why, sizeof why,
-                    "EPOCH SPILL FAILED OR DIVERGED ON REOPEN (sync: spill %s, "
-                    "reopen %s; two-phase: spill %s, reopen %s)",
-                    word(spill.spill_ok), word(spill.reopen_ok),
-                    word(aspill.spill_ok), word(aspill.reopen_ok));
-      PrintNote(why);
-    }
-    if (mode_ok) {
-      PrintNote("two-phase captures digest matches synchronous");
-    } else {
-      char why[160];
-      std::snprintf(why, sizeof why,
-                    "ASYNC CAPTURE DIVERGED from synchronous (captures "
-                    "%016llx vs %016llx, %zu vs %zu epochs)",
-                    static_cast<unsigned long long>(aspill.captures_digest),
-                    static_cast<unsigned long long>(spill.captures_digest),
-                    aspill.epochs, spill.epochs);
-      PrintNote(why);
     }
   }
 

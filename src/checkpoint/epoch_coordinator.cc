@@ -54,31 +54,14 @@ double PartitionEpochCoordinator::JoinBackground() {
 }
 
 void PartitionEpochCoordinator::RunUntil(SimTime t) {
-  obs::EpochLedger& ledger = obs::EpochLedger::Global();
   while (next_epoch_ <= t) {
-    obs::EpochLedger::BindThread(obs::EpochLedger::kCoordinatorShard,
-                                 epoch_index_);
-    const double w0 = ledger.NowMs();
-    if (ledger.enabled() && ledger_epoch_open_ms_ < 0) {
-      ledger_epoch_open_ms_ = w0;
-    }
-    scheduler_->RunUntil(next_epoch_);
-    ledger.StampHere(-1, "window", w0, ledger.NowMs(), "barrier");
-    CaptureEpoch();
-    next_epoch_ += period_;
-    ++epoch_index_;
+    StepEpoch(t);
   }
-  obs::EpochLedger::BindThread(obs::EpochLedger::kCoordinatorShard,
-                               epoch_index_);
-  const double w0 = ledger.NowMs();
-  scheduler_->RunUntil(t);
-  ledger.StampHere(-1, "window", w0, ledger.NowMs(), "horizon");
-  // Callers read history()/CapturesDigest()/spill_handles() after RunUntil;
-  // the join edge makes those reads race-free and means a returned RunUntil
-  // always describes fully committed epochs.
-  const double j0 = ledger.NowMs();
-  JoinBackground();
-  ledger.StampHere(-1, "commit_wait", j0, ledger.NowMs(), "final_join");
+  // The horizon step joins any in-flight commit: callers read
+  // history()/CapturesDigest()/spill_handles() after RunUntil, the join edge
+  // makes those reads race-free, and a returned RunUntil always describes
+  // fully committed epochs.
+  StepEpoch(t);
 }
 
 SimTime PartitionEpochCoordinator::StepEpoch(SimTime horizon) {
@@ -226,25 +209,7 @@ void PartitionEpochCoordinator::BackgroundCommit(size_t index) {
     pool_.Release(&staged_[p]);
   }
   if (batch != nullptr) {
-    const auto spill_start = std::chrono::steady_clock::now();
-    const CheckpointRepo::BatchCommitResult result =
-        repo_->CommitBatch(std::move(batch));
-    const auto spill_end = std::chrono::steady_clock::now();
-    rec.spill_wall_ms =
-        std::chrono::duration<double, std::milli>(spill_end - spill_start)
-            .count();
-    rec.spill_ok = result.ok;
-    rec.spill_images = result.images;
-    rec.spill_bytes = result.appended_payload_bytes;
-    spill_handles_.clear();
-    if (result.ok) {
-      spill_handles_.assign(staged_.size(), 0);
-      std::vector<uint64_t> sorted = result.handles;
-      std::sort(sorted.begin(), sorted.end());
-      for (size_t p = 0; p < sorted.size(); ++p) {
-        spill_handles_[p] = sorted[p];
-      }
-    }
+    CommitSpill(std::move(batch), &rec);
   }
   background_images_ = std::move(images);
   rec.background_wall_ms = std::chrono::duration<double, std::milli>(
@@ -254,6 +219,27 @@ void PartitionEpochCoordinator::BackgroundCommit(size_t index) {
     ledger.StampHere(-1, "commit", c0, ledger.NowMs(), "background");
   }
   obs::EpochLedger::UnbindThread();
+}
+
+void PartitionEpochCoordinator::CommitSpill(
+    std::unique_ptr<RepoWriteBatch> batch, EpochRecord* rec) {
+  const auto start = std::chrono::steady_clock::now();
+  const CheckpointRepo::BatchCommitResult result =
+      repo_->CommitBatch(std::move(batch));
+  rec->spill_wall_ms = std::chrono::duration<double, std::milli>(
+                           std::chrono::steady_clock::now() - start)
+                           .count();
+  rec->spill_ok = result.ok;
+  rec->spill_images = result.images;
+  rec->spill_bytes = result.appended_payload_bytes;
+  // Tickets were issued in stage (worker) order; sequence = partition id is
+  // what fixed the handle order, so the sorted handles are indexed by
+  // partition.
+  spill_handles_.clear();
+  if (result.ok) {
+    spill_handles_ = result.handles;
+    std::sort(spill_handles_.begin(), spill_handles_.end());
+  }
 }
 
 void PartitionEpochCoordinator::CaptureEpoch() {
@@ -313,30 +299,10 @@ void PartitionEpochCoordinator::CaptureEpoch() {
       ledger.StampHere(-1, "capture", c0, ledger.NowMs(), "barrier");
     }
     if (batch != nullptr) {
-      const auto spill_start = std::chrono::steady_clock::now();
       const double s0 = lg ? ledger.NowMs() : 0.0;
-      const CheckpointRepo::BatchCommitResult result =
-          repo_->CommitBatch(std::move(batch));
-      const auto spill_end = std::chrono::steady_clock::now();
+      CommitSpill(std::move(batch), &rec);
       if (lg) {
         ledger.StampHere(-1, "spill", s0, ledger.NowMs(), "group_commit");
-      }
-      rec.spill_wall_ms =
-          std::chrono::duration<double, std::milli>(spill_end - spill_start)
-              .count();
-      rec.spill_ok = result.ok;
-      rec.spill_images = result.images;
-      rec.spill_bytes = result.appended_payload_bytes;
-      spill_handles_.clear();
-      if (result.ok) {
-        // Tickets were issued in stage (worker) order; sequence = partition
-        // id is what fixed the handle order. Re-index by partition.
-        spill_handles_.assign(scheduler_->partition_count(), 0);
-        std::vector<uint64_t> sorted = result.handles;
-        std::sort(sorted.begin(), sorted.end());
-        for (size_t p = 0; p < sorted.size(); ++p) {
-          spill_handles_[p] = sorted[p];
-        }
       }
     }
     committed_images_ = std::move(images_);

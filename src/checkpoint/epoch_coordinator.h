@@ -143,6 +143,9 @@ class PartitionEpochCoordinator {
   // Runs on background_; every coordinator member it touches is protected by
   // the join edges (the thread is joined before the next epoch mutates them).
   void BackgroundCommit(size_t index);
+  // Group-commits one epoch's batch: records the outcome in `rec` and
+  // publishes the handles, indexed by partition, as spill_handles().
+  void CommitSpill(std::unique_ptr<RepoWriteBatch> batch, EpochRecord* rec);
   // Joins the in-flight background commit, returning the wall ms spent
   // blocked (0 when none was running or it had already finished).
   double JoinBackground();

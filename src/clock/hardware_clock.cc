@@ -1,6 +1,8 @@
 #include "src/clock/hardware_clock.h"
 
+#include <algorithm>
 #include <cmath>
+#include <limits>
 #include <utility>
 
 namespace tcsim {
@@ -19,7 +21,21 @@ HardwareClock::HardwareClock(Simulator* sim, Rng rng, ClockParams params)
 
 SimTime HardwareClock::LocalAt(SimTime phys) const {
   const double elapsed = static_cast<double>(phys - ref_);
-  return phys + offset_ + static_cast<SimTime>((drift_ + slew_rate_) * elapsed);
+  // A runaway discipline loop (an absurd NTP gain) can push the reading past
+  // the SimTime range; pin it at the edge instead of overflowing. Readings
+  // in range are unchanged.
+  constexpr double kBelow2To63 = 0x1.fffffffffffffp62;  // largest double < 2^63
+  const double slewed =
+      std::clamp((drift_ + slew_rate_) * elapsed, -0x1p63, kBelow2To63);
+  const auto add = [](SimTime a, SimTime b) {
+    SimTime sum = 0;
+    if (!__builtin_add_overflow(a, b, &sum)) {
+      return sum;
+    }
+    return b > 0 ? std::numeric_limits<SimTime>::max()
+                 : std::numeric_limits<SimTime>::min();
+  };
+  return add(add(phys, offset_), static_cast<SimTime>(slewed));
 }
 
 SimTime HardwareClock::PhysicalAt(SimTime local) const {

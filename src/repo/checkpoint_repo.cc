@@ -96,8 +96,6 @@ std::unique_ptr<CheckpointRepo> CheckpointRepo::Open(const std::string& dir,
     if (repo->segment_ == nullptr) {
       return nullptr;
     }
-    repo->segment_->set_testing_append_limit(
-        options.testing_segment_append_limit);
     repo->journal_ = JournalWriter::Create(JournalPath(dir, 1), error);
     if (repo->journal_ == nullptr) {
       return nullptr;
@@ -132,8 +130,6 @@ std::unique_ptr<CheckpointRepo> CheckpointRepo::Open(const std::string& dir,
   if (repo->segment_ == nullptr) {
     return nullptr;
   }
-  repo->segment_->set_testing_append_limit(
-      options.testing_segment_append_limit);
   // Replay. Every payload referenced by a visible record is read back and
   // CRC-verified before the repository declares itself open.
   for (const JournalRecord& rec : journal_records) {
@@ -800,7 +796,6 @@ CheckpointRepo::GcResult CheckpointRepo::CollectGarbage() {
     error_ = err;
     return result;
   }
-  new_segment->set_testing_append_limit(options_.testing_segment_append_limit);
 
   // The handle watermark must survive even if the highest-handled records
   // are dropped: a reused handle would silently re-bind a caller's stale

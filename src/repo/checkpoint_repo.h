@@ -59,11 +59,6 @@ struct RepoOptions {
   // verification of staged payloads). 0 hashes inline on the staging thread
   // — the sequential oracle for the concurrent path.
   uint32_t hash_threads = 2;
-
-  // Testing hook, forwarded to the live segment file: appends that would
-  // grow it past this byte count fail with a sticky error, as if the disk
-  // filled. 0 = unlimited. Drives the failed-commit tests deterministically.
-  uint64_t testing_segment_append_limit = 0;
 };
 
 class CheckpointRepo {

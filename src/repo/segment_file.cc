@@ -139,11 +139,6 @@ uint64_t SegmentFile::AppendSpan(const uint8_t* payload, uint64_t size,
   if (io_error_) {
     return 0;
   }
-  if (testing_append_limit_ != 0 &&
-      append_pos_ + kSegmentRecordOverhead + size > testing_append_limit_) {
-    io_error_ = true;
-    return 0;
-  }
   if (std::fseek(file_, static_cast<long>(append_pos_), SEEK_SET) != 0) {
     io_error_ = true;
     return 0;

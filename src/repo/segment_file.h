@@ -75,11 +75,6 @@ class SegmentFile {
   // last successful commit published).
   bool ok() const { return !io_error_; }
 
-  // Testing hook: any append that would grow the file past `limit` bytes
-  // fails (and trips the sticky error) as if the disk were full. 0 = no
-  // limit. Lets tests drive the failed-commit path deterministically.
-  void set_testing_append_limit(uint64_t limit) { testing_append_limit_ = limit; }
-
   // Current end-of-file append position (header + all records).
   uint64_t size() const { return append_pos_; }
 
@@ -95,7 +90,6 @@ class SegmentFile {
   uint64_t append_pos_;
   uint64_t bytes_written_ = 0;
   uint64_t bytes_read_ = 0;
-  uint64_t testing_append_limit_ = 0;
   bool io_error_ = false;
 };
 

@@ -123,7 +123,9 @@ class ArchiveReader {
       return {};
     }
     std::vector<T> v(n);
-    std::memcpy(v.data(), data_.data() + pos_, n * sizeof(T));
+    if (n != 0) {  // an empty vector's data() may be null, invalid for memcpy
+      std::memcpy(v.data(), data_.data() + pos_, n * sizeof(T));
+    }
     pos_ += n * sizeof(T);
     return v;
   }

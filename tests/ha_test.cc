@@ -71,8 +71,10 @@ ha::MicroCheckpointPolicy HaPolicy(uint32_t max_in_flight) {
 
 HaRunResult RunHa(const ha::MicroCheckpointPolicy& policy,
                   ha::FaultInjector* faults, CheckpointRepo* repo = nullptr,
-                  SimTime horizon = kHorizon) {
-  auto topo = GeneratedTopology::Build(SmallParams(), kPartitions, kWorkers);
+                  SimTime horizon = kHorizon,
+                  const GeneratedTopologyParams& params = SmallParams(),
+                  uint32_t workers = kWorkers) {
+  auto topo = GeneratedTopology::Build(params, kPartitions, workers);
   EXPECT_EQ(topo->partition_count(), kPartitions);
   emulab::ExternalObserver observer;
   ha::MicroCheckpointer mc(topo.get(), policy);
@@ -96,6 +98,23 @@ HaRunResult RunHa(const ha::MicroCheckpointPolicy& policy,
     r.held = mc.output_buffer()->held_count();
   }
   return r;
+}
+
+// The fat trees HA is stated at, four zones each, one per partition.
+constexpr GeneratedTopologyParams kFatTree100{
+    .hosts = 100, .hosts_per_lan = 5, .lans_per_zone = 5};
+constexpr GeneratedTopologyParams kFatTree1000{
+    .hosts = 1000, .hosts_per_lan = 10, .lans_per_zone = 25};
+
+// HA at scale: 50 Hz micro-checkpoints with one epoch of commit lag and
+// buffered output, on 3 workers.
+HaRunResult RunHaFatTree(const GeneratedTopologyParams& params,
+                         ha::FaultInjector* faults, SimTime horizon) {
+  ha::MicroCheckpointPolicy policy;
+  policy.period = 20 * kMillisecond;
+  policy.max_in_flight_epochs = 1;
+  policy.buffer_output = true;
+  return RunHa(policy, faults, nullptr, horizon, params, /*workers=*/3);
 }
 
 void ExpectTraceIdentical(const TraceLog& a, const TraceLog& b) {
@@ -293,11 +312,24 @@ TEST(HaFailoverTest, DoubleFaultDuringFailoverIsTransparent) {
 }
 
 TEST(HaFailoverTest, RepeatedSeededKillsStayTransparent) {
-  const HaRunResult clean = RunHa(HaPolicy(1), nullptr);
-  ha::FaultInjector fi(11);
-  fi.GenerateKillSchedule(kPartitions, 3, kHorizon);
-  const HaRunResult faulty = RunHa(HaPolicy(1), &fi);
-  ExpectTransparent(faulty, clean, 3);
+  {
+    const HaRunResult clean = RunHa(HaPolicy(1), nullptr);
+    ha::FaultInjector fi(11);
+    fi.GenerateKillSchedule(kPartitions, 3, kHorizon);
+    const HaRunResult faulty = RunHa(HaPolicy(1), &fi);
+    ExpectTransparent(faulty, clean, 3);
+  }
+  // The same statement at 100 and 1000 hosts: three seeded partition kills
+  // over 200 ms of 50 Hz micro-checkpoints.
+  constexpr SimTime kScaleHorizon = 200 * kMillisecond;
+  for (const GeneratedTopologyParams& params : {kFatTree100, kFatTree1000}) {
+    SCOPED_TRACE(std::to_string(params.hosts) + " hosts");
+    const HaRunResult clean = RunHaFatTree(params, nullptr, kScaleHorizon);
+    ha::FaultInjector fi(9);
+    fi.GenerateKillSchedule(kPartitions, 3, kScaleHorizon);
+    const HaRunResult faulty = RunHaFatTree(params, &fi, kScaleHorizon);
+    ExpectTransparent(faulty, clean, 3);
+  }
 }
 
 // --- Link faults: deterministic, contained to the flapped wire

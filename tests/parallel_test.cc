@@ -533,73 +533,108 @@ TEST(EpochCoordinatorTest, CheckpointedFatTreeCapturesMatchOracle) {
   EXPECT_EQ(oracle.event_digest, parallel.event_digest);
 }
 
+// Inputs of the spill tests: the 100-host fat tree at 10 ms epochs, and the
+// 1000-host one at 50 ms epochs over 200 ms.
+struct SpillInput {
+  uint32_t hosts;
+  SimTime period;
+  SimTime horizon;
+};
+constexpr SpillInput kSpillInputs[] = {
+    {100, 10 * kMillisecond, 50 * kMillisecond},
+    {1000, 50 * kMillisecond, 200 * kMillisecond},
+};
+
+struct SpillResult {
+  uint64_t captures_digest = 0;
+  uint64_t event_digest = 0;
+  uint64_t materialize_fold = 0;  // fold over Materialize(h), h ascending
+};
+
+uint64_t FoldMaterializations(CheckpointRepo* repo) {
+  Fnv1aDigest folded;
+  for (const uint64_t handle : repo->LiveHandles()) {
+    const std::vector<uint8_t> image = repo->Materialize(handle);
+    EXPECT_FALSE(image.empty()) << repo->error();
+    folded.MixBytes(image.data(), image.size());
+  }
+  return folded.value();
+}
+
+std::vector<uint8_t> FileBytes(const std::filesystem::path& p) {
+  std::ifstream in(p, std::ios::binary);
+  return std::vector<uint8_t>(std::istreambuf_iterator<char>(in),
+                              std::istreambuf_iterator<char>());
+}
+
+// The checkpointed fat tree of `input` on 4 partitions, spilling every epoch
+// into a fresh repository at `dir` through the shared write batch.
+SpillResult RunSpill(const SpillInput& input, bool async, uint32_t workers,
+                     const std::string& dir) {
+  std::filesystem::remove_all(dir);
+  std::string error;
+  auto repo = CheckpointRepo::Open(dir, RepoOptions{}, &error);
+  EXPECT_NE(repo, nullptr) << error;
+  if (repo == nullptr) {
+    return {};
+  }
+  GeneratedTopologyParams params;
+  params.hosts = input.hosts;
+  auto topo = GeneratedTopology::Build(params, 4, workers);
+  PartitionEpochCoordinator epochs(
+      topo->scheduler(), input.period,
+      [&topo](Partition* p) { return topo->CapturePartitionImage(p->id()); });
+  if (async) {
+    epochs.EnableAsyncCapture([&topo](Partition* p, StagedCapture* out) {
+      topo->SnapshotPartition(p->id(), out);
+    });
+  }
+  epochs.AttachRepository(repo.get());
+  epochs.RunUntil(input.horizon);
+  EXPECT_EQ(topo->scheduler()->GuardViolations(), 0u);
+  EXPECT_EQ(epochs.history().size(),
+            static_cast<size_t>(input.horizon / input.period));
+  for (const auto& rec : epochs.history()) {
+    EXPECT_TRUE(rec.spill_ok);
+    EXPECT_EQ(rec.spill_images, topo->partition_count());
+  }
+  EXPECT_EQ(epochs.spill_handles().size(), topo->partition_count());
+  return SpillResult{epochs.CapturesDigest(), topo->EventDigest(),
+                     FoldMaterializations(repo.get())};
+}
+
 TEST(EpochCoordinatorTest, RepositorySpillIsDeterministicAndReopensIntact) {
   namespace fs = std::filesystem;
   // The same checkpointed fat tree twice — the sequential oracle and a
   // 3-worker run — each spilling every epoch into its own repository through
   // the shared write batch. Capture workers stage concurrently; sequence =
   // partition id must make the repositories byte-identical anyway.
-  struct SpillResult {
-    uint64_t captures_digest = 0;
-    uint64_t materialize_fold = 0;  // fold over Materialize(h), h ascending
-  };
-  auto fold_materializations = [](CheckpointRepo* repo) {
-    Fnv1aDigest folded;
-    for (const uint64_t handle : repo->LiveHandles()) {
-      const std::vector<uint8_t> image = repo->Materialize(handle);
-      EXPECT_FALSE(image.empty()) << repo->error();
-      folded.MixBytes(image.data(), image.size());
-    }
-    return folded.value();
-  };
-  auto run = [&fold_materializations](uint32_t workers,
-                                      const std::string& dir) {
-    fs::remove_all(dir);
+  for (const SpillInput& input : kSpillInputs) {
+    SCOPED_TRACE(std::to_string(input.hosts) + " hosts");
+    const std::string seq_dir =
+        (fs::path(::testing::TempDir()) / "tcsim_epoch_spill_seq").string();
+    const std::string par_dir =
+        (fs::path(::testing::TempDir()) / "tcsim_epoch_spill_par").string();
+    const SpillResult seq = RunSpill(input, /*async=*/false, 0, seq_dir);
+    const SpillResult par = RunSpill(input, /*async=*/false, 3, par_dir);
+    EXPECT_EQ(seq.captures_digest, par.captures_digest);
+    EXPECT_EQ(seq.event_digest, par.event_digest);
+    EXPECT_EQ(seq.materialize_fold, par.materialize_fold);
+    EXPECT_EQ(FileBytes(fs::path(seq_dir) / "segment.1"),
+              FileBytes(fs::path(par_dir) / "segment.1"));
+    EXPECT_EQ(FileBytes(fs::path(seq_dir) / "journal.1"),
+              FileBytes(fs::path(par_dir) / "journal.1"));
+
+    // Fresh process: every spilled capture materializes, byte-identical to
+    // what the spilling process saw — the epochs fully survived the reopen.
     std::string error;
-    auto repo = CheckpointRepo::Open(dir, RepoOptions{}, &error);
-    EXPECT_NE(repo, nullptr) << error;
-    GeneratedTopologyParams params;
-    auto topo = GeneratedTopology::Build(params, 4, workers);
-    PartitionEpochCoordinator epochs(
-        topo->scheduler(), 10 * kMillisecond,
-        [&topo](Partition* p) { return topo->CapturePartitionImage(p->id()); });
-    epochs.AttachRepository(repo.get());
-    epochs.RunUntil(50 * kMillisecond);
-    EXPECT_EQ(topo->scheduler()->GuardViolations(), 0u);
-    for (const auto& rec : epochs.history()) {
-      EXPECT_TRUE(rec.spill_ok);
-      EXPECT_EQ(rec.spill_images, topo->partition_count());
-    }
-    EXPECT_EQ(epochs.spill_handles().size(), topo->partition_count());
-    return SpillResult{epochs.CapturesDigest(), fold_materializations(repo.get())};
-  };
-  const std::string seq_dir =
-      (fs::path(::testing::TempDir()) / "tcsim_epoch_spill_seq").string();
-  const std::string par_dir =
-      (fs::path(::testing::TempDir()) / "tcsim_epoch_spill_par").string();
-  const SpillResult seq = run(0, seq_dir);
-  const SpillResult par = run(3, par_dir);
-  EXPECT_EQ(seq.captures_digest, par.captures_digest);
-  EXPECT_EQ(seq.materialize_fold, par.materialize_fold);
-
-  auto file_bytes = [](const fs::path& p) {
-    std::ifstream in(p, std::ios::binary);
-    return std::vector<uint8_t>(std::istreambuf_iterator<char>(in),
-                                std::istreambuf_iterator<char>());
-  };
-  EXPECT_EQ(file_bytes(fs::path(seq_dir) / "segment.1"),
-            file_bytes(fs::path(par_dir) / "segment.1"));
-  EXPECT_EQ(file_bytes(fs::path(seq_dir) / "journal.1"),
-            file_bytes(fs::path(par_dir) / "journal.1"));
-
-  // Fresh process: every spilled capture materializes, byte-identical to
-  // what the spilling process saw — the epochs fully survived the reopen.
-  std::string error;
-  auto reopened = CheckpointRepo::Open(par_dir, RepoOptions{}, &error);
-  ASSERT_NE(reopened, nullptr) << error;
-  EXPECT_EQ(fold_materializations(reopened.get()), par.materialize_fold);
-  fs::remove_all(seq_dir);
-  fs::remove_all(par_dir);
+    auto reopened = CheckpointRepo::Open(par_dir, RepoOptions{}, &error);
+    ASSERT_NE(reopened, nullptr) << error;
+    EXPECT_EQ(FoldMaterializations(reopened.get()), par.materialize_fold);
+    reopened.reset();
+    fs::remove_all(seq_dir);
+    fs::remove_all(par_dir);
+  }
 }
 
 // Same checkpointed fat tree, captured through the two-phase path: freeze
@@ -647,60 +682,33 @@ TEST(EpochCoordinatorTest, AsyncCaptureMatchesSyncByteForByte) {
 TEST(EpochCoordinatorTest, AsyncSpillRepositoryMatchesSyncOnDisk) {
   namespace fs = std::filesystem;
   // Group commit from the background thread must leave the repository
-  // byte-identical to the synchronous spill: same journal, same segment,
-  // same materializations after a fresh reopen.
-  auto file_bytes = [](const fs::path& p) {
-    std::ifstream in(p, std::ios::binary);
-    return std::vector<uint8_t>(std::istreambuf_iterator<char>(in),
-                                std::istreambuf_iterator<char>());
-  };
-  auto run = [](bool async, uint32_t workers, const std::string& dir) {
-    fs::remove_all(dir);
+  // byte-identical to the synchronous spill: same captures and events, same
+  // journal, same segment, same materializations after a fresh reopen.
+  for (const SpillInput& input : kSpillInputs) {
+    SCOPED_TRACE(std::to_string(input.hosts) + " hosts");
+    const std::string sync_dir =
+        (fs::path(::testing::TempDir()) / "tcsim_async_spill_sync").string();
+    const std::string async_dir =
+        (fs::path(::testing::TempDir()) / "tcsim_async_spill_async").string();
+    const SpillResult sync = RunSpill(input, /*async=*/false, 0, sync_dir);
+    const SpillResult async = RunSpill(input, /*async=*/true, 3, async_dir);
+    EXPECT_EQ(sync.captures_digest, async.captures_digest);
+    EXPECT_EQ(sync.event_digest, async.event_digest);
+    EXPECT_EQ(FileBytes(fs::path(sync_dir) / "segment.1"),
+              FileBytes(fs::path(async_dir) / "segment.1"));
+    EXPECT_EQ(FileBytes(fs::path(sync_dir) / "journal.1"),
+              FileBytes(fs::path(async_dir) / "journal.1"));
+
     std::string error;
-    auto repo = CheckpointRepo::Open(dir, RepoOptions{}, &error);
-    ASSERT_NE(repo, nullptr) << error;
-    GeneratedTopologyParams params;
-    auto topo = GeneratedTopology::Build(params, 4, workers);
-    PartitionEpochCoordinator epochs(
-        topo->scheduler(), 10 * kMillisecond,
-        [&topo](Partition* p) { return topo->CapturePartitionImage(p->id()); });
-    if (async) {
-      epochs.EnableAsyncCapture([&topo](Partition* p, StagedCapture* out) {
-        topo->SnapshotPartition(p->id(), out);
-      });
-    }
-    epochs.AttachRepository(repo.get());
-    epochs.RunUntil(50 * kMillisecond);
-    for (const auto& rec : epochs.history()) {
-      EXPECT_TRUE(rec.spill_ok);
-      EXPECT_EQ(rec.spill_images, topo->partition_count());
-    }
-    EXPECT_EQ(epochs.spill_handles().size(), topo->partition_count());
-  };
-  const std::string sync_dir =
-      (fs::path(::testing::TempDir()) / "tcsim_async_spill_sync").string();
-  const std::string async_dir =
-      (fs::path(::testing::TempDir()) / "tcsim_async_spill_async").string();
-  run(/*async=*/false, /*workers=*/0, sync_dir);
-  run(/*async=*/true, /*workers=*/3, async_dir);
-
-  EXPECT_EQ(file_bytes(fs::path(sync_dir) / "segment.1"),
-            file_bytes(fs::path(async_dir) / "segment.1"));
-  EXPECT_EQ(file_bytes(fs::path(sync_dir) / "journal.1"),
-            file_bytes(fs::path(async_dir) / "journal.1"));
-
-  std::string error;
-  auto reopened = CheckpointRepo::Open(async_dir, RepoOptions{}, &error);
-  ASSERT_NE(reopened, nullptr) << error;
-  Fnv1aDigest folded;
-  for (const uint64_t handle : reopened->LiveHandles()) {
-    const std::vector<uint8_t> image = reopened->Materialize(handle);
-    EXPECT_FALSE(image.empty()) << reopened->error();
-    folded.MixBytes(image.data(), image.size());
+    auto reopened = CheckpointRepo::Open(async_dir, RepoOptions{}, &error);
+    ASSERT_NE(reopened, nullptr) << error;
+    const uint64_t reopened_fold = FoldMaterializations(reopened.get());
+    EXPECT_NE(reopened_fold, Fnv1aDigest{}.value());
+    EXPECT_EQ(reopened_fold, sync.materialize_fold);
+    reopened.reset();
+    fs::remove_all(sync_dir);
+    fs::remove_all(async_dir);
   }
-  EXPECT_NE(folded.value(), Fnv1aDigest{}.value());
-  fs::remove_all(sync_dir);
-  fs::remove_all(async_dir);
 }
 
 TEST(EpochCoordinatorTest, EpochBarrierDoesNotPerturbTheWorkload) {

@@ -8,9 +8,11 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <functional>
+#include <map>
 #include <memory>
 #include <set>
 #include <string>
@@ -23,7 +25,9 @@
 #include "src/repo/io_fault.h"
 #include "src/repo/repo_format.h"
 #include "src/sim/archive.h"
+#include "src/sim/digest.h"
 #include "src/sim/image.h"
+#include "src/sim/random.h"
 #include "src/timetravel/basic_run.h"
 #include "src/timetravel/checkpoint_tree.h"
 
@@ -80,6 +84,29 @@ std::vector<uint8_t> DeltaImage(uint64_t id, uint64_t parent, uint64_t a,
   builder.AddChunk("a", PayloadOf(a));
   builder.AddDeltaChunk("b", Crc32(PayloadOf(parent_b)));
   return builder.Serialize();
+}
+
+// `bytes` (a multiple of 8) of pseudo-random content: equal seeds give equal
+// payloads, distinct seeds distinct ones.
+std::vector<uint8_t> SeededPayload(uint64_t seed, size_t bytes) {
+  std::vector<uint8_t> out(bytes);
+  Rng rng(seed);
+  for (size_t i = 0; i < bytes; i += 8) {
+    const uint64_t x = rng.NextUint64();
+    std::memcpy(&out[i], &x, 8);
+  }
+  return out;
+}
+
+// Digest over every live image's materialization, in handle order.
+uint64_t FoldMaterializations(CheckpointRepo* repo) {
+  Fnv1aDigest folded;
+  for (const uint64_t handle : repo->LiveHandles()) {
+    const std::vector<uint8_t> image = repo->Materialize(handle);
+    EXPECT_FALSE(image.empty()) << repo->error();
+    folded.MixBytes(image.data(), image.size());
+  }
+  return folded.value();
 }
 
 // --- Put / Materialize fidelity ------------------------------------------------
@@ -173,27 +200,96 @@ TEST_F(RepoTest, RetiredAncestorStaysResolvableForLiveDeltas) {
 }
 
 TEST_F(RepoTest, CompactionFoldsChainsWithoutChangingBytes) {
-  auto repo = OpenRepo();
-  const uint64_t h1 = repo->PutImage(FullImage(1, 10, 20));
-  const uint64_t h2 = repo->PutImage(DeltaImage(2, 1, 11, 20), h1);
-  const uint64_t h3 = repo->PutImage(DeltaImage(3, 2, 12, 20), h2);
-  ASSERT_NE(h3, 0u) << repo->error();
-  ASSERT_EQ(repo->ChainDepth(h3), 2u);
-  // "b" resolves two hops up, to image 1.
-  EXPECT_EQ(repo->Materialize(h3), FullImage(3, 12, 20));
-  const uint64_t segment_before = repo->segment_bytes();
+  // Puts `chain` (a full image, then each delta on the one before), folds
+  // it, retires all but the head, collects garbage and reopens. `tail` holds
+  // the literal self-contained forms of the chain's last images: they hold
+  // before and after the fold, and the head's through GC and reopen.
+  auto check = [this](const std::vector<std::vector<uint8_t>>& chain,
+                      const std::vector<std::vector<uint8_t>>& tail) {
+    fs::remove_all(dir_);
+    auto repo = OpenRepo();
+    ASSERT_NE(repo, nullptr);
+    std::vector<uint64_t> handles;
+    for (const std::vector<uint8_t>& image : chain) {
+      handles.push_back(
+          repo->PutImage(image, handles.empty() ? 0 : handles.back()));
+      ASSERT_NE(handles.back(), 0u) << repo->error();
+    }
+    const size_t depth = chain.size() - 1;
+    const uint64_t head = handles.back();
+    auto expect_tail = [&] {
+      for (size_t i = 0; i < tail.size(); ++i) {
+        const size_t at = chain.size() - tail.size() + i;
+        EXPECT_EQ(repo->Materialize(handles[at]), tail[i]) << "image " << at;
+      }
+    };
+    ASSERT_EQ(repo->ChainDepth(head), depth);
+    expect_tail();
+    const uint64_t segment_before = repo->segment_bytes();
 
-  EXPECT_EQ(repo->CompactChains(), 2u);  // h2 and h3 fold
-  EXPECT_EQ(repo->ChainDepth(h2), 0u);
-  EXPECT_EQ(repo->ChainDepth(h3), 0u);
-  EXPECT_EQ(repo->ParentHandleOf(h3), 0u);
-  // Folding rewrites records, not payloads: the segment did not grow.
-  EXPECT_EQ(repo->segment_bytes(), segment_before);
-  // Materializations are unchanged: "b" still resolves to image 1's bytes.
-  EXPECT_EQ(repo->Materialize(h2), FullImage(2, 11, 20));
-  EXPECT_EQ(repo->Materialize(h3), FullImage(3, 12, 20));
-  // A second pass finds nothing to fold.
-  EXPECT_EQ(repo->CompactChains(), 0u);
+    EXPECT_EQ(repo->CompactChains(), depth);  // every delta folds
+    for (const uint64_t handle : handles) {
+      EXPECT_EQ(repo->ChainDepth(handle), 0u);
+      EXPECT_EQ(repo->ParentHandleOf(handle), 0u);
+    }
+    // Folding rewrites records, not payloads: the segment did not grow, and
+    // refs still resolve to the bytes of the ancestor that held them.
+    EXPECT_EQ(repo->segment_bytes(), segment_before);
+    expect_tail();
+    // A second pass finds nothing to fold.
+    EXPECT_EQ(repo->CompactChains(), 0u);
+
+    for (size_t i = 0; i < depth; ++i) {
+      ASSERT_TRUE(repo->RetireImage(handles[i]));
+    }
+    ASSERT_TRUE(repo->CollectGarbage().ok) << repo->error();
+    EXPECT_EQ(repo->Materialize(head), tail.back());
+    repo.reset();
+    auto reopened = OpenRepo();
+    ASSERT_NE(reopened, nullptr);
+    EXPECT_EQ(reopened->live_image_count(), 1u);
+    EXPECT_EQ(reopened->Materialize(head), tail.back());
+  };
+
+  // Two hops of two-chunk images: image 3's "b" resolves to image 1.
+  check({FullImage(1, 10, 20), DeltaImage(2, 1, 11, 20),
+         DeltaImage(3, 2, 12, 20)},
+        {FullImage(1, 10, 20), FullImage(2, 11, 20), FullImage(3, 12, 20)});
+
+  // A full image and 24 deltas over 16 chunks of 256 KiB. Delta d rewrites a
+  // 4-chunk window; every third delta reverts its window to the base
+  // image's content, so content addressing sees repeated payloads. Only the
+  // head is checked: a 4 MiB materialization costs tens of milliseconds.
+  constexpr size_t kChunks = 16;
+  constexpr size_t kChunkBytes = 256 * 1024;
+  constexpr size_t kWindow = 4;
+  auto chunk_id = [](size_t c) { return "blk" + std::to_string(c); };
+  std::vector<uint64_t> seeds(kChunks);  // each chunk's current payload seed
+  std::map<uint64_t, uint32_t> crc_of_seed;
+  uint64_t next_seed = kChunks + 1;
+  std::vector<std::vector<uint8_t>> chain;
+  for (size_t d = 0; d <= 24; ++d) {
+    CheckpointImageBuilder image;
+    image.SetDeltaHeader(d + 1, d);
+    const size_t first = (d * kWindow) % kChunks;
+    for (size_t c = 0; c < kChunks; ++c) {
+      if (d > 0 && (c < first || c >= first + kWindow)) {
+        image.AddDeltaChunk(chunk_id(c), crc_of_seed.at(seeds[c]));
+        continue;
+      }
+      seeds[c] = d % 3 == 0 ? c + 1 : next_seed++;
+      std::vector<uint8_t> payload = SeededPayload(seeds[c], kChunkBytes);
+      crc_of_seed[seeds[c]] = Crc32(payload);
+      image.AddChunk(chunk_id(c), std::move(payload));
+    }
+    chain.push_back(image.Serialize());
+  }
+  CheckpointImageBuilder head;
+  head.SetDeltaHeader(chain.size(), 0);
+  for (size_t c = 0; c < kChunks; ++c) {
+    head.AddChunk(chunk_id(c), SeededPayload(seeds[c], kChunkBytes));
+  }
+  check(chain, {head.Serialize()});
 }
 
 TEST_F(RepoTest, GcReclaimsUnreferencedPayloadsAndSurvivesReopen) {
@@ -692,79 +788,110 @@ TEST_F(RepoTest, IncrementalRetentionMatchesRebuild) {
 }
 
 std::vector<uint8_t> FileBytes(const fs::path& p) {
+  std::error_code ec;
+  const uintmax_t size = fs::file_size(p, ec);
+  std::vector<uint8_t> bytes(ec ? 0 : size);
   std::ifstream in(p, std::ios::binary);
-  return std::vector<uint8_t>(std::istreambuf_iterator<char>(in),
-                              std::istreambuf_iterator<char>());
+  in.read(reinterpret_cast<char*>(bytes.data()),
+          static_cast<std::streamsize>(bytes.size()));
+  return bytes;
 }
 
 TEST_F(RepoTest, ConcurrentStagersProduceByteIdenticalRepository) {
-  // The same 16 images (with cross-image shared payloads, so dedup order
-  // matters) through two repositories: one staged sequentially with inline
-  // hashing — the oracle — and one staged from four threads with a hashing
-  // pool. Explicit sequence keys pin the commit order; the resulting
-  // repository files must be byte-identical.
+  // One epoch of images through a per-put repository — the oracle, one
+  // commit per image with inline hashing — and through one batch staged from
+  // 1, 2 and 4 threads (the single stager hashes inline, the others on a
+  // hashing pool). Explicit sequence keys pin the commit order: every batch
+  // materializes like the oracle, the batch repositories' files are
+  // byte-identical, and a fresh process reading them materializes like the
+  // oracle too.
+  auto check = [this](const std::vector<std::vector<uint8_t>>& images) {
+    std::string error;
+    RepoOptions inline_hashing;
+    inline_hashing.hash_threads = 0;
+    const std::string oracle_dir = dir_ + "_per_put";
+    fs::remove_all(oracle_dir);
+    auto oracle = CheckpointRepo::Open(oracle_dir, inline_hashing, &error);
+    ASSERT_NE(oracle, nullptr) << error;
+    for (const std::vector<uint8_t>& image : images) {
+      ASSERT_NE(oracle->PutImage(image), 0u) << oracle->error();
+    }
+    const uint64_t oracle_fold = FoldMaterializations(oracle.get());
+    oracle.reset();
+    fs::remove_all(oracle_dir);
+
+    std::vector<uint8_t> segment, journal;  // the single stager's files
+    for (const uint32_t stagers : {1u, 2u, 4u}) {
+      SCOPED_TRACE(std::to_string(stagers) + " stagers");
+      const std::string dir = dir_ + "_stagers" + std::to_string(stagers);
+      fs::remove_all(dir);
+      RepoOptions opts;
+      opts.hash_threads = stagers == 1 ? 0 : stagers;
+      auto repo = CheckpointRepo::Open(dir, opts, &error);
+      ASSERT_NE(repo, nullptr) << error;
+      auto batch = repo->BeginBatch();
+      std::vector<std::thread> threads;
+      for (uint32_t t = 0; t < stagers; ++t) {
+        threads.emplace_back([&batch, &images, t, stagers] {
+          for (uint64_t i = t; i < images.size(); i += stagers) {
+            batch->Stage(std::vector<uint8_t>(images[i]), 0, 0,
+                         /*sequence=*/i + 1);
+          }
+        });
+      }
+      for (std::thread& thread : threads) {
+        thread.join();
+      }
+      ASSERT_EQ(batch->staged_count(), images.size());
+      ASSERT_TRUE(repo->CommitBatch(std::move(batch)).ok);
+      // Handles were assigned by sequence, not by staging interleaving:
+      // image i + 1 got handle i + 1.
+      for (uint64_t i = 0; i < images.size(); ++i) {
+        EXPECT_EQ(repo->ImageIdOf(i + 1), i + 1);
+      }
+      EXPECT_EQ(FoldMaterializations(repo.get()), oracle_fold);
+      repo.reset();
+
+      // The strongest form of the determinism claim: identical bytes on
+      // disk.
+      if (stagers == 1) {
+        segment = FileBytes(fs::path(dir) / "segment.1");
+        journal = FileBytes(fs::path(dir) / "journal.1");
+      } else {
+        EXPECT_EQ(FileBytes(fs::path(dir) / "segment.1"), segment);
+        EXPECT_EQ(FileBytes(fs::path(dir) / "journal.1"), journal);
+      }
+      if (stagers == 4) {
+        auto reopened = CheckpointRepo::Open(dir, RepoOptions{}, &error);
+        ASSERT_NE(reopened, nullptr) << error;
+        EXPECT_EQ(FoldMaterializations(reopened.get()), oracle_fold);
+      }
+      fs::remove_all(dir);
+    }
+  };
+
+  // 16 two-chunk images with cross-image shared payloads, so dedup order
+  // matters.
   std::vector<std::vector<uint8_t>> images;
   for (uint64_t i = 0; i < 16; ++i) {
     images.push_back(FullImage(i + 1, i % 4, i * 7));
   }
+  check(images);
 
-  const std::string seq_dir = dir_ + "_seq";
-  const std::string par_dir = dir_ + "_par";
-  fs::remove_all(seq_dir);
-  fs::remove_all(par_dir);
-
-  std::string error;
-  RepoOptions seq_opts;
-  seq_opts.hash_threads = 0;  // inline hashing: the sequential oracle
-  auto seq_repo = CheckpointRepo::Open(seq_dir, seq_opts, &error);
-  ASSERT_NE(seq_repo, nullptr) << error;
-  {
-    auto batch = seq_repo->BeginBatch();
-    for (uint64_t i = 0; i < images.size(); ++i) {
-      batch->Stage(std::vector<uint8_t>(images[i]), 0, 0, /*sequence=*/i + 1);
+  // A 1000-host spill epoch: one image per host of 8 chunks of 4 KiB, the
+  // first third of which hold the same content on every host.
+  constexpr size_t kChunks = 8;
+  images.clear();
+  for (uint64_t h = 0; h < 1000; ++h) {
+    CheckpointImageBuilder image;
+    for (size_t c = 0; c < kChunks; ++c) {
+      const uint64_t seed =
+          c < kChunks / 3 ? 0xBA5Eull + c : 0xF00Dull + h * 131 + c;
+      image.AddChunk("blk" + std::to_string(c), SeededPayload(seed, 4096));
     }
-    ASSERT_TRUE(seq_repo->CommitBatch(std::move(batch)).ok);
+    images.push_back(image.Serialize());
   }
-
-  RepoOptions par_opts;
-  par_opts.hash_threads = 4;
-  auto par_repo = CheckpointRepo::Open(par_dir, par_opts, &error);
-  ASSERT_NE(par_repo, nullptr) << error;
-  {
-    auto batch = par_repo->BeginBatch();
-    std::vector<std::thread> stagers;
-    for (int t = 0; t < 4; ++t) {
-      stagers.emplace_back([&batch, &images, t] {
-        for (uint64_t i = t; i < images.size(); i += 4) {
-          batch->Stage(std::vector<uint8_t>(images[i]), 0, 0,
-                       /*sequence=*/i + 1);
-        }
-      });
-    }
-    for (std::thread& s : stagers) {
-      s.join();
-    }
-    ASSERT_EQ(batch->staged_count(), images.size());
-    ASSERT_TRUE(par_repo->CommitBatch(std::move(batch)).ok);
-  }
-
-  // Handles were assigned by sequence, not by staging interleaving: image
-  // i + 1 (its embedded id) got handle i + 1 in both repositories.
-  for (uint64_t i = 0; i < images.size(); ++i) {
-    EXPECT_EQ(seq_repo->ImageIdOf(i + 1), i + 1);
-    EXPECT_EQ(par_repo->ImageIdOf(i + 1), i + 1);
-    EXPECT_EQ(par_repo->Materialize(i + 1), seq_repo->Materialize(i + 1));
-  }
-  seq_repo.reset();
-  par_repo.reset();
-
-  // The strongest form of the determinism claim: identical bytes on disk.
-  EXPECT_EQ(FileBytes(fs::path(seq_dir) / "segment.1"),
-            FileBytes(fs::path(par_dir) / "segment.1"));
-  EXPECT_EQ(FileBytes(fs::path(seq_dir) / "journal.1"),
-            FileBytes(fs::path(par_dir) / "journal.1"));
-  fs::remove_all(seq_dir);
-  fs::remove_all(par_dir);
+  check(images);
 }
 
 TEST_F(RepoTest, FailedCommitLeavesRepositoryOpenableAtPreviousEpoch) {
@@ -774,28 +901,34 @@ TEST_F(RepoTest, FailedCommitLeavesRepositoryOpenableAtPreviousEpoch) {
     h1 = repo->PutImage(FullImage(1, 10, 20));
     ASSERT_NE(h1, 0u) << repo->error();
   }
-  // Reopen with the disk "full" at exactly the current segment size: any new
-  // payload append fails, as a filled disk would.
-  RepoOptions opts;
-  opts.testing_segment_append_limit = fs::file_size(dir_ + "/segment.1");
-  std::string error;
-  auto repo = CheckpointRepo::Open(dir_, opts, &error);
-  ASSERT_NE(repo, nullptr) << error;
+  {
+    // Reopen, then fill the disk: the segment admits no further byte, so any
+    // new payload append fails. The guard disarms on every exit from this
+    // block, failed assertions included.
+    struct DisarmOnExit {
+      ~DisarmOnExit() { RepoIoFaultInjector::DisarmAll(); }
+    } disarm;
+    auto repo = OpenRepo();
+    ASSERT_NE(repo, nullptr);
+    RepoIoFaultPlan full_disk;
+    full_disk.allow_bytes = 0;
+    RepoIoFaultInjector::Arm(RepoIoTarget::kSegment, full_disk);
 
-  auto batch = repo->BeginBatch();
-  batch->Stage(FullImage(2, 30, 40));
-  const auto result = repo->CommitBatch(std::move(batch));
-  EXPECT_FALSE(result.ok);
-  EXPECT_NE(result.error.find("append failed"), std::string::npos)
-      << result.error;
-  // Nothing published; the error is sticky, so retries keep failing instead
-  // of tearing the segment, and reads of committed state still work.
-  EXPECT_EQ(repo->live_image_count(), 1u);
-  auto retry = repo->BeginBatch();
-  retry->Stage(FullImage(3, 50, 60));
-  EXPECT_FALSE(repo->CommitBatch(std::move(retry)).ok);
-  EXPECT_EQ(repo->Materialize(h1), FullImage(1, 10, 20));
-  repo.reset();
+    auto batch = repo->BeginBatch();
+    batch->Stage(FullImage(2, 30, 40));
+    const auto result = repo->CommitBatch(std::move(batch));
+    EXPECT_FALSE(result.ok);
+    EXPECT_NE(result.error.find("append failed"), std::string::npos)
+        << result.error;
+    // Nothing published; the error is sticky, so retries keep failing
+    // instead of tearing the segment, and reads of committed state still
+    // work.
+    EXPECT_EQ(repo->live_image_count(), 1u);
+    auto retry = repo->BeginBatch();
+    retry->Stage(FullImage(3, 50, 60));
+    EXPECT_FALSE(repo->CommitBatch(std::move(retry)).ok);
+    EXPECT_EQ(repo->Materialize(h1), FullImage(1, 10, 20));
+  }
 
   // A fresh process opens the previous epoch, whole and writable.
   auto reopened = OpenRepo();
