@@ -149,74 +149,6 @@ void LocalCheckpointEngine::AddCheckpointable(Checkpointable* component) {
   }
 }
 
-void LocalCheckpointEngine::BuildCompositeImage() {
-  const std::vector<Checkpointable*>& components = Components();
-  if (tracks_.size() != components.size()) {
-    tracks_.assign(components.size(), ComponentTrack{});
-  }
-
-  const uint64_t parent = policy_.delta_images ? parent_image_id_ : 0;
-  CaptureStats stats;
-  stats.image_id = next_image_id_++;
-  stats.parent_id = parent;
-
-  CheckpointImageBuilder builder;
-  builder.SetDeltaHeader(stats.image_id, parent);
-
-  // Engine metadata: the saved instant plus the record and accounting a
-  // restore target needs to continue exactly where the original paused.
-  // Always a payload chunk — it changes at every capture by construction.
-  ArchiveWriter meta;
-  meta.Write<SimTime>(current_.saved_at);
-  meta.Write<SimTime>(current_.request_time);
-  meta.Write<SimTime>(current_.suspended_at);
-  meta.Write<uint64_t>(current_.image_bytes);
-  meta.Write<uint64_t>(residual_dirty_);
-  meta.Write<uint64_t>(saver_.last_image_bytes());
-  rng_.Save(&meta);
-  const std::vector<uint8_t> meta_bytes = meta.Take();
-  builder.AddChunk("sim.time", meta_bytes);
-  ++stats.payload_chunks;
-
-  for (size_t i = 0; i < components.size(); ++i) {
-    const Checkpointable* component = components[i];
-    ComponentTrack& track = tracks_[i];
-    const uint64_t version = component->state_version();
-
-    // Instrumented component whose mutation counter has not moved since the
-    // parent capture: its serialized bytes are still those pinned by
-    // track.crc, so skip SaveState entirely.
-    if (parent != 0 && track.valid && version != 0 &&
-        version == track.version) {
-      builder.AddDeltaChunk(component->checkpoint_id(), track.crc);
-      ++stats.delta_chunks;
-      ++stats.version_skips;
-      continue;
-    }
-
-    ArchiveWriter w;
-    component->SaveState(&w);
-    std::vector<uint8_t> payload = w.Take();
-    const uint32_t crc = Crc32(payload);
-    if (parent != 0 && track.valid && crc == track.crc) {
-      // Uninstrumented (or over-bumped) component whose bytes came out
-      // identical anyway: still a delta ref, just proven the expensive way.
-      builder.AddDeltaChunk(component->checkpoint_id(), crc);
-      ++stats.delta_chunks;
-      ++stats.crc_fallbacks;
-    } else {
-      track.payload = payload;
-      builder.AddChunk(component->checkpoint_id(), std::move(payload));
-      ++stats.payload_chunks;
-    }
-    track.version = version;
-    track.crc = crc;
-    track.valid = true;
-  }
-
-  FinishCapture(&builder, meta_bytes, stats);
-}
-
 void LocalCheckpointEngine::SnapshotComponents() {
   const std::vector<Checkpointable*>& components = Components();
   if (tracks_.size() != components.size()) {
@@ -231,8 +163,9 @@ void LocalCheckpointEngine::SnapshotComponents() {
   // window performs no allocation for payload bytes.
   ArchiveWriter w(std::move(staged_.buffer));
 
-  // Engine metadata, staged exactly as BuildCompositeImage writes it. Always
-  // entry 0 and never a version skip.
+  // Engine metadata: the saved instant plus the record and accounting a
+  // restore target needs to continue exactly where the original paused.
+  // Always entry 0 and never a version skip — it changes at every capture.
   {
     StagedEntry meta;
     meta.id = "sim.time";
@@ -257,12 +190,12 @@ void LocalCheckpointEngine::SnapshotComponents() {
     if (pending_parent_ != 0 && track.valid && entry.version != 0 &&
         entry.version == track.version) {
       // Dirty tracking says the bytes are unchanged: stage nothing at all —
-      // the background phase emits the delta ref from the tracked CRC.
+      // the commit emits the delta ref from the tracked CRC.
       entry.version_skip = true;
       entry.parent_crc = track.crc;
     } else {
       entry.offset = w.size();
-      component->SnapshotState(&w);
+      component->SaveState(&w);
       entry.size = w.size() - entry.offset;
     }
     staged_.entries.push_back(std::move(entry));
@@ -273,9 +206,20 @@ void LocalCheckpointEngine::SnapshotComponents() {
 }
 
 void LocalCheckpointEngine::EnsureCaptureCommitted() {
-  if (pending_capture_) {
-    CommitPendingCapture();
+  if (!pending_capture_) {
+    return;
   }
+  const auto t0 = std::chrono::steady_clock::now();
+  CommitPendingCapture();
+  const double wall_us = WallMicros(t0, std::chrono::steady_clock::now());
+  background_wall_us_hist_->Observe(wall_us);
+  obs::TraceSession& trace = obs::TraceSession::Global();
+  const obs::SpanId span =
+      trace.BeginSpan(node_->name(), "ckpt.background", sim_->Now());
+  trace.AddSpanArg(span, "wall_us", wall_us);
+  trace.AddSpanArg(span, "serialized_bytes",
+                   static_cast<double>(last_capture_stats_.serialized_bytes));
+  trace.EndSpan(span, sim_->Now());
 }
 
 void LocalCheckpointEngine::CommitPendingCapture() {
@@ -285,7 +229,6 @@ void LocalCheckpointEngine::CommitPendingCapture() {
   // describing pre-restore state; the pool generation catches that misuse.
   assert(staged_.generation == pool_.generation());
 
-  const auto t0 = std::chrono::steady_clock::now();
   const uint64_t parent = pending_parent_;
   CaptureStats stats;
   stats.image_id = next_image_id_++;
@@ -316,6 +259,8 @@ void LocalCheckpointEngine::CommitPendingCapture() {
     std::vector<uint8_t> payload(p, p + entry.size);
     const uint32_t crc = Crc32(payload);
     if (parent != 0 && track.valid && crc == track.crc) {
+      // Uninstrumented (or over-bumped) component whose bytes came out
+      // identical anyway: still a delta ref, just proven the expensive way.
       builder.AddDeltaChunk(entry.id, crc);
       ++stats.delta_chunks;
       ++stats.crc_fallbacks;
@@ -331,16 +276,6 @@ void LocalCheckpointEngine::CommitPendingCapture() {
 
   FinishCapture(&builder, meta_bytes, stats);
   pool_.Release(&staged_);
-
-  const double wall_us = WallMicros(t0, std::chrono::steady_clock::now());
-  background_wall_us_hist_->Observe(wall_us);
-  obs::TraceSession& trace = obs::TraceSession::Global();
-  const obs::SpanId span =
-      trace.BeginSpan(node_->name(), "ckpt.background", sim_->Now());
-  trace.AddSpanArg(span, "wall_us", wall_us);
-  trace.AddSpanArg(span, "serialized_bytes",
-                   static_cast<double>(last_capture_stats_.serialized_bytes));
-  trace.EndSpan(span, sim_->Now());
 }
 
 void LocalCheckpointEngine::FinishCapture(CheckpointImageBuilder* builder,
@@ -510,15 +445,14 @@ void LocalCheckpointEngine::OnStateSaved() {
   trace.EndSpan(save_span_, sim_->Now());
   save_span_ = 0;
   // Capture point: inside the suspended window, after the memory image is
-  // saved and before any resume. Two-phase capture only clones state into
-  // staging buffers here and defers the serialize/diff/spill work to the
-  // commit at resume; the synchronous baseline does everything now.
+  // saved and before any resume. Every capture clones state into staging
+  // buffers here; two-phase capture defers the serialize/diff/spill commit
+  // to resume, the synchronous baseline commits now.
   {
     const auto t0 = std::chrono::steady_clock::now();
-    if (policy_.async_capture) {
-      SnapshotComponents();
-    } else {
-      BuildCompositeImage();
+    SnapshotComponents();
+    if (!policy_.async_capture) {
+      CommitPendingCapture();
     }
     frozen_wall_us_hist_->Observe(
         WallMicros(t0, std::chrono::steady_clock::now()));

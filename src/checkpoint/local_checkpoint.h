@@ -66,12 +66,12 @@ struct CheckpointPolicy {
   // PR-2 baseline, and what tab_delta_capture compares against).
   bool delta_images = true;
 
-  // Two-phase capture: during the frozen window only clone component state
-  // into reusable staging buffers (SnapshotState, no framing/CRC/repo I/O);
-  // defer serialization, delta diffing, and the repository spill to a commit
-  // step that runs after the atomic resume. The emitted image is byte-
-  // identical to the synchronous path (test-enforced); only the frozen
-  // window shrinks. Disabling reverts to serialize-inside-the-freeze.
+  // Every capture clones component state into reusable staging buffers
+  // inside the frozen window, then frames, diffs and spills it in a commit
+  // step. Two-phase capture defers that commit until after the atomic resume
+  // (or the first accessor that needs it), so only the clone is frozen-window
+  // time. Disabling commits inside the frozen window. The emitted image is
+  // byte-identical either way (test-enforced).
   bool async_capture = true;
 
   LiveMemorySaver::Params saver;
@@ -157,8 +157,8 @@ class LocalCheckpointEngine : public CheckpointParticipant {
   }
 
   // Commits a pending two-phase capture (serialize + delta diff + publish +
-  // repo spill) if one is staged; no-op otherwise. Called automatically at
-  // atomic resume and from the accessors above.
+  // repo spill) if one is staged, timed as background work; no-op otherwise.
+  // Called automatically at atomic resume and from the accessors above.
   void EnsureCaptureCommitted();
 
   // --- Spill-to-repository mode ------------------------------------------------
@@ -202,23 +202,18 @@ class LocalCheckpointEngine : public CheckpointParticipant {
   // The node's components plus registered extras, built on first use.
   const std::vector<Checkpointable*>& Components();
 
-  // Synchronous capture: serializes all components into the composite
-  // container inside the frozen window and publishes it as last_image().
-  void BuildCompositeImage();
-
-  // Two-phase capture, freeze half: clones component state into the staging
-  // buffer (version-skip entries carry no bytes at all). Runs inside the
-  // frozen window; does no framing, CRC, or repo I/O.
+  // Capture, freeze half: clones component state into the staging buffer
+  // (version-skip entries carry no bytes at all). Runs inside the frozen
+  // window; does no framing, CRC, or repo I/O.
   void SnapshotComponents();
 
-  // Two-phase capture, background half: turns the staged snapshot into the
-  // composite image — byte-identical to what BuildCompositeImage would have
-  // emitted at the freeze point — and publishes/spills it.
+  // Capture, commit half: turns the staged snapshot into the composite image
+  // (delta refs against the tracked payloads) and publishes/spills it.
   void CommitPendingCapture();
 
-  // Shared capture tail: serialize the builder, publish last_image(), spill
-  // to the repository, emit telemetry. `meta` is the engine metadata chunk
-  // the builder starts with.
+  // Commit tail: serialize the builder, publish last_image(), spill to the
+  // repository, emit telemetry. `meta` is the engine metadata chunk the
+  // builder starts with.
   void FinishCapture(CheckpointImageBuilder* builder,
                      const std::vector<uint8_t>& meta, CaptureStats stats);
 
@@ -257,9 +252,10 @@ class LocalCheckpointEngine : public CheckpointParticipant {
   uint64_t parent_image_id_ = 0;  // 0 = next capture is self-contained
   CaptureStats last_capture_stats_;
 
-  // Two-phase capture state. The staged capture is pinned between the freeze
-  // phase (SnapshotComponents, inside the frozen window) and the background
-  // commit (CommitPendingCapture, after resume or on first accessor touch).
+  // Capture state. The staged capture is pinned between the freeze phase
+  // (SnapshotComponents, inside the frozen window) and the commit
+  // (CommitPendingCapture: still frozen when synchronous, else after resume
+  // or on first accessor touch).
   StagingBufferPool pool_;
   StagedCapture staged_;
   bool pending_capture_ = false;

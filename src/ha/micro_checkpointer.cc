@@ -13,7 +13,6 @@ namespace ha {
 MicroCheckpointer::MicroCheckpointer(GeneratedTopology* topo,
                                      MicroCheckpointPolicy policy)
     : topo_(topo), policy_(policy) {
-  topo_->EnableHaCapture();
   coordinator_ = std::make_unique<PartitionEpochCoordinator>(
       topo_->scheduler(), policy_.period,
       [topo](Partition* p) { return topo->CaptureHaPartitionImage(p->id()); });

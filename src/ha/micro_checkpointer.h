@@ -68,8 +68,8 @@ struct MicroCheckpointPolicy {
 
 class MicroCheckpointer {
  public:
-  // `topo` must outlive this object. Enables the topology's HA capture walk
-  // and takes the epoch-0 bootstrap capture; construct before running.
+  // `topo` must outlive this object. Takes the epoch-0 bootstrap capture of
+  // every partition's whole walk; construct before running.
   MicroCheckpointer(GeneratedTopology* topo, MicroCheckpointPolicy policy);
   ~MicroCheckpointer();
 

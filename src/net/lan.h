@@ -49,8 +49,8 @@ class Lan : public PacketHandler {
   uint64_t forwarded_to_gateway() const { return forwarded_to_gateway_; }
 
   // Per-port uplink wires, in attach order (node-id order within the LAN).
-  // The HA capture walk includes them in partition images: they are where a
-  // LAN's in-flight frames live.
+  // GeneratedTopology's restorable (HA) partition images include them: they
+  // are where a LAN's in-flight frames live.
   size_t uplink_count() const { return uplinks_.size(); }
   Wire* uplink(size_t i) { return uplinks_[i].get(); }
 

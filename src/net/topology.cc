@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <span>
 #include <utility>
 
 #include "src/sim/archive.h"
@@ -26,6 +27,32 @@ constexpr uint16_t kPongPort = 8;
 constexpr uint64_t kRxSalt = 0x7061636B6574ull;    // "packet"
 constexpr uint64_t kXorSalt = 0x6D6972726F72ull;   // "mirror"
 constexpr uint64_t kPongSalt = 0x706F6E67ull;      // "pong"
+
+// Builds the composite image of a capture walk directly, which copies each
+// payload once less than staging it and then framing the staged bytes.
+std::vector<uint8_t> CaptureWalk(std::span<Checkpointable* const> walk) {
+  CheckpointImageBuilder builder;
+  for (const Checkpointable* c : walk) {
+    builder.Add(*c);
+  }
+  return builder.Serialize();
+}
+
+// Freeze-phase half of the same capture: the frozen window only pays for the
+// state clone. All bytes land back to back in `out`'s reused staging buffer,
+// and SerializeStagedImage(*out) later yields CaptureWalk's bytes.
+void StageWalk(std::span<Checkpointable* const> walk, StagedCapture* out) {
+  ArchiveWriter w(std::move(out->buffer));
+  for (const Checkpointable* c : walk) {
+    StagedEntry entry;
+    entry.id = c->checkpoint_id();
+    entry.offset = w.size();
+    c->SaveState(&w);
+    entry.size = w.size() - entry.offset;
+    out->entries.push_back(std::move(entry));
+  }
+  out->buffer = w.Take();
+}
 
 }  // namespace
 
@@ -361,10 +388,56 @@ std::unique_ptr<GeneratedTopology> GeneratedTopology::Build(
     }
   }
 
+  topo->FreezeCaptureWalk();
   for (auto& node : topo->nodes_) {
     node->Start();
   }
   return topo;
+}
+
+void GeneratedTopology::FreezeCaptureWalk() {
+  walks_.resize(sims_.size());
+  // Hosts and NICs first, in node-id order: the prefix CapturePartitionImage
+  // serializes, so an HA image is a strict superset of it with the same
+  // leading chunks.
+  for (size_t i = 0; i < nodes_.size(); ++i) {
+    auto& walk = walks_[node_partition_[i]];
+    walk.push_back(nodes_[i].get());
+    walk.push_back(nodes_[i]->nic());
+  }
+  for (const auto& walk : walks_) {
+    host_walk_size_.push_back(walk.size());
+  }
+  // LAN uplink wires: where a segment's in-flight frames live.
+  for (uint32_t l = 0; l < layout_.lans; ++l) {
+    const uint32_t p = lan_partition(l);
+    Lan* lan = lans_[l].get();
+    for (size_t u = 0; u < lan->uplink_count(); ++u) {
+      Wire* w = lan->uplink(u);
+      w->SetCheckpointId("net.wire.lan." + std::to_string(l) + "." +
+                         std::to_string(u));
+      walks_[p].push_back(w);
+    }
+  }
+  // Interior wires belong to the partition that drives their source side; a
+  // cross-partition wire's restorable state (serializer clock, loss rng,
+  // counters) all lives there — its deliveries are boundary posts, not
+  // in-flight entries.
+  for (size_t i = 0; i < interior_wires_.size(); ++i) {
+    Wire* w = interior_wires_[i].get();
+    w->SetCheckpointId("net.wire.x." + std::to_string(i));
+    walks_[interior_wire_partition_[i]].push_back(w);
+  }
+  for (uint32_t z = 0; z < zone_routers_.size(); ++z) {
+    StaticRouter* r = zone_routers_[z].get();
+    r->SetCheckpointId("net.router.zone." + std::to_string(z));
+    walks_[zone_partition_[z]].push_back(r);
+  }
+  for (uint32_t c = 0; c < core_routers_.size(); ++c) {
+    StaticRouter* r = core_routers_[c].get();
+    r->SetCheckpointId("net.router.core." + std::to_string(c));
+    walks_[core_partition_[c]].push_back(r);
+  }
 }
 
 uint64_t GeneratedTopology::BehaviorDigest() const {
@@ -393,117 +466,33 @@ uint64_t GeneratedTopology::PacketsDelivered() const {
 
 std::vector<uint8_t> GeneratedTopology::CapturePartitionImage(
     uint32_t partition) const {
-  CheckpointImageBuilder builder;
-  for (size_t i = 0; i < nodes_.size(); ++i) {
-    if (node_partition_[i] == partition) {
-      builder.Add(*nodes_[i]);
-      builder.Add(*nodes_[i]->nic());
-    }
-  }
-  return builder.Serialize();
+  return CaptureWalk(
+      std::span(walks_[partition]).first(host_walk_size_[partition]));
 }
 
 void GeneratedTopology::SnapshotPartition(uint32_t partition,
                                           StagedCapture* out) const {
-  // Same component walk as CapturePartitionImage, but the frozen window only
-  // pays for the state clone: all bytes land back to back in the reused
-  // staging buffer, framing happens later on the background thread.
-  ArchiveWriter w(std::move(out->buffer));
-  auto stage = [&](const Checkpointable& c) {
-    StagedEntry entry;
-    entry.id = c.checkpoint_id();
-    entry.offset = w.size();
-    c.SnapshotState(&w);
-    entry.size = w.size() - entry.offset;
-    out->entries.push_back(std::move(entry));
-  };
-  for (size_t i = 0; i < nodes_.size(); ++i) {
-    if (node_partition_[i] == partition) {
-      stage(*nodes_[i]);
-      stage(*nodes_[i]->nic());
-    }
-  }
-  out->buffer = w.Take();
-}
-
-void GeneratedTopology::EnableHaCapture() {
-  if (!ha_components_.empty()) {
-    return;  // idempotent: the walk is frozen on first call
-  }
-  ha_components_.resize(sims_.size());
-  // Hosts and NICs first, in node-id order — the same prefix as
-  // CapturePartitionImage, so an HA image is a strict superset of the
-  // classic one with a compatible layout.
-  for (size_t i = 0; i < nodes_.size(); ++i) {
-    auto& list = ha_components_[node_partition_[i]];
-    list.push_back(nodes_[i].get());
-    list.push_back(nodes_[i]->nic());
-  }
-  // LAN uplink wires: where a segment's in-flight frames live.
-  for (uint32_t l = 0; l < layout_.lans; ++l) {
-    const uint32_t p = lan_partition(l);
-    Lan* lan = lans_[l].get();
-    for (size_t u = 0; u < lan->uplink_count(); ++u) {
-      Wire* w = lan->uplink(u);
-      w->SetCheckpointId("net.wire.lan." + std::to_string(l) + "." +
-                         std::to_string(u));
-      ha_components_[p].push_back(w);
-    }
-  }
-  // Interior wires belong to the partition that drives their source side; a
-  // cross-partition wire's restorable state (serializer clock, loss rng,
-  // counters) all lives there — its deliveries are boundary posts, not
-  // in-flight entries.
-  for (size_t i = 0; i < interior_wires_.size(); ++i) {
-    Wire* w = interior_wires_[i].get();
-    w->SetCheckpointId("net.wire.x." + std::to_string(i));
-    ha_components_[interior_wire_partition_[i]].push_back(w);
-  }
-  for (uint32_t z = 0; z < zone_routers_.size(); ++z) {
-    StaticRouter* r = zone_routers_[z].get();
-    r->SetCheckpointId("net.router.zone." + std::to_string(z));
-    ha_components_[zone_partition_[z]].push_back(r);
-  }
-  for (uint32_t c = 0; c < core_routers_.size(); ++c) {
-    StaticRouter* r = core_routers_[c].get();
-    r->SetCheckpointId("net.router.core." + std::to_string(c));
-    ha_components_[core_partition_[c]].push_back(r);
-  }
+  StageWalk(std::span(walks_[partition]).first(host_walk_size_[partition]),
+            out);
 }
 
 std::vector<uint8_t> GeneratedTopology::CaptureHaPartitionImage(
     uint32_t partition) const {
-  assert(!ha_components_.empty() && "call EnableHaCapture first");
-  CheckpointImageBuilder builder;
-  for (const Checkpointable* c : ha_components_[partition]) {
-    builder.Add(*c);
-  }
-  return builder.Serialize();
+  return CaptureWalk(walks_[partition]);
 }
 
 void GeneratedTopology::SnapshotHaPartition(uint32_t partition,
                                             StagedCapture* out) const {
-  assert(!ha_components_.empty() && "call EnableHaCapture first");
-  ArchiveWriter w(std::move(out->buffer));
-  for (const Checkpointable* c : ha_components_[partition]) {
-    StagedEntry entry;
-    entry.id = c->checkpoint_id();
-    entry.offset = w.size();
-    c->SnapshotState(&w);
-    entry.size = w.size() - entry.offset;
-    out->entries.push_back(std::move(entry));
-  }
-  out->buffer = w.Take();
+  StageWalk(walks_[partition], out);
 }
 
 bool GeneratedTopology::RestoreHaPartition(uint32_t partition,
                                            const std::vector<uint8_t>& image) {
-  assert(!ha_components_.empty() && "call EnableHaCapture first");
   CheckpointImageView view(image);
   if (!view.ok()) {
     return false;
   }
-  for (Checkpointable* c : ha_components_[partition]) {
+  for (Checkpointable* c : walks_[partition]) {
     if (!view.RestoreInto(*c)) {
       return false;
     }

@@ -227,29 +227,28 @@ class GeneratedTopology {
   uint64_t PacketsSent() const;
   uint64_t PacketsDelivered() const;
 
-  // Composite checkpoint image of one partition's nodes (and their NICs), in
-  // node-id order. Safe to call concurrently for different partitions from
-  // the scheduler's capture phase.
+  // --- Capture/restore --------------------------------------------------------
+  // Build freezes one deterministic component walk per partition and assigns
+  // checkpoint ids to every wire and router. The walk starts with the
+  // partition's hosts and NICs in node-id order, then its LAN uplink wires,
+  // interior wires, zone routers and core routers.
+
+  // Composite checkpoint image of the walk's host/NIC prefix. Enough for the
+  // digest oracles, not for failover, which must rebuild the *entire*
+  // partition: wires holding in-flight frames, serializer clocks and loss
+  // rngs, router counters. Safe to call concurrently for different
+  // partitions from the scheduler's capture phase.
   std::vector<uint8_t> CapturePartitionImage(uint32_t partition) const;
 
-  // Freeze-phase half of the same capture: clones the partition's node and
-  // NIC state into `out`'s staging buffer without building the image.
+  // Freeze-phase half of the same capture: clones the prefix's state into
+  // `out`'s staging buffer without building the image.
   // SerializeStagedImage(*out) yields bytes identical to
   // CapturePartitionImage(partition). Same concurrency contract.
   void SnapshotPartition(uint32_t partition, StagedCapture* out) const;
 
-  // --- HA capture/restore ---------------------------------------------------
-  // CapturePartitionImage covers hosts and NICs only — enough for the digest
-  // oracles, not for failover, which must rebuild the *entire* partition:
-  // wires holding in-flight frames, serializer clocks and loss rngs, router
-  // counters. EnableHaCapture assigns checkpoint ids to every wire and
-  // router and freezes a deterministic per-partition component walk; call it
-  // once after Build, before the first HA capture.
-  void EnableHaCapture();
-  bool ha_capture_enabled() const { return !ha_components_.empty(); }
-
-  // Composite image of everything restorable in `partition`. Same
-  // concurrency contract as CapturePartitionImage.
+  // Composite image of the whole walk: everything restorable in `partition`.
+  // Its leading chunks are CapturePartitionImage's. Same concurrency
+  // contract.
   std::vector<uint8_t> CaptureHaPartitionImage(uint32_t partition) const;
 
   // Freeze-phase half: SerializeStagedImage(*out) yields bytes identical to
@@ -287,6 +286,10 @@ class GeneratedTopology {
                          uint64_t bandwidth_bps, SimTime delay,
                          PacketHandler* sink);
 
+  // Fills walks_ and host_walk_size_ and names every wire and router. Called
+  // once, at the end of Build.
+  void FreezeCaptureWalk();
+
   GeneratedTopologyParams params_;
   TopologyLayout layout_;
   std::vector<std::unique_ptr<Simulator>> sims_;  // one per partition
@@ -301,10 +304,11 @@ class GeneratedTopology {
   std::vector<uint32_t> core_partition_;           // fat-tree core placement
   std::vector<std::unique_ptr<TrafficNode>> nodes_;
   std::vector<uint32_t> node_partition_;
-  // Per-partition HA component walk, frozen by EnableHaCapture. Order is a
-  // function of topology construction only — identical across runs, so HA
-  // images are byte-comparable between a faulty and a fault-free run.
-  std::vector<std::vector<Checkpointable*>> ha_components_;
+  // Per-partition capture walk, frozen by Build. Order is a function of
+  // topology construction only — identical across runs, so images are
+  // byte-comparable between a faulty and a fault-free run.
+  std::vector<std::vector<Checkpointable*>> walks_;
+  std::vector<size_t> host_walk_size_;  // host/NIC prefix length per walk
   uint64_t next_wire_seed_ = 0;
 };
 

@@ -42,18 +42,6 @@ class Checkpointable {
   // r.ok() before trusting counts read from the archive.
   virtual void RestoreState(ArchiveReader& r) = 0;
 
-  // Freeze-phase fast path for two-phase capture: clone the component's
-  // logical state into a staging buffer while the system is quiesced, so the
-  // expensive work (archive framing, CRC, delta diffing, repo I/O) can run in
-  // the background after the system resumes. The bytes written here MUST be
-  // identical to what SaveState would have produced at the same quiescent
-  // point — the background phase feeds them to the same image builder and the
-  // digest oracle enforces byte identity against synchronous capture. The
-  // default simply delegates to SaveState; components override it only when
-  // they can produce the same bytes faster (e.g. one bulk memcpy of a POD
-  // block instead of field-by-field writes).
-  virtual void SnapshotState(ArchiveWriter* w) const { SaveState(w); }
-
   // Mutation version counter for delta checkpoints. A component that bumps a
   // counter on every mutation of serialized state returns it here; the
   // capture path then skips re-serializing the component when the version is

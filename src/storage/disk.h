@@ -86,22 +86,6 @@ class Disk : public Checkpointable {
     version_.Bump();
   }
 
-  // Freeze-phase fast path: the serialized record is exactly six 8-byte
-  // fields, so clone it with one bulk write instead of six field writes.
-  // Byte-identical to SaveState by construction (Write<T> is a memcpy and
-  // the packed layout below has no padding).
-  void SnapshotState(ArchiveWriter* w) const override {
-    struct Packed {
-      uint64_t head_pos, blocks_read, blocks_written, seeks, short_seeks;
-      SimTime busy_time;
-    };
-    static_assert(sizeof(Packed) == 5 * sizeof(uint64_t) + sizeof(SimTime),
-                  "Packed disk record must match SaveState's byte layout");
-    const Packed packed{head_pos_, blocks_read_,  blocks_written_,
-                        seeks_,    short_seeks_, busy_time_};
-    w->Write(packed);
-  }
-
   // Every serialized field mutates only in StartNext (and RestoreState), so
   // one bump there keeps the version exact: an idle-since-last-capture disk
   // is skipped without re-serialization.

@@ -25,6 +25,8 @@
 #include "src/obs/trace_session.h"
 #include "src/repo/checkpoint_repo.h"
 #include "src/repo/io_fault.h"
+#include "src/sim/image.h"
+#include "src/sim/staging.h"
 #include "src/sim/time.h"
 #include "src/sim/trace.h"
 
@@ -153,7 +155,6 @@ TEST(HaMicroCheckpointTest, SyncBypassMatchesPlainCoordinatorDigests) {
   const HaRunResult ha_run = RunHa(policy, nullptr);
 
   auto topo = GeneratedTopology::Build(SmallParams(), kPartitions, kWorkers);
-  topo->EnableHaCapture();
   PartitionEpochCoordinator epochs(
       topo->scheduler(), kPeriod,
       [&topo](Partition* p) { return topo->CaptureHaPartitionImage(p->id()); });
@@ -162,6 +163,42 @@ TEST(HaMicroCheckpointTest, SyncBypassMatchesPlainCoordinatorDigests) {
   EXPECT_EQ(ha_run.events, topo->EventDigest());
   EXPECT_EQ(ha_run.behavior, topo->BehaviorDigest());
   EXPECT_EQ(ha_run.captures, epochs.CapturesDigest());
+
+  // The frozen walk's contract, on the state the run ends in: each staged
+  // capture frames to its direct capture's bytes, and the host/NIC image is
+  // exactly the partition's hosts and NICs in node-id order — the HA image's
+  // leading chunks.
+  for (uint32_t p = 0; p < topo->partition_count(); ++p) {
+    SCOPED_TRACE("partition " + std::to_string(p));
+    StagedCapture staged_ha;
+    topo->SnapshotHaPartition(p, &staged_ha);
+    const std::vector<uint8_t> ha_image = topo->CaptureHaPartitionImage(p);
+    EXPECT_EQ(SerializeStagedImage(staged_ha), ha_image);
+    StagedCapture staged_host;
+    topo->SnapshotPartition(p, &staged_host);
+    const std::vector<uint8_t> host_image = topo->CapturePartitionImage(p);
+    EXPECT_EQ(SerializeStagedImage(staged_host), host_image);
+
+    std::vector<std::string> host_ids;
+    for (size_t i = 0; i < topo->node_count(); ++i) {
+      if (topo->node_partition(i) == p) {
+        const std::string id = std::to_string(topo->node(i)->id());
+        host_ids.push_back("traffic.node." + id);
+        host_ids.push_back("net.nic." + id);
+      }
+    }
+    const CheckpointImageView host(host_image);
+    const CheckpointImageView ha(ha_image);
+    ASSERT_TRUE(host.ok()) << host.error();
+    ASSERT_TRUE(ha.ok()) << ha.error();
+    EXPECT_EQ(host.ChunkIds(), host_ids);
+    ASSERT_GT(ha.chunk_count(), host.chunk_count());
+    for (size_t c = 0; c < host.chunk_count(); ++c) {
+      const std::string& id = host.ChunkIds()[c];
+      EXPECT_EQ(ha.ChunkIds()[c], id);
+      EXPECT_EQ(ha.Chunk(id), host.Chunk(id)) << id;
+    }
+  }
 }
 
 // --- Determinism: same seed, same run, bit for bit

@@ -181,6 +181,42 @@ TEST_F(LedgerTest, JsonlExportRoundTripsThroughAnalyzerParser) {
   err = "sentinel";
   EXPECT_FALSE(tools::ParseJsonlLine("", &rec, &err));
   EXPECT_TRUE(err.empty());
+
+  // Numbers the record's integer fields cannot hold, and non-finite times,
+  // are rejected with an error naming the key; the range ends are accepted.
+  struct NumberCase {
+    std::string epoch, partition, begin_ms, end_ms;
+    std::string bad_key;  // empty: the line parses
+  };
+  const std::vector<NumberCase> cases = {
+      {"-1", "0", "0.5", "1.5", "epoch"},
+      {"1e30", "0", "0.5", "1.5", "epoch"},
+      {"nan", "0", "0.5", "1.5", "epoch"},
+      {"2.5", "0", "0.5", "1.5", "epoch"},
+      {"3", "1e12", "0.5", "1.5", "partition"},
+      {"3", "-7", "0.5", "1.5", "partition"},
+      {"3", "0", "inf", "1.5", "begin_ms"},
+      {"3", "0", "0.5", "-inf", "end_ms"},
+      {"9007199254740992", "-1", "0.5", "1.5", ""},
+      {"0", "2147483647", "0.5", "1.5", ""},
+  };
+  for (const NumberCase& c : cases) {
+    const std::string line = "{\"epoch\": " + c.epoch + ", \"partition\": " +
+                             c.partition + ", \"phase\": \"window\", " +
+                             "\"begin_ms\": " + c.begin_ms + ", \"end_ms\": " +
+                             c.end_ms + ", \"cause\": \"barrier\"}";
+    SCOPED_TRACE(line);
+    AnalyzerRecord parsed_rec;
+    const bool ok = tools::ParseJsonlLine(line, &parsed_rec, &err);
+    if (c.bad_key.empty()) {
+      ASSERT_TRUE(ok) << err;
+      EXPECT_EQ(parsed_rec.epoch, std::stoull(c.epoch));
+      EXPECT_EQ(parsed_rec.partition, std::stoi(c.partition));
+    } else {
+      EXPECT_FALSE(ok);
+      EXPECT_EQ(err.rfind(c.bad_key, 0), 0u) << err;
+    }
+  }
 }
 
 // --- The instrumented coordinator --------------------------------------------

@@ -172,6 +172,9 @@ void VerifyDeltaChainMatchesFullRestores() {
     // Identical workloads checkpointed at identical instants: the recorded
     // post-resume digests must agree regardless of the image format.
     ASSERT_EQ(rec.full_cap.digest, rec.delta_cap.digest) << "capture " << k;
+    // The full run is the byte-level reference: a delta capture publishes
+    // exactly the self-contained image the full capture emits.
+    EXPECT_EQ(*rec.delta_cap.image, *rec.full_cap.image) << "capture " << k;
     caps.push_back(std::move(rec));
   }
   // The chain actually deltified: later captures reference their parents.

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -77,6 +78,12 @@ bool ParseNumberField(const std::string& line, const std::string& key,
   return true;
 }
 
+// True when `v` is an integer in [lo, hi]; false for NaN and infinities, so
+// a cast of `v` to an integer type that holds [lo, hi] is defined.
+bool IsIntegerIn(double v, double lo, double hi) {
+  return v >= lo && v <= hi && v == std::floor(v);
+}
+
 bool ParseStringField(const std::string& line, const std::string& key,
                       std::string* out) {
   size_t i;
@@ -141,6 +148,21 @@ bool ParseJsonlLine(const std::string& line, AnalyzerRecord* out,
       !ParseNumberField(line, "end_ms", &rec.end_ms) ||
       !ParseStringField(line, "cause", &rec.cause)) {
     *err = "missing required ledger key";
+    return false;
+  }
+  // Range checks before the narrowing casts. Epochs stop at 2^53, the last
+  // integer a double holds exactly; partition -1 is the coordinator shard.
+  if (!IsIntegerIn(epoch, 0.0, 9007199254740992.0)) {
+    *err = "epoch is not an integer in [0, 2^53]";
+    return false;
+  }
+  if (!IsIntegerIn(partition, -1.0, static_cast<double>(INT32_MAX))) {
+    *err = "partition is not an integer in [-1, 2147483647]";
+    return false;
+  }
+  if (!std::isfinite(rec.begin_ms) || !std::isfinite(rec.end_ms)) {
+    *err = std::isfinite(rec.begin_ms) ? "end_ms is not finite"
+                                       : "begin_ms is not finite";
     return false;
   }
   rec.epoch = static_cast<uint64_t>(epoch);

@@ -118,7 +118,9 @@ std::vector<AnalyzerRecord> FromLedger(
     const std::vector<obs::LedgerRecord>& records);
 
 // Parses one exported JSONL line. Returns false (with *err set) on records
-// missing the required keys; blank lines return false with *err empty.
+// missing a required key, with an epoch that is not an integer in [0, 2^53],
+// a partition that is not an integer in [-1, INT32_MAX], or a non-finite
+// begin_ms or end_ms; blank lines return false with *err empty.
 bool ParseJsonlLine(const std::string& line, AnalyzerRecord* out,
                     std::string* err);
 
