@@ -8,8 +8,10 @@
 // for both modes over the same generated fat tree, at 100 and 1000 hosts,
 // with a durable repository attached.
 //
-//   frozen(sync)  = capture wall + spill wall      (all inside the barrier)
+//   frozen(sync)  = capture + fold + spill         (all inside the barrier)
 //   frozen(async) = freeze phase + commit_wait     (barrier time only)
+//
+// Both are EpochRecord::frozen_wall_ms + commit_wait_ms.
 //
 // The bench FAILS (non-zero exit) unless the async run's captures digest and
 // event digest are bit-identical to the synchronous run's at every scale —
@@ -89,9 +91,9 @@ ModeResult RunMode(GeneratedTopologyParams params, uint32_t partitions,
   r.epochs = epochs.history().size();
   for (const auto& rec : epochs.history()) {
     r.epoch_image_bytes += rec.image_bytes;
-    // Barrier occupancy: everything the workload waits on while quiesced.
-    r.frozen_ms += async ? rec.frozen_wall_ms + rec.commit_wait_ms
-                         : rec.wall_ms + rec.spill_wall_ms;
+    // Barrier occupancy: everything the workload waits on while quiesced
+    // (commit_wait_ms is zero on synchronous epochs).
+    r.frozen_ms += rec.frozen_wall_ms + rec.commit_wait_ms;
     r.background_ms += rec.background_wall_ms;
     r.commit_wait_ms += rec.commit_wait_ms;
     r.spill_ok = r.spill_ok && rec.spill_ok;

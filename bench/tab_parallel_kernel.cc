@@ -75,7 +75,7 @@ RunResult RunOnce(const GeneratedTopologyParams& params, uint32_t partitions,
   r.epochs = epochs.history().size();
   for (const auto& rec : epochs.history()) {
     r.epoch_image_bytes += rec.image_bytes;
-    r.epoch_wall_ms += rec.wall_ms;
+    r.epoch_wall_ms += rec.frozen_wall_ms;
   }
   if (r.epochs > 0) {
     r.epoch_image_bytes /= r.epochs;

@@ -1,6 +1,5 @@
 #include "src/checkpoint/epoch_coordinator.h"
 
-#include <algorithm>
 #include <cassert>
 #include <chrono>
 #include <cstdio>
@@ -157,7 +156,6 @@ void PartitionEpochCoordinator::CaptureEpochAsync() {
   }
   rec.frozen_wall_ms =
       std::chrono::duration<double, std::milli>(end - start).count();
-  rec.wall_ms = rec.frozen_wall_ms;
 
   history_.push_back(rec);
   const size_t index = history_.size() - 1;
@@ -199,12 +197,7 @@ void PartitionEpochCoordinator::BackgroundCommit(size_t index) {
       ledger.StampHere(static_cast<int32_t>(p), "serialize.partition", s0,
                        ledger.NowMs(), "background");
     }
-    rec.image_bytes += image->size();
-    captures_digest_.MixBytes(image->data(), image->size());
-    if (batch != nullptr) {
-      batch->Stage(image, /*parent_handle=*/0, /*parent_ticket=*/0,
-                   /*sequence=*/p + 1);
-    }
+    FoldImage(image, &rec, batch.get());
     images[p] = std::move(image);
     pool_.Release(&staged_[p]);
   }
@@ -221,6 +214,18 @@ void PartitionEpochCoordinator::BackgroundCommit(size_t index) {
   obs::EpochLedger::UnbindThread();
 }
 
+void PartitionEpochCoordinator::FoldImage(
+    const std::shared_ptr<const std::vector<uint8_t>>& image, EpochRecord* rec,
+    RepoWriteBatch* batch) {
+  // Staging first lets the hashing pool parse and hash the image while this
+  // thread folds it into the digest.
+  if (batch != nullptr) {
+    batch->Stage(image);
+  }
+  rec->image_bytes += image->size();
+  captures_digest_.MixBytes(image->data(), image->size());
+}
+
 void PartitionEpochCoordinator::CommitSpill(
     std::unique_ptr<RepoWriteBatch> batch, EpochRecord* rec) {
   const auto start = std::chrono::steady_clock::now();
@@ -231,14 +236,11 @@ void PartitionEpochCoordinator::CommitSpill(
                            .count();
   rec->spill_ok = result.ok;
   rec->spill_images = result.images;
-  rec->spill_bytes = result.appended_payload_bytes;
-  // Tickets were issued in stage (worker) order; sequence = partition id is
-  // what fixed the handle order, so the sorted handles are indexed by
+  // Images were staged in partition order, so the handles are indexed by
   // partition.
   spill_handles_.clear();
   if (result.ok) {
     spill_handles_ = result.handles;
-    std::sort(spill_handles_.begin(), spill_handles_.end());
   }
 }
 
@@ -255,26 +257,17 @@ void PartitionEpochCoordinator::CaptureEpoch() {
                ? scheduler_->partition(0)->sim()->Now()
                : next_epoch_;
   if (capture_) {
-    images_.assign(scheduler_->partition_count(), nullptr);
-    std::unique_ptr<RepoWriteBatch> batch =
-        repo_ != nullptr ? repo_->BeginBatch() : nullptr;
+    std::vector<std::shared_ptr<const std::vector<uint8_t>>> images(
+        scheduler_->partition_count());
     const auto start = std::chrono::steady_clock::now();
     const double c0 = lg ? ledger.NowMs() : 0.0;
     // Each capture runs as one pool task and writes only its own slot; the
     // phase barrier inside ForEachPartition publishes the slots back to this
-    // thread. With a repository attached the worker also stages its image
-    // into the shared batch right away (RepoWriteBatch::Stage is
-    // thread-safe), so content hashing overlaps the remaining captures;
-    // sequence = partition id keeps the commit order — and therefore the
-    // repository's bytes — independent of worker interleaving.
-    scheduler_->ForEachPartition([this, &batch, &ledger, lg, k](Partition* p) {
+    // thread, which folds them in partition order.
+    scheduler_->ForEachPartition([this, &images, &ledger, lg, k](Partition* p) {
       const double p0 = lg ? ledger.NowMs() : 0.0;
-      auto image = std::make_shared<const std::vector<uint8_t>>(capture_(p));
-      if (batch != nullptr) {
-        batch->Stage(image, /*parent_handle=*/0, /*parent_ticket=*/0,
-                     /*sequence=*/p->id() + 1);
-      }
-      images_[p->id()] = std::move(image);
+      images[p->id()] =
+          std::make_shared<const std::vector<uint8_t>>(capture_(p));
       if (lg) {
         obs::LedgerRecord lr;
         lr.epoch = k;
@@ -286,16 +279,14 @@ void PartitionEpochCoordinator::CaptureEpoch() {
         ledger.Stamp(p->id(), lr);
       }
     });
-    const auto end = std::chrono::steady_clock::now();
-    rec.wall_ms =
-        std::chrono::duration<double, std::milli>(end - start).count();
-    for (const auto& image : images_) {
-      rec.image_bytes += image->size();
-      captures_digest_.MixBytes(image->data(), image->size());
+    std::unique_ptr<RepoWriteBatch> batch =
+        repo_ != nullptr ? repo_->BeginBatch() : nullptr;
+    for (const auto& image : images) {
+      FoldImage(image, &rec, batch.get());
     }
     if (lg) {
-      // The capture stamp closes after the digest fold: that fold is serial
-      // coordinator work inside the frozen window too.
+      // The capture stamp closes after the fold: the digest and the staging
+      // are serial coordinator work inside the frozen window too.
       ledger.StampHere(-1, "capture", c0, ledger.NowMs(), "barrier");
     }
     if (batch != nullptr) {
@@ -305,8 +296,10 @@ void PartitionEpochCoordinator::CaptureEpoch() {
         ledger.StampHere(-1, "spill", s0, ledger.NowMs(), "group_commit");
       }
     }
-    committed_images_ = std::move(images_);
-    images_.clear();
+    rec.frozen_wall_ms = std::chrono::duration<double, std::milli>(
+                             std::chrono::steady_clock::now() - start)
+                             .count();
+    committed_images_ = std::move(images);
   }
   history_.push_back(rec);
   CloseEpochLedger(k, "sync");

@@ -45,16 +45,15 @@ class PartitionEpochCoordinator {
   struct EpochRecord {
     SimTime at = 0;             // simulated instant of the barrier
     uint64_t image_bytes = 0;   // total bytes across partitions
-    double wall_ms = 0.0;       // wall-clock cost of the frozen capture phase
-                                // (async epochs: the freeze phase only)
+    // Wall-clock barrier time. Synchronous epochs: capture, fold and spill;
+    // async epochs: the freeze phase only.
+    double frozen_wall_ms = 0.0;
     // Spill-to-repository stats (zero unless a repository is attached).
     bool spill_ok = false;        // the epoch's batch committed
     size_t spill_images = 0;      // images published by the batch
-    uint64_t spill_bytes = 0;     // payload bytes appended (post-dedup)
     double spill_wall_ms = 0.0;   // wall-clock cost of the group commit
     // Two-phase (async) epoch stats, zero on synchronous epochs.
     bool async = false;
-    double frozen_wall_ms = 0.0;      // barrier time: snapshot staging only
     double background_wall_ms = 0.0;  // overlapped serialize+hash+commit
     double commit_wait_ms = 0.0;      // barrier time this epoch spent blocked
                                       // on the previous epoch's commit
@@ -107,12 +106,11 @@ class PartitionEpochCoordinator {
   uint64_t epoch_index() const { return epoch_index_; }
 
   // Spill every epoch's captures into `repo` as one group-committed batch:
-  // capture workers stage their partition's image into the shared batch as
-  // soon as it is serialized (hashing overlaps the remaining captures), and
-  // the barrier thread commits once — one segment flush, one journal record,
-  // recovery all-or-nothing. Staging uses sequence = partition id, so the
-  // repository's files are byte-identical to a sequential spill no matter how
-  // captures interleave. Null detaches.
+  // the thread that folds the epoch (the barrier thread, or the background
+  // commit of an async epoch) stages the images in partition order and
+  // commits once — one segment flush, one journal record, recovery
+  // all-or-nothing. The repository's files depend only on the images, never
+  // on the capture mode or worker count. Null detaches.
   void AttachRepository(CheckpointRepo* repo) { repo_ = repo; }
 
   const std::vector<EpochRecord>& history() const { return history_; }
@@ -143,6 +141,11 @@ class PartitionEpochCoordinator {
   // Runs on background_; every coordinator member it touches is protected by
   // the join edges (the thread is joined before the next epoch mutates them).
   void BackgroundCommit(size_t index);
+  // Folds the next partition's image into `rec`, the captures digest and
+  // `batch` (null when no repository is attached). Both capture modes call
+  // it once per partition, in partition order.
+  void FoldImage(const std::shared_ptr<const std::vector<uint8_t>>& image,
+                 EpochRecord* rec, RepoWriteBatch* batch);
   // Group-commits one epoch's batch: records the outcome in `rec` and
   // publishes the handles, indexed by partition, as spill_handles().
   void CommitSpill(std::unique_ptr<RepoWriteBatch> batch, EpochRecord* rec);
@@ -166,9 +169,6 @@ class PartitionEpochCoordinator {
   double ledger_epoch_open_ms_ = -1.0;
   CheckpointRepo* repo_ = nullptr;
   std::vector<EpochRecord> history_;
-  // Scratch, indexed by partition. Shared ownership: the same buffer feeds
-  // the digest fold here and, zero-copy, the repository batch.
-  std::vector<std::shared_ptr<const std::vector<uint8_t>>> images_;
   // Async scratch, indexed by partition: pinned staging buffers reused across
   // epochs. Written by the freeze phase, read by the background commit — the
   // join edge between them is the synchronization.

@@ -28,19 +28,8 @@ constexpr uint64_t kRxSalt = 0x7061636B6574ull;    // "packet"
 constexpr uint64_t kXorSalt = 0x6D6972726F72ull;   // "mirror"
 constexpr uint64_t kPongSalt = 0x706F6E67ull;      // "pong"
 
-// Builds the composite image of a capture walk directly, which copies each
-// payload once less than staging it and then framing the staged bytes.
-std::vector<uint8_t> CaptureWalk(std::span<Checkpointable* const> walk) {
-  CheckpointImageBuilder builder;
-  for (const Checkpointable* c : walk) {
-    builder.Add(*c);
-  }
-  return builder.Serialize();
-}
-
-// Freeze-phase half of the same capture: the frozen window only pays for the
-// state clone. All bytes land back to back in `out`'s reused staging buffer,
-// and SerializeStagedImage(*out) later yields CaptureWalk's bytes.
+// Clones the walk's state into `out`'s reused staging buffer, all bytes back
+// to back; SerializeStagedImage(*out) frames them as the walk's image.
 void StageWalk(std::span<Checkpointable* const> walk, StagedCapture* out) {
   ArchiveWriter w(std::move(out->buffer));
   for (const Checkpointable* c : walk) {
@@ -388,14 +377,14 @@ std::unique_ptr<GeneratedTopology> GeneratedTopology::Build(
     }
   }
 
-  topo->FreezeCaptureWalk();
+  topo->FreezeWalks();
   for (auto& node : topo->nodes_) {
     node->Start();
   }
   return topo;
 }
 
-void GeneratedTopology::FreezeCaptureWalk() {
+void GeneratedTopology::FreezeWalks() {
   walks_.resize(sims_.size());
   // Hosts and NICs first, in node-id order: the prefix CapturePartitionImage
   // serializes, so an HA image is a strict superset of it with the same
@@ -466,8 +455,9 @@ uint64_t GeneratedTopology::PacketsDelivered() const {
 
 std::vector<uint8_t> GeneratedTopology::CapturePartitionImage(
     uint32_t partition) const {
-  return CaptureWalk(
-      std::span(walks_[partition]).first(host_walk_size_[partition]));
+  StagedCapture staged;
+  SnapshotPartition(partition, &staged);
+  return SerializeStagedImage(staged);
 }
 
 void GeneratedTopology::SnapshotPartition(uint32_t partition,
@@ -478,7 +468,9 @@ void GeneratedTopology::SnapshotPartition(uint32_t partition,
 
 std::vector<uint8_t> GeneratedTopology::CaptureHaPartitionImage(
     uint32_t partition) const {
-  return CaptureWalk(walks_[partition]);
+  StagedCapture staged;
+  SnapshotHaPartition(partition, &staged);
+  return SerializeStagedImage(staged);
 }
 
 void GeneratedTopology::SnapshotHaPartition(uint32_t partition,

@@ -233,26 +233,24 @@ class GeneratedTopology {
   // partition's hosts and NICs in node-id order, then its LAN uplink wires,
   // interior wires, zone routers and core routers.
 
-  // Composite checkpoint image of the walk's host/NIC prefix. Enough for the
-  // digest oracles, not for failover, which must rebuild the *entire*
-  // partition: wires holding in-flight frames, serializer clocks and loss
-  // rngs, router counters. Safe to call concurrently for different
-  // partitions from the scheduler's capture phase.
+  // Composite checkpoint image of the walk's host/NIC prefix: the
+  // SerializeStagedImage of SnapshotPartition. Enough for the digest
+  // oracles, not for failover, which must rebuild the *entire* partition:
+  // wires holding in-flight frames, serializer clocks and loss rngs, router
+  // counters. Safe to call concurrently for different partitions from the
+  // scheduler's capture phase.
   std::vector<uint8_t> CapturePartitionImage(uint32_t partition) const;
 
   // Freeze-phase half of the same capture: clones the prefix's state into
-  // `out`'s staging buffer without building the image.
-  // SerializeStagedImage(*out) yields bytes identical to
-  // CapturePartitionImage(partition). Same concurrency contract.
+  // `out`'s staging buffer without framing it. Same concurrency contract.
   void SnapshotPartition(uint32_t partition, StagedCapture* out) const;
 
-  // Composite image of the whole walk: everything restorable in `partition`.
-  // Its leading chunks are CapturePartitionImage's. Same concurrency
-  // contract.
+  // Composite image of the whole walk, the SerializeStagedImage of
+  // SnapshotHaPartition: everything restorable in `partition`. Its leading
+  // chunks are CapturePartitionImage's. Same concurrency contract.
   std::vector<uint8_t> CaptureHaPartitionImage(uint32_t partition) const;
 
-  // Freeze-phase half: SerializeStagedImage(*out) yields bytes identical to
-  // CaptureHaPartitionImage(partition).
+  // Freeze-phase half: clones the whole walk's state into `out`.
   void SnapshotHaPartition(uint32_t partition, StagedCapture* out) const;
 
   // Restores every component of `partition` from an image captured by
@@ -288,7 +286,7 @@ class GeneratedTopology {
 
   // Fills walks_ and host_walk_size_ and names every wire and router. Called
   // once, at the end of Build.
-  void FreezeCaptureWalk();
+  void FreezeWalks();
 
   GeneratedTopologyParams params_;
   TopologyLayout layout_;

@@ -254,8 +254,8 @@ bool CheckpointRepo::ApplyJournalRecord(const JournalRecord& jrec) {
         } else {
           auto parent_it = records_.find(rec.parent_handle);
           if (parent_it == records_.end() ||
-              ResolveChunk(parent_it->second, cr.id, cr.expected_crc,
-                           /*check_crc=*/true) == nullptr) {
+              ResolveChunk(parent_it->second, cr.id, cr.expected_crc) ==
+                  nullptr) {
             error_ = "delta chunk '" + cr.id +
                      "' does not resolve (handle " + std::to_string(handle) +
                      ")";
@@ -335,22 +335,12 @@ bool CheckpointRepo::ApplyJournalRecord(const JournalRecord& jrec) {
 }
 
 const CheckpointRepo::ChunkRef* CheckpointRepo::ResolveChunk(
-    const ImageRecord& rec, const std::string& id, uint32_t expected_crc,
-    bool check_crc) const {
-  static const std::map<uint64_t, ImageRecord> kNoStaged;
-  return ResolveChunkStaged(rec, id, expected_crc, check_crc, kNoStaged);
-}
-
-const CheckpointRepo::ChunkRef* CheckpointRepo::ResolveChunkStaged(
-    const ImageRecord& rec, const std::string& id, uint32_t expected_crc,
-    bool check_crc, const std::map<uint64_t, ImageRecord>& staged) const {
+    const ImageRecord& rec, const std::string& id,
+    uint32_t expected_crc) const {
   const ImageRecord* r = &rec;
   // Walk the parent chain. The hop bound is a cycle guard; real chains are
-  // as deep as the capture history that built them. Handles staged in the
-  // batch being committed shadow nothing — they are brand new — so checking
-  // them first is just the overlay order.
-  const size_t bound = records_.size() + staged.size();
-  for (size_t hops = 0; hops <= bound; ++hops) {
+  // as deep as the capture history that built them.
+  for (size_t hops = 0; hops <= records_.size(); ++hops) {
     const ChunkRef* found = nullptr;
     for (const ChunkRef& cr : r->chunks) {
       if (cr.id == id) {
@@ -362,20 +352,12 @@ const CheckpointRepo::ChunkRef* CheckpointRepo::ResolveChunkStaged(
       return nullptr;
     }
     if (found->kind == kRepoChunkPayloadRef) {
-      if (check_crc && found->key.crc != expected_crc) {
-        return nullptr;
-      }
-      return found;
+      return found->key.crc == expected_crc ? found : nullptr;
     }
     // A parent ref along the chain must pin the same content the caller
     // expects; diverging pins mean the chain was rebuilt underneath us.
-    if (check_crc && found->expected_crc != expected_crc) {
+    if (found->expected_crc != expected_crc) {
       return nullptr;
-    }
-    auto s = staged.find(r->parent_handle);
-    if (s != staged.end()) {
-      r = &s->second;
-      continue;
     }
     auto it = records_.find(r->parent_handle);
     if (it == records_.end()) {
@@ -391,10 +373,9 @@ uint64_t CheckpointRepo::PutImage(const std::vector<uint8_t>& image_bytes,
   // A put is a batch of one: same validation, same rejection strings, one
   // (all-or-nothing) journal record.
   std::unique_ptr<RepoWriteBatch> batch = BeginBatch();
-  const uint64_t ticket =
-      batch->Stage(std::vector<uint8_t>(image_bytes), parent_handle);
+  batch->Stage(std::vector<uint8_t>(image_bytes), parent_handle);
   const BatchCommitResult result = CommitBatch(std::move(batch));
-  return result.ok ? result.handles[ticket - 1] : 0;
+  return result.ok ? result.handles[0] : 0;
 }
 
 std::unique_ptr<RepoWriteBatch> CheckpointRepo::BeginBatch() {
@@ -410,16 +391,16 @@ CheckpointRepo::BatchCommitResult CheckpointRepo::CommitBatch(
     return result;
   }
   // From here the batch is quiescent: staging has stopped (the caller handed
-  // over ownership) and WaitHashed() synchronizes with the last hash task,
-  // so every entry is plain data owned by this thread.
+  // over ownership) and WaitPrepared() synchronizes with the last task, so
+  // every entry is plain data owned by this thread.
   obs::EpochLedger& ledger = obs::EpochLedger::Global();
   const bool lg = ledger.enabled();
   const double lh0 = lg ? ledger.NowMs() : 0.0;
-  batch->WaitHashed();
+  batch->WaitPrepared();
   if (lg) {
     ledger.StampHere(-1, "repo.hash_wait", lh0, ledger.NowMs(), "hash_pool");
   }
-  std::vector<std::unique_ptr<RepoWriteBatch::Entry>>& entries =
+  const std::vector<std::unique_ptr<RepoWriteBatch::Entry>>& entries =
       batch->entries_;
   result.handles.assign(entries.size(), 0);
   result.staged_bytes = batch->staged_bytes_;
@@ -433,29 +414,17 @@ CheckpointRepo::BatchCommitResult CheckpointRepo::CommitBatch(
   const obs::SpanId span =
       trace.BeginSpan("repo", "repo.commit", trace.LastTime());
 
-  // Deterministic publication order: (sequence, ticket). Handles, segment
-  // offsets, and the journal record depend only on this order, so a run
-  // staging from N threads produces byte-identical repository files to the
-  // sequential oracle staging the same images with the same sequence keys.
-  std::vector<RepoWriteBatch::Entry*> order;
-  order.reserve(entries.size());
-  for (const auto& e : entries) {
-    order.push_back(e.get());
-  }
-  std::sort(order.begin(), order.end(),
-            [](const RepoWriteBatch::Entry* a, const RepoWriteBatch::Entry* b) {
-              return a->sequence != b->sequence ? a->sequence < b->sequence
-                                                : a->ticket < b->ticket;
-            });
-
+  // Publication order is stage order: handles, segment offsets, and the
+  // journal record depend only on the staged images and their order.
   std::string err;
-  std::map<uint64_t, ImageRecord> staged;      // handle -> record, this commit
-  std::map<uint64_t, uint64_t> ticket_handle;  // ticket -> assigned handle
+  std::vector<ImageRecord> staged;  // this commit's records, in stage order
+  staged.reserve(entries.size());
   std::map<ContentKey, uint64_t> staged_offsets;  // appended this commit
   uint64_t dedup_hits = 0;
   const double la0 = lg ? ledger.NowMs() : 0.0;
 
-  for (RepoWriteBatch::Entry* e : order) {
+  for (const auto& owned : entries) {
+    const RepoWriteBatch::Entry* e = owned.get();
     if (!e->parsed_ok) {
       err = e->parse_error;
       break;
@@ -475,34 +444,17 @@ CheckpointRepo::BatchCommitResult CheckpointRepo::CommitBatch(
 
     const ImageRecord* parent = nullptr;
     if (e->delta_ref_count != 0) {
-      uint64_t parent_handle = e->parent_handle;
-      if (e->parent_ticket != 0) {
-        // Staged-but-uncommitted parent, named by its ticket. The sequence
-        // order must already place it before this child.
-        auto t = ticket_handle.find(e->parent_ticket);
-        if (t == ticket_handle.end()) {
-          err = "delta parent ticket " + std::to_string(e->parent_ticket) +
-                " was not staged before its child in this batch";
-          break;
-        }
-        parent_handle = t->second;
-      }
-      if (parent_handle == 0) {
+      if (e->parent_handle == 0) {
         err = "delta image requires its parent's handle";
         break;
       }
-      auto s = staged.find(parent_handle);
-      if (s != staged.end()) {
-        parent = &s->second;
-      } else {
-        auto it = records_.find(parent_handle);
-        if (it == records_.end() || retained_.count(parent_handle) == 0) {
-          err = "unknown or unretained parent handle " +
-                std::to_string(parent_handle);
-          break;
-        }
-        parent = &it->second;
+      auto it = records_.find(e->parent_handle);
+      if (it == records_.end() || retained_.count(e->parent_handle) == 0) {
+        err = "unknown or unretained parent handle " +
+              std::to_string(e->parent_handle);
+        break;
       }
+      parent = &it->second;
       if (parent->embedded_id != e->embedded_parent) {
         err = "parent handle names image " +
               std::to_string(parent->embedded_id) +
@@ -510,22 +462,21 @@ CheckpointRepo::BatchCommitResult CheckpointRepo::CommitBatch(
               std::to_string(e->embedded_parent);
         break;
       }
-      rec.parent_handle = parent_handle;
+      rec.parent_handle = e->parent_handle;
     }
 
     // Validate this entry's whole chunk table before touching the segment:
     // payload CRCs were proven by the hashing pool, delta refs must resolve
-    // through the (staged ∪ committed) chain. Earlier entries of a failing
-    // batch may already have appended — those bytes become orphans the next
-    // GC reclaims, never a visible image.
+    // through the committed chain. Earlier entries of a failing batch may
+    // already have appended — those bytes become orphans the next GC
+    // reclaims, never a visible image.
     for (const RepoWriteBatch::StagedChunk& sc : e->chunks) {
       if (sc.kind == kChunkKindPayload) {
         if (!sc.crc_ok) {
           err = "malformed image: CRC mismatch in chunk '" + sc.id + "'";
           break;
         }
-      } else if (ResolveChunkStaged(*parent, sc.id, sc.declared_crc,
-                                    /*check_crc=*/true, staged) == nullptr) {
+      } else if (ResolveChunk(*parent, sc.id, sc.declared_crc) == nullptr) {
         err = "stale or unresolvable delta ref for chunk '" + sc.id + "'";
         break;
       }
@@ -570,8 +521,7 @@ CheckpointRepo::BatchCommitResult CheckpointRepo::CommitBatch(
     if (!err.empty()) {
       break;
     }
-    ticket_handle.emplace(e->ticket, handle);
-    staged.emplace(handle, std::move(rec));
+    staged.push_back(std::move(rec));
   }
 
   if (lg) {
@@ -592,8 +542,9 @@ CheckpointRepo::BatchCommitResult CheckpointRepo::CommitBatch(
   if (err.empty()) {
     ArchiveWriter w;
     w.Write<uint64_t>(staged.size());
-    for (const auto& [handle, rec] : staged) {
-      const std::vector<uint8_t> sub = EncodeImageRecord(handle, rec);
+    for (size_t i = 0; i < staged.size(); ++i) {
+      const std::vector<uint8_t> sub =
+          EncodeImageRecord(next_handle_ + i, staged[i]);
       w.Write<uint64_t>(sub.size());
       w.WriteBytes(sub.data(), sub.size());
     }
@@ -623,23 +574,22 @@ CheckpointRepo::BatchCommitResult CheckpointRepo::CommitBatch(
   }
 
   // Publish in memory: register payload offsets, install the records, and
-  // retain each new image in handle order (parents first). A put only adds
-  // live records, so this reaches the state a full rebuild would, at a cost
-  // proportional to the new images rather than to the whole history.
+  // retain each new image in handle order. A put only adds live records, so
+  // this reaches the state a full rebuild would, at a cost proportional to
+  // the new images rather than to the whole history.
   result.images = staged.size();
-  next_handle_ += staged.size();
-  for (auto& [handle, rec] : staged) {
-    for (const ChunkRef& cr : rec.chunks) {
+  for (size_t i = 0; i < staged.size(); ++i) {
+    const uint64_t handle = next_handle_ + i;
+    for (const ChunkRef& cr : staged[i].chunks) {
       if (cr.kind == kRepoChunkPayloadRef) {
         payloads_[cr.key].offset = cr.offset;
       }
     }
-    records_.emplace(handle, std::move(rec));
+    records_.emplace(handle, std::move(staged[i]));
     Retain(handle);
+    result.handles[i] = handle;
   }
-  for (const auto& [ticket, handle] : ticket_handle) {
-    result.handles[ticket - 1] = handle;
-  }
+  next_handle_ += staged.size();
   logical_put_bytes_ += result.logical_payload_bytes;
   physical_put_bytes_ += result.appended_payload_bytes;
 
@@ -712,8 +662,7 @@ std::vector<uint8_t> CheckpointRepo::Materialize(uint64_t handle) {
       auto parent_it = records_.find(rec.parent_handle);
       src = parent_it == records_.end()
                 ? nullptr
-                : ResolveChunk(parent_it->second, cr.id, cr.expected_crc,
-                               /*check_crc=*/true);
+                : ResolveChunk(parent_it->second, cr.id, cr.expected_crc);
       if (src == nullptr) {
         error_ = "broken parent chain at chunk '" + cr.id + "'";
         return {};
@@ -753,8 +702,7 @@ size_t CheckpointRepo::CompactChains(size_t max_depth) {
       const ChunkRef* src =
           parent_it == records_.end()
               ? nullptr
-              : ResolveChunk(parent_it->second, cr.id, cr.expected_crc,
-                             /*check_crc=*/true);
+              : ResolveChunk(parent_it->second, cr.id, cr.expected_crc);
       if (src == nullptr) {
         resolvable = false;
         break;

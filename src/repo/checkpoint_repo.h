@@ -56,8 +56,8 @@ struct RepoOptions {
   bool fsync = false;
 
   // Background hashing threads for the batched put path (content keys + CRC
-  // verification of staged payloads). 0 hashes inline on the staging thread
-  // — the sequential oracle for the concurrent path.
+  // verification of staged payloads). 0 hashes inline on the staging thread.
+  // The thread count never changes the repository's bytes.
   uint32_t hash_threads = 2;
 };
 
@@ -88,19 +88,19 @@ class CheckpointRepo {
 
   // --- Batched group commit ----------------------------------------------------
   //
-  // The epoch-scale put path (see write_batch.h): stage many images — from
-  // any thread, zero-copy — then publish them with one segment flush and one
-  // atomic journal record. PutImage itself is a batch of one.
+  // The epoch-scale put path (see write_batch.h): stage many images —
+  // zero-copy, hashed on the background pool — then publish them with one
+  // segment flush and one atomic journal record. PutImage itself is a batch
+  // of one.
 
-  // Starts an empty batch bound to this repository. Batches are independent:
-  // several may stage concurrently, but commits happen one at a time on the
-  // repository's owning thread.
+  // Starts an empty batch bound to this repository, to be staged and
+  // committed on the repository's owning thread.
   std::unique_ptr<RepoWriteBatch> BeginBatch();
 
   struct BatchCommitResult {
     bool ok = false;
     std::string error;                   // set when !ok
-    std::vector<uint64_t> handles;       // indexed by ticket - 1; 0 on failure
+    std::vector<uint64_t> handles;       // in stage order; 0 on failure
     size_t images = 0;                   // images published
     uint64_t staged_bytes = 0;           // serialized image bytes staged
     uint64_t logical_payload_bytes = 0;  // payload bytes offered
@@ -108,13 +108,13 @@ class CheckpointRepo {
   };
 
   // Validates and publishes the whole batch, all-or-nothing: handles are
-  // assigned in (sequence, ticket) order, delta parents resolve against
-  // committed records *or* earlier entries of this same batch, every new
-  // payload is appended behind one flush, and a single kJournalBatchPut
-  // record publishes the epoch. On any rejection or I/O error nothing is
-  // published — the repository stays at its previous state (orphan segment
-  // bytes, if any, are garbage for the next GC) and `error` says why. An
-  // empty batch commits trivially. error() mirrors the result's error.
+  // assigned in stage order, delta parents resolve against committed
+  // records, every new payload is appended behind one flush, and a single
+  // kJournalBatchPut record publishes the epoch. On any rejection or I/O
+  // error nothing is published — the repository stays at its previous state
+  // (orphan segment bytes, if any, are garbage for the next GC) and `error`
+  // says why. An empty batch commits trivially. error() mirrors the result's
+  // error.
   BatchCommitResult CommitBatch(std::unique_ptr<RepoWriteBatch> batch);
 
   // The background hashing pool shared by this repository's batches.
@@ -219,16 +219,10 @@ class CheckpointRepo {
   bool ApplyJournalRecord(const JournalRecord& rec);
 
   // Resolves chunk `id` of `rec` to its payload ref, walking parent-ref
-  // chunks up the chain. Null if the chain is broken.
+  // chunks up the chain. Every hop must pin `expected_crc`. Null if the chain
+  // is broken or pins other content.
   const ChunkRef* ResolveChunk(const ImageRecord& rec, const std::string& id,
-                               uint32_t expected_crc, bool check_crc) const;
-
-  // Same walk, but parent handles also resolve through `staged` — records of
-  // a batch being committed, visible to later entries of that batch before
-  // publication.
-  const ChunkRef* ResolveChunkStaged(
-      const ImageRecord& rec, const std::string& id, uint32_t expected_crc,
-      bool check_crc, const std::map<uint64_t, ImageRecord>& staged) const;
+                               uint32_t expected_crc) const;
 
   // Adds `handle` and the ancestors its delta chunks resolve through to the
   // retained set, raising the payload refcounts and live byte count of each

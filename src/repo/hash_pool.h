@@ -2,11 +2,11 @@
 //
 // The batched put path (write_batch.h) needs every payload's ContentKey
 // (FNV-1a 64 + CRC32) before commit. Hashing is the CPU half of a put; the
-// pool overlaps it with the staging threads' serialization and with the
+// pool overlaps it with the staging thread's serialization and with the
 // commit thread's segment I/O, exactly the register-while-sending discipline
 // of qemu's micro-checkpointing RDMA path. Tasks are opaque closures: the
-// pool knows nothing of batches, and a RepoWriteBatch tracks its own pending
-// count to wait for just *its* tasks.
+// pool knows nothing of batches, and a RepoWriteBatch counts its own done
+// tasks to wait for just *its* tasks.
 //
 // With zero threads every task runs inline on the submitting thread — the
 // sequential oracle for the concurrent path (same results, same order of

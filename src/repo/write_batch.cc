@@ -10,24 +10,32 @@ namespace tcsim {
 RepoWriteBatch::RepoWriteBatch(CheckpointRepo* repo) : repo_(repo) {}
 
 RepoWriteBatch::~RepoWriteBatch() {
-  // In-flight hash tasks hold raw pointers into entries_ (and `this`).
-  WaitHashed();
+  // In-flight tasks hold raw pointers into entries_ (and `this`).
+  WaitPrepared();
 }
 
-uint64_t RepoWriteBatch::Stage(
-    std::shared_ptr<const std::vector<uint8_t>> image, uint64_t parent_handle,
-    uint64_t parent_ticket, uint64_t sequence) {
+void RepoWriteBatch::Stage(std::shared_ptr<const std::vector<uint8_t>> image,
+                           uint64_t parent_handle) {
   auto owned = std::make_unique<Entry>();
   Entry* entry = owned.get();
   entry->bytes = std::move(image);
   entry->parent_handle = parent_handle;
-  entry->parent_ticket = parent_ticket;
+  staged_bytes_ += entry->bytes->size();
+  entries_.push_back(std::move(owned));
+  repo_->hash_pool().Submit([this, entry] { PrepareEntry(entry); });
+}
 
-  // Structural parse on the staging thread: O(chunk count), no payload copy,
-  // no hashing. A malformed image is remembered and rejected at commit with
-  // the same error PutImage would have produced.
+void RepoWriteBatch::Stage(std::vector<uint8_t>&& image,
+                           uint64_t parent_handle) {
+  Stage(std::make_shared<const std::vector<uint8_t>>(std::move(image)),
+        parent_handle);
+}
+
+void RepoWriteBatch::PrepareEntry(Entry* entry) {
+  // Structural parse: O(chunk count), no payload copy. A malformed image is
+  // remembered and rejected at commit with the same error PutImage would
+  // have produced.
   CheckpointImageLiteView view(*entry->bytes);
-  size_t payload_chunks = 0;
   if (view.ok()) {
     entry->parsed_ok = true;
     entry->format_version = view.format_version();
@@ -40,75 +48,31 @@ uint64_t RepoWriteBatch::Stage(
       sc.id = c.id;
       sc.kind = c.kind;
       sc.declared_crc = c.crc;
-      sc.span = c.payload;
+      if (c.kind == kChunkKindPayload) {
+        sc.span = c.payload;
+        sc.key = ContentKeyOf(c.payload.data, c.payload.size);
+        // The envelope's declared CRC is re-proven against the actual bytes
+        // — the same integrity gate CheckpointImageView applies eagerly.
+        sc.crc_ok = sc.key.crc == c.crc;
+      }
       entry->chunks.push_back(std::move(sc));
-      payload_chunks += c.kind == kChunkKindPayload ? 1 : 0;
     }
   } else {
     entry->parse_error = "malformed image: " + view.error();
   }
-
-  uint64_t ticket = 0;
-  const bool hash = entry->parsed_ok && payload_chunks != 0;
   {
     std::lock_guard<std::mutex> lock(mu_);
-    ticket = entries_.size() + 1;
-    entry->ticket = ticket;
-    entry->sequence = sequence == kSequenceStageOrder ? ticket : sequence;
-    staged_bytes_ += entry->bytes->size();
-    if (hash) {
-      ++hash_pending_;
-    }
-    entries_.push_back(std::move(owned));
-  }
-  if (hash) {
-    repo_->hash_pool().Submit([this, entry] { HashEntry(entry); });
-  }
-  return ticket;
-}
-
-uint64_t RepoWriteBatch::Stage(std::vector<uint8_t>&& image,
-                               uint64_t parent_handle, uint64_t parent_ticket,
-                               uint64_t sequence) {
-  return Stage(
-      std::make_shared<const std::vector<uint8_t>>(std::move(image)),
-      parent_handle, parent_ticket, sequence);
-}
-
-size_t RepoWriteBatch::staged_count() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return entries_.size();
-}
-
-uint64_t RepoWriteBatch::staged_bytes() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return staged_bytes_;
-}
-
-void RepoWriteBatch::HashEntry(Entry* entry) {
-  for (StagedChunk& sc : entry->chunks) {
-    if (sc.kind != kChunkKindPayload) {
-      continue;
-    }
-    sc.key = ContentKeyOf(sc.span.data, sc.span.size);
-    // The envelope's declared CRC is re-proven against the actual bytes —
-    // the same integrity gate CheckpointImageView applied eagerly, moved off
-    // the staging thread.
-    sc.crc_ok = sc.key.crc == sc.declared_crc;
-  }
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    --hash_pending_;
-    // Notify under the lock: the moment a waiter observes hash_pending_ == 0
+    ++prepared_;
+    // Notify under the lock: the moment a waiter observes the last task done
     // it may destroy this batch, so the notify must complete before the
     // waiter can re-acquire the mutex and return.
-    hashed_cv_.notify_all();
+    prepared_cv_.notify_all();
   }
 }
 
-void RepoWriteBatch::WaitHashed() {
+void RepoWriteBatch::WaitPrepared() {
   std::unique_lock<std::mutex> lock(mu_);
-  hashed_cv_.wait(lock, [this] { return hash_pending_ == 0; });
+  prepared_cv_.wait(lock, [this] { return prepared_ == entries_.size(); });
 }
 
 }  // namespace tcsim

@@ -1,26 +1,27 @@
-// An epoch-scoped staging area for batched, concurrent puts.
+// An epoch-scoped staging area for batched puts.
 //
 // The per-put path (CheckpointRepo::PutImage) pays a parse-with-copies, a
 // hash pass, and a flush-per-record journal commit for every image. A batch
-// amortizes all three across an epoch: callers *stage* serialized images —
-// zero-copy, by sharing the buffer — from any thread; a lite structural
-// parse happens on the staging thread and content hashing + CRC verification
-// run on the repository's background hashing pool, overlapped with further
-// staging and captures. CommitBatch then validates, appends every new
-// payload to the segment (one flush), and publishes the whole epoch with a
-// single journal record (one flush) — recovery sees it all-or-nothing.
+// amortizes all three across an epoch: the caller *stages* serialized images
+// — zero-copy, by sharing the buffer — and each image's lite structural
+// parse, content hashing and CRC verification run as one task on the
+// repository's background hashing pool, overlapped with further staging.
+// CommitBatch then validates, appends every new payload to the segment (one
+// flush), and publishes the whole epoch with a single journal record (one
+// flush) — recovery sees it all-or-nothing.
 //
 // Determinism: handles, segment offsets, and the journal record are assigned
-// at commit in (sequence, ticket) order, never at stage time, so a parallel
-// run staging from N threads produces byte-identical repository files to the
-// sequential oracle staging the same images with the same sequence keys.
+// at commit in stage order, so the repository's bytes depend only on the
+// staged images and their order, never on the number of hashing threads.
 //
 // Thread contract:
-//  - Stage() is safe from any thread, concurrently.
-//  - CommitBatch() (on the repository) must be called from the single thread
-//    that owns the repository; it waits for the batch's hash tasks first.
+//  - Stage() and CommitBatch() (on the repository) run on the single thread
+//    that owns the repository; CommitBatch waits for the batch's tasks
+//    first.
+//  - A delta image names its parent by a committed repository handle; a
+//    parent staged in the same batch has no handle yet.
 //  - A batch belongs to the repository that created it and must not outlive
-//    it (the destructor waits for in-flight hash tasks).
+//    it (the destructor waits for in-flight tasks).
 
 #ifndef TCSIM_SRC_REPO_WRITE_BATCH_H_
 #define TCSIM_SRC_REPO_WRITE_BATCH_H_
@@ -41,31 +42,22 @@ class CheckpointRepo;
 
 class RepoWriteBatch {
  public:
-  // Default sequence: commit in stage order (the ticket).
-  static constexpr uint64_t kSequenceStageOrder = ~uint64_t{0};
-
   ~RepoWriteBatch();
   RepoWriteBatch(const RepoWriteBatch&) = delete;
   RepoWriteBatch& operator=(const RepoWriteBatch&) = delete;
 
-  // Stages one serialized image (format v1 or v2, full or delta) and returns
-  // its 1-based ticket — the index of its handle in the commit result.
-  // Rejections surface at commit, never here. A delta image names its parent
-  // either by committed repository handle (`parent_handle`) or, for a parent
-  // staged in this same batch, by that parent's ticket (`parent_ticket`,
-  // which must sort before the child). `sequence` fixes the commit order
-  // between concurrent stagers (e.g. the partition id); ties break by ticket.
-  uint64_t Stage(std::shared_ptr<const std::vector<uint8_t>> image,
-                 uint64_t parent_handle = 0, uint64_t parent_ticket = 0,
-                 uint64_t sequence = kSequenceStageOrder);
+  // Stages one serialized image (format v1 or v2, full or delta); the i-th
+  // staged image gets the commit result's handles[i]. Rejections surface at
+  // commit, never here. A delta image names its parent by committed
+  // repository handle (`parent_handle`).
+  void Stage(std::shared_ptr<const std::vector<uint8_t>> image,
+             uint64_t parent_handle = 0);
   // Ownership-transfer convenience for callers holding a plain buffer (e.g.
   // straight out of ArchiveWriter::Take()).
-  uint64_t Stage(std::vector<uint8_t>&& image, uint64_t parent_handle = 0,
-                 uint64_t parent_ticket = 0,
-                 uint64_t sequence = kSequenceStageOrder);
+  void Stage(std::vector<uint8_t>&& image, uint64_t parent_handle = 0);
 
-  size_t staged_count() const;
-  uint64_t staged_bytes() const;
+  size_t staged_count() const { return entries_.size(); }
+  uint64_t staged_bytes() const { return staged_bytes_; }
 
  private:
   friend class CheckpointRepo;
@@ -75,18 +67,15 @@ class RepoWriteBatch {
     uint8_t kind = 0;
     uint32_t declared_crc = 0;  // payload: envelope CRC; delta ref: parent pin
     ByteSpan span;              // payload bytes inside `Entry::bytes`
-    ContentKey key;             // filled by the hashing task
-    bool crc_ok = false;        // computed CRC == declared CRC
+    ContentKey key;             // payload: the content key
+    bool crc_ok = false;        // payload: computed CRC == declared CRC
   };
 
-  // Heap-stable (vector of unique_ptr): hash tasks write into their entry
-  // while the entries vector grows under other stagers.
+  // Heap-stable (vector of unique_ptr): an entry's task fills in everything
+  // after parent_handle while later Stage calls grow the entries vector.
   struct Entry {
-    uint64_t ticket = 0;
-    uint64_t sequence = 0;
     std::shared_ptr<const std::vector<uint8_t>> bytes;
     uint64_t parent_handle = 0;
-    uint64_t parent_ticket = 0;
     bool parsed_ok = false;
     std::string parse_error;
     uint32_t format_version = 0;
@@ -98,18 +87,20 @@ class RepoWriteBatch {
 
   explicit RepoWriteBatch(CheckpointRepo* repo);
 
-  // Hashing-pool task: content keys + CRC verdicts for one entry's payload
-  // chunks. The entry is exclusively the task's until the pending count drops
-  // under mu_ — the commit thread only reads entries after WaitHashed().
-  void HashEntry(Entry* entry);
-  void WaitHashed();
+  // Hashing-pool task: the structural parse, then content keys + CRC
+  // verdicts for the entry's payload chunks. The entry is exclusively the
+  // task's until it counts itself done under mu_ — the commit thread only
+  // reads entries after WaitPrepared().
+  void PrepareEntry(Entry* entry);
+  // Waits until every staged entry's task is done.
+  void WaitPrepared();
 
   CheckpointRepo* repo_;
-  mutable std::mutex mu_;
-  std::condition_variable hashed_cv_;
-  size_t hash_pending_ = 0;                      // guarded by mu_
-  std::vector<std::unique_ptr<Entry>> entries_;  // growth guarded by mu_
-  uint64_t staged_bytes_ = 0;                    // guarded by mu_
+  std::vector<std::unique_ptr<Entry>> entries_;  // grown by Stage only
+  uint64_t staged_bytes_ = 0;
+  std::mutex mu_;
+  std::condition_variable prepared_cv_;
+  size_t prepared_ = 0;  // entries whose task is done; guarded by mu_
 };
 
 }  // namespace tcsim

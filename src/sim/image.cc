@@ -54,12 +54,6 @@ void CheckpointImageBuilder::AddDeltaChunk(std::string id,
       PendingChunk{std::move(id), kChunkKindDeltaRef, {}, expected_parent_crc});
 }
 
-void CheckpointImageBuilder::Add(const Checkpointable& c) {
-  ArchiveWriter w;
-  c.SaveState(&w);
-  AddChunk(c.checkpoint_id(), w.Take());
-}
-
 void CheckpointImageBuilder::SetDeltaHeader(uint64_t image_id,
                                             uint64_t parent_id) {
   delta_header_ = true;

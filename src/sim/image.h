@@ -83,9 +83,6 @@ class CheckpointImageBuilder {
   // with a nonzero parent before Serialize.
   void AddDeltaChunk(std::string id, uint32_t expected_parent_crc);
 
-  // Serializes `c` into a payload chunk named by its checkpoint_id().
-  void Add(const Checkpointable& c);
-
   // Switches the builder to format v2 with the given identity and parent
   // link. `parent_id` 0 marks a self-contained image (no delta refs allowed).
   void SetDeltaHeader(uint64_t image_id, uint64_t parent_id);

@@ -1,22 +1,36 @@
 #include "src/sim/staging.h"
 
+#include <cassert>
 #include <utility>
 
+#include "src/sim/archive.h"
 #include "src/sim/image.h"
 
 namespace tcsim {
 
 std::vector<uint8_t> SerializeStagedImage(const StagedCapture& capture) {
-  CheckpointImageBuilder builder;
+  // The v1 layout of CheckpointImageBuilder::Serialize, sized once: each
+  // staged entry is copied straight from the staging buffer into the image.
+  size_t total = 2 * sizeof(uint32_t) + sizeof(uint64_t);
   for (const StagedEntry& entry : capture.entries) {
-    if (entry.version_skip) {
-      builder.AddDeltaChunk(entry.id, entry.parent_crc);
-    } else {
-      const uint8_t* p = capture.entry_data(entry);
-      builder.AddChunk(entry.id, std::vector<uint8_t>(p, p + entry.size));
-    }
+    // A delta ref needs a v2 image with a parent; partition images have none.
+    assert(!entry.version_skip);
+    total += sizeof(uint64_t) + entry.id.size() + sizeof(uint64_t) +
+             sizeof(uint32_t) + entry.size;
   }
-  return builder.Serialize();
+  ArchiveWriter w;
+  w.Reserve(total);
+  w.Write<uint32_t>(kImageMagic);
+  w.Write<uint32_t>(kImageFormatVersion);
+  w.Write<uint64_t>(capture.entries.size());
+  for (const StagedEntry& entry : capture.entries) {
+    const uint8_t* p = capture.entry_data(entry);
+    w.WriteString(entry.id);
+    w.Write<uint64_t>(entry.size);
+    w.Write<uint32_t>(Crc32(p, entry.size));
+    w.WriteBytes(p, entry.size);
+  }
+  return w.Take();
 }
 
 void StagingBufferPool::Acquire(StagedCapture* out) {

@@ -55,10 +55,11 @@ struct StagedCapture {
   }
 };
 
-// Background-phase helper: turns a staged capture into a serialized
-// composite image, byte-identical to building the image directly from the
-// components at the freeze point (AddChunk per entry in staged order;
-// version-skip entries become delta refs pinned by their recorded CRC).
+// The one writer of partition images: frames a staged capture as a v1
+// composite image in a single pass, byte-identical to a
+// CheckpointImageBuilder given one AddChunk per entry in staged order. No
+// entry may be a version skip: a delta ref needs a v2 image with a parent,
+// which only the engine builds (LocalCheckpointEngine frames its own).
 std::vector<uint8_t> SerializeStagedImage(const StagedCapture& capture);
 
 // Pool of reusable staging backing vectors. Thread-safe: the background

@@ -26,7 +26,6 @@
 #include "src/repo/checkpoint_repo.h"
 #include "src/repo/io_fault.h"
 #include "src/sim/image.h"
-#include "src/sim/staging.h"
 #include "src/sim/time.h"
 #include "src/sim/trace.h"
 
@@ -145,6 +144,18 @@ void ExpectTransparent(const HaRunResult& faulty, const HaRunResult& clean,
   ExpectTraceIdentical(faulty.trace, clean.trace);
 }
 
+// Re-frames `image` through the builder: every chunk's id and payload, read
+// back in file order, added with AddChunk.
+std::vector<uint8_t> ReframeThroughBuilder(const std::vector<uint8_t>& image) {
+  const CheckpointImageView view(image);
+  EXPECT_TRUE(view.ok()) << view.error();
+  CheckpointImageBuilder builder;
+  for (const std::string& id : view.ChunkIds()) {
+    builder.AddChunk(id, view.Chunk(id));
+  }
+  return builder.Serialize();
+}
+
 // --- Sync bypass: the HA driver is a no-op wrapper when its features are off
 
 TEST(HaMicroCheckpointTest, SyncBypassMatchesPlainCoordinatorDigests) {
@@ -164,20 +175,17 @@ TEST(HaMicroCheckpointTest, SyncBypassMatchesPlainCoordinatorDigests) {
   EXPECT_EQ(ha_run.behavior, topo->BehaviorDigest());
   EXPECT_EQ(ha_run.captures, epochs.CapturesDigest());
 
-  // The frozen walk's contract, on the state the run ends in: each staged
-  // capture frames to its direct capture's bytes, and the host/NIC image is
+  // The frozen walk's contract, on the state the run ends in: each image
+  // keeps its bytes when its chunks are re-framed through
+  // CheckpointImageBuilder, the reference writer, and the host/NIC image is
   // exactly the partition's hosts and NICs in node-id order — the HA image's
   // leading chunks.
   for (uint32_t p = 0; p < topo->partition_count(); ++p) {
     SCOPED_TRACE("partition " + std::to_string(p));
-    StagedCapture staged_ha;
-    topo->SnapshotHaPartition(p, &staged_ha);
     const std::vector<uint8_t> ha_image = topo->CaptureHaPartitionImage(p);
-    EXPECT_EQ(SerializeStagedImage(staged_ha), ha_image);
-    StagedCapture staged_host;
-    topo->SnapshotPartition(p, &staged_host);
+    EXPECT_EQ(ReframeThroughBuilder(ha_image), ha_image);
     const std::vector<uint8_t> host_image = topo->CapturePartitionImage(p);
-    EXPECT_EQ(SerializeStagedImage(staged_host), host_image);
+    EXPECT_EQ(ReframeThroughBuilder(host_image), host_image);
 
     std::vector<std::string> host_ids;
     for (size_t i = 0; i < topo->node_count(); ++i) {

@@ -9,6 +9,7 @@
 #include <iterator>
 #include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/dummynet/pipe.h"
@@ -18,6 +19,7 @@
 #include "src/sim/image.h"
 #include "src/sim/random.h"
 #include "src/sim/simulator.h"
+#include "src/sim/staging.h"
 #include "src/storage/branch_store.h"
 #include "src/storage/disk.h"
 
@@ -42,6 +44,18 @@ class Counter : public Checkpointable {
   std::string id_;
 };
 
+std::vector<uint8_t> SaveOf(const Checkpointable& c) {
+  ArchiveWriter w;
+  c.SaveState(&w);
+  return w.Take();
+}
+
+std::vector<uint8_t> PayloadOf(uint64_t value) {
+  ArchiveWriter w;
+  w.Write<uint64_t>(value);
+  return w.Take();
+}
+
 TEST(Crc32Test, MatchesKnownVector) {
   const char* s = "123456789";
   EXPECT_EQ(Crc32(reinterpret_cast<const uint8_t*>(s), 9), 0xCBF43926u);
@@ -52,8 +66,8 @@ TEST(ImageContainerTest, RoundTripsChunksThroughSerialization) {
   Counter a("a"), b("b");
   a.value = 17;
   b.value = 42;
-  builder.Add(a);
-  builder.Add(b);
+  builder.AddChunk(a.checkpoint_id(), SaveOf(a));
+  builder.AddChunk(b.checkpoint_id(), SaveOf(b));
   const std::vector<uint8_t> image = builder.Serialize();
 
   CheckpointImageView view(image);
@@ -66,12 +80,35 @@ TEST(ImageContainerTest, RoundTripsChunksThroughSerialization) {
   EXPECT_TRUE(view.RestoreInto(b2));
   EXPECT_EQ(a2.value, 17u);
   EXPECT_EQ(b2.value, 42u);
+
+  // The partition-image writer frames a staged capture as the builder frames
+  // the same chunks: here an empty id, an empty payload and a 28-byte id, and
+  // a capture with no entries at all.
+  const std::vector<std::pair<std::string, std::vector<uint8_t>>> chunks = {
+      {"", PayloadOf(17)},
+      {"empty-payload", {}},
+      {"net.wire.lan.123.4.uplink.id", {1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11}},
+  };
+  StagedCapture staged;
+  CheckpointImageBuilder reference;
+  for (const auto& [id, payload] : chunks) {
+    StagedEntry entry;
+    entry.id = id;
+    entry.offset = staged.buffer.size();
+    entry.size = payload.size();
+    staged.buffer.insert(staged.buffer.end(), payload.begin(), payload.end());
+    staged.entries.push_back(entry);
+    reference.AddChunk(id, payload);
+  }
+  EXPECT_EQ(SerializeStagedImage(staged), reference.Serialize());
+  EXPECT_EQ(SerializeStagedImage(StagedCapture{}),
+            CheckpointImageBuilder().Serialize());
 }
 
 TEST(ImageContainerTest, RejectsBadMagic) {
   CheckpointImageBuilder builder;
   Counter a("a");
-  builder.Add(a);
+  builder.AddChunk(a.checkpoint_id(), SaveOf(a));
   std::vector<uint8_t> image = builder.Serialize();
   image[0] ^= 0xFF;
   CheckpointImageView view(image);
@@ -82,7 +119,7 @@ TEST(ImageContainerTest, RejectsBadMagic) {
 TEST(ImageContainerTest, RejectsUnsupportedFormatVersion) {
   CheckpointImageBuilder builder;
   Counter a("a");
-  builder.Add(a);
+  builder.AddChunk(a.checkpoint_id(), SaveOf(a));
   std::vector<uint8_t> image = builder.Serialize();
   // The version field follows the u32 magic. Patch past the delta format —
   // version 2 is supported now.
@@ -96,8 +133,8 @@ TEST(ImageContainerTest, RejectsEveryTruncationPoint) {
   CheckpointImageBuilder builder;
   Counter a("component-with-a-name"), b("b");
   a.value = 7;
-  builder.Add(a);
-  builder.Add(b);
+  builder.AddChunk(a.checkpoint_id(), SaveOf(a));
+  builder.AddChunk(b.checkpoint_id(), SaveOf(b));
   const std::vector<uint8_t> image = builder.Serialize();
   // No prefix of a valid image is itself valid; none may crash (the
   // sanitize-preset run of this test is the no-UB acceptance check).
@@ -112,7 +149,7 @@ TEST(ImageContainerTest, RejectsFlippedPayloadBit) {
   CheckpointImageBuilder builder;
   Counter a("a");
   a.value = 0x0123456789ABCDEFull;
-  builder.Add(a);
+  builder.AddChunk(a.checkpoint_id(), SaveOf(a));
   std::vector<uint8_t> image = builder.Serialize();
   // The payload is the last 8 bytes of the image; corrupt one of them.
   image[image.size() - 3] ^= 0x10;
@@ -123,8 +160,8 @@ TEST(ImageContainerTest, RejectsFlippedPayloadBit) {
   // In v1 a repeated chunk id loses to the first, but its bytes are still
   // CRC-checked: a flipped bit anywhere in the image is an error.
   CheckpointImageBuilder dup;
-  dup.Add(a);
-  dup.Add(a);
+  dup.AddChunk(a.checkpoint_id(), SaveOf(a));
+  dup.AddChunk(a.checkpoint_id(), SaveOf(a));
   std::vector<uint8_t> shadowed = dup.Serialize();
   ASSERT_TRUE(CheckpointImageView(shadowed).ok());
   shadowed[shadowed.size() - 3] ^= 0x10;
@@ -138,7 +175,7 @@ TEST(ImageContainerTest, UnknownChunksAreSkipped) {
   CheckpointImageBuilder builder;
   Counter known("known");
   known.value = 5;
-  builder.Add(known);
+  builder.AddChunk(known.checkpoint_id(), SaveOf(known));
   builder.AddChunk("from.the.future", {1, 2, 3, 4});
   const std::vector<uint8_t> image = builder.Serialize();
 
@@ -152,7 +189,7 @@ TEST(ImageContainerTest, UnknownChunksAreSkipped) {
 TEST(ImageContainerTest, MissingChunkLeavesComponentUntouched) {
   CheckpointImageBuilder builder;
   Counter a("a");
-  builder.Add(a);
+  builder.AddChunk(a.checkpoint_id(), SaveOf(a));
   const std::vector<uint8_t> image = builder.Serialize();
 
   CheckpointImageView view(image);
@@ -175,18 +212,12 @@ TEST(ImageContainerTest, ShortChunkReportsPartialRestore) {
 
 // --- Format v2 (delta images) --------------------------------------------------
 
-std::vector<uint8_t> PayloadOf(uint64_t value) {
-  ArchiveWriter w;
-  w.Write<uint64_t>(value);
-  return w.Take();
-}
-
 TEST(DeltaImageTest, SelfContainedV2RoundTrips) {
   CheckpointImageBuilder builder;
   builder.SetDeltaHeader(/*image_id=*/5, /*parent_id=*/0);
   Counter a("a");
   a.value = 17;
-  builder.Add(a);
+  builder.AddChunk(a.checkpoint_id(), SaveOf(a));
   const std::vector<uint8_t> image = builder.Serialize();
 
   CheckpointImageView view(image);
@@ -455,12 +486,6 @@ TEST(ImageMutationTest, EveryMutantIsRejectedOrRoundTrips) {
 }
 
 // --- Per-component round trips ------------------------------------------------
-
-std::vector<uint8_t> SaveOf(const Checkpointable& c) {
-  ArchiveWriter w;
-  c.SaveState(&w);
-  return w.Take();
-}
 
 TEST(ComponentRoundTripTest, RngRestoreReproducesSequence) {
   Rng rng(123);

@@ -568,7 +568,7 @@ std::vector<uint8_t> FileBytes(const std::filesystem::path& p) {
 }
 
 // The checkpointed fat tree of `input` on 4 partitions, spilling every epoch
-// into a fresh repository at `dir` through the shared write batch.
+// into a fresh repository at `dir`, one write batch per epoch.
 SpillResult RunSpill(const SpillInput& input, bool async, uint32_t workers,
                      const std::string& dir) {
   std::filesystem::remove_all(dir);
@@ -606,9 +606,9 @@ SpillResult RunSpill(const SpillInput& input, bool async, uint32_t workers,
 TEST(EpochCoordinatorTest, RepositorySpillIsDeterministicAndReopensIntact) {
   namespace fs = std::filesystem;
   // The same checkpointed fat tree twice — the sequential oracle and a
-  // 3-worker run — each spilling every epoch into its own repository through
-  // the shared write batch. Capture workers stage concurrently; sequence =
-  // partition id must make the repositories byte-identical anyway.
+  // 3-worker run — each spilling every epoch into its own repository. Capture
+  // workers run concurrently, then the barrier thread stages their images in
+  // partition order, so the repositories must be byte-identical.
   for (const SpillInput& input : kSpillInputs) {
     SCOPED_TRACE(std::to_string(input.hosts) + " hosts");
     const std::string seq_dir =

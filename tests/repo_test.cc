@@ -16,7 +16,6 @@
 #include <memory>
 #include <set>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "src/checkpoint/epoch_coordinator.h"
@@ -448,6 +447,195 @@ TEST_F(RepoDurabilityTest, SurvivesSegmentTruncationAtEveryByte) {
   TruncationSweep(dir_, "segment.1", /*expect_some_open=*/false);
 }
 
+std::vector<uint8_t> FileBytes(const fs::path& p) {
+  std::error_code ec;
+  const uintmax_t size = fs::file_size(p, ec);
+  std::vector<uint8_t> bytes(ec ? 0 : size);
+  std::ifstream in(p, std::ios::binary);
+  in.read(reinterpret_cast<char*>(bytes.data()),
+          static_cast<std::streamsize>(bytes.size()));
+  return bytes;
+}
+
+void WriteFileBytes(const fs::path& p, const std::vector<uint8_t>& bytes) {
+  std::ofstream out(p, std::ios::binary | std::ios::trunc);
+  out.write(reinterpret_cast<const char*>(bytes.data()),
+            static_cast<std::streamsize>(bytes.size()));
+}
+
+// --- Seeded mutation fuzzing of the repository files ----------------------------
+//
+// Each mutant is a copy of a small repository holding every record type a
+// live repository journals, with its journal or segment changed. A raw
+// mutant (bit flips, a truncation, or 8 bytes overwritten with a value near
+// a boundary) must be refused with an error, or open with every live handle
+// materializing to exactly the bytes that handle had in the intact
+// repository. A re-framed mutant changes one journal record's payload and
+// then gives the record a valid CRC, so corrupt content reaches the record
+// decoder and the replay: the open must refuse, or leave a usable repository
+// in which every Materialize succeeds or reports an error and a put, a
+// compaction and a GC run. The sanitize-preset run of this test is the no-UB
+// check of the repository's decoders.
+
+// Byte range of one journal record's payload; its CRC32 follows it.
+struct JournalPayload {
+  size_t offset = 0;
+  size_t size = 0;
+};
+
+// Splits a journal file into record payloads, following the framing in
+// src/repo/repo_format.h: magic u32 | type u8 | length u64 | payload | CRC.
+std::vector<JournalPayload> JournalPayloads(
+    const std::vector<uint8_t>& journal) {
+  constexpr size_t kLengthAt = 4 + 1;
+  std::vector<JournalPayload> payloads;
+  size_t pos = kJournalHeaderBytes;
+  while (pos + kJournalRecordOverhead <= journal.size()) {
+    uint64_t len = 0;
+    std::memcpy(&len, journal.data() + pos + kLengthAt, sizeof len);
+    payloads.push_back({pos + kLengthAt + sizeof len, len});
+    pos += kJournalRecordOverhead + len;
+  }
+  EXPECT_EQ(pos, journal.size());
+  return payloads;
+}
+
+class RepoMutationTest : public RepoTest {
+ protected:
+  // A full put, a delta put, a two-image batch (a full image and a delta on
+  // a committed parent), a retire, a compaction folding both deltas and a
+  // last put: 7 journal records. Records the bytes each handle materialized
+  // to while it was live.
+  void BuildSeed() {
+    auto repo = OpenRepo();
+    const uint64_t h1 = repo->PutImage(FullImage(1, 10, 20));
+    ASSERT_NE(h1, 0u) << repo->error();
+    ASSERT_NE(repo->PutImage(DeltaImage(2, 1, 11, 20), h1), 0u)
+        << repo->error();
+    auto batch = repo->BeginBatch();
+    batch->Stage(FullImage(3, 30, 40));
+    batch->Stage(DeltaImage(4, 1, 12, 20), h1);
+    ASSERT_TRUE(repo->CommitBatch(std::move(batch)).ok) << repo->error();
+    for (const uint64_t handle : repo->LiveHandles()) {
+      intact_[handle] = repo->Materialize(handle);
+    }
+    ASSERT_TRUE(repo->RetireImage(h1)) << repo->error();
+    ASSERT_EQ(repo->CompactChains(), 2u);
+    const uint64_t h5 = repo->PutImage(FullImage(5, 50, 60));
+    ASSERT_NE(h5, 0u) << repo->error();
+    intact_[h5] = repo->Materialize(h5);
+    ASSERT_EQ(intact_.size(), 5u);
+  }
+
+  std::map<uint64_t, std::vector<uint8_t>> intact_;
+};
+
+TEST_F(RepoMutationTest, EveryMutantIsRefusedOrOpensConsistent) {
+  ASSERT_NO_FATAL_FAILURE(BuildSeed());
+  const fs::path seed(dir_);
+  const std::vector<uint8_t> current = FileBytes(seed / "CURRENT");
+  const std::vector<uint8_t> journal = FileBytes(seed / "journal.1");
+  const std::vector<uint8_t> segment = FileBytes(seed / "segment.1");
+  const std::vector<JournalPayload> records = JournalPayloads(journal);
+  ASSERT_EQ(records.size(), 7u);
+  const uint64_t kValues[] = {0, 1, 8, 0x7FFFFFFFull, 0x4000000000000000ull,
+                              ~0ull};
+
+  Rng rng(0x2E90);
+  const auto below = [&rng](size_t n) {
+    return static_cast<size_t>(rng.NextUint64() % n);
+  };
+  const auto flip_bits = [&below](uint8_t* p, size_t n) {
+    for (size_t k = 0, flips = 1 + below(3); k < flips; ++k) {
+      p[below(n)] ^= static_cast<uint8_t>(1u << below(8));
+    }
+  };
+  // Overwrites 8 bytes of p[0, n), n >= 8, with a boundary value or one of
+  // its neighbours.
+  const auto overwrite = [&below, &kValues](uint8_t* p, size_t n) {
+    const uint64_t value = kValues[below(std::size(kValues))] +
+                           static_cast<uint64_t>(below(3)) - 1;
+    std::memcpy(p + below(n - 7), &value, sizeof value);
+  };
+
+  // Inline hashing: no pool threads are started per open.
+  RepoOptions options;
+  options.hash_threads = 0;
+  const fs::path mutant_dir = dir_ + "_mutant";
+  size_t raw_opened = 0, raw_refused = 0;
+  size_t reframed_opened = 0, reframed_refused = 0;
+  for (int round = 0; round < 2000; ++round) {
+    std::vector<uint8_t> mutant_journal = journal;
+    std::vector<uint8_t> mutant_segment = segment;
+    const bool reframed = round % 2 == 1;
+    if (!reframed) {
+      std::vector<uint8_t>& file =
+          below(2) == 0 ? mutant_journal : mutant_segment;
+      switch (below(3)) {
+        case 0:
+          flip_bits(file.data(), file.size());
+          break;
+        case 1:
+          file.resize(below(file.size()));
+          break;
+        case 2:
+          overwrite(file.data(), file.size());
+          break;
+      }
+    } else {
+      const JournalPayload& record = records[below(records.size())];
+      uint8_t* payload = mutant_journal.data() + record.offset;
+      if (below(2) == 0) {
+        flip_bits(payload, record.size);
+      } else {
+        overwrite(payload, record.size);
+      }
+      const uint32_t crc = Crc32(payload, record.size);
+      std::memcpy(payload + record.size, &crc, sizeof crc);
+    }
+    fs::remove_all(mutant_dir);
+    fs::create_directories(mutant_dir);
+    WriteFileBytes(mutant_dir / "CURRENT", current);
+    WriteFileBytes(mutant_dir / "journal.1", mutant_journal);
+    WriteFileBytes(mutant_dir / "segment.1", mutant_segment);
+
+    std::string error;
+    auto repo = CheckpointRepo::Open(mutant_dir.string(), options, &error);
+    if (repo == nullptr) {
+      EXPECT_FALSE(error.empty()) << "mutant " << round;
+      ++(reframed ? reframed_refused : raw_refused);
+      continue;
+    }
+    ++(reframed ? reframed_opened : raw_opened);
+    for (const uint64_t handle : repo->LiveHandles()) {
+      const std::vector<uint8_t> image = repo->Materialize(handle);
+      if (reframed) {
+        EXPECT_TRUE(!image.empty() || !repo->error().empty())
+            << "mutant " << round << ", handle " << handle;
+        continue;
+      }
+      const auto it = intact_.find(handle);
+      EXPECT_TRUE(it != intact_.end() && image == it->second)
+          << "mutant " << round << " opened with handle " << handle
+          << " holding bytes it never had";
+    }
+    if (reframed) {
+      EXPECT_TRUE(repo->PutImage(FullImage(6, 70, 80)) != 0 ||
+                  !repo->error().empty())
+          << "mutant " << round;
+      repo->CompactChains();
+      EXPECT_TRUE(repo->CollectGarbage().ok || !repo->error().empty())
+          << "mutant " << round;
+    }
+  }
+  fs::remove_all(mutant_dir);
+  // Every outcome occurs: the mutator reaches past the rejection paths.
+  EXPECT_GT(raw_opened, 0u);
+  EXPECT_GT(raw_refused, 0u);
+  EXPECT_GT(reframed_opened, 0u);
+  EXPECT_GT(reframed_refused, 0u);
+}
+
 // --- End-to-end: a persisted TimeTravelTree across process restarts -----------
 
 TimeTravelTree::Factory TreeFactory() {
@@ -628,34 +816,32 @@ TEST_F(RepoTest, BatchCommitsEpochAllAtOnceAndMatchesOracle) {
   const uint64_t committed = repo->PutImage(FullImage(1, 10, 20));
   ASSERT_NE(committed, 0u) << repo->error();
 
-  // One epoch: a full image plus a delta whose parent is staged in the same
-  // batch, named by ticket rather than by a (not yet existing) handle.
+  // One epoch: a full image plus a delta on the committed image. Handles
+  // follow stage order.
   auto batch = repo->BeginBatch();
-  const uint64_t t_full = batch->Stage(FullImage(2, 30, 40));
-  const uint64_t t_delta = batch->Stage(DeltaImage(3, 2, 31, 40),
-                                        /*parent_handle=*/0,
-                                        /*parent_ticket=*/t_full);
+  batch->Stage(FullImage(2, 30, 40));
+  batch->Stage(DeltaImage(3, 1, 31, 20), committed);
   EXPECT_EQ(batch->staged_count(), 2u);
   const auto result = repo->CommitBatch(std::move(batch));
   ASSERT_TRUE(result.ok) << result.error;
   EXPECT_EQ(result.images, 2u);
   ASSERT_EQ(result.handles.size(), 2u);
-  const uint64_t h_full = result.handles[t_full - 1];
-  const uint64_t h_delta = result.handles[t_delta - 1];
+  const uint64_t h_full = result.handles[0];
+  const uint64_t h_delta = result.handles[1];
   ASSERT_NE(h_full, 0u);
   ASSERT_NE(h_delta, 0u);
 
   EXPECT_EQ(repo->live_image_count(), 3u);
-  EXPECT_EQ(repo->ParentHandleOf(h_delta), h_full);
+  EXPECT_EQ(repo->ParentHandleOf(h_delta), committed);
   EXPECT_EQ(repo->ChainDepth(h_delta), 1u);
   EXPECT_EQ(repo->Materialize(h_full), FullImage(2, 30, 40));
-  EXPECT_EQ(repo->Materialize(h_delta), FullImage(3, 31, 40));
+  EXPECT_EQ(repo->Materialize(h_delta), FullImage(3, 31, 20));
 
   // The epoch survives a restart exactly as committed.
   repo.reset();
   repo = OpenRepo();
   EXPECT_EQ(repo->live_image_count(), 3u);
-  EXPECT_EQ(repo->Materialize(h_delta), FullImage(3, 31, 40));
+  EXPECT_EQ(repo->Materialize(h_delta), FullImage(3, 31, 20));
 
   // An empty batch is a no-op commit.
   const auto empty = repo->CommitBatch(repo->BeginBatch());
@@ -678,18 +864,6 @@ TEST_F(RepoTest, BatchRejectionIsAllOrNothing) {
   EXPECT_FALSE(result.ok);
   EXPECT_NE(result.error.find("delta ref"), std::string::npos) << result.error;
   EXPECT_EQ(result.handles, (std::vector<uint64_t>{0, 0, 0}));
-  EXPECT_EQ(repo->live_image_count(), 1u);
-
-  // A staged-parent ordering violation (the child would commit before its
-  // parent) is caught, not silently reordered.
-  auto bad_order = repo->BeginBatch();
-  bad_order->Stage(DeltaImage(3, 2, 31, 40), /*parent_handle=*/0,
-                   /*parent_ticket=*/2, /*sequence=*/1);
-  bad_order->Stage(FullImage(2, 30, 40), 0, 0, /*sequence=*/2);
-  const auto reordered = repo->CommitBatch(std::move(bad_order));
-  EXPECT_FALSE(reordered.ok);
-  EXPECT_NE(reordered.error.find("staged before"), std::string::npos)
-      << reordered.error;
   EXPECT_EQ(repo->live_image_count(), 1u);
 
   // The repository is still fully usable after rejections.
@@ -721,20 +895,21 @@ TEST_F(RepoTest, IncrementalRetentionMatchesRebuild) {
   const uint64_t h1 = repo->PutImage(FullImage(1, 10, 20));
   ASSERT_NE(h1, 0u) << repo->error();
   expect_matches_rebuild("full image");
+  const uint64_t h2 = repo->PutImage(FullImage(2, 30, 40));
+  ASSERT_NE(h2, 0u) << repo->error();
+  expect_matches_rebuild("second full image");
 
-  // One epoch: a full image, a delta on it by ticket, a delta on h1 from an
-  // earlier commit, and a full image whose payloads all dedup against h1.
+  // One epoch: a delta on h2, a delta on h1, and a full image whose payloads
+  // all dedup against h1.
   auto batch = repo->BeginBatch();
-  const uint64_t t2 = batch->Stage(FullImage(2, 30, 40));
-  const uint64_t t3 = batch->Stage(DeltaImage(3, 2, 31, 40), 0, t2);
-  const uint64_t t4 = batch->Stage(DeltaImage(4, 1, 11, 20), h1);
-  const uint64_t t5 = batch->Stage(FullImage(5, 10, 20));
+  batch->Stage(DeltaImage(3, 2, 31, 40), h2);
+  batch->Stage(DeltaImage(4, 1, 11, 20), h1);
+  batch->Stage(FullImage(5, 10, 20));
   const std::vector<uint64_t> epoch1 = commit(std::move(batch));
-  ASSERT_EQ(epoch1.size(), 4u);
-  const uint64_t h2 = epoch1[t2 - 1];
-  const uint64_t h3 = epoch1[t3 - 1];
-  const uint64_t h4 = epoch1[t4 - 1];
-  const uint64_t h5 = epoch1[t5 - 1];
+  ASSERT_EQ(epoch1.size(), 3u);
+  const uint64_t h3 = epoch1[0];
+  const uint64_t h4 = epoch1[1];
+  const uint64_t h5 = epoch1[2];
   ASSERT_EQ(repo->ParentHandleOf(h3), h2);
   ASSERT_EQ(repo->ParentHandleOf(h4), h1);
   expect_matches_rebuild("mixed epoch");
@@ -748,7 +923,7 @@ TEST_F(RepoTest, IncrementalRetentionMatchesRebuild) {
 
   ASSERT_TRUE(repo->RetireImage(h2)) << repo->error();
   ASSERT_TRUE(repo->RetireImage(h5)) << repo->error();
-  expect_matches_rebuild("retire in-batch parent and dedup twin");
+  expect_matches_rebuild("retire a delta parent and a dedup twin");
 
   // Folding the chains unpins h1 and h2: a new delta on h1 is refused and
   // leaves the repository unchanged.
@@ -767,44 +942,34 @@ TEST_F(RepoTest, IncrementalRetentionMatchesRebuild) {
   EXPECT_FALSE(repo->Has(h2));
   expect_matches_rebuild("gc");
 
-  // Commits after GC: a full image sharing one payload with the folded h3,
-  // a delta on h3 across batches, and a delta on that delta by ticket.
+  // Commits after GC: a full image sharing one payload with the folded h3
+  // and a delta on h3 across batches, then a delta on that delta.
   batch = repo->BeginBatch();
   batch->Stage(FullImage(8, 30, 40));
-  const uint64_t t9 = batch->Stage(DeltaImage(9, 3, 32, 40), h3);
-  const uint64_t t10 = batch->Stage(DeltaImage(10, 9, 33, 40), 0, t9);
+  batch->Stage(DeltaImage(9, 3, 32, 40), h3);
   const std::vector<uint64_t> epoch2 = commit(std::move(batch));
-  ASSERT_EQ(epoch2.size(), 3u);
+  ASSERT_EQ(epoch2.size(), 2u);
   expect_matches_rebuild("epoch after gc");
+  const uint64_t h10 = repo->PutImage(DeltaImage(10, 9, 33, 40), epoch2[1]);
+  ASSERT_NE(h10, 0u) << repo->error();
+  expect_matches_rebuild("delta on a delta");
 
   ASSERT_TRUE(repo->RetireImage(h3)) << repo->error();
-  ASSERT_TRUE(repo->RetireImage(epoch2[t9 - 1])) << repo->error();
+  ASSERT_TRUE(repo->RetireImage(epoch2[1])) << repo->error();
   ASSERT_TRUE(repo->RetireImage(h4)) << repo->error();
-  ASSERT_NE(repo->PutImage(DeltaImage(11, 10, 34, 40), epoch2[t10 - 1]), 0u)
+  ASSERT_NE(repo->PutImage(DeltaImage(11, 10, 34, 40), h10), 0u)
       << repo->error();
   expect_matches_rebuild("delta under a retired chain");
   EXPECT_GT(repo->live_payload_bytes(), 0u);
   EXPECT_GT(repo->garbage_payload_bytes(), 0u);
 }
 
-std::vector<uint8_t> FileBytes(const fs::path& p) {
-  std::error_code ec;
-  const uintmax_t size = fs::file_size(p, ec);
-  std::vector<uint8_t> bytes(ec ? 0 : size);
-  std::ifstream in(p, std::ios::binary);
-  in.read(reinterpret_cast<char*>(bytes.data()),
-          static_cast<std::streamsize>(bytes.size()));
-  return bytes;
-}
-
-TEST_F(RepoTest, ConcurrentStagersProduceByteIdenticalRepository) {
+TEST_F(RepoTest, HashThreadsProduceByteIdenticalRepository) {
   // One epoch of images through a per-put repository — the oracle, one
-  // commit per image with inline hashing — and through one batch staged from
-  // 1, 2 and 4 threads (the single stager hashes inline, the others on a
-  // hashing pool). Explicit sequence keys pin the commit order: every batch
-  // materializes like the oracle, the batch repositories' files are
-  // byte-identical, and a fresh process reading them materializes like the
-  // oracle too.
+  // commit per image with inline hashing — and through one batch hashed
+  // inline and on 2 and 4 pool threads. Every batch materializes like the
+  // oracle, the batch repositories' files are byte-identical, and a fresh
+  // process reading them materializes like the oracle too.
   auto check = [this](const std::vector<std::vector<uint8_t>>& images) {
     std::string error;
     RepoOptions inline_hashing;
@@ -820,32 +985,22 @@ TEST_F(RepoTest, ConcurrentStagersProduceByteIdenticalRepository) {
     oracle.reset();
     fs::remove_all(oracle_dir);
 
-    std::vector<uint8_t> segment, journal;  // the single stager's files
-    for (const uint32_t stagers : {1u, 2u, 4u}) {
-      SCOPED_TRACE(std::to_string(stagers) + " stagers");
-      const std::string dir = dir_ + "_stagers" + std::to_string(stagers);
+    std::vector<uint8_t> segment, journal;  // the inline-hashed batch's files
+    for (const uint32_t hash_threads : {0u, 2u, 4u}) {
+      SCOPED_TRACE(std::to_string(hash_threads) + " hash threads");
+      const std::string dir = dir_ + "_hash" + std::to_string(hash_threads);
       fs::remove_all(dir);
       RepoOptions opts;
-      opts.hash_threads = stagers == 1 ? 0 : stagers;
+      opts.hash_threads = hash_threads;
       auto repo = CheckpointRepo::Open(dir, opts, &error);
       ASSERT_NE(repo, nullptr) << error;
       auto batch = repo->BeginBatch();
-      std::vector<std::thread> threads;
-      for (uint32_t t = 0; t < stagers; ++t) {
-        threads.emplace_back([&batch, &images, t, stagers] {
-          for (uint64_t i = t; i < images.size(); i += stagers) {
-            batch->Stage(std::vector<uint8_t>(images[i]), 0, 0,
-                         /*sequence=*/i + 1);
-          }
-        });
-      }
-      for (std::thread& thread : threads) {
-        thread.join();
+      for (const std::vector<uint8_t>& image : images) {
+        batch->Stage(std::vector<uint8_t>(image));
       }
       ASSERT_EQ(batch->staged_count(), images.size());
       ASSERT_TRUE(repo->CommitBatch(std::move(batch)).ok);
-      // Handles were assigned by sequence, not by staging interleaving:
-      // image i + 1 got handle i + 1.
+      // Handles follow stage order: image i + 1 got handle i + 1.
       for (uint64_t i = 0; i < images.size(); ++i) {
         EXPECT_EQ(repo->ImageIdOf(i + 1), i + 1);
       }
@@ -854,14 +1009,14 @@ TEST_F(RepoTest, ConcurrentStagersProduceByteIdenticalRepository) {
 
       // The strongest form of the determinism claim: identical bytes on
       // disk.
-      if (stagers == 1) {
+      if (hash_threads == 0) {
         segment = FileBytes(fs::path(dir) / "segment.1");
         journal = FileBytes(fs::path(dir) / "journal.1");
       } else {
         EXPECT_EQ(FileBytes(fs::path(dir) / "segment.1"), segment);
         EXPECT_EQ(FileBytes(fs::path(dir) / "journal.1"), journal);
       }
-      if (stagers == 4) {
+      if (hash_threads == 4) {
         auto reopened = CheckpointRepo::Open(dir, RepoOptions{}, &error);
         ASSERT_NE(reopened, nullptr) << error;
         EXPECT_EQ(FoldMaterializations(reopened.get()), oracle_fold);
@@ -946,15 +1101,16 @@ TEST_F(RepoTest, FailedCommitLeavesRepositoryOpenableAtPreviousEpoch) {
 class RepoBatchDurabilityTest : public RepoTest {
  protected:
   // One committed image, then one batched epoch of three (a full, a second
-  // full, and a delta on the staged full) — closed so all bytes are on disk.
+  // full, and a delta on the committed image) — closed so all bytes are on
+  // disk.
   void BuildBatchedFixture() {
     auto repo = OpenRepo();
-    ASSERT_NE(repo->PutImage(FullImage(1, 10, 20)), 0u) << repo->error();
+    const uint64_t h1 = repo->PutImage(FullImage(1, 10, 20));
+    ASSERT_NE(h1, 0u) << repo->error();
     auto batch = repo->BeginBatch();
     batch->Stage(FullImage(2, 30, 40));
-    const uint64_t parent = batch->Stage(FullImage(3, 50, 60));
-    batch->Stage(DeltaImage(4, 3, 51, 60), /*parent_handle=*/0,
-                 /*parent_ticket=*/parent);
+    batch->Stage(FullImage(3, 50, 60));
+    batch->Stage(DeltaImage(4, 1, 11, 20), h1);
     const auto result = repo->CommitBatch(std::move(batch));
     ASSERT_TRUE(result.ok) << result.error;
     ASSERT_EQ(repo->live_image_count(), 4u);
