@@ -1,22 +1,25 @@
-// Delta-capture cost: serialized bytes and capture latency, full vs delta.
+// Dirty-tracking cost: frozen-window bytes and capture latency, with and
+// without skipping unchanged components.
 //
-// The delta image format (format v2) lets a capture reference unchanged
-// component chunks in its parent image instead of re-serializing them. This
-// harness measures what that buys on the canonical "mostly cold state"
+// With CheckpointPolicy::skip_unchanged a component whose state_version() has
+// not moved since the previous capture is not re-serialized in the freeze
+// phase; the commit frames its chunk from the payload tracked at that capture.
+// This harness measures what that saves on the canonical "mostly cold state"
 // profile: a guest that wrote a large burst of branch-store data early on
-// (the cold chunk) and then settled into a timer-driven steady state. Full
-// captures pay the cold chunk every checkpoint; delta captures pin it once
-// and emit a 4-byte reference afterwards.
+// (the cold chunk) and then settled into a timer-driven steady state.
+// Without skipping, every capture copies the cold chunk inside the frozen
+// window; with it, only the changed components are copied. The published
+// image is the same self-contained image either way.
 //
 // Both modes run the identical deterministic scenario, checkpoint at the
 // same instants, and every image is restored into a fresh node — the state
-// digests must match pairwise across modes (delta restores go through the
-// engine's last_image(), rebuilt from its tracked component payloads).
+// digests must match pairwise across modes.
 //
 //   $ ./build/bench/tab_delta_capture
 //
-// Exit code is non-zero when a restore digest mismatches or the steady-state
-// bytes-per-checkpoint reduction falls below 5x.
+// Exit code is non-zero when a restore digest mismatches, a steady-state
+// capture needs a CRC-compare fallback, or the steady-state staged-bytes
+// reduction falls below 5x.
 
 #include <chrono>
 #include <cstdio>
@@ -53,10 +56,10 @@ NodeConfig BenchNodeConfig() {
   return cfg;
 }
 
-CheckpointPolicy BenchPolicy(bool delta) {
+CheckpointPolicy BenchPolicy(bool skip_unchanged) {
   CheckpointPolicy policy;
   policy.resume_timer_latency = 0;  // digests must be reproducible
-  policy.delta_images = delta;
+  policy.skip_unchanged = skip_unchanged;
   return policy;
 }
 
@@ -77,18 +80,19 @@ uint64_t NodeDigest(const Simulator& sim, ExperimentNode& node) {
 }
 
 struct Capture {
-  uint64_t bytes = 0;
+  uint64_t staged_bytes = 0;
+  uint64_t image_bytes = 0;
   size_t payload_chunks = 0;
-  size_t delta_chunks = 0;
+  size_t unchanged_chunks = 0;
   size_t version_skips = 0;
-  size_t crc_fallbacks = 0;  // delta proven by CRC compare, not version skip
+  size_t crc_fallbacks = 0;  // unchanged, proven by CRC compare
   double wall_s = 0;
-  std::vector<uint8_t> image;  // self-contained (materialized) bytes
+  std::vector<uint8_t> image;  // the published self-contained image
 };
 
 struct ModeResult {
   std::vector<Capture> captures;
-  uint64_t delta_refs_stored = 0;  // across all captures
+  uint64_t unchanged_total = 0;  // across all captures
 };
 
 // Restores `image` into a fresh node and returns its state digest, or 0 on
@@ -105,10 +109,10 @@ uint64_t RestoreDigest(const std::vector<uint8_t>& image) {
   return NodeDigest(sim, node);
 }
 
-ModeResult RunMode(bool delta) {
+ModeResult RunMode(bool skip_unchanged) {
   Simulator sim;
   ExperimentNode node(&sim, Rng(7), BenchNodeConfig());
-  LocalCheckpointEngine engine(&sim, &node, BenchPolicy(delta));
+  LocalCheckpointEngine engine(&sim, &node, BenchPolicy(skip_unchanged));
 
   // Phase 1: the cold chunk — a burst of branch-store writes, chained on
   // completion so the block frontend is drained before any capture.
@@ -126,7 +130,7 @@ ModeResult RunMode(bool delta) {
   sim.Schedule(10 * kMillisecond, [&] { issue(); });
 
   // Phase 2: steady state — a timer loop with no further disk writes; the
-  // branch-store chunk stops changing and becomes delta-referencable.
+  // branch-store chunk stops changing and its version counter with it.
   std::function<void()> tick = [&] {
     node.kernel().Usleep(5 * kMillisecond, [&] { tick(); });
   };
@@ -145,25 +149,25 @@ ModeResult RunMode(bool delta) {
       }
     });
     const CaptureStats& stats = engine.last_capture_stats();
-    cap.bytes = stats.serialized_bytes;
+    cap.staged_bytes = stats.staged_bytes;
+    cap.image_bytes = stats.serialized_bytes;
     cap.payload_chunks = stats.payload_chunks;
-    cap.delta_chunks = stats.delta_chunks;
+    cap.unchanged_chunks = stats.unchanged_chunks;
     cap.version_skips = stats.version_skips;
     cap.crc_fallbacks = stats.crc_fallbacks;
-    // The restore source: the engine's self-contained publication of the
-    // capture, whichever format it was emitted in.
     cap.image = *engine.last_image();
-    result.delta_refs_stored += cap.delta_chunks;
+    result.unchanged_total += cap.unchanged_chunks;
     result.captures.push_back(std::move(cap));
     sim.RunUntil(sim.Now() + kCaptureSpacing);
   }
   return result;
 }
 
-double MeanBytes(const ModeResult& r, size_t from) {
+double MeanBytes(const ModeResult& r, size_t from,
+                 uint64_t Capture::*bytes) {
   double total = 0;
   for (size_t i = from; i < r.captures.size(); ++i) {
-    total += static_cast<double>(r.captures[i].bytes);
+    total += static_cast<double>(r.captures[i].*bytes);
   }
   return total / static_cast<double>(r.captures.size() - from);
 }
@@ -181,73 +185,78 @@ double MeanWallMs(const ModeResult& r, size_t from) {
 int main(int argc, char** argv) {
   BenchMain bm(argc, argv, "tab_delta_capture");
 
-  ModeResult full = RunMode(/*delta=*/false);
-  ModeResult delta = RunMode(/*delta=*/true);
+  ModeResult full = RunMode(/*skip_unchanged=*/false);
+  ModeResult skip = RunMode(/*skip_unchanged=*/true);
 
   // Pairwise restore check: checkpoint k of either mode must restore to the
   // same observable state.
-  bool restores_match = full.captures.size() == delta.captures.size();
+  bool restores_match = full.captures.size() == skip.captures.size();
   for (size_t k = 0; restores_match && k < full.captures.size(); ++k) {
     const uint64_t df = RestoreDigest(full.captures[k].image);
-    const uint64_t dd = RestoreDigest(delta.captures[k].image);
-    restores_match = df != 0 && df == dd;
+    const uint64_t ds = RestoreDigest(skip.captures[k].image);
+    restores_match = df != 0 && df == ds;
   }
 
-  // Steady state starts at the second capture: capture 0 has no parent in
-  // delta mode (self-contained by construction) and would dilute the ratio.
-  const double full_bytes = MeanBytes(full, 1);
-  const double delta_bytes = MeanBytes(delta, 1);
-  const double ratio = delta_bytes > 0 ? full_bytes / delta_bytes : 0;
+  // Steady state starts at the second capture: capture 0 has nothing to
+  // skip (no previous capture) and would dilute the ratio.
+  const double full_bytes = MeanBytes(full, 1, &Capture::staged_bytes);
+  const double skip_bytes = MeanBytes(skip, 1, &Capture::staged_bytes);
+  const double ratio = skip_bytes > 0 ? full_bytes / skip_bytes : 0;
 
   PrintHeader("tab_delta_capture",
-              "delta vs full checkpoint images (cold burst + steady timers)");
+              "skipping unchanged components at capture (cold burst + "
+              "steady timers)");
 
-  PrintSection("serialized bytes per checkpoint (steady state)");
-  PrintValue("full capture", full_bytes, "B");
-  PrintValue("delta capture", delta_bytes, "B");
+  PrintSection("frozen-window staged bytes per checkpoint (steady state)");
+  PrintValue("skipping off", full_bytes, "B");
+  PrintValue("skipping on", skip_bytes, "B");
   PrintValue("reduction", ratio, "x");
-  PrintValue("first delta capture (self-contained)",
-             static_cast<double>(delta.captures.front().bytes), "B");
+  PrintValue("first capture, skipping on (nothing to skip)",
+             static_cast<double>(skip.captures.front().staged_bytes), "B");
+
+  PrintSection("published image bytes per checkpoint (steady state)");
+  PrintValue("skipping off", MeanBytes(full, 1, &Capture::image_bytes), "B");
+  PrintValue("skipping on", MeanBytes(skip, 1, &Capture::image_bytes), "B");
 
   PrintSection("capture latency (host wall clock, steady state)");
-  PrintValue("full capture", MeanWallMs(full, 1), "ms");
-  PrintValue("delta capture", MeanWallMs(delta, 1), "ms");
+  PrintValue("skipping off", MeanWallMs(full, 1), "ms");
+  PrintValue("skipping on", MeanWallMs(skip, 1), "ms");
 
-  PrintSection("delta emission (last capture)");
+  PrintSection("dirty tracking (last capture, skipping on)");
   PrintValue("payload chunks",
-             static_cast<double>(delta.captures.back().payload_chunks), "");
-  PrintValue("delta-ref chunks",
-             static_cast<double>(delta.captures.back().delta_chunks), "");
+             static_cast<double>(skip.captures.back().payload_chunks), "");
+  PrintValue("unchanged chunks",
+             static_cast<double>(skip.captures.back().unchanged_chunks), "");
   PrintValue("version-counter skips (no SaveState run)",
-             static_cast<double>(delta.captures.back().version_skips), "");
+             static_cast<double>(skip.captures.back().version_skips), "");
   PrintValue("CRC-compare fallbacks (SaveState re-run, bytes unchanged)",
-             static_cast<double>(delta.captures.back().crc_fallbacks), "");
-  PrintValue("delta refs across retained chain",
-             static_cast<double>(delta.delta_refs_stored), "");
+             static_cast<double>(skip.captures.back().crc_fallbacks), "");
+  PrintValue("unchanged chunks across all captures",
+             static_cast<double>(skip.unchanged_total), "");
 
   // With every registered component carrying a real version counter, no
-  // steady-state delta should need the CRC-compare fallback: an unchanged
+  // steady-state capture should need the CRC-compare fallback: an unchanged
   // chunk is proven unchanged by its counter alone. A nonzero count here
   // means some component lost (or never gained) its counter and is paying a
   // full re-serialization per capture just to discover nothing changed.
   size_t steady_fallbacks = 0;
-  for (size_t k = 1; k < delta.captures.size(); ++k) {
-    steady_fallbacks += delta.captures[k].crc_fallbacks;
+  for (size_t k = 1; k < skip.captures.size(); ++k) {
+    steady_fallbacks += skip.captures[k].crc_fallbacks;
   }
   const bool fallbacks_zero = steady_fallbacks == 0;
   PrintValue("steady-state CRC fallbacks (must be 0)",
              static_cast<double>(steady_fallbacks), "");
 
   PrintNote(restores_match
-                ? "all restores digest-equal across full and delta paths"
-                : "RESTORE DIGEST MISMATCH between full and delta paths");
+                ? "all restores digest-equal with and without skipping"
+                : "RESTORE DIGEST MISMATCH between the two modes");
 
   const bool ok = restores_match && ratio >= 5.0 && fallbacks_zero;
   if (!ok) {
     std::printf("\nFAIL: %s\n",
                 !restores_match      ? "restore digests mismatch"
                 : !fallbacks_zero    ? "steady-state CRC fallbacks nonzero"
-                                     : "bytes reduction below 5x");
+                                     : "staged-bytes reduction below 5x");
   }
   return bm.Finish(ok ? 0 : 1);
 }

@@ -124,7 +124,7 @@ void BitTorrentPeer::OnMessage(NodeId from, std::shared_ptr<AppPayload> payload)
 void BitTorrentPeer::OnPieceReceived(NodeId from, uint32_t piece) {
   // Covers the outstanding decrement, have_/pieces_held_/completion_time_
   // updates below, and the meter adds (over-bumping on a duplicate piece is
-  // harmless — it costs one redundant payload chunk, never a stale delta).
+  // harmless — it costs one redundant serialization, never stale state).
   swarm_->version_.Bump();
   PeerLink* l = link(from);
   if (l != nullptr && l->outstanding > 0) {

@@ -36,7 +36,9 @@ LocalCheckpointEngine::LocalCheckpointEngine(Simulator* sim, ExperimentNode* nod
           "checkpoint.engine.serialized_bytes")),
       payload_chunks_counter_(obs::MetricsRegistry::Global().FindCounter(
           "checkpoint.engine.payload_chunks")),
-      delta_chunks_counter_(
+      // Counts unchanged chunks. The name is older than this meaning; it
+      // stays because tcbench's ckpt.delta_chunks reads it.
+      unchanged_chunks_counter_(
           obs::MetricsRegistry::Global().FindCounter("checkpoint.engine.delta_chunks")),
       frozen_wall_us_hist_(obs::MetricsRegistry::Global().FindHistogram(
           "checkpoint.engine.frozen_us")),
@@ -156,7 +158,6 @@ void LocalCheckpointEngine::SnapshotComponents() {
   }
   assert(!pending_capture_);
   pool_.Acquire(&staged_);
-  pending_parent_ = policy_.delta_images ? parent_image_id_ : 0;
 
   // All component bytes land back to back in one pinned buffer; after the
   // first few captures its capacity covers the steady state and the frozen
@@ -187,12 +188,11 @@ void LocalCheckpointEngine::SnapshotComponents() {
     StagedEntry entry;
     entry.id = component->checkpoint_id();
     entry.version = component->state_version();
-    if (pending_parent_ != 0 && track.valid && entry.version != 0 &&
+    if (policy_.skip_unchanged && track.valid && entry.version != 0 &&
         entry.version == track.version) {
       // Dirty tracking says the bytes are unchanged: stage nothing at all —
-      // the commit emits the delta ref from the tracked CRC.
+      // the commit frames the chunk from the tracked payload.
       entry.version_skip = true;
-      entry.parent_crc = track.crc;
     } else {
       entry.offset = w.size();
       component->SaveState(&w);
@@ -229,155 +229,69 @@ void LocalCheckpointEngine::CommitPendingCapture() {
   // describing pre-restore state; the pool generation catches that misuse.
   assert(staged_.generation == pool_.generation());
 
-  const uint64_t parent = pending_parent_;
   CaptureStats stats;
   stats.image_id = next_image_id_++;
-  stats.parent_id = parent;
+  stats.staged_bytes = staged_.buffer.size();
 
   CheckpointImageBuilder builder;
-  builder.SetDeltaHeader(stats.image_id, parent);
-
-  std::vector<uint8_t> meta_bytes;
+  builder.SetImageId(stats.image_id);
   for (size_t i = 0; i < staged_.entries.size(); ++i) {
     const StagedEntry& entry = staged_.entries[i];
+    const uint8_t* p = staged_.entry_data(entry);
     if (i == 0) {
-      // Engine metadata: always a payload chunk.
-      const uint8_t* p = staged_.entry_data(entry);
-      meta_bytes.assign(p, p + entry.size);
-      builder.AddChunk(entry.id, meta_bytes);
+      // Engine metadata: always staged.
+      builder.AddChunk(entry.id, std::vector<uint8_t>(p, p + entry.size));
       ++stats.payload_chunks;
       continue;
     }
     ComponentTrack& track = tracks_[i - 1];
     if (entry.version_skip) {
-      builder.AddDeltaChunk(entry.id, entry.parent_crc);
-      ++stats.delta_chunks;
+      ++stats.unchanged_chunks;
       ++stats.version_skips;
-      continue;
-    }
-    const uint8_t* p = staged_.entry_data(entry);
-    std::vector<uint8_t> payload(p, p + entry.size);
-    const uint32_t crc = Crc32(payload);
-    if (parent != 0 && track.valid && crc == track.crc) {
-      // Uninstrumented (or over-bumped) component whose bytes came out
-      // identical anyway: still a delta ref, just proven the expensive way.
-      builder.AddDeltaChunk(entry.id, crc);
-      ++stats.delta_chunks;
-      ++stats.crc_fallbacks;
     } else {
-      track.payload = payload;
-      builder.AddChunk(entry.id, std::move(payload));
-      ++stats.payload_chunks;
+      std::vector<uint8_t> payload(p, p + entry.size);
+      const uint32_t crc = Crc32(payload);
+      if (policy_.skip_unchanged && track.valid && crc == track.crc) {
+        // Uninstrumented (or over-bumped) component whose bytes came out
+        // identical anyway: unchanged, just proven the expensive way.
+        ++stats.unchanged_chunks;
+        ++stats.crc_fallbacks;
+      } else {
+        track.payload = std::move(payload);
+        ++stats.payload_chunks;
+      }
+      track.version = entry.version;
+      track.crc = crc;
+      track.valid = true;
     }
-    track.version = entry.version;
-    track.crc = crc;
-    track.valid = true;
+    builder.AddChunk(entry.id, track.payload);
   }
-
-  FinishCapture(&builder, meta_bytes, stats);
   pool_.Release(&staged_);
-}
 
-void LocalCheckpointEngine::FinishCapture(CheckpointImageBuilder* builder,
-                                          const std::vector<uint8_t>& meta,
-                                          CaptureStats stats) {
-  stats.total_chunks = builder->chunk_count();
-  const auto bytes =
-      std::make_shared<const std::vector<uint8_t>>(builder->Serialize());
-  stats.serialized_bytes = bytes->size();
-
-  const bool self_contained = stats.delta_chunks == 0;
-  parent_image_id_ = stats.image_id;
+  stats.total_chunks = builder.chunk_count();
+  last_image_ =
+      std::make_shared<const std::vector<uint8_t>>(builder.Serialize());
+  stats.serialized_bytes = last_image_->size();
   last_capture_stats_ = stats;
 
   captures_counter_->Increment();
   serialized_bytes_counter_->Add(stats.serialized_bytes);
   payload_chunks_counter_->Add(stats.payload_chunks);
-  delta_chunks_counter_->Add(stats.delta_chunks);
+  unchanged_chunks_counter_->Add(stats.unchanged_chunks);
   obs::TraceSession::Global().Instant(
       node_->name(), "ckpt.capture", sim_->Now(),
       {{"image_id", static_cast<double>(stats.image_id)},
-       {"parent_id", static_cast<double>(stats.parent_id)},
        {"payload_chunks", static_cast<double>(stats.payload_chunks)},
-       {"delta_chunks", static_cast<double>(stats.delta_chunks)},
+       {"unchanged_chunks", static_cast<double>(stats.unchanged_chunks)},
        {"version_skips", static_cast<double>(stats.version_skips)},
+       {"staged_bytes", static_cast<double>(stats.staged_bytes)},
        {"serialized_bytes", static_cast<double>(stats.serialized_bytes)}});
-
-  // Publish a self-contained image: holders (the time-travel tree, swap-out)
-  // restore it without any delta chain. A parentless capture is one as
-  // emitted and is shared outright; otherwise every chunk, delta ref or not,
-  // resolves to its component's tracked payload.
-  if (stats.parent_id == 0) {
-    last_image_ = bytes;
-  } else {
-    CheckpointImageBuilder full;
-    full.SetDeltaHeader(stats.image_id, 0);
-    full.AddChunk("sim.time", meta);
-    const std::vector<Checkpointable*>& components = Components();
-    for (size_t i = 0; i < tracks_.size(); ++i) {
-      full.AddChunk(components[i]->checkpoint_id(), tracks_[i].payload);
-    }
-    last_image_ =
-        std::make_shared<const std::vector<uint8_t>>(full.Serialize());
-  }
-
-  // Spill-to-repository: persist the capture as emitted (delta against the
-  // previously spilled generation when possible), falling back to
-  // last_image() when the repository has no usable parent. Both buffers are
-  // shared with the repository batch — the only bytes copied on this path
-  // are the ones the segment file writes to disk.
-  if (repo_ != nullptr) {
-    uint64_t handle = 0;
-    {
-      std::unique_ptr<RepoWriteBatch> batch = repo_->BeginBatch();
-      if (self_contained) {
-        batch->Stage(bytes);
-      } else if (repo_parent_handle_ != 0) {
-        batch->Stage(bytes, repo_parent_handle_);
-      } else {
-        batch->Stage(last_image_);
-      }
-      const CheckpointRepo::BatchCommitResult result =
-          repo_->CommitBatch(std::move(batch));
-      if (result.ok) {
-        handle = result.handles[0];
-      }
-    }
-    if (handle == 0) {
-      // Legacy fallback: a rejected spill (e.g. the spilled parent was
-      // retired and collected under us) degrades to self-contained.
-      std::unique_ptr<RepoWriteBatch> retry = repo_->BeginBatch();
-      retry->Stage(last_image_);
-      const CheckpointRepo::BatchCommitResult result =
-          repo_->CommitBatch(std::move(retry));
-      if (result.ok) {
-        handle = result.handles[0];
-      }
-    }
-    repo_parent_handle_ = handle;
-    obs::TraceSession::Global().Instant(
-        node_->name(), "repo.spill", sim_->Now(),
-        {{"handle", static_cast<double>(handle)},
-         {"delta", self_contained ? 0.0 : 1.0}});
-  }
-}
-
-void LocalCheckpointEngine::AttachRepository(CheckpointRepo* repo) {
-  repo_ = repo;
-  // The repository knows nothing of captures made before attach: the next
-  // spill must be self-contained.
-  repo_parent_handle_ = 0;
 }
 
 bool LocalCheckpointEngine::RestoreImage(const std::vector<uint8_t>& image_bytes) {
   assert(!in_progress_);
   CheckpointImageView view(image_bytes);
   if (!view.ok() || !view.HasChunk("sim.time")) {
-    return false;
-  }
-  if (view.is_delta()) {
-    // An unresolved delta image cannot prime a run: its unchanged chunks
-    // live in the parent chain. Materialize it through the repository first.
     return false;
   }
   ArchiveReader meta(view.Chunk("sim.time"));
@@ -410,14 +324,12 @@ bool LocalCheckpointEngine::RestoreImage(const std::vector<uint8_t>& image_bytes
   saver_.RestoreImageBytes(saver_bytes);
   last_image_ = std::make_shared<const std::vector<uint8_t>>(image_bytes);
 
-  // Delta tracking is void after a restore: component state now reflects the
-  // installed image, not the engine's last capture. The next checkpoint is
-  // self-contained and restarts the chain. Any staging buffer acquired
-  // before this point is poisoned too — staged bytes describe pre-restore
-  // state and must never be committed (CommitPendingCapture asserts).
-  parent_image_id_ = 0;
+  // Dirty tracking is void after a restore: component state now reflects
+  // the installed image, not the engine's last capture, so the next capture
+  // re-serializes every component. Any staging buffer acquired before this
+  // point is poisoned too — staged bytes describe pre-restore state and must
+  // never be committed (CommitPendingCapture asserts).
   tracks_.clear();
-  repo_parent_handle_ = 0;  // the spill chain restarts with the image chain
   pool_.InvalidateAll();
 
   in_progress_ = true;
@@ -446,8 +358,8 @@ void LocalCheckpointEngine::OnStateSaved() {
   save_span_ = 0;
   // Capture point: inside the suspended window, after the memory image is
   // saved and before any resume. Every capture clones state into staging
-  // buffers here; two-phase capture defers the serialize/diff/spill commit
-  // to resume, the synchronous baseline commits now.
+  // buffers here; two-phase capture defers the framing commit to resume,
+  // the synchronous baseline commits now.
   {
     const auto t0 = std::chrono::steady_clock::now();
     SnapshotComponents();
@@ -496,7 +408,7 @@ void LocalCheckpointEngine::AtomicResume() {
   frozen_span_ = 0;
 
   // Background half of a two-phase capture: the frozen window is over, so
-  // serialize/diff/spill now (unless an accessor already forced it while the
+  // frame and publish now (unless an accessor already forced it while the
   // engine was held). Runs before the saved callback fires so consumers of
   // last_image() in the callback observe the committed capture.
   EnsureCaptureCommitted();

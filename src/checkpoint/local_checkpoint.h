@@ -28,7 +28,6 @@
 #include "src/guest/node.h"
 #include "src/obs/metrics.h"
 #include "src/obs/trace_session.h"
-#include "src/repo/checkpoint_repo.h"
 #include "src/sim/checkpointable.h"
 #include "src/sim/image.h"
 #include "src/sim/staging.h"
@@ -59,17 +58,18 @@ struct CheckpointPolicy {
   // accumulate — the empirical transparency limit of Figure 4 (~80 us).
   SimTime resume_timer_latency = 40 * kMicrosecond;
 
-  // Emit format-v2 delta images: components unchanged since the previous
-  // capture become delta-ref chunks (a CRC pin into the parent image) instead
-  // of re-serialized payloads — the capture path becomes O(changed state).
-  // Disabling this re-serializes everything into self-contained images (the
-  // PR-2 baseline, and what tab_delta_capture compares against).
-  bool delta_images = true;
+  // Dirty tracking: a component whose state_version() is unchanged since the
+  // previous capture is not re-serialized in the frozen window; its chunk is
+  // framed from the payload tracked at that capture, so the frozen-window
+  // copy is O(changed state). The image is byte-identical either way
+  // (test-enforced). Disabling this re-serializes every component at every
+  // capture (what tab_delta_capture compares against).
+  bool skip_unchanged = true;
 
   // Every capture clones component state into reusable staging buffers
-  // inside the frozen window, then frames, diffs and spills it in a commit
-  // step. Two-phase capture defers that commit until after the atomic resume
-  // (or the first accessor that needs it), so only the clone is frozen-window
+  // inside the frozen window, then frames and publishes it in a commit step.
+  // Two-phase capture defers that commit until after the atomic resume (or
+  // the first accessor that needs it), so only the clone is frozen-window
   // time. Disabling commits inside the frozen window. The emitted image is
   // byte-identical either way (test-enforced).
   bool async_capture = true;
@@ -77,21 +77,21 @@ struct CheckpointPolicy {
   LiveMemorySaver::Params saver;
 };
 
-// What the last capture actually emitted — the observability surface for the
-// delta path (printed by bench/tab_delta_capture, asserted by tests).
+// What the last capture did — the observability surface for dirty tracking
+// (printed by bench/tab_delta_capture, asserted by tests).
 struct CaptureStats {
   uint64_t image_id = 0;
-  uint64_t parent_id = 0;       // 0 = self-contained capture
   size_t total_chunks = 0;
-  size_t payload_chunks = 0;    // re-serialized (changed or first capture)
-  size_t delta_chunks = 0;      // unchanged, emitted as parent CRC refs
-  size_t version_skips = 0;     // delta chunks proven by version counter alone
-                                // (component was never re-serialized)
-  size_t crc_fallbacks = 0;     // delta chunks proven the expensive way: the
-                                // component was re-serialized and its CRC
-                                // matched the parent (uninstrumented or
-                                // over-bumped state_version)
-  size_t serialized_bytes = 0;  // size of the emitted (possibly delta) image
+  size_t payload_chunks = 0;    // changed (or first capture): new payload
+  size_t unchanged_chunks = 0;  // framed from the previous capture's payload
+  size_t version_skips = 0;     // unchanged chunks proven by version counter
+                                // alone (component was never re-serialized)
+  size_t crc_fallbacks = 0;     // unchanged chunks proven the expensive way:
+                                // the component was re-serialized and its CRC
+                                // matched the previous capture (uninstrumented
+                                // or over-bumped state_version)
+  size_t staged_bytes = 0;      // bytes copied in the freeze phase
+  size_t serialized_bytes = 0;  // size of the published image
 };
 
 // Drives local checkpoints of one ExperimentNode. Also implements
@@ -138,9 +138,8 @@ class LocalCheckpointEngine : public CheckpointParticipant {
 
   // The composite image captured by the last completed save; null before
   // the first checkpoint. Shared, so time-travel tree nodes can retain
-  // thousands of images cheaply. Always self-contained with parent id 0
-  // (built from the tracked component payloads when the capture had a
-  // parent), so holders can restore it without any delta chain.
+  // thousands of images cheaply. Self-contained: every component's chunk
+  // carries its payload, skipped or not.
   //
   // These accessors force any pending two-phase capture to commit first
   // (EnsureCaptureCommitted), so a held engine — saved but not yet resumed —
@@ -150,40 +149,22 @@ class LocalCheckpointEngine : public CheckpointParticipant {
     return last_image_;
   }
 
-  // Emission breakdown of the last capture (delta vs payload chunks, bytes).
+  // Breakdown of the last capture (changed vs unchanged chunks, bytes).
   const CaptureStats& last_capture_stats() {
     EnsureCaptureCommitted();
     return last_capture_stats_;
   }
 
-  // Commits a pending two-phase capture (serialize + delta diff + publish +
-  // repo spill) if one is staged, timed as background work; no-op otherwise.
-  // Called automatically at atomic resume and from the accessors above.
+  // Commits a pending two-phase capture (frame + publish) if one is staged,
+  // timed as background work; no-op otherwise. Called automatically at
+  // atomic resume and from the accessors above.
   void EnsureCaptureCommitted();
-
-  // --- Spill-to-repository mode ------------------------------------------------
-  //
-  // With a repository attached, every capture is also put durably: delta
-  // captures are stored as deltas against the previous spilled generation
-  // (the repository resolves them on disk), so the per-capture disk cost is
-  // O(changed state) too. If the repository cannot accept the delta (no
-  // spilled parent yet, or it rejects the chain), the engine falls back to
-  // spilling last_image(). Pass null to detach.
-  void AttachRepository(CheckpointRepo* repo);
-
-  // Repository handle of the last spilled capture (0 before the first
-  // capture after attach, or if the last spill failed — see repo errors).
-  uint64_t last_repo_handle() {
-    EnsureCaptureCommitted();
-    return repo_parent_handle_;
-  }
 
   // Applies a composite image to this engine's (freshly built, running)
   // experiment and leaves it suspended-held at the saved instant. Returns
   // false without touching the run if the container is malformed (bad
-  // magic, unsupported version, truncated, or CRC mismatch), if it still
-  // contains unresolved delta-ref chunks (materialize it through the
-  // CheckpointRepo first), or the engine metadata chunk is missing.
+  // magic, unsupported version, truncated, CRC mismatch, or a parent link),
+  // or the engine metadata chunk is missing.
   // Components without a matching chunk keep their freshly built state
   // (forward compatibility).
   bool RestoreImage(const std::vector<uint8_t>& image_bytes);
@@ -204,18 +185,12 @@ class LocalCheckpointEngine : public CheckpointParticipant {
 
   // Capture, freeze half: clones component state into the staging buffer
   // (version-skip entries carry no bytes at all). Runs inside the frozen
-  // window; does no framing, CRC, or repo I/O.
+  // window; does no framing or CRC.
   void SnapshotComponents();
 
-  // Capture, commit half: turns the staged snapshot into the composite image
-  // (delta refs against the tracked payloads) and publishes/spills it.
+  // Capture, commit half: frames the staged snapshot as the composite image
+  // (skipped components from their tracked payloads) and publishes it.
   void CommitPendingCapture();
-
-  // Commit tail: serialize the builder, publish last_image(), spill to the
-  // repository, emit telemetry. `meta` is the engine metadata chunk the
-  // builder starts with.
-  void FinishCapture(CheckpointImageBuilder* builder,
-                     const std::vector<uint8_t>& meta, CaptureStats stats);
 
   Simulator* sim_;
   ExperimentNode* node_;
@@ -236,10 +211,10 @@ class LocalCheckpointEngine : public CheckpointParticipant {
   std::vector<Checkpointable*> extra_components_;
   std::shared_ptr<const std::vector<uint8_t>> last_image_;
 
-  // Per-component capture tracking for delta emission: the version counter,
-  // payload CRC and payload bytes as of the last capture. `valid` means the
-  // tracked values describe a chunk present (directly or via refs) in
-  // parent_image_id_; `payload` is what a delta ref to it resolves to.
+  // Per-component dirty tracking: the version counter, payload CRC and
+  // payload bytes as of the last capture. `valid` means the tracked values
+  // describe the component's chunk in the last published image; a skipped
+  // component's chunk is framed from `payload`.
   struct ComponentTrack {
     uint64_t version = 0;
     uint32_t crc = 0;
@@ -249,7 +224,6 @@ class LocalCheckpointEngine : public CheckpointParticipant {
 
   std::vector<ComponentTrack> tracks_;
   uint64_t next_image_id_ = 1;
-  uint64_t parent_image_id_ = 0;  // 0 = next capture is self-contained
   CaptureStats last_capture_stats_;
 
   // Capture state. The staged capture is pinned between the freeze phase
@@ -259,10 +233,6 @@ class LocalCheckpointEngine : public CheckpointParticipant {
   StagingBufferPool pool_;
   StagedCapture staged_;
   bool pending_capture_ = false;
-  uint64_t pending_parent_ = 0;  // parent id latched at freeze time
-
-  CheckpointRepo* repo_ = nullptr;       // not owned
-  uint64_t repo_parent_handle_ = 0;      // last spilled generation
 
   // Telemetry. Counters are resolved once at construction; the phase spans
   // live on this node's own track (the node name). The "ckpt.frozen" span
@@ -274,7 +244,7 @@ class LocalCheckpointEngine : public CheckpointParticipant {
   obs::Counter* image_bytes_counter_;
   obs::Counter* serialized_bytes_counter_;
   obs::Counter* payload_chunks_counter_;
-  obs::Counter* delta_chunks_counter_;
+  obs::Counter* unchanged_chunks_counter_;
   obs::Histogram* frozen_wall_us_hist_;      // wall µs of the capture point
                                              // inside the frozen window
   obs::Histogram* background_wall_us_hist_;  // wall µs of the deferred commit

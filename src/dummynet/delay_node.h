@@ -59,7 +59,7 @@ class DelayNode : public Checkpointable {
   void RestoreState(ArchiveReader& r) override;
   void ApplyImageInPlace(ArchiveReader& r);
 
-  // Delta-checkpoint version: this chunk serializes the clock and both pipe
+  // Dirty-tracking version: this chunk serializes the clock and both pipe
   // directions, so their counters are summed (each is monotonic).
   uint64_t state_version() const override {
     uint64_t v = clock_.state_version();

@@ -103,7 +103,7 @@ class Pipe : public PacketHandler {
   void RegisterInvariants(InvariantRegistry* reg, const std::string& name);
 
   // Mutation counter over the state Save() serializes; the owning DelayNode
-  // folds it into its state_version() for delta checkpoints.
+  // folds it into its state_version() for dirty tracking.
   uint64_t state_version() const { return version_; }
 
  private:

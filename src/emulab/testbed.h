@@ -20,6 +20,7 @@
 #include "src/net/lan.h"
 #include "src/net/stack.h"
 #include "src/net/timer_host.h"
+#include "src/repo/checkpoint_repo.h"
 #include "src/sim/random.h"
 #include "src/sim/simulator.h"
 

@@ -210,7 +210,7 @@ class GuestKernel : public TimerHost, public Checkpointable {
   void NoteActivityRun(ActivityClass cls);
   EventHandle ScheduleAtVirtualDeadline(SimTime deadline, uint64_t id);
 
-  // Delta-checkpoint instrumentation: every mutation of state that
+  // Dirty-tracking instrumentation: every mutation of state that
   // SaveState serializes must pass through a bump (over-bumping is safe).
   void BumpStateVersion() { version_.Bump(); }
 

@@ -89,7 +89,7 @@ class NetworkStack : public Checkpointable {
   void SaveState(ArchiveWriter* w) const override;
   void RestoreState(ArchiveReader& r) override;
 
-  // Delta-checkpoint version: the stack's own allocator mutations plus every
+  // Dirty-tracking version: the stack's own allocator mutations plus every
   // connection's counter. Connections are never removed, so the sum is
   // monotonic — unchanged sum means no serialized byte changed.
   uint64_t state_version() const override;

@@ -134,7 +134,7 @@ class TcpConnection {
   void AcceptSyn(const Packet& syn);
 
   // Mutation counter over the serialized protocol control block; the stack
-  // folds it into its own state_version() for delta checkpoints. Bumped at
+  // folds it into its own state_version() for dirty tracking. Bumped at
   // every entry point that can mutate connection state (app calls, segment
   // arrival, RTO firing).
   uint64_t state_version() const { return version_.value(); }

@@ -164,20 +164,16 @@ std::vector<uint8_t> CheckpointRepo::EncodeImageRecord(uint64_t handle,
   ArchiveWriter w;
   w.Write<uint64_t>(handle);
   w.Write<uint64_t>(rec.embedded_id);
-  w.Write<uint64_t>(rec.embedded_parent);
-  w.Write<uint64_t>(rec.parent_handle);
+  w.Write<uint64_t>(0);  // embedded parent id
+  w.Write<uint64_t>(0);  // parent handle
   w.Write<uint64_t>(rec.chunks.size());
   for (const ChunkRef& cr : rec.chunks) {
     w.WriteString(cr.id);
-    w.Write<uint8_t>(cr.kind);
-    if (cr.kind == kRepoChunkPayloadRef) {
-      w.Write<uint64_t>(cr.key.hash);
-      w.Write<uint32_t>(cr.key.crc);
-      w.Write<uint64_t>(cr.key.size);
-      w.Write<uint64_t>(cr.offset);
-    } else {
-      w.Write<uint32_t>(cr.expected_crc);
-    }
+    w.Write<uint8_t>(kRepoChunkPayloadRef);
+    w.Write<uint64_t>(cr.key.hash);
+    w.Write<uint32_t>(cr.key.crc);
+    w.Write<uint64_t>(cr.key.size);
+    w.Write<uint64_t>(cr.offset);
   }
   return w.Take();
 }
@@ -187,27 +183,23 @@ bool CheckpointRepo::DecodeImageRecord(const std::vector<uint8_t>& payload,
   ArchiveReader r(payload);
   *handle = r.Read<uint64_t>();
   rec->embedded_id = r.Read<uint64_t>();
-  rec->embedded_parent = r.Read<uint64_t>();
-  rec->parent_handle = r.Read<uint64_t>();
+  const uint64_t parent_image = r.Read<uint64_t>();
+  const uint64_t parent_record = r.Read<uint64_t>();
   const uint64_t count = r.Read<uint64_t>();
-  if (!r.ok()) {
+  if (!r.ok() || parent_image != 0 || parent_record != 0) {
     return false;
   }
   rec->chunks.clear();
   for (uint64_t i = 0; i < count; ++i) {
     ChunkRef cr;
     cr.id = r.ReadString();
-    cr.kind = r.Read<uint8_t>();
-    if (cr.kind == kRepoChunkPayloadRef) {
-      cr.key.hash = r.Read<uint64_t>();
-      cr.key.crc = r.Read<uint32_t>();
-      cr.key.size = r.Read<uint64_t>();
-      cr.offset = r.Read<uint64_t>();
-    } else if (cr.kind == kRepoChunkParentRef) {
-      cr.expected_crc = r.Read<uint32_t>();
-    } else {
+    if (r.Read<uint8_t>() != kRepoChunkPayloadRef) {
       return false;
     }
+    cr.key.hash = r.Read<uint64_t>();
+    cr.key.crc = r.Read<uint32_t>();
+    cr.key.size = r.Read<uint64_t>();
+    cr.offset = r.Read<uint64_t>();
     if (!r.ok()) {
       return false;
     }
@@ -218,60 +210,29 @@ bool CheckpointRepo::DecodeImageRecord(const std::vector<uint8_t>& payload,
 
 bool CheckpointRepo::ApplyJournalRecord(const JournalRecord& jrec) {
   switch (jrec.type) {
-    case kJournalPutImage:
-    case kJournalCompactImage: {
+    case kJournalPutImage: {
       uint64_t handle = 0;
       ImageRecord rec;
       if (!DecodeImageRecord(jrec.payload, &handle, &rec) || handle == 0) {
         error_ = "corrupt image record in journal";
         return false;
       }
-      const bool is_put = jrec.type == kJournalPutImage;
-      if (is_put && records_.count(handle) != 0) {
+      if (records_.count(handle) != 0) {
         error_ = "duplicate handle " + std::to_string(handle) + " in journal";
         return false;
       }
-      if (!is_put && records_.count(handle) == 0) {
-        error_ = "compaction of unknown handle " + std::to_string(handle);
-        return false;
-      }
-      if (rec.parent_handle != 0 && records_.count(rec.parent_handle) == 0) {
-        error_ = "record references unknown parent handle " +
-                 std::to_string(rec.parent_handle);
-        return false;
-      }
       // Verify every payload this record makes visible, byte for byte.
-      std::vector<uint8_t> scratch;
+      std::vector<uint8_t> payload;
       for (const ChunkRef& cr : rec.chunks) {
-        if (cr.kind == kRepoChunkPayloadRef) {
-          if (!segment_->ReadPayload(cr.offset, cr.key, &scratch)) {
-            error_ = "payload of chunk '" + cr.id +
-                     "' failed verification (handle " +
-                     std::to_string(handle) + ")";
-            return false;
-          }
-          payloads_[cr.key].offset = cr.offset;
-        } else {
-          auto parent_it = records_.find(rec.parent_handle);
-          if (parent_it == records_.end() ||
-              ResolveChunk(parent_it->second, cr.id, cr.expected_crc) ==
-                  nullptr) {
-            error_ = "delta chunk '" + cr.id +
-                     "' does not resolve (handle " + std::to_string(handle) +
-                     ")";
-            return false;
-          }
+        if (!segment_->ReadPayload(cr.offset, cr.key, &payload)) {
+          error_ = "payload of chunk '" + cr.id +
+                   "' failed verification (handle " + std::to_string(handle) +
+                   ")";
+          return false;
         }
+        payloads_[cr.key].offset = cr.offset;
       }
-      if (is_put) {
-        rec.live = true;
-        records_.emplace(handle, std::move(rec));
-      } else {
-        ImageRecord& existing = records_.at(handle);
-        existing.embedded_parent = rec.embedded_parent;
-        existing.parent_handle = rec.parent_handle;
-        existing.chunks = std::move(rec.chunks);
-      }
+      records_.emplace(handle, std::move(rec));
       next_handle_ = std::max(next_handle_, handle + 1);
       return true;
     }
@@ -289,10 +250,10 @@ bool CheckpointRepo::ApplyJournalRecord(const JournalRecord& jrec) {
     }
     case kJournalBatchPut: {
       // A group-committed epoch: count, then length-prefixed put sub-records,
-      // applied in order (delta parents precede children by construction).
-      // The batch shares one CRC frame, so a torn tail dropped the whole
-      // record and we never see a partial epoch here; a sub-record that fails
-      // to apply is genuine corruption and refuses the open.
+      // applied in order. The batch shares one CRC frame, so a torn tail
+      // dropped the whole record and we never see a partial epoch here; a
+      // sub-record that fails to apply is genuine corruption and refuses the
+      // open.
       ArchiveReader r(jrec.payload);
       const uint64_t count = r.Read<uint64_t>();
       if (!r.ok()) {
@@ -334,46 +295,11 @@ bool CheckpointRepo::ApplyJournalRecord(const JournalRecord& jrec) {
   }
 }
 
-const CheckpointRepo::ChunkRef* CheckpointRepo::ResolveChunk(
-    const ImageRecord& rec, const std::string& id,
-    uint32_t expected_crc) const {
-  const ImageRecord* r = &rec;
-  // Walk the parent chain. The hop bound is a cycle guard; real chains are
-  // as deep as the capture history that built them.
-  for (size_t hops = 0; hops <= records_.size(); ++hops) {
-    const ChunkRef* found = nullptr;
-    for (const ChunkRef& cr : r->chunks) {
-      if (cr.id == id) {
-        found = &cr;
-        break;
-      }
-    }
-    if (found == nullptr) {
-      return nullptr;
-    }
-    if (found->kind == kRepoChunkPayloadRef) {
-      return found->key.crc == expected_crc ? found : nullptr;
-    }
-    // A parent ref along the chain must pin the same content the caller
-    // expects; diverging pins mean the chain was rebuilt underneath us.
-    if (found->expected_crc != expected_crc) {
-      return nullptr;
-    }
-    auto it = records_.find(r->parent_handle);
-    if (it == records_.end()) {
-      return nullptr;
-    }
-    r = &it->second;
-  }
-  return nullptr;
-}
-
-uint64_t CheckpointRepo::PutImage(const std::vector<uint8_t>& image_bytes,
-                                  uint64_t parent_handle) {
+uint64_t CheckpointRepo::PutImage(const std::vector<uint8_t>& image_bytes) {
   // A put is a batch of one: same validation, same rejection strings, one
   // (all-or-nothing) journal record.
   std::unique_ptr<RepoWriteBatch> batch = BeginBatch();
-  batch->Stage(std::vector<uint8_t>(image_bytes), parent_handle);
+  batch->Stage(std::vector<uint8_t>(image_bytes));
   const BatchCommitResult result = CommitBatch(std::move(batch));
   return result.ok ? result.handles[0] : 0;
 }
@@ -440,44 +366,14 @@ CheckpointRepo::BatchCommitResult CheckpointRepo::CommitBatch(
         break;
       }
     }
-    rec.embedded_parent = e->embedded_parent;
-
-    const ImageRecord* parent = nullptr;
-    if (e->delta_ref_count != 0) {
-      if (e->parent_handle == 0) {
-        err = "delta image requires its parent's handle";
-        break;
-      }
-      auto it = records_.find(e->parent_handle);
-      if (it == records_.end() || retained_.count(e->parent_handle) == 0) {
-        err = "unknown or unretained parent handle " +
-              std::to_string(e->parent_handle);
-        break;
-      }
-      parent = &it->second;
-      if (parent->embedded_id != e->embedded_parent) {
-        err = "parent handle names image " +
-              std::to_string(parent->embedded_id) +
-              " but the delta links image " +
-              std::to_string(e->embedded_parent);
-        break;
-      }
-      rec.parent_handle = e->parent_handle;
-    }
 
     // Validate this entry's whole chunk table before touching the segment:
-    // payload CRCs were proven by the hashing pool, delta refs must resolve
-    // through the committed chain. Earlier entries of a failing batch may
-    // already have appended — those bytes become orphans the next GC
-    // reclaims, never a visible image.
+    // payload CRCs were proven by the hashing pool. Earlier entries of a
+    // failing batch may already have appended — those bytes become orphans
+    // the next GC reclaims, never a visible image.
     for (const RepoWriteBatch::StagedChunk& sc : e->chunks) {
-      if (sc.kind == kChunkKindPayload) {
-        if (!sc.crc_ok) {
-          err = "malformed image: CRC mismatch in chunk '" + sc.id + "'";
-          break;
-        }
-      } else if (ResolveChunk(*parent, sc.id, sc.declared_crc) == nullptr) {
-        err = "stale or unresolvable delta ref for chunk '" + sc.id + "'";
+      if (!sc.crc_ok) {
+        err = "malformed image: CRC mismatch in chunk '" + sc.id + "'";
         break;
       }
     }
@@ -489,32 +385,26 @@ CheckpointRepo::BatchCommitResult CheckpointRepo::CommitBatch(
     for (const RepoWriteBatch::StagedChunk& sc : e->chunks) {
       ChunkRef cr;
       cr.id = sc.id;
-      if (sc.kind == kChunkKindPayload) {
-        cr.kind = kRepoChunkPayloadRef;
-        cr.key = sc.key;
-        result.logical_payload_bytes += sc.key.size;
-        auto known = payloads_.find(sc.key);
-        auto in_batch = known != payloads_.end() ? staged_offsets.end()
-                                                 : staged_offsets.find(sc.key);
-        if (known != payloads_.end()) {
-          cr.offset = known->second.offset;
-          ++dedup_hits;
-        } else if (in_batch != staged_offsets.end()) {
-          cr.offset = in_batch->second;
-          ++dedup_hits;
-        } else {
-          cr.offset =
-              segment_->AppendSpan(sc.span.data, sc.span.size, sc.key.crc);
-          if (cr.offset == 0) {
-            err = "segment append failed";
-            break;
-          }
-          staged_offsets.emplace(sc.key, cr.offset);
-          result.appended_payload_bytes += sc.key.size;
-        }
+      cr.key = sc.key;
+      result.logical_payload_bytes += sc.key.size;
+      auto known = payloads_.find(sc.key);
+      auto in_batch = known != payloads_.end() ? staged_offsets.end()
+                                               : staged_offsets.find(sc.key);
+      if (known != payloads_.end()) {
+        cr.offset = known->second.offset;
+        ++dedup_hits;
+      } else if (in_batch != staged_offsets.end()) {
+        cr.offset = in_batch->second;
+        ++dedup_hits;
       } else {
-        cr.kind = kRepoChunkParentRef;
-        cr.expected_crc = sc.declared_crc;
+        cr.offset =
+            segment_->AppendSpan(sc.span.data, sc.span.size, sc.key.crc);
+        if (cr.offset == 0) {
+          err = "segment append failed";
+          break;
+        }
+        staged_offsets.emplace(sc.key, cr.offset);
+        result.appended_payload_bytes += sc.key.size;
       }
       rec.chunks.push_back(std::move(cr));
     }
@@ -581,9 +471,7 @@ CheckpointRepo::BatchCommitResult CheckpointRepo::CommitBatch(
   for (size_t i = 0; i < staged.size(); ++i) {
     const uint64_t handle = next_handle_ + i;
     for (const ChunkRef& cr : staged[i].chunks) {
-      if (cr.kind == kRepoChunkPayloadRef) {
-        payloads_[cr.key].offset = cr.offset;
-      }
+      payloads_[cr.key].offset = cr.offset;
     }
     records_.emplace(handle, std::move(staged[i]));
     Retain(handle);
@@ -654,21 +542,10 @@ std::vector<uint8_t> CheckpointRepo::Materialize(uint64_t handle) {
     return {};
   }
   CheckpointImageBuilder builder;
-  builder.SetDeltaHeader(rec.embedded_id, 0);
+  builder.SetImageId(rec.embedded_id);
   std::vector<uint8_t> payload;
   for (const ChunkRef& cr : rec.chunks) {
-    const ChunkRef* src = &cr;
-    if (cr.kind == kRepoChunkParentRef) {
-      auto parent_it = records_.find(rec.parent_handle);
-      src = parent_it == records_.end()
-                ? nullptr
-                : ResolveChunk(parent_it->second, cr.id, cr.expected_crc);
-      if (src == nullptr) {
-        error_ = "broken parent chain at chunk '" + cr.id + "'";
-        return {};
-      }
-    }
-    if (!segment_->ReadPayload(src->offset, src->key, &payload)) {
+    if (!segment_->ReadPayload(cr.offset, cr.key, &payload)) {
       error_ = "payload of chunk '" + cr.id + "' failed CRC verification";
       return {};
     }
@@ -682,56 +559,6 @@ std::vector<uint8_t> CheckpointRepo::Materialize(uint64_t handle) {
   count->Increment();
   out_bytes->Add(bytes.size());
   return bytes;
-}
-
-size_t CheckpointRepo::CompactChains(size_t max_depth) {
-  size_t folded = 0;
-  for (auto& [handle, rec] : records_) {
-    if (!rec.live || ChainDepth(handle) <= max_depth) {
-      continue;
-    }
-    ImageRecord folded_rec = rec;
-    folded_rec.parent_handle = 0;
-    folded_rec.embedded_parent = 0;
-    bool resolvable = true;
-    for (ChunkRef& cr : folded_rec.chunks) {
-      if (cr.kind != kRepoChunkParentRef) {
-        continue;
-      }
-      auto parent_it = records_.find(rec.parent_handle);
-      const ChunkRef* src =
-          parent_it == records_.end()
-              ? nullptr
-              : ResolveChunk(parent_it->second, cr.id, cr.expected_crc);
-      if (src == nullptr) {
-        resolvable = false;
-        break;
-      }
-      ChunkRef resolved;
-      resolved.id = cr.id;
-      resolved.kind = kRepoChunkPayloadRef;
-      resolved.key = src->key;
-      resolved.offset = src->offset;
-      cr = std::move(resolved);
-    }
-    if (!resolvable) {
-      continue;  // broken chain: leave the record as-is, Materialize reports
-    }
-    if (!Commit(kJournalCompactImage, EncodeImageRecord(handle, folded_rec))) {
-      return folded;
-    }
-    rec = std::move(folded_rec);
-    ++folded;
-  }
-  if (folded != 0) {
-    RebuildRetention();
-    static obs::Counter* const folded_counter = RepoCounter("repo.compact.folded");
-    folded_counter->Add(folded);
-    obs::TraceSession& trace = obs::TraceSession::Global();
-    trace.Instant("repo", "repo.compact", trace.LastTime(),
-                  {{"folded", static_cast<double>(folded)}});
-  }
-  return folded;
 }
 
 CheckpointRepo::GcResult CheckpointRepo::CollectGarbage() {
@@ -755,20 +582,17 @@ CheckpointRepo::GcResult CheckpointRepo::CollectGarbage() {
     return result;
   }
 
-  // Copy retained records in handle order (parents precede children), with
-  // payloads deduped into the new segment.
+  // Copy live records in handle order, with payloads deduped into the new
+  // segment.
   std::map<ContentKey, uint64_t> new_offsets;
   std::map<uint64_t, ImageRecord> new_records;
   std::vector<uint8_t> payload;
   for (const auto& [handle, rec] : records_) {
-    if (retained_.count(handle) == 0) {
+    if (!rec.live) {
       continue;
     }
     ImageRecord copy = rec;
     for (ChunkRef& cr : copy.chunks) {
-      if (cr.kind != kRepoChunkPayloadRef) {
-        continue;
-      }
       auto it = new_offsets.find(cr.key);
       if (it == new_offsets.end()) {
         if (!segment_->ReadPayload(cr.offset, cr.key, &payload)) {
@@ -790,18 +614,6 @@ CheckpointRepo::GcResult CheckpointRepo::CollectGarbage() {
       return result;
     }
     new_records.emplace(handle, std::move(copy));
-  }
-  // Retired-but-pinned ancestors keep their retired status across the epoch.
-  for (const auto& [handle, rec] : new_records) {
-    if (rec.live) {
-      continue;
-    }
-    ArchiveWriter w;
-    w.Write<uint64_t>(handle);
-    if (!new_journal->Append(kJournalRetireImage, w.Take())) {
-      error_ = "GC journal write failed";
-      return result;
-    }
   }
   if (!new_segment->Flush(options_.fsync) || !new_journal->Flush(options_.fsync)) {
     error_ = "GC flush failed";
@@ -859,29 +671,14 @@ CheckpointRepo::GcResult CheckpointRepo::CollectGarbage() {
 }
 
 void CheckpointRepo::Retain(uint64_t handle) {
-  // Ancestors are needed exactly while records along the chain still carry
-  // unresolved parent refs. The retained set is closed under this walk, so
-  // it stops at the first record already retained.
-  auto it = records_.find(handle);
-  while (it != records_.end() && retained_.insert(it->first).second) {
-    const ImageRecord& rec = it->second;
-    bool has_parent_ref = false;
-    for (const ChunkRef& cr : rec.chunks) {
-      if (cr.kind == kRepoChunkParentRef) {
-        has_parent_ref = true;
-      } else if (payloads_[cr.key].refs++ == 0) {
-        live_payload_bytes_ += kSegmentRecordOverhead + cr.key.size;
-      }
+  for (const ChunkRef& cr : records_.at(handle).chunks) {
+    if (payloads_[cr.key].refs++ == 0) {
+      live_payload_bytes_ += kSegmentRecordOverhead + cr.key.size;
     }
-    if (rec.parent_handle == 0 || !has_parent_ref) {
-      break;
-    }
-    it = records_.find(rec.parent_handle);  // end() = broken chain
   }
 }
 
 void CheckpointRepo::RebuildRetention() {
-  retained_.clear();
   for (auto& [key, entry] : payloads_) {
     entry.refs = 0;
   }
@@ -928,27 +725,6 @@ std::vector<uint64_t> CheckpointRepo::LiveHandles() const {
 
 uint64_t CheckpointRepo::ImageIdOf(uint64_t handle) const {
   return records_.at(handle).embedded_id;
-}
-
-uint64_t CheckpointRepo::ParentHandleOf(uint64_t handle) const {
-  return records_.at(handle).parent_handle;
-}
-
-size_t CheckpointRepo::ChainDepth(uint64_t handle) const {
-  size_t depth = 0;
-  const ImageRecord* rec = &records_.at(handle);
-  while (std::any_of(rec->chunks.begin(), rec->chunks.end(),
-                     [](const ChunkRef& cr) {
-                       return cr.kind == kRepoChunkParentRef;
-                     })) {
-    auto it = records_.find(rec->parent_handle);
-    if (it == records_.end() || depth > records_.size()) {
-      break;
-    }
-    rec = &it->second;
-    ++depth;
-  }
-  return depth;
 }
 
 size_t CheckpointRepo::live_image_count() const {

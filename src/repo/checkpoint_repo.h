@@ -4,14 +4,17 @@
 //
 // Layering (see repo_format.h for the byte layout):
 //
-//   CheckpointRepo      image records, parent chains, refcounts, compaction/GC
-//     ├── JournalWriter write-ahead log of put / retire / compact operations
+//   CheckpointRepo      image records, payload refcounts, GC
+//     ├── JournalWriter write-ahead log of put / retire operations
 //     └── SegmentFile   append-only, content-addressed chunk payloads
 //
 // Key properties:
 //  - Content-addressed dedup: a payload is stored once per repository no
-//    matter how many images reference it, so a delta chain's shared chunks
-//    (and identical chunks across unrelated images) cost one copy.
+//    matter how many images reference it, so the unchanged chunks of
+//    successive captures (and identical chunks across unrelated images) cost
+//    one copy. This is the one way unchanged checkpoint state is kept: every
+//    image is self-contained, and a put appends only payloads the repository
+//    does not already hold.
 //  - Atomic multi-chunk publication: payloads are flushed to the segment
 //    before the journal record naming them is appended; a crash between the
 //    two leaves orphan payload bytes (reclaimed by the next GC), never a
@@ -20,16 +23,13 @@
 //    a torn tail, and re-verifies the CRC of every payload referenced by a
 //    visible image. A repository that cannot prove its payloads intact
 //    refuses to open.
-//  - Delta chains on disk: a put may store a format-v2 delta image as-is;
-//    its parent-ref chunks are resolved through the parent chain at read
-//    time. CompactChains() folds chains into self-contained records (pure
-//    payload-ref tables) and a refcount-based GC rewrites the (segment,
-//    journal) pair without unreferenced payloads, installing the new epoch
+//  - Retention is the live set: a payload stays while a live image
+//    references it. A refcount-based GC rewrites the (segment, journal) pair
+//    with only the live records and their payloads, installing the new epoch
 //    by an atomic CURRENT rename.
-//  - Materialize(handle) rebuilds the stored image as a self-contained
-//    composite image (src/sim/image.h): the stored image id, parent id 0,
-//    every chunk as a payload in the original chunk order. This is the one
-//    place delta chains are resolved.
+//  - Materialize(handle) rebuilds the stored image as a format-v2 composite
+//    image (src/sim/image.h): the stored image id, every chunk in the
+//    original chunk order.
 
 #ifndef TCSIM_SRC_REPO_CHECKPOINT_REPO_H_
 #define TCSIM_SRC_REPO_CHECKPOINT_REPO_H_
@@ -37,7 +37,6 @@
 #include <cstdint>
 #include <map>
 #include <memory>
-#include <set>
 #include <string>
 #include <vector>
 
@@ -75,16 +74,11 @@ class CheckpointRepo {
   CheckpointRepo(const CheckpointRepo&) = delete;
   CheckpointRepo& operator=(const CheckpointRepo&) = delete;
 
-  // Stores a serialized composite image (format v1 or v2, full or delta) and
-  // returns its repository handle (monotonic, never reused), or 0 on
-  // rejection (error() says why; the repository is unchanged). A delta image
-  // (one carrying parent-ref chunks) requires `parent_handle`: the handle
-  // returned when its parent was put. The parent's embedded image id must
-  // match the delta's parent link, and every parent-ref CRC must pin actual
-  // parent content: a missing parent, a ref absent in it or a stale CRC is a
-  // hard rejection, never a silent fallback.
-  uint64_t PutImage(const std::vector<uint8_t>& image_bytes,
-                    uint64_t parent_handle = 0);
+  // Stores a serialized composite image (format v1 or v2) and returns its
+  // repository handle (monotonic, never reused), or 0 on rejection (error()
+  // says why; the repository is unchanged). A malformed image — one
+  // CheckpointImageView refuses — is rejected.
+  uint64_t PutImage(const std::vector<uint8_t>& image_bytes);
 
   // --- Batched group commit ----------------------------------------------------
   //
@@ -108,8 +102,8 @@ class CheckpointRepo {
   };
 
   // Validates and publishes the whole batch, all-or-nothing: handles are
-  // assigned in stage order, delta parents resolve against committed
-  // records, every new payload is appended behind one flush, and a single
+  // assigned in stage order, every new payload is appended behind one
+  // flush, and a single
   // kJournalBatchPut record publishes the epoch. On any rejection or I/O
   // error nothing is published — the repository stays at its previous state
   // (orphan segment bytes, if any, are garbage for the next GC) and `error`
@@ -121,24 +115,14 @@ class CheckpointRepo {
   HashPool& hash_pool() { return *hash_pool_; }
 
   // Marks an image retired (no longer materializable). Its payloads stay on
-  // disk while still referenced — by other images through dedup, or by live
-  // descendants whose delta chunks resolve through this record — and become
+  // disk while another live image references them through dedup, and become
   // garbage once unreferenced. False if the handle is unknown or already
   // retired.
   bool RetireImage(uint64_t handle);
 
-  // Rebuilds the stored image as a self-contained composite image, resolving
-  // parent-ref chunks through the on-disk parent chain and re-verifying
-  // every payload CRC as it streams chunks from the segment. Empty on
-  // failure (error() says why).
+  // Rebuilds the stored image, re-verifying every payload CRC as it streams
+  // chunks from the segment. Empty on failure (error() says why).
   std::vector<uint8_t> Materialize(uint64_t handle);
-
-  // Folds every live image whose delta chain is deeper than `max_depth` into
-  // a self-contained record (all chunks become direct payload refs; content
-  // addressing means no payload bytes are rewritten). Ancestors kept alive
-  // only as chain links become garbage for the next GC. Returns the number
-  // of images folded.
-  size_t CompactChains(size_t max_depth = 0);
 
   struct GcResult {
     bool ok = false;
@@ -146,8 +130,8 @@ class CheckpointRepo {
     uint64_t live_bytes = 0;       // segment bytes in the new epoch
   };
 
-  // Rewrites the (segment, journal) pair keeping only retained records and
-  // the payloads they reference, then atomically installs the new epoch via
+  // Rewrites the (segment, journal) pair keeping only live records and the
+  // payloads they reference, then atomically installs the new epoch via
   // the CURRENT pointer. Crash-safe: until CURRENT is renamed the old epoch
   // stays authoritative.
   GcResult CollectGarbage();
@@ -164,10 +148,6 @@ class CheckpointRepo {
   // The image id embedded in the stored image's header (v1 images are
   // assigned their handle). Handle must exist.
   uint64_t ImageIdOf(uint64_t handle) const;
-  // Parent handle (0 = self-contained record). Handle must exist.
-  uint64_t ParentHandleOf(uint64_t handle) const;
-  // Number of parent hops needed to resolve this record's chunks.
-  size_t ChainDepth(uint64_t handle) const;
 
   size_t image_count() const { return records_.size(); }
   size_t live_image_count() const;
@@ -191,23 +171,21 @@ class CheckpointRepo {
  private:
   struct ChunkRef {
     std::string id;
-    uint8_t kind = kRepoChunkPayloadRef;
-    ContentKey key;           // payload ref
-    uint64_t offset = 0;      // payload ref: segment offset
-    uint32_t expected_crc = 0;  // parent ref
+    ContentKey key;
+    uint64_t offset = 0;  // segment offset of the payload record
   };
 
   struct ImageRecord {
     uint64_t embedded_id = 0;
-    uint64_t embedded_parent = 0;
-    uint64_t parent_handle = 0;
     bool live = true;
     std::vector<ChunkRef> chunks;
   };
 
   CheckpointRepo(std::string dir, RepoOptions options);
 
-  // Serializes / parses the journal payload of a put or compact record.
+  // Serializes / parses the journal payload of a put record. The layout keeps
+  // the parent fields and chunk kind bytes of earlier parent-linked records:
+  // they are written 0 and 1, and a record with any other value is refused.
   static std::vector<uint8_t> EncodeImageRecord(uint64_t handle,
                                                 const ImageRecord& rec);
   static bool DecodeImageRecord(const std::vector<uint8_t>& payload,
@@ -218,20 +196,13 @@ class CheckpointRepo {
   // a crash cannot explain: bad refs, unknown handles, CRC mismatches.
   bool ApplyJournalRecord(const JournalRecord& rec);
 
-  // Resolves chunk `id` of `rec` to its payload ref, walking parent-ref
-  // chunks up the chain. Every hop must pin `expected_crc`. Null if the chain
-  // is broken or pins other content.
-  const ChunkRef* ResolveChunk(const ImageRecord& rec, const std::string& id,
-                               uint32_t expected_crc) const;
-
-  // Adds `handle` and the ancestors its delta chunks resolve through to the
-  // retained set, raising the payload refcounts and live byte count of each
-  // newly retained record. Its cost is the records it newly retains, so a
-  // commit retains its images in O(new images), not O(history).
+  // Raises the payload refcounts and live byte count for the live record
+  // `handle`, so a commit retains its images in O(new images), not
+  // O(history).
   void Retain(uint64_t handle);
 
-  // Clears retention, then retains every live record: the full recompute
-  // for the mutations that can shrink retention (open, retire, compact, GC).
+  // Clears the refcounts, then retains every live record: the full recompute
+  // for the mutations that can shrink retention (open, retire, GC).
   void RebuildRetention();
 
   // Appends a journal record with the publication barrier (segment flushed
@@ -250,15 +221,12 @@ class CheckpointRepo {
   std::map<uint64_t, ImageRecord> records_;
   uint64_t next_handle_ = 1;
 
-  // ContentKey -> (segment offset, refcount among retained records).
+  // ContentKey -> (segment offset, refcount among live records).
   struct PayloadEntry {
     uint64_t offset = 0;
     uint64_t refs = 0;
   };
   std::map<ContentKey, PayloadEntry> payloads_;
-  // Handles retained for materialization: live, or an ancestor a live
-  // image's delta chunks resolve through.
-  std::set<uint64_t> retained_;
 
   uint64_t live_payload_bytes_ = 0;
   uint64_t logical_put_bytes_ = 0;

@@ -1,11 +1,11 @@
 // Write-ahead journal of repository operations (see repo_format.h).
 //
 // The journal is the metadata half of the repository: an append-only stream
-// of typed, CRC-framed records (put-image, retire-image, compact-image).
-// Append order is publication order — a record whose bytes are fully on disk
-// is committed; a torn tail (crash mid-append) is detected by framing or CRC
-// and truncated away on the next open, rolling the repository back to the
-// last complete operation.
+// of typed, CRC-framed records (put-image, retire-image, next-handle,
+// batch-put). Append order is publication order — a record whose bytes are
+// fully on disk is committed; a torn tail (crash mid-append) is detected by
+// framing or CRC and truncated away on the next open, rolling the repository
+// back to the last complete operation.
 
 #ifndef TCSIM_SRC_REPO_JOURNAL_H_
 #define TCSIM_SRC_REPO_JOURNAL_H_

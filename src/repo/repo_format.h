@@ -1,7 +1,7 @@
 // On-disk format constants for the durable checkpoint repository.
 //
 // A repository directory holds one (segment, journal) file pair per
-// compaction epoch plus a CURRENT pointer file:
+// GC epoch plus a CURRENT pointer file:
 //
 //   CURRENT      "epoch N\n", rewritten by atomic rename — names the live pair
 //   segment.N    append-only chunk payload store (content-addressed)
@@ -37,10 +37,10 @@ inline constexpr uint32_t kJournalMagic = 0x4E524A54;        // "TJRN"
 inline constexpr uint32_t kJournalRecordMagic = 0x43524A54;  // "TJRC"
 inline constexpr uint32_t kRepoFormatVersion = 1;
 
-// Journal record types.
+// Journal record types. Type 3 (the compaction of a parent-linked record)
+// is retired: Open refuses it like any unknown type.
 inline constexpr uint8_t kJournalPutImage = 1;
 inline constexpr uint8_t kJournalRetireImage = 2;
-inline constexpr uint8_t kJournalCompactImage = 3;
 inline constexpr uint8_t kJournalNextHandle = 4;
 // A group-committed epoch of puts: the payload is a count followed by
 // length-prefixed put-image sub-records. The whole batch shares one CRC
@@ -48,9 +48,8 @@ inline constexpr uint8_t kJournalNextHandle = 4;
 // the record makes every image of the batch invisible, never a prefix.
 inline constexpr uint8_t kJournalBatchPut = 5;
 
-// Within a put/compact record's chunk table.
+// The one chunk kind of a put record's chunk table.
 inline constexpr uint8_t kRepoChunkPayloadRef = 1;
-inline constexpr uint8_t kRepoChunkParentRef = 2;
 
 // Fixed framing sizes (used by recovery bounds checks and space accounting).
 inline constexpr uint64_t kSegmentHeaderBytes = 8;

@@ -14,21 +14,17 @@ RepoWriteBatch::~RepoWriteBatch() {
   WaitPrepared();
 }
 
-void RepoWriteBatch::Stage(std::shared_ptr<const std::vector<uint8_t>> image,
-                           uint64_t parent_handle) {
+void RepoWriteBatch::Stage(std::shared_ptr<const std::vector<uint8_t>> image) {
   auto owned = std::make_unique<Entry>();
   Entry* entry = owned.get();
   entry->bytes = std::move(image);
-  entry->parent_handle = parent_handle;
   staged_bytes_ += entry->bytes->size();
   entries_.push_back(std::move(owned));
   repo_->hash_pool().Submit([this, entry] { PrepareEntry(entry); });
 }
 
-void RepoWriteBatch::Stage(std::vector<uint8_t>&& image,
-                           uint64_t parent_handle) {
-  Stage(std::make_shared<const std::vector<uint8_t>>(std::move(image)),
-        parent_handle);
+void RepoWriteBatch::Stage(std::vector<uint8_t>&& image) {
+  Stage(std::make_shared<const std::vector<uint8_t>>(std::move(image)));
 }
 
 void RepoWriteBatch::PrepareEntry(Entry* entry) {
@@ -40,21 +36,15 @@ void RepoWriteBatch::PrepareEntry(Entry* entry) {
     entry->parsed_ok = true;
     entry->format_version = view.format_version();
     entry->embedded_id = view.image_id();
-    entry->embedded_parent = view.parent_id();
-    entry->delta_ref_count = view.delta_ref_count();
     entry->chunks.reserve(view.chunks().size());
     for (const CheckpointImageLiteView::Chunk& c : view.chunks()) {
       StagedChunk sc;
       sc.id = c.id;
-      sc.kind = c.kind;
-      sc.declared_crc = c.crc;
-      if (c.kind == kChunkKindPayload) {
-        sc.span = c.payload;
-        sc.key = ContentKeyOf(c.payload.data, c.payload.size);
-        // The envelope's declared CRC is re-proven against the actual bytes
-        // — the same integrity gate CheckpointImageView applies eagerly.
-        sc.crc_ok = sc.key.crc == c.crc;
-      }
+      sc.span = c.payload;
+      sc.key = ContentKeyOf(c.payload.data, c.payload.size);
+      // The envelope's declared CRC is re-proven against the actual bytes
+      // — the same integrity gate CheckpointImageView applies eagerly.
+      sc.crc_ok = sc.key.crc == c.crc;
       entry->chunks.push_back(std::move(sc));
     }
   } else {

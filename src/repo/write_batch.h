@@ -1,14 +1,13 @@
 // An epoch-scoped staging area for batched puts.
 //
-// The per-put path (CheckpointRepo::PutImage) pays a parse-with-copies, a
-// hash pass, and a flush-per-record journal commit for every image. A batch
-// amortizes all three across an epoch: the caller *stages* serialized images
-// — zero-copy, by sharing the buffer — and each image's lite structural
-// parse, content hashing and CRC verification run as one task on the
-// repository's background hashing pool, overlapped with further staging.
-// CommitBatch then validates, appends every new payload to the segment (one
-// flush), and publishes the whole epoch with a single journal record (one
-// flush) — recovery sees it all-or-nothing.
+// Every put goes through a batch; CheckpointRepo::PutImage is a batch of
+// one. A batch of many amortizes the commit across an epoch: the caller
+// *stages* serialized images — zero-copy, by sharing the buffer — and each
+// image's lite structural parse, content hashing and CRC verification run as
+// one task on the repository's background hashing pool, overlapped with
+// further staging. CommitBatch then validates, appends every new payload to
+// the segment (one flush), and publishes the whole epoch with a single
+// journal record (one flush) — recovery sees it all-or-nothing.
 //
 // Determinism: handles, segment offsets, and the journal record are assigned
 // at commit in stage order, so the repository's bytes depend only on the
@@ -18,8 +17,6 @@
 //  - Stage() and CommitBatch() (on the repository) run on the single thread
 //    that owns the repository; CommitBatch waits for the batch's tasks
 //    first.
-//  - A delta image names its parent by a committed repository handle; a
-//    parent staged in the same batch has no handle yet.
 //  - A batch belongs to the repository that created it and must not outlive
 //    it (the destructor waits for in-flight tasks).
 
@@ -46,15 +43,13 @@ class RepoWriteBatch {
   RepoWriteBatch(const RepoWriteBatch&) = delete;
   RepoWriteBatch& operator=(const RepoWriteBatch&) = delete;
 
-  // Stages one serialized image (format v1 or v2, full or delta); the i-th
-  // staged image gets the commit result's handles[i]. Rejections surface at
-  // commit, never here. A delta image names its parent by committed
-  // repository handle (`parent_handle`).
-  void Stage(std::shared_ptr<const std::vector<uint8_t>> image,
-             uint64_t parent_handle = 0);
+  // Stages one serialized image (format v1 or v2); the i-th staged image
+  // gets the commit result's handles[i]. Rejections surface at commit, never
+  // here.
+  void Stage(std::shared_ptr<const std::vector<uint8_t>> image);
   // Ownership-transfer convenience for callers holding a plain buffer (e.g.
   // straight out of ArchiveWriter::Take()).
-  void Stage(std::vector<uint8_t>&& image, uint64_t parent_handle = 0);
+  void Stage(std::vector<uint8_t>&& image);
 
   size_t staged_count() const { return entries_.size(); }
   uint64_t staged_bytes() const { return staged_bytes_; }
@@ -64,24 +59,19 @@ class RepoWriteBatch {
 
   struct StagedChunk {
     std::string id;
-    uint8_t kind = 0;
-    uint32_t declared_crc = 0;  // payload: envelope CRC; delta ref: parent pin
-    ByteSpan span;              // payload bytes inside `Entry::bytes`
-    ContentKey key;             // payload: the content key
-    bool crc_ok = false;        // payload: computed CRC == declared CRC
+    ByteSpan span;        // payload bytes inside `Entry::bytes`
+    ContentKey key;       // the content key
+    bool crc_ok = false;  // computed CRC == the envelope's declared CRC
   };
 
   // Heap-stable (vector of unique_ptr): an entry's task fills in everything
-  // after parent_handle while later Stage calls grow the entries vector.
+  // after `bytes` while later Stage calls grow the entries vector.
   struct Entry {
     std::shared_ptr<const std::vector<uint8_t>> bytes;
-    uint64_t parent_handle = 0;
     bool parsed_ok = false;
     std::string parse_error;
     uint32_t format_version = 0;
     uint64_t embedded_id = 0;
-    uint64_t embedded_parent = 0;
-    size_t delta_ref_count = 0;
     std::vector<StagedChunk> chunks;
   };
 

@@ -1,6 +1,5 @@
 #include "src/sim/image.h"
 
-#include <cassert>
 #include <cstring>
 #include <set>
 #include <utility>
@@ -44,66 +43,41 @@ uint32_t Crc32(const uint8_t* data, size_t n) {
 
 void CheckpointImageBuilder::AddChunk(std::string id,
                                       std::vector<uint8_t> payload) {
-  chunks_.push_back(
-      PendingChunk{std::move(id), kChunkKindPayload, std::move(payload), 0});
+  chunks_.push_back(PendingChunk{std::move(id), std::move(payload)});
 }
 
-void CheckpointImageBuilder::AddDeltaChunk(std::string id,
-                                           uint32_t expected_parent_crc) {
-  chunks_.push_back(
-      PendingChunk{std::move(id), kChunkKindDeltaRef, {}, expected_parent_crc});
-}
-
-void CheckpointImageBuilder::SetDeltaHeader(uint64_t image_id,
-                                            uint64_t parent_id) {
-  delta_header_ = true;
+void CheckpointImageBuilder::SetImageId(uint64_t image_id) {
+  v2_ = true;
   image_id_ = image_id;
-  parent_id_ = parent_id;
 }
 
 std::vector<uint8_t> CheckpointImageBuilder::Serialize() const {
-  bool has_delta_chunks = false;
-  size_t total = 3 * sizeof(uint32_t) + sizeof(uint64_t);  // v1 header bound
-  for (const PendingChunk& c : chunks_) {
-    total += StringWireSize(c.id) + sizeof(uint8_t);
-    if (c.kind == kChunkKindPayload) {
-      total += sizeof(uint64_t) + sizeof(uint32_t) + c.payload.size();
-    } else {
-      total += sizeof(uint32_t);
-      has_delta_chunks = true;
-    }
-  }
-  // A delta ref is meaningless without a parent to resolve it against;
-  // readers reject such images, so refuse to build one.
-  assert(!(has_delta_chunks && (!delta_header_ || parent_id_ == 0)));
-  (void)has_delta_chunks;
-
-  const bool v2 = delta_header_;
-  if (v2) {
+  size_t total = 2 * sizeof(uint32_t) + sizeof(uint64_t);
+  if (v2_) {
     total += 2 * sizeof(uint64_t);
+  }
+  for (const PendingChunk& c : chunks_) {
+    total += StringWireSize(c.id) + (v2_ ? sizeof(uint8_t) : 0) +
+             sizeof(uint64_t) + sizeof(uint32_t) + c.payload.size();
   }
 
   ArchiveWriter w;
   w.Reserve(total);
   w.Write<uint32_t>(kImageMagic);
-  w.Write<uint32_t>(v2 ? kImageFormatVersionDelta : kImageFormatVersion);
-  if (v2) {
+  w.Write<uint32_t>(v2_ ? kImageFormatVersion2 : kImageFormatVersion);
+  if (v2_) {
     w.Write<uint64_t>(image_id_);
-    w.Write<uint64_t>(parent_id_);
+    w.Write<uint64_t>(0);  // parent image id
   }
   w.Write<uint64_t>(chunks_.size());
   for (const PendingChunk& c : chunks_) {
     w.WriteString(c.id);
-    if (v2) {
-      w.Write<uint8_t>(c.kind);
+    if (v2_) {
+      w.Write<uint8_t>(kChunkKindPayload);
     }
-    if (c.kind == kChunkKindPayload) {
-      w.Write<uint64_t>(c.payload.size());
-      w.Write<uint32_t>(Crc32(c.payload));
-      w.WriteBytes(c.payload.data(), c.payload.size());
-    } else {
-      w.Write<uint32_t>(c.expected_crc);
-    }
+    w.Write<uint64_t>(c.payload.size());
+    w.Write<uint32_t>(Crc32(c.payload));
+    w.WriteBytes(c.payload.data(), c.payload.size());
   }
   return w.Take();
 }
@@ -112,55 +86,31 @@ CheckpointImageView::CheckpointImageView(const std::vector<uint8_t>& image) {
   const CheckpointImageLiteView lite(image);
   version_ = lite.format_version();
   image_id_ = lite.image_id();
-  parent_id_ = lite.parent_id();
   if (!lite.ok()) {
     error_ = lite.error();
     return;
   }
-  for (const auto* chunks : {&lite.chunks(), &lite.shadowed_}) {
-    for (const CheckpointImageLiteView::Chunk& c : *chunks) {
-      if (c.kind == kChunkKindPayload &&
-          Crc32(c.payload.data, c.payload.size) != c.crc) {
-        error_ = "CRC mismatch in chunk '" + c.id + "'";
-        return;
-      }
+  for (const CheckpointImageLiteView::Chunk& c : lite.chunks()) {
+    if (Crc32(c.payload.data, c.payload.size) != c.crc) {
+      error_ = "CRC mismatch in chunk '" + c.id + "'";
+      return;
     }
   }
   for (const CheckpointImageLiteView::Chunk& c : lite.chunks()) {
-    chunks_.emplace(c.id, ParsedChunk{c.kind,
-                                      std::vector<uint8_t>(
-                                          c.payload.data,
-                                          c.payload.data + c.payload.size),
-                                      c.crc});
+    chunks_.emplace(c.id, std::vector<uint8_t>(c.payload.data,
+                                               c.payload.data + c.payload.size));
     order_.push_back(c.id);
   }
-  delta_ref_count_ = lite.delta_ref_count();
   ok_ = true;
 }
 
 bool CheckpointImageView::HasChunk(const std::string& id) const {
-  if (!ok_) {
-    return false;
-  }
-  auto it = chunks_.find(id);
-  return it != chunks_.end() && it->second.kind == kChunkKindPayload;
+  return ok_ && chunks_.count(id) != 0;
 }
 
 const std::vector<uint8_t>& CheckpointImageView::Chunk(
     const std::string& id) const {
-  return chunks_.at(id).payload;
-}
-
-bool CheckpointImageView::HasDeltaRef(const std::string& id) const {
-  if (!ok_) {
-    return false;
-  }
-  auto it = chunks_.find(id);
-  return it != chunks_.end() && it->second.kind == kChunkKindDeltaRef;
-}
-
-uint32_t CheckpointImageView::DeltaRefCrc(const std::string& id) const {
-  return chunks_.at(id).crc;
+  return chunks_.at(id);
 }
 
 namespace {
@@ -219,70 +169,62 @@ CheckpointImageLiteView::CheckpointImageLiteView(
     return;
   }
   version_ = c.Read<uint32_t>();
-  if (!c.ok || (version_ != kImageFormatVersion &&
-                version_ != kImageFormatVersionDelta)) {
+  if (!c.ok ||
+      (version_ != kImageFormatVersion && version_ != kImageFormatVersion2)) {
     Fail("unsupported format version " + std::to_string(version_));
     return;
   }
-  const bool v2 = version_ == kImageFormatVersionDelta;
+  const bool v2 = version_ == kImageFormatVersion2;
+  uint64_t parent = 0;
   if (v2) {
     image_id_ = c.Read<uint64_t>();
-    parent_id_ = c.Read<uint64_t>();
+    parent = c.Read<uint64_t>();
   }
   const uint64_t count = c.Read<uint64_t>();
   if (!c.ok) {
     Fail("truncated header");
     return;
   }
+  if (parent != 0) {
+    Fail("image names parent image " + std::to_string(parent) +
+         "; images must be self-contained");
+    return;
+  }
   std::set<std::string> seen;
   for (uint64_t i = 0; i < count; ++i) {
     std::string id = c.ReadString();
-    uint8_t kind = kChunkKindPayload;
     if (v2) {
-      kind = c.Read<uint8_t>();
-      if (c.ok && kind != kChunkKindPayload && kind != kChunkKindDeltaRef) {
+      const uint8_t kind = c.Read<uint8_t>();
+      if (c.ok && kind != kChunkKindPayload) {
         Fail("unknown chunk kind in chunk '" + id + "'");
         return;
       }
     }
-    if (kind == kChunkKindPayload) {
-      const uint64_t len = c.Read<uint64_t>();
-      const uint32_t crc = c.Read<uint32_t>();
-      if (!c.ok) {
-        Fail("truncated chunk table");
-        return;
-      }
-      ByteSpan payload = c.ReadSpan(len);
-      if (!c.ok) {
-        Fail("truncated chunk payload");
-        return;
-      }
-      if (!seen.insert(id).second) {
-        if (v2) {
-          Fail("duplicate chunk id '" + id + "'");
-          return;
-        }
-        shadowed_.push_back(Chunk{std::move(id), kind, payload, crc});
-        continue;
-      }
-      chunks_.push_back(Chunk{std::move(id), kind, payload, crc});
-    } else {
-      const uint32_t expected_crc = c.Read<uint32_t>();
-      if (!c.ok) {
-        Fail("truncated delta ref");
-        return;
-      }
-      if (parent_id_ == 0) {
-        Fail("delta ref in chunk '" + id + "' of a parentless image");
-        return;
-      }
-      if (!seen.insert(id).second) {
+    const uint64_t len = c.Read<uint64_t>();
+    const uint32_t crc = c.Read<uint32_t>();
+    if (!c.ok) {
+      Fail("truncated chunk table");
+      return;
+    }
+    ByteSpan payload = c.ReadSpan(len);
+    if (!c.ok) {
+      Fail("truncated chunk payload");
+      return;
+    }
+    if (!seen.insert(id).second) {
+      if (v2) {
         Fail("duplicate chunk id '" + id + "'");
         return;
       }
-      chunks_.push_back(Chunk{std::move(id), kind, {}, expected_crc});
-      ++delta_ref_count_;
+      // No reader uses a dropped v1 duplicate's bytes, but a flipped bit
+      // anywhere in an image is still an error.
+      if (Crc32(payload.data, payload.size) != crc) {
+        Fail("CRC mismatch in chunk '" + id + "'");
+        return;
+      }
+      continue;
     }
+    chunks_.push_back(Chunk{std::move(id), payload, crc});
   }
   ok_ = true;
 }
@@ -291,8 +233,6 @@ void CheckpointImageLiteView::Fail(const std::string& why) {
   ok_ = false;
   error_ = why;
   chunks_.clear();
-  shadowed_.clear();
-  delta_ref_count_ = 0;
 }
 
 bool CheckpointImageView::RestoreInto(Checkpointable& c) const {

@@ -13,7 +13,7 @@ std::vector<uint8_t> SerializeStagedImage(const StagedCapture& capture) {
   // staged entry is copied straight from the staging buffer into the image.
   size_t total = 2 * sizeof(uint32_t) + sizeof(uint64_t);
   for (const StagedEntry& entry : capture.entries) {
-    // A delta ref needs a v2 image with a parent; partition images have none.
+    // Partition captures never skip: every entry carries its bytes.
     assert(!entry.version_skip);
     total += sizeof(uint64_t) + entry.id.size() + sizeof(uint64_t) +
              sizeof(uint32_t) + entry.size;

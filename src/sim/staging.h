@@ -30,8 +30,8 @@ namespace tcsim {
 struct StagedEntry {
   std::string id;            // Checkpointable::checkpoint_id()
   uint64_t version = 0;      // state_version() observed at freeze time
-  bool version_skip = false; // true: emit a delta ref, no bytes staged
-  uint32_t parent_crc = 0;   // CRC pinning the delta ref when version_skip
+  bool version_skip = false; // true: unchanged since the last capture, no
+                             // bytes staged
   size_t offset = 0;         // byte range inside StagedCapture::buffer
   size_t size = 0;
 };
@@ -58,8 +58,8 @@ struct StagedCapture {
 // The one writer of partition images: frames a staged capture as a v1
 // composite image in a single pass, byte-identical to a
 // CheckpointImageBuilder given one AddChunk per entry in staged order. No
-// entry may be a version skip: a delta ref needs a v2 image with a parent,
-// which only the engine builds (LocalCheckpointEngine frames its own).
+// entry may be a version skip: a skipped entry's bytes live in the engine's
+// tracked payloads, and the engine frames its own images.
 std::vector<uint8_t> SerializeStagedImage(const StagedCapture& capture);
 
 // Pool of reusable staging backing vectors. Thread-safe: the background

@@ -121,9 +121,9 @@ TEST(ImageContainerTest, RejectsUnsupportedFormatVersion) {
   Counter a("a");
   builder.AddChunk(a.checkpoint_id(), SaveOf(a));
   std::vector<uint8_t> image = builder.Serialize();
-  // The version field follows the u32 magic. Patch past the delta format —
-  // version 2 is supported now.
-  const uint32_t future = kImageFormatVersionDelta + 1;
+  // The version field follows the u32 magic. Patch past format v2, the
+  // newest supported.
+  const uint32_t future = kImageFormatVersion2 + 1;
   std::memcpy(image.data() + sizeof(uint32_t), &future, sizeof(future));
   CheckpointImageView view(image);
   EXPECT_FALSE(view.ok());
@@ -162,13 +162,13 @@ TEST(ImageContainerTest, RejectsFlippedPayloadBit) {
   CheckpointImageBuilder dup;
   dup.AddChunk(a.checkpoint_id(), SaveOf(a));
   dup.AddChunk(a.checkpoint_id(), SaveOf(a));
-  std::vector<uint8_t> shadowed = dup.Serialize();
-  ASSERT_TRUE(CheckpointImageView(shadowed).ok());
-  shadowed[shadowed.size() - 3] ^= 0x10;
-  CheckpointImageView shadowed_view(shadowed);
-  EXPECT_FALSE(shadowed_view.ok());
-  EXPECT_NE(shadowed_view.error().find("CRC"), std::string::npos)
-      << shadowed_view.error();
+  std::vector<uint8_t> duplicate = dup.Serialize();
+  ASSERT_TRUE(CheckpointImageView(duplicate).ok());
+  duplicate[duplicate.size() - 3] ^= 0x10;
+  CheckpointImageView duplicate_view(duplicate);
+  EXPECT_FALSE(duplicate_view.ok());
+  EXPECT_NE(duplicate_view.error().find("CRC"), std::string::npos)
+      << duplicate_view.error();
 }
 
 TEST(ImageContainerTest, UnknownChunksAreSkipped) {
@@ -210,70 +210,92 @@ TEST(ImageContainerTest, ShortChunkReportsPartialRestore) {
   EXPECT_FALSE(view.RestoreInto(a));
 }
 
-// --- Format v2 (delta images) --------------------------------------------------
+// --- Format v2 -----------------------------------------------------------------
+
+// Writes a v2 image by hand: `parent` and the chunk kinds are free, so
+// the retired shapes the builder can no longer emit (a parent link and kind-2
+// delta refs, which carry a u32 parent CRC instead of a payload) can be fed to
+// the decoders.
+struct HandChunk {
+  std::string id;
+  uint8_t kind = kChunkKindPayload;
+  std::vector<uint8_t> payload;  // kind 1
+  uint32_t pin = 0;              // kind 2
+};
+
+std::vector<uint8_t> HandWrittenV2(uint64_t image_id, uint64_t parent,
+                                   const std::vector<HandChunk>& chunks) {
+  ArchiveWriter w;
+  w.Write<uint32_t>(kImageMagic);
+  w.Write<uint32_t>(kImageFormatVersion2);
+  w.Write<uint64_t>(image_id);
+  w.Write<uint64_t>(parent);
+  w.Write<uint64_t>(chunks.size());
+  for (const HandChunk& c : chunks) {
+    w.WriteString(c.id);
+    w.Write<uint8_t>(c.kind);
+    if (c.kind == kChunkKindPayload) {
+      w.Write<uint64_t>(c.payload.size());
+      w.Write<uint32_t>(Crc32(c.payload));
+      w.WriteBytes(c.payload.data(), c.payload.size());
+    } else {
+      w.Write<uint32_t>(c.pin);
+    }
+  }
+  return w.Take();
+}
+
+// Both decoders refuse `image` with an error naming `what`.
+void ExpectRefused(const std::vector<uint8_t>& image, const std::string& what) {
+  const CheckpointImageView view(image);
+  EXPECT_FALSE(view.ok());
+  EXPECT_NE(view.error().find(what), std::string::npos) << view.error();
+  EXPECT_EQ(view.chunk_count(), 0u);
+  const CheckpointImageLiteView lite(image);
+  EXPECT_FALSE(lite.ok());
+  EXPECT_EQ(lite.error(), view.error());
+  EXPECT_TRUE(lite.chunks().empty());
+}
 
 TEST(DeltaImageTest, SelfContainedV2RoundTrips) {
   CheckpointImageBuilder builder;
-  builder.SetDeltaHeader(/*image_id=*/5, /*parent_id=*/0);
+  builder.SetImageId(5);
   Counter a("a");
   a.value = 17;
   builder.AddChunk(a.checkpoint_id(), SaveOf(a));
   const std::vector<uint8_t> image = builder.Serialize();
+  // The builder writes the v2 layout with the parent field 0 and kind 1.
+  EXPECT_EQ(image, HandWrittenV2(5, 0, {{"a", kChunkKindPayload, SaveOf(a)}}));
 
   CheckpointImageView view(image);
   ASSERT_TRUE(view.ok()) << view.error();
-  EXPECT_EQ(view.format_version(), kImageFormatVersionDelta);
+  EXPECT_EQ(view.format_version(), kImageFormatVersion2);
   EXPECT_EQ(view.image_id(), 5u);
-  EXPECT_EQ(view.parent_id(), 0u);
-  EXPECT_FALSE(view.is_delta());
   Counter a2("a");
   EXPECT_TRUE(view.RestoreInto(a2));
   EXPECT_EQ(a2.value, 17u);
 }
 
-TEST(DeltaImageTest, DeltaRefsParseWithIdentityAndCrc) {
-  const std::vector<uint8_t> parent_payload = PayloadOf(17);
-  const uint32_t parent_crc = Crc32(parent_payload);
-
-  CheckpointImageBuilder builder;
-  builder.SetDeltaHeader(/*image_id=*/6, /*parent_id=*/5);
-  builder.AddChunk("changed", PayloadOf(18));
-  builder.AddDeltaChunk("same", parent_crc);
-  const std::vector<uint8_t> image = builder.Serialize();
-
-  CheckpointImageView view(image);
-  ASSERT_TRUE(view.ok()) << view.error();
-  EXPECT_EQ(view.image_id(), 6u);
-  EXPECT_EQ(view.parent_id(), 5u);
-  EXPECT_TRUE(view.is_delta());
-  EXPECT_EQ(view.delta_ref_count(), 1u);
-  EXPECT_TRUE(view.HasChunk("changed"));
-  EXPECT_FALSE(view.HasChunk("same"));  // a delta ref is not readable payload
-  EXPECT_TRUE(view.HasDeltaRef("same"));
-  EXPECT_EQ(view.DeltaRefCrc("same"), parent_crc);
-  ASSERT_EQ(view.ChunkIds().size(), 2u);
-  EXPECT_EQ(view.ChunkIds()[0], "changed");
-  EXPECT_EQ(view.ChunkIds()[1], "same");
-}
-
 TEST(DeltaImageTest, RejectsUnknownChunkKind) {
   CheckpointImageBuilder builder;
-  builder.SetDeltaHeader(1, 0);
+  builder.SetImageId(1);
   builder.AddChunk("a", PayloadOf(1));
-  std::vector<uint8_t> image = builder.Serialize();
+  const std::vector<uint8_t> image = builder.Serialize();
   // v2 header is magic u32 | version u32 | image id u64 | parent id u64 |
   // count u64; the first chunk's kind byte follows its length-prefixed id.
   const size_t kind_off = 4 + 4 + 8 + 8 + 8 + 8 + 1;
   ASSERT_EQ(image[kind_off], kChunkKindPayload);
-  image[kind_off] = 7;
-  CheckpointImageView view(image);
-  EXPECT_FALSE(view.ok());
-  EXPECT_NE(view.error().find("kind"), std::string::npos) << view.error();
+  // Kind 2 was the retired delta ref.
+  for (const uint8_t kind : {uint8_t{2}, uint8_t{7}}) {
+    std::vector<uint8_t> mutant = image;
+    mutant[kind_off] = kind;
+    ExpectRefused(mutant, "kind");
+  }
 }
 
 TEST(DeltaImageTest, RejectsDuplicateChunkIds) {
   CheckpointImageBuilder builder;
-  builder.SetDeltaHeader(1, 0);
+  builder.SetImageId(1);
   builder.AddChunk("a", PayloadOf(1));
   builder.AddChunk("a", PayloadOf(2));
   CheckpointImageView view(builder.Serialize());
@@ -281,23 +303,28 @@ TEST(DeltaImageTest, RejectsDuplicateChunkIds) {
   EXPECT_NE(view.error().find("duplicate"), std::string::npos) << view.error();
 }
 
-TEST(DeltaImageTest, RejectsDeltaRefWithoutParent) {
-  CheckpointImageBuilder builder;
-  builder.SetDeltaHeader(/*image_id=*/6, /*parent_id=*/5);
-  builder.AddDeltaChunk("same", 0xDEADBEEF);
-  std::vector<uint8_t> image = builder.Serialize();
-  // Zero out the parent-id field (offset 16, after magic and version): the
-  // delta ref is now unresolvable and the view must say so.
-  std::memset(image.data() + 16, 0, sizeof(uint64_t));
-  CheckpointImageView view(image);
-  EXPECT_FALSE(view.ok());
+TEST(DeltaImageTest, RejectsImagesNamingAParent) {
+  // Every image is self-contained: a v2 header naming parent 5 is refused,
+  // whether its chunks are payloads or a retired delta ref into the parent.
+  ExpectRefused(HandWrittenV2(6, 5, {{"changed", kChunkKindPayload,
+                                      PayloadOf(18)}}),
+                "parent");
+  ExpectRefused(HandWrittenV2(6, 5,
+                              {{"changed", kChunkKindPayload, PayloadOf(18)},
+                               {"same", 2, {}, Crc32(PayloadOf(17))}}),
+                "parent");
+  // The same chunk table without the parent link is fine.
+  EXPECT_TRUE(CheckpointImageView(
+                  HandWrittenV2(6, 0, {{"changed", kChunkKindPayload,
+                                        PayloadOf(18)}}))
+                  .ok());
 }
 
 TEST(DeltaImageTest, RejectsEveryTruncationPointOfV2) {
   CheckpointImageBuilder builder;
-  builder.SetDeltaHeader(/*image_id=*/9, /*parent_id=*/8);
+  builder.SetImageId(9);
   builder.AddChunk("payload-chunk", PayloadOf(7));
-  builder.AddDeltaChunk("delta-ref-chunk", 0x12345678);
+  builder.AddChunk("second-chunk", {1, 2, 3});
   const std::vector<uint8_t> image = builder.Serialize();
   for (size_t len = 0; len < image.size(); ++len) {
     std::vector<uint8_t> prefix(image.begin(), image.begin() + len);
@@ -309,17 +336,11 @@ TEST(DeltaImageTest, RejectsEveryTruncationPointOfV2) {
 // --- Seeded mutation fuzzing of the decoder ------------------------------------
 //
 // Flips bits in, truncates, splices, and overwrites the length and kind
-// fields of v1, self-contained v2 and delta v2 images. Every mutant must be
-// rejected with an error, or be accepted and round-trip: rebuilt through the
-// builder it parses back to the same header, ids, payloads and delta pins.
-// The sanitize-preset run of this test is the no-UB check of the decoder.
-
-struct SeedChunk {
-  std::string id;
-  std::vector<uint8_t> payload;  // payload chunk
-  uint32_t pin = 0;              // delta ref (when `delta`)
-  bool delta = false;
-};
+// fields of a v1 image, a v2 image and a hand-written v2 image in the retired
+// delta shape (a parent link and kind-2 refs). Every mutant must be rejected
+// with an error, or be accepted and round-trip: rebuilt through the builder
+// it parses back to the same header, ids and payloads. The sanitize-preset
+// run of this test is the no-UB check of the decoder.
 
 struct SeedImage {
   std::vector<uint8_t> bytes;
@@ -329,19 +350,17 @@ struct SeedImage {
   std::vector<size_t> boundaries;     // chunk starts, and the image end
 };
 
-// Builds the image and records its field offsets from the layout in
-// src/sim/image.h, checked against the serialized size.
-SeedImage MakeSeed(bool v2, uint64_t image_id, uint64_t parent_id,
-                   const std::vector<SeedChunk>& chunks) {
-  CheckpointImageBuilder builder;
-  if (v2) {
-    builder.SetDeltaHeader(image_id, parent_id);
-  }
+// Writes the image by hand and records its field offsets from the layout in
+// src/sim/image.h, checked against the written size. A v1 seed is written by
+// the builder.
+SeedImage MakeSeed(bool v2, uint64_t image_id, uint64_t parent,
+                   const std::vector<HandChunk>& chunks) {
   SeedImage seed;
   size_t pos = v2 ? 24 : 8;  // magic, version (and the v2 image/parent ids)
   seed.length_fields.push_back(pos);
   pos += sizeof(uint64_t);
-  for (const SeedChunk& c : chunks) {
+  CheckpointImageBuilder v1;
+  for (const HandChunk& c : chunks) {
     seed.boundaries.push_back(pos);
     seed.length_fields.push_back(pos);
     pos += sizeof(uint64_t) + c.id.size();
@@ -349,17 +368,16 @@ SeedImage MakeSeed(bool v2, uint64_t image_id, uint64_t parent_id,
       seed.kind_fields.push_back(pos);
       pos += sizeof(uint8_t);
     }
-    if (c.delta) {
-      builder.AddDeltaChunk(c.id, c.pin);
-      pos += sizeof(uint32_t);
-    } else {
+    if (c.kind == kChunkKindPayload) {
       seed.length_fields.push_back(pos);
       pos += sizeof(uint64_t) + sizeof(uint32_t) + c.payload.size();
-      builder.AddChunk(c.id, c.payload);
+      v1.AddChunk(c.id, c.payload);
+    } else {
+      pos += sizeof(uint32_t);
     }
   }
   seed.boundaries.push_back(pos);
-  seed.bytes = builder.Serialize();
+  seed.bytes = v2 ? HandWrittenV2(image_id, parent, chunks) : v1.Serialize();
   EXPECT_EQ(pos, seed.bytes.size());
   return seed;
 }
@@ -369,8 +387,7 @@ bool RejectedOrRoundTrips(const std::vector<uint8_t>& mutant, bool* accepted) {
   const CheckpointImageView view(mutant);
   *accepted = view.ok();
   if (!view.ok()) {
-    return !view.error().empty() && view.chunk_count() == 0 &&
-           !view.is_delta();
+    return !view.error().empty() && view.chunk_count() == 0;
   }
   const std::set<std::string> unique(view.ChunkIds().begin(),
                                      view.ChunkIds().end());
@@ -379,32 +396,21 @@ bool RejectedOrRoundTrips(const std::vector<uint8_t>& mutant, bool* accepted) {
     return false;
   }
   CheckpointImageBuilder builder;
-  if (view.format_version() == kImageFormatVersionDelta) {
-    builder.SetDeltaHeader(view.image_id(), view.parent_id());
+  if (view.format_version() == kImageFormatVersion2) {
+    builder.SetImageId(view.image_id());
   }
   for (const std::string& id : view.ChunkIds()) {
-    if (view.HasChunk(id)) {
-      builder.AddChunk(id, view.Chunk(id));
-    } else {
-      builder.AddDeltaChunk(id, view.DeltaRefCrc(id));
-    }
+    builder.AddChunk(id, view.Chunk(id));
   }
   const std::vector<uint8_t> rebuilt = builder.Serialize();
   const CheckpointImageView again(rebuilt);
   if (!again.ok() || again.format_version() != view.format_version() ||
       again.image_id() != view.image_id() ||
-      again.parent_id() != view.parent_id() ||
-      again.ChunkIds() != view.ChunkIds() ||
-      again.delta_ref_count() != view.delta_ref_count()) {
+      again.ChunkIds() != view.ChunkIds()) {
     return false;
   }
   for (const std::string& id : view.ChunkIds()) {
-    if (view.HasChunk(id)) {
-      if (!again.HasChunk(id) || again.Chunk(id) != view.Chunk(id)) {
-        return false;
-      }
-    } else if (!again.HasDeltaRef(id) ||
-               again.DeltaRefCrc(id) != view.DeltaRefCrc(id)) {
+    if (!again.HasChunk(id) || again.Chunk(id) != view.Chunk(id)) {
       return false;
     }
   }
@@ -414,14 +420,27 @@ bool RejectedOrRoundTrips(const std::vector<uint8_t>& mutant, bool* accepted) {
 TEST(ImageMutationTest, EveryMutantIsRejectedOrRoundTrips) {
   const std::vector<SeedImage> seeds = {
       MakeSeed(/*v2=*/false, 0, 0,
-               {{"alpha", PayloadOf(1)}, {"beta", {1, 2, 3, 4, 5}}, {"", {}}}),
+               {{"alpha", kChunkKindPayload, PayloadOf(1)},
+                {"beta", kChunkKindPayload, {1, 2, 3, 4, 5}},
+                {"", kChunkKindPayload, {}}}),
       MakeSeed(/*v2=*/true, 7, 0,
-               {{"alpha", PayloadOf(2)}, {"beta", {6, 7, 8}}}),
+               {{"alpha", kChunkKindPayload, PayloadOf(2)},
+                {"beta", kChunkKindPayload, {6, 7, 8}}}),
       MakeSeed(/*v2=*/true, 8, 7,
-               {{"alpha", PayloadOf(3)},
-                {"beta", {}, Crc32(std::vector<uint8_t>{6, 7, 8}), true},
-                {"gamma", {}, 0xDEADBEEF, true}}),
+               {{"alpha", kChunkKindPayload, PayloadOf(3)},
+                {"beta", 2, {}, Crc32(std::vector<uint8_t>{6, 7, 8})},
+                {"gamma", 2, {}, 0xDEADBEEF}}),
   };
+  // The first two seeds are what the builder writes; the retired delta shape
+  // is refused as it stands.
+  CheckpointImageBuilder v2;
+  v2.SetImageId(7);
+  v2.AddChunk("alpha", PayloadOf(2));
+  v2.AddChunk("beta", {6, 7, 8});
+  EXPECT_EQ(seeds[1].bytes, v2.Serialize());
+  EXPECT_TRUE(CheckpointImageView(seeds[0].bytes).ok());
+  EXPECT_FALSE(CheckpointImageView(seeds[2].bytes).ok());
+  EXPECT_FALSE(CheckpointImageLiteView(seeds[2].bytes).ok());
   const uint64_t kLengths[] = {0, 1, 4, 8, 13, 0x7FFFFFFFull,
                                0x4000000000000000ull, ~0ull};
 

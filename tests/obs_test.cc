@@ -10,6 +10,8 @@
 #include <string>
 #include <vector>
 
+#include "src/emulab/experiment.h"
+#include "src/emulab/testbed.h"
 #include "src/obs/metrics.h"
 #include "src/obs/trace_session.h"
 #include "src/repo/checkpoint_repo.h"
@@ -262,10 +264,44 @@ TEST_F(ObsTest, TracingIsPerturbationFreeOnBasicExperimentRun) {
   EXPECT_EQ(digest_off, digest_ring);
 }
 
+// A stateful swap-out/in cycle of a one-node experiment, with the fs
+// server's repository attached when `repo` is non-null. Returns the event
+// digest at the end of the cycle.
+uint64_t RunStatefulSwapCycle(CheckpointRepo* repo) {
+  Simulator sim;
+  Testbed testbed(&sim, 77);
+  testbed.AttachRepository(repo);
+  ExperimentSpec spec("one-node");
+  spec.AddNode("pc1");
+  Experiment* experiment = testbed.CreateExperiment(spec);
+  experiment->SwapIn(/*golden_cached=*/true, nullptr);
+  sim.RunUntil(30 * kSecond);
+  experiment->node("pc1")->kernel().block().Write(5000, {1, 2, 3, 4}, nullptr);
+  sim.RunUntil(32 * kSecond);
+  SwapRecord out, in;
+  experiment->StatefulSwapOut(/*eager_precopy=*/false,
+                              [&out](const SwapRecord& rec) { out = rec; });
+  sim.RunUntil(332 * kSecond);
+  experiment->StatefulSwapIn(/*lazy=*/false,
+                             [&in](const SwapRecord& rec) { in = rec; });
+  sim.RunUntil(632 * kSecond);
+  EXPECT_EQ(experiment->state(), Experiment::State::kSwappedIn);
+  if (repo != nullptr) {
+    // The image went to disk and came back byte-identical.
+    EXPECT_GT(out.repo_bytes_written, 0u);
+    EXPECT_TRUE(out.repo_verified);
+    EXPECT_GT(in.repo_bytes_read, 0u);
+    EXPECT_TRUE(in.repo_verified);
+    EXPECT_EQ(repo->live_image_count(), 1u) << repo->error();
+  }
+  return sim.Digest();
+}
+
 TEST_F(ObsTest, TracingIsPerturbationFreeOnRepoAttachedRun) {
-  // The same scenario with a durable repository attached to the engine: the
-  // spill path (lite parse, hashing pool, group commit, repo.commit spans)
-  // must not perturb the simulation either — with or without tracing.
+  // A stateful swap through the fs server's durable repository: the put
+  // path (lite parse, hashing pool, group commit, repo.commit spans) and the
+  // swap-in read-back must not perturb the simulation either — with or
+  // without tracing.
   namespace fs = std::filesystem;
   const std::string base =
       (fs::path(::testing::TempDir()) / "tcsim_obs_repo").string();
@@ -275,24 +311,14 @@ TEST_F(ObsTest, TracingIsPerturbationFreeOnRepoAttachedRun) {
     std::string error;
     auto repo = CheckpointRepo::Open(dir, RepoOptions{}, &error);
     EXPECT_NE(repo, nullptr) << error;
-    BasicExperimentRun::Params params;
-    params.seed = 11;
-    BasicExperimentRun run(params);
-    run.engine().AttachRepository(repo.get());
-    run.AdvanceTo(200 * kMillisecond);
-    run.CaptureCheckpoint();
-    run.AdvanceTo(500 * kMillisecond);
-    run.CaptureCheckpoint();
-    run.AdvanceTo(800 * kMillisecond);
-    EXPECT_NE(run.engine().last_repo_handle(), 0u) << repo->error();
-    const uint64_t digest = run.sim().Digest();
+    const uint64_t digest = RunStatefulSwapCycle(repo.get());
     fs::remove_all(dir);
     return digest;
   };
 
   TraceSession::Global().Stop();
   const uint64_t digest_off = run_with_repo("off");
-  EXPECT_EQ(digest_off, RunCheckpointedScenario<BasicExperimentRun>())
+  EXPECT_EQ(digest_off, RunStatefulSwapCycle(nullptr))
       << "attaching a repository must not perturb the run";
 
   MetricsRegistry::Global().ResetAll();
@@ -300,8 +326,9 @@ TEST_F(ObsTest, TracingIsPerturbationFreeOnRepoAttachedRun) {
   const uint64_t digest_full = run_with_repo("on");
   EXPECT_EQ(digest_off, digest_full);
 
-  // The spill telemetry landed: group commits, batched images, staged bytes,
-  // the two publication flushes per commit, and the hash-pool depth gauge.
+  // The repository telemetry landed: group commits, batched images, staged
+  // bytes, the two publication flushes per commit, and the hash-pool depth
+  // gauge.
   MetricsRegistry& reg = MetricsRegistry::Global();
   EXPECT_GT(reg.FindCounter("repo.batch.commits")->value(), 0u);
   EXPECT_GT(reg.FindCounter("repo.batch.images")->value(), 0u);

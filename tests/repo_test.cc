@@ -1,6 +1,6 @@
 // The durable checkpoint repository: put/materialize byte-fidelity against
-// literal self-contained images, content dedup, delta-chain storage and
-// compaction, refcount GC with epoch switch, and crash recovery — including
+// literal images, content dedup across histories of self-contained images,
+// retirement, refcount GC with epoch switch, and crash recovery — including
 // an every-byte truncation sweep of both the journal and the segment (the
 // sanitize-preset run of this file is the no-UB durability acceptance check).
 
@@ -64,26 +64,18 @@ std::vector<uint8_t> PayloadOf(uint64_t value) {
   return w.Take();
 }
 
-// A self-contained v2 image with two payload chunks.
+// A v2 image with two payload chunks. Images sharing a value share that
+// payload, which the repository stores once.
 std::vector<uint8_t> FullImage(uint64_t id, uint64_t a, uint64_t b) {
   CheckpointImageBuilder builder;
-  builder.SetDeltaHeader(id, 0);
+  builder.SetImageId(id);
   builder.AddChunk("a", PayloadOf(a));
   builder.AddChunk("b", PayloadOf(b));
   return builder.Serialize();
 }
 
-// A delta image: chunk "a" changed, chunk "b" pinned to the parent's content.
-// Resolved against a parent whose "b" holds `parent_b`, it materializes to
-// exactly FullImage(id, a, parent_b).
-std::vector<uint8_t> DeltaImage(uint64_t id, uint64_t parent, uint64_t a,
-                                uint64_t parent_b) {
-  CheckpointImageBuilder builder;
-  builder.SetDeltaHeader(id, parent);
-  builder.AddChunk("a", PayloadOf(a));
-  builder.AddDeltaChunk("b", Crc32(PayloadOf(parent_b)));
-  return builder.Serialize();
-}
+// Segment bytes one stored payload of FullImage occupies.
+constexpr uint64_t kStoredPayload = kSegmentRecordOverhead + sizeof(uint64_t);
 
 // `bytes` (a multiple of 8) of pseudo-random content: equal seeds give equal
 // payloads, distinct seeds distinct ones.
@@ -111,20 +103,17 @@ uint64_t FoldMaterializations(CheckpointRepo* repo) {
 // --- Put / Materialize fidelity ------------------------------------------------
 
 TEST_F(RepoTest, MaterializeMatchesLiteralSelfContainedImages) {
-  // Materialization resolves delta refs through the parent chain into a
-  // self-contained image: the stored image id, parent id 0, every chunk a
-  // payload, in the original chunk order.
+  // Materialization rebuilds the stored image: the stored image id, every
+  // chunk in the original chunk order, whether or not its payload was shared
+  // with an earlier image.
   auto repo = OpenRepo();
   const uint64_t h1 = repo->PutImage(FullImage(1, 10, 20));
   ASSERT_NE(h1, 0u) << repo->error();
-  const uint64_t h2 = repo->PutImage(DeltaImage(2, 1, 11, 20), h1);
+  const uint64_t h2 = repo->PutImage(FullImage(2, 11, 20));
   ASSERT_NE(h2, 0u) << repo->error();
 
   EXPECT_EQ(repo->Materialize(h1), FullImage(1, 10, 20));
   EXPECT_EQ(repo->Materialize(h2), FullImage(2, 11, 20));
-  EXPECT_EQ(repo->ChainDepth(h1), 0u);
-  EXPECT_EQ(repo->ChainDepth(h2), 1u);
-  EXPECT_EQ(repo->ParentHandleOf(h2), h1);
 
   // A v1 image carries no identity: it is assigned its handle.
   CheckpointImageBuilder v1;
@@ -132,9 +121,8 @@ TEST_F(RepoTest, MaterializeMatchesLiteralSelfContainedImages) {
   const uint64_t h3 = repo->PutImage(v1.Serialize());
   ASSERT_NE(h3, 0u) << repo->error();
   EXPECT_EQ(repo->ImageIdOf(h3), h3);
-  EXPECT_EQ(repo->ParentHandleOf(h3), 0u);
   CheckpointImageBuilder v1_materialized;
-  v1_materialized.SetDeltaHeader(h3, 0);
+  v1_materialized.SetImageId(h3);
   v1_materialized.AddChunk("a", PayloadOf(10));
   EXPECT_EQ(repo->Materialize(h3), v1_materialized.Serialize());
 }
@@ -154,141 +142,136 @@ TEST_F(RepoTest, RejectsBadPuts) {
   const uint64_t h1 = repo->PutImage(FullImage(1, 10, 20));
   ASSERT_NE(h1, 0u);
 
+  const auto expect_refused = [&repo](const std::vector<uint8_t>& image,
+                                      const std::string& why) {
+    EXPECT_EQ(repo->PutImage(image), 0u) << why;
+    EXPECT_NE(repo->error().find(why), std::string::npos) << repo->error();
+  };
   // Garbage bytes.
-  EXPECT_EQ(repo->PutImage(std::vector<uint8_t>{1, 2, 3}), 0u);
-  EXPECT_FALSE(repo->error().empty());
-  // A delta without its parent's handle.
-  EXPECT_EQ(repo->PutImage(DeltaImage(2, 1, 11, 20)), 0u);
-  // A delta naming a parent the handle does not hold.
-  EXPECT_EQ(repo->PutImage(DeltaImage(2, 99, 11, 20), h1), 0u);
-  // A delta whose CRC pin does not match the parent's actual content.
-  EXPECT_EQ(repo->PutImage(DeltaImage(2, 1, 11, /*parent_b=*/999), h1), 0u);
-  EXPECT_NE(repo->error().find("delta ref"), std::string::npos)
-      << repo->error();
-  // A delta ref to a chunk the parent does not have.
-  CheckpointImageBuilder absent;
-  absent.SetDeltaHeader(2, 1);
-  absent.AddDeltaChunk("no-such-chunk", 0x1111);
-  EXPECT_EQ(repo->PutImage(absent.Serialize(), h1), 0u);
-  EXPECT_NE(repo->error().find("delta ref"), std::string::npos)
-      << repo->error();
+  expect_refused({1, 2, 3}, "malformed image");
+  // A flipped payload bit.
+  std::vector<uint8_t> flipped = FullImage(2, 11, 20);
+  flipped.back() ^= 0x10;
+  expect_refused(flipped, "CRC mismatch in chunk 'b'");
+  // A v2 image naming a parent (offset 16, after magic, version and id).
+  std::vector<uint8_t> naming_parent = FullImage(2, 11, 20);
+  naming_parent[16] = 1;
+  expect_refused(naming_parent, "parent");
+  // A v2 image without an id.
+  expect_refused(FullImage(0, 11, 20), "without an id");
+  // A v1 image repeating chunk 'a', whose dropped second copy fails its CRC
+  // (66 bytes): the view refuses it, so the repository must too.
+  CheckpointImageBuilder two_copies;
+  two_copies.AddChunk("a", {1, 2, 3, 4});
+  two_copies.AddChunk("a", {1, 2, 3, 4});
+  std::vector<uint8_t> shadowed = two_copies.Serialize();
+  ASSERT_EQ(shadowed.size(), 66u);
+  ASSERT_TRUE(CheckpointImageView(shadowed).ok());
+  shadowed.back() ^= 0x01;
+  ASSERT_FALSE(CheckpointImageView(shadowed).ok());
+  expect_refused(shadowed, "malformed image: CRC mismatch in chunk 'a'");
   // Rejections leave the repository unchanged.
   EXPECT_EQ(repo->image_count(), 1u);
+  EXPECT_EQ(repo->LiveHandles(), (std::vector<uint64_t>{h1}));
 }
 
-// --- Retire / compaction / GC --------------------------------------------------
+// --- Retire / GC ----------------------------------------------------------------
 
-TEST_F(RepoTest, RetiredAncestorStaysResolvableForLiveDeltas) {
+TEST_F(RepoTest, RetireKeepsSharedPayloadsLive) {
   auto repo = OpenRepo();
   const uint64_t h1 = repo->PutImage(FullImage(1, 10, 20));
-  const uint64_t h2 = repo->PutImage(DeltaImage(2, 1, 11, 20), h1);
+  const uint64_t h2 = repo->PutImage(FullImage(2, 11, 20));
   ASSERT_NE(h2, 0u) << repo->error();
+  EXPECT_EQ(repo->live_payload_bytes(), 3 * kStoredPayload);
 
   ASSERT_TRUE(repo->RetireImage(h1));
   EXPECT_FALSE(repo->IsLive(h1));
   EXPECT_TRUE(repo->Materialize(h1).empty());  // retired: not materializable
-  // ...but the live delta still resolves through it.
-  EXPECT_FALSE(repo->Materialize(h2).empty()) << repo->error();
-  EXPECT_EQ(repo->garbage_payload_bytes(), 0u);
+  // The payload h1 shared with h2 stays live; its own becomes garbage.
+  EXPECT_EQ(repo->Materialize(h2), FullImage(2, 11, 20)) << repo->error();
+  EXPECT_EQ(repo->live_payload_bytes(), 2 * kStoredPayload);
+  EXPECT_EQ(repo->garbage_payload_bytes(), kStoredPayload);
 
   // Double retire fails; retiring the last live image orphans everything.
   EXPECT_FALSE(repo->RetireImage(h1));
   ASSERT_TRUE(repo->RetireImage(h2));
-  EXPECT_GT(repo->garbage_payload_bytes(), 0u);
+  EXPECT_EQ(repo->garbage_payload_bytes(), 3 * kStoredPayload);
   EXPECT_EQ(repo->live_payload_bytes(), 0u);
 }
 
-TEST_F(RepoTest, CompactionFoldsChainsWithoutChangingBytes) {
-  // Puts `chain` (a full image, then each delta on the one before), folds
-  // it, retires all but the head, collects garbage and reopens. `tail` holds
-  // the literal self-contained forms of the chain's last images: they hold
-  // before and after the fold, and the head's through GC and reopen.
-  auto check = [this](const std::vector<std::vector<uint8_t>>& chain,
-                      const std::vector<std::vector<uint8_t>>& tail) {
+TEST_F(RepoTest, HistoryAppendsOnlyChangedPayloads) {
+  // Puts `history`, a sequence of self-contained images that repeat their
+  // unchanged chunks: each put must append exactly `appended[i]` payload
+  // bytes, the payloads no earlier image held. Then retires all but the
+  // head, collects garbage and reopens: the head still materializes to its
+  // literal image. The first `checked` images are also materialized before
+  // the retirements.
+  auto check = [this](const std::vector<std::vector<uint8_t>>& history,
+                      const std::vector<uint64_t>& appended, size_t checked) {
     fs::remove_all(dir_);
     auto repo = OpenRepo();
     ASSERT_NE(repo, nullptr);
     std::vector<uint64_t> handles;
-    for (const std::vector<uint8_t>& image : chain) {
-      handles.push_back(
-          repo->PutImage(image, handles.empty() ? 0 : handles.back()));
+    for (size_t i = 0; i < history.size(); ++i) {
+      const uint64_t before = repo->physical_put_bytes();
+      handles.push_back(repo->PutImage(history[i]));
       ASSERT_NE(handles.back(), 0u) << repo->error();
+      EXPECT_EQ(repo->physical_put_bytes() - before, appended[i])
+          << "image " << i;
     }
-    const size_t depth = chain.size() - 1;
+    for (size_t i = 0; i < checked; ++i) {
+      EXPECT_EQ(repo->Materialize(handles[i]), history[i]) << "image " << i;
+    }
+
     const uint64_t head = handles.back();
-    auto expect_tail = [&] {
-      for (size_t i = 0; i < tail.size(); ++i) {
-        const size_t at = chain.size() - tail.size() + i;
-        EXPECT_EQ(repo->Materialize(handles[at]), tail[i]) << "image " << at;
-      }
-    };
-    ASSERT_EQ(repo->ChainDepth(head), depth);
-    expect_tail();
-    const uint64_t segment_before = repo->segment_bytes();
-
-    EXPECT_EQ(repo->CompactChains(), depth);  // every delta folds
-    for (const uint64_t handle : handles) {
-      EXPECT_EQ(repo->ChainDepth(handle), 0u);
-      EXPECT_EQ(repo->ParentHandleOf(handle), 0u);
-    }
-    // Folding rewrites records, not payloads: the segment did not grow, and
-    // refs still resolve to the bytes of the ancestor that held them.
-    EXPECT_EQ(repo->segment_bytes(), segment_before);
-    expect_tail();
-    // A second pass finds nothing to fold.
-    EXPECT_EQ(repo->CompactChains(), 0u);
-
-    for (size_t i = 0; i < depth; ++i) {
+    for (size_t i = 0; i + 1 < handles.size(); ++i) {
       ASSERT_TRUE(repo->RetireImage(handles[i]));
     }
     ASSERT_TRUE(repo->CollectGarbage().ok) << repo->error();
-    EXPECT_EQ(repo->Materialize(head), tail.back());
+    EXPECT_EQ(repo->garbage_payload_bytes(), 0u);
+    EXPECT_EQ(repo->Materialize(head), history.back());
     repo.reset();
     auto reopened = OpenRepo();
     ASSERT_NE(reopened, nullptr);
     EXPECT_EQ(reopened->live_image_count(), 1u);
-    EXPECT_EQ(reopened->Materialize(head), tail.back());
+    EXPECT_EQ(reopened->Materialize(head), history.back());
   };
 
-  // Two hops of two-chunk images: image 3's "b" resolves to image 1.
-  check({FullImage(1, 10, 20), DeltaImage(2, 1, 11, 20),
-         DeltaImage(3, 2, 12, 20)},
-        {FullImage(1, 10, 20), FullImage(2, 11, 20), FullImage(3, 12, 20)});
+  // Two-chunk images whose chunk "b" never changes: after the first put,
+  // each appends only its new "a".
+  check({FullImage(1, 10, 20), FullImage(2, 11, 20), FullImage(3, 12, 20)},
+        {16, 8, 8}, 3);
 
-  // A full image and 24 deltas over 16 chunks of 256 KiB. Delta d rewrites a
-  // 4-chunk window; every third delta reverts its window to the base
-  // image's content, so content addressing sees repeated payloads. Only the
-  // head is checked: a 4 MiB materialization costs tens of milliseconds.
+  // 25 images of 16 chunks of 256 KiB. Image d > 0 rewrites a 4-chunk
+  // window of its predecessor; every third one reverts its window to the
+  // first image's content, which the repository already holds. Only the
+  // head is materialized: a 4 MiB materialization costs tens of
+  // milliseconds.
   constexpr size_t kChunks = 16;
   constexpr size_t kChunkBytes = 256 * 1024;
   constexpr size_t kWindow = 4;
-  auto chunk_id = [](size_t c) { return "blk" + std::to_string(c); };
   std::vector<uint64_t> seeds(kChunks);  // each chunk's current payload seed
-  std::map<uint64_t, uint32_t> crc_of_seed;
+  std::set<uint64_t> stored;              // seeds already put
   uint64_t next_seed = kChunks + 1;
-  std::vector<std::vector<uint8_t>> chain;
+  std::vector<std::vector<uint8_t>> history;
+  std::vector<uint64_t> appended;
   for (size_t d = 0; d <= 24; ++d) {
-    CheckpointImageBuilder image;
-    image.SetDeltaHeader(d + 1, d);
     const size_t first = (d * kWindow) % kChunks;
+    uint64_t fresh = 0;
+    CheckpointImageBuilder image;
+    image.SetImageId(d + 1);
     for (size_t c = 0; c < kChunks; ++c) {
-      if (d > 0 && (c < first || c >= first + kWindow)) {
-        image.AddDeltaChunk(chunk_id(c), crc_of_seed.at(seeds[c]));
-        continue;
+      if (d == 0 || (c >= first && c < first + kWindow)) {
+        seeds[c] = d % 3 == 0 ? c + 1 : next_seed++;
+        fresh += stored.insert(seeds[c]).second ? kChunkBytes : 0;
       }
-      seeds[c] = d % 3 == 0 ? c + 1 : next_seed++;
-      std::vector<uint8_t> payload = SeededPayload(seeds[c], kChunkBytes);
-      crc_of_seed[seeds[c]] = Crc32(payload);
-      image.AddChunk(chunk_id(c), std::move(payload));
+      image.AddChunk("blk" + std::to_string(c),
+                     SeededPayload(seeds[c], kChunkBytes));
     }
-    chain.push_back(image.Serialize());
+    history.push_back(image.Serialize());
+    appended.push_back(fresh);
   }
-  CheckpointImageBuilder head;
-  head.SetDeltaHeader(chain.size(), 0);
-  for (size_t c = 0; c < kChunks; ++c) {
-    head.AddChunk(chunk_id(c), SeededPayload(seeds[c], kChunkBytes));
-  }
-  check(chain, {head.Serialize()});
+  check(history, appended, 0);
 }
 
 TEST_F(RepoTest, GcReclaimsUnreferencedPayloadsAndSurvivesReopen) {
@@ -296,10 +279,9 @@ TEST_F(RepoTest, GcReclaimsUnreferencedPayloadsAndSurvivesReopen) {
   {
     auto repo = OpenRepo();
     const uint64_t h1 = repo->PutImage(FullImage(1, 10, 20));
-    h2 = repo->PutImage(DeltaImage(2, 1, 11, 20), h1);
+    h2 = repo->PutImage(FullImage(2, 11, 20));
     ASSERT_NE(h2, 0u) << repo->error();
-    ASSERT_EQ(repo->CompactChains(), 1u);
-    // After folding, h1 is no longer needed as a chain link.
+    // h1's unshared payload becomes garbage.
     ASSERT_TRUE(repo->RetireImage(h1));
     ASSERT_GT(repo->garbage_payload_bytes(), 0u);
 
@@ -327,7 +309,7 @@ TEST_F(RepoTest, ReopenContinuesWhereTheLastProcessStopped) {
   {
     auto repo = OpenRepo();
     h1 = repo->PutImage(FullImage(1, 10, 20));
-    h2 = repo->PutImage(DeltaImage(2, 1, 11, 20), h1);
+    h2 = repo->PutImage(FullImage(2, 11, 20));
     ASSERT_NE(h2, 0u) << repo->error();
   }
   auto repo = OpenRepo();
@@ -335,10 +317,10 @@ TEST_F(RepoTest, ReopenContinuesWhereTheLastProcessStopped) {
   EXPECT_EQ(repo->LiveHandles(), (std::vector<uint64_t>{h1, h2}));
   EXPECT_EQ(repo->Materialize(h1), FullImage(1, 10, 20));
   EXPECT_EQ(repo->Materialize(h2), FullImage(2, 11, 20));
-  // The chain extends across the restart.
-  const uint64_t h3 = repo->PutImage(DeltaImage(3, 2, 12, 20), h2);
+  // Dedup extends across the restart: only the new "a" is appended.
+  const uint64_t h3 = repo->PutImage(FullImage(3, 12, 20));
   ASSERT_NE(h3, 0u) << repo->error();
-  EXPECT_EQ(repo->ChainDepth(h3), 2u);
+  EXPECT_EQ(repo->physical_put_bytes(), sizeof(uint64_t));
 }
 
 TEST_F(RepoTest, TornJournalTailIsDiscarded) {
@@ -422,12 +404,12 @@ void TruncationSweep(const std::string& dir, const std::string& file,
 
 class RepoDurabilityTest : public RepoTest {
  protected:
-  // A small repository exercising every record type: two puts, a delta, a
-  // retire. Closed so all bytes are on disk.
+  // A small repository exercising every record type: three puts, two of
+  // them sharing a payload, and a retire. Closed so all bytes are on disk.
   void BuildFixture() {
     auto repo = OpenRepo();
-    const uint64_t h1 = repo->PutImage(FullImage(1, 10, 20));
-    const uint64_t h2 = repo->PutImage(DeltaImage(2, 1, 11, 20), h1);
+    ASSERT_NE(repo->PutImage(FullImage(1, 10, 20)), 0u) << repo->error();
+    const uint64_t h2 = repo->PutImage(FullImage(2, 11, 20));
     ASSERT_NE(h2, 0u) << repo->error();
     ASSERT_NE(repo->PutImage(FullImage(3, 30, 40)), 0u);
     ASSERT_TRUE(repo->RetireImage(3));
@@ -473,8 +455,9 @@ void WriteFileBytes(const fs::path& p, const std::vector<uint8_t>& bytes) {
 // repository. A re-framed mutant changes one journal record's payload and
 // then gives the record a valid CRC, so corrupt content reaches the record
 // decoder and the replay: the open must refuse, or leave a usable repository
-// in which every Materialize succeeds or reports an error and a put, a
-// compaction and a GC run. The sanitize-preset run of this test is the no-UB
+// in which every Materialize succeeds or reports an error and a put and a GC
+// run. Three records of retired shapes, each appended with a valid CRC, must
+// be refused outright. The sanitize-preset run of this test is the no-UB
 // check of the repository's decoders.
 
 // Byte range of one journal record's payload; its CRC32 follows it.
@@ -500,27 +483,38 @@ std::vector<JournalPayload> JournalPayloads(
   return payloads;
 }
 
+// Appends one journal record framed as in src/repo/repo_format.h, with a
+// valid CRC.
+void AppendJournalRecord(std::vector<uint8_t>* journal, uint8_t type,
+                         const std::vector<uint8_t>& payload) {
+  ArchiveWriter w;
+  w.Write<uint32_t>(kJournalRecordMagic);
+  w.Write<uint8_t>(type);
+  w.Write<uint64_t>(payload.size());
+  w.WriteBytes(payload.data(), payload.size());
+  w.Write<uint32_t>(Crc32(payload));
+  const std::vector<uint8_t> record = w.Take();
+  journal->insert(journal->end(), record.begin(), record.end());
+}
+
 class RepoMutationTest : public RepoTest {
  protected:
-  // A full put, a delta put, a two-image batch (a full image and a delta on
-  // a committed parent), a retire, a compaction folding both deltas and a
-  // last put: 7 journal records. Records the bytes each handle materialized
-  // to while it was live.
+  // Two puts sharing a payload, a two-image batch, a retire and a last put:
+  // 5 journal records. Records the bytes each handle materialized to while
+  // it was live.
   void BuildSeed() {
     auto repo = OpenRepo();
     const uint64_t h1 = repo->PutImage(FullImage(1, 10, 20));
     ASSERT_NE(h1, 0u) << repo->error();
-    ASSERT_NE(repo->PutImage(DeltaImage(2, 1, 11, 20), h1), 0u)
-        << repo->error();
+    ASSERT_NE(repo->PutImage(FullImage(2, 11, 20)), 0u) << repo->error();
     auto batch = repo->BeginBatch();
     batch->Stage(FullImage(3, 30, 40));
-    batch->Stage(DeltaImage(4, 1, 12, 20), h1);
+    batch->Stage(FullImage(4, 12, 20));
     ASSERT_TRUE(repo->CommitBatch(std::move(batch)).ok) << repo->error();
     for (const uint64_t handle : repo->LiveHandles()) {
       intact_[handle] = repo->Materialize(handle);
     }
     ASSERT_TRUE(repo->RetireImage(h1)) << repo->error();
-    ASSERT_EQ(repo->CompactChains(), 2u);
     const uint64_t h5 = repo->PutImage(FullImage(5, 50, 60));
     ASSERT_NE(h5, 0u) << repo->error();
     intact_[h5] = repo->Materialize(h5);
@@ -537,7 +531,63 @@ TEST_F(RepoMutationTest, EveryMutantIsRefusedOrOpensConsistent) {
   const std::vector<uint8_t> journal = FileBytes(seed / "journal.1");
   const std::vector<uint8_t> segment = FileBytes(seed / "segment.1");
   const std::vector<JournalPayload> records = JournalPayloads(journal);
-  ASSERT_EQ(records.size(), 7u);
+  ASSERT_EQ(records.size(), 5u);
+
+  // Inline hashing: no pool threads are started per open.
+  RepoOptions options;
+  options.hash_threads = 0;
+  const fs::path mutant_dir = dir_ + "_mutant";
+  const auto open_mutant = [&](const std::vector<uint8_t>& mutant_journal,
+                               const std::vector<uint8_t>& mutant_segment,
+                               std::string* error) {
+    fs::remove_all(mutant_dir);
+    fs::create_directories(mutant_dir);
+    WriteFileBytes(mutant_dir / "CURRENT", current);
+    WriteFileBytes(mutant_dir / "journal.1", mutant_journal);
+    WriteFileBytes(mutant_dir / "segment.1", mutant_segment);
+    return CheckpointRepo::Open(mutant_dir.string(), options, error);
+  };
+
+  // Retired shapes. The first put (a batch of one) holds handle 1's put
+  // record after its count and length; its layout is in
+  // CheckpointRepo::EncodeImageRecord: handle u64 | image id u64 | parent
+  // image id u64 | parent handle u64 | chunk count u64 | chunks.
+  const std::vector<uint8_t> put1(
+      journal.begin() + records[0].offset + 2 * sizeof(uint64_t),
+      journal.begin() + records[0].offset + records[0].size);
+  ArchiveWriter kind2;  // handle 6 whose chunk "b" is a parent ref
+  kind2.Write<uint64_t>(6);
+  kind2.Write<uint64_t>(6);
+  kind2.Write<uint64_t>(0);
+  kind2.Write<uint64_t>(0);
+  kind2.Write<uint64_t>(1);
+  kind2.WriteString("b");
+  kind2.Write<uint8_t>(2);
+  kind2.Write<uint32_t>(Crc32(PayloadOf(20)));
+  std::vector<uint8_t> with_parent = put1;  // handle 6 naming parent handle 1
+  const uint64_t handle6 = 6, parent1 = 1;
+  std::memcpy(with_parent.data(), &handle6, sizeof handle6);
+  std::memcpy(with_parent.data() + 3 * sizeof(uint64_t), &parent1,
+              sizeof parent1);
+  ASSERT_NE(put1, with_parent);
+  const struct {
+    uint8_t type;
+    std::vector<uint8_t> payload;
+    std::string why;
+  } retired[] = {
+      {kJournalPutImage, kind2.Take(), "corrupt image record"},
+      {kJournalPutImage, with_parent, "corrupt image record"},
+      {3, put1, "unknown journal record type 3"},
+  };
+  for (const auto& record : retired) {
+    std::vector<uint8_t> mutant_journal = journal;
+    AppendJournalRecord(&mutant_journal, record.type, record.payload);
+    std::string error;
+    EXPECT_EQ(open_mutant(mutant_journal, segment, &error), nullptr)
+        << record.why;
+    EXPECT_NE(error.find(record.why), std::string::npos) << error;
+  }
+
   const uint64_t kValues[] = {0, 1, 8, 0x7FFFFFFFull, 0x4000000000000000ull,
                               ~0ull};
 
@@ -558,10 +608,6 @@ TEST_F(RepoMutationTest, EveryMutantIsRefusedOrOpensConsistent) {
     std::memcpy(p + below(n - 7), &value, sizeof value);
   };
 
-  // Inline hashing: no pool threads are started per open.
-  RepoOptions options;
-  options.hash_threads = 0;
-  const fs::path mutant_dir = dir_ + "_mutant";
   size_t raw_opened = 0, raw_refused = 0;
   size_t reframed_opened = 0, reframed_refused = 0;
   for (int round = 0; round < 2000; ++round) {
@@ -593,14 +639,8 @@ TEST_F(RepoMutationTest, EveryMutantIsRefusedOrOpensConsistent) {
       const uint32_t crc = Crc32(payload, record.size);
       std::memcpy(payload + record.size, &crc, sizeof crc);
     }
-    fs::remove_all(mutant_dir);
-    fs::create_directories(mutant_dir);
-    WriteFileBytes(mutant_dir / "CURRENT", current);
-    WriteFileBytes(mutant_dir / "journal.1", mutant_journal);
-    WriteFileBytes(mutant_dir / "segment.1", mutant_segment);
-
     std::string error;
-    auto repo = CheckpointRepo::Open(mutant_dir.string(), options, &error);
+    auto repo = open_mutant(mutant_journal, mutant_segment, &error);
     if (repo == nullptr) {
       EXPECT_FALSE(error.empty()) << "mutant " << round;
       ++(reframed ? reframed_refused : raw_refused);
@@ -623,7 +663,6 @@ TEST_F(RepoMutationTest, EveryMutantIsRefusedOrOpensConsistent) {
       EXPECT_TRUE(repo->PutImage(FullImage(6, 70, 80)) != 0 ||
                   !repo->error().empty())
           << "mutant " << round;
-      repo->CompactChains();
       EXPECT_TRUE(repo->CollectGarbage().ok || !repo->error().empty())
           << "mutant " << round;
     }
@@ -675,8 +714,7 @@ TEST_F(RepoTest, TreePersistsAndReopensDigestIdentical) {
                         RestoreMode::kImage);
     EXPECT_FALSE(branch.empty());
 
-    // Housekeeping passes must not disturb the persisted tree.
-    repo->CompactChains();
+    // A GC pass must not disturb the persisted tree.
     const auto gc = repo->CollectGarbage();
     ASSERT_TRUE(gc.ok) << repo->error();
     reclaimed = gc.reclaimed_bytes;
@@ -746,69 +784,6 @@ TEST_F(RepoTest, ReopenRejectsCraftedManifests) {
   EXPECT_FALSE(reopens(Manifest(0, {}, -1)));
 }
 
-// --- End-to-end: engine spill-to-repository delta chains -----------------------
-
-TEST_F(RepoTest, EngineSpillChainRestoresDigestIdenticalAcrossHousekeeping) {
-  BasicExperimentRun::Params params;
-  params.seed = 41;
-
-  struct Gen {
-    uint64_t handle = 0;
-    uint64_t digest = 0;
-  };
-  std::vector<Gen> gens;
-  {
-    auto repo = OpenRepo();
-    BasicExperimentRun run(params);
-    run.engine().AttachRepository(repo.get());
-    for (int i = 0; i < 6; ++i) {
-      run.AdvanceTo(run.Now() + 500 * kMillisecond);
-      const CheckpointCapture cap = run.CaptureCheckpoint();
-      const uint64_t handle = run.engine().last_repo_handle();
-      ASSERT_NE(handle, 0u) << repo->error();
-      // The engine resolves its delta refs from tracked payloads, the
-      // repository through the spilled chain: the bytes must agree.
-      EXPECT_EQ(repo->Materialize(handle), *cap.image) << "capture " << i;
-      gens.push_back({handle, cap.digest});
-    }
-    // Later captures really were spilled as deltas: the chain has depth.
-    EXPECT_GT(repo->ChainDepth(gens.back().handle), 0u);
-  }
-
-  // Fresh process, fresh simulators: every spilled generation restores to
-  // the digest recorded at its capture.
-  auto repo = OpenRepo();
-  for (const Gen& gen : gens) {
-    const std::vector<uint8_t> image = repo->Materialize(gen.handle);
-    ASSERT_FALSE(image.empty()) << repo->error();
-    BasicExperimentRun fresh(params);
-    const std::optional<uint64_t> digest = fresh.RestoreFromImage(image);
-    ASSERT_TRUE(digest.has_value());
-    EXPECT_EQ(*digest, gen.digest) << "handle " << gen.handle;
-  }
-
-  // Compaction, retirement of all but the newest generation, and a GC pass:
-  // the survivor must still restore digest-identical in yet another process.
-  ASSERT_GT(repo->CompactChains(), 0u);
-  for (size_t i = 0; i + 1 < gens.size(); ++i) {
-    ASSERT_TRUE(repo->RetireImage(gens[i].handle)) << repo->error();
-  }
-  ASSERT_TRUE(repo->CollectGarbage().ok) << repo->error();
-  repo.reset();
-
-  repo = OpenRepo();
-  EXPECT_EQ(repo->live_image_count(), 1u);
-  for (size_t i = 0; i + 1 < gens.size(); ++i) {
-    EXPECT_FALSE(repo->Has(gens[i].handle));
-  }
-  const std::vector<uint8_t> image = repo->Materialize(gens.back().handle);
-  ASSERT_FALSE(image.empty()) << repo->error();
-  BasicExperimentRun fresh(params);
-  const std::optional<uint64_t> digest = fresh.RestoreFromImage(image);
-  ASSERT_TRUE(digest.has_value());
-  EXPECT_EQ(*digest, gens.back().digest);
-}
-
 // --- Batched group commit -------------------------------------------------------
 
 TEST_F(RepoTest, BatchCommitsEpochAllAtOnceAndMatchesOracle) {
@@ -816,32 +791,32 @@ TEST_F(RepoTest, BatchCommitsEpochAllAtOnceAndMatchesOracle) {
   const uint64_t committed = repo->PutImage(FullImage(1, 10, 20));
   ASSERT_NE(committed, 0u) << repo->error();
 
-  // One epoch: a full image plus a delta on the committed image. Handles
-  // follow stage order.
+  // One epoch: an image sharing nothing and one sharing "b" with the
+  // committed image. Handles follow stage order.
   auto batch = repo->BeginBatch();
   batch->Stage(FullImage(2, 30, 40));
-  batch->Stage(DeltaImage(3, 1, 31, 20), committed);
+  batch->Stage(FullImage(3, 31, 20));
   EXPECT_EQ(batch->staged_count(), 2u);
   const auto result = repo->CommitBatch(std::move(batch));
   ASSERT_TRUE(result.ok) << result.error;
   EXPECT_EQ(result.images, 2u);
   ASSERT_EQ(result.handles.size(), 2u);
-  const uint64_t h_full = result.handles[0];
-  const uint64_t h_delta = result.handles[1];
-  ASSERT_NE(h_full, 0u);
-  ASSERT_NE(h_delta, 0u);
+  const uint64_t h_new = result.handles[0];
+  const uint64_t h_shared = result.handles[1];
+  ASSERT_NE(h_new, 0u);
+  ASSERT_NE(h_shared, 0u);
+  EXPECT_EQ(result.logical_payload_bytes, 4 * sizeof(uint64_t));
+  EXPECT_EQ(result.appended_payload_bytes, 3 * sizeof(uint64_t));
 
   EXPECT_EQ(repo->live_image_count(), 3u);
-  EXPECT_EQ(repo->ParentHandleOf(h_delta), committed);
-  EXPECT_EQ(repo->ChainDepth(h_delta), 1u);
-  EXPECT_EQ(repo->Materialize(h_full), FullImage(2, 30, 40));
-  EXPECT_EQ(repo->Materialize(h_delta), FullImage(3, 31, 20));
+  EXPECT_EQ(repo->Materialize(h_new), FullImage(2, 30, 40));
+  EXPECT_EQ(repo->Materialize(h_shared), FullImage(3, 31, 20));
 
   // The epoch survives a restart exactly as committed.
   repo.reset();
   repo = OpenRepo();
   EXPECT_EQ(repo->live_image_count(), 3u);
-  EXPECT_EQ(repo->Materialize(h_delta), FullImage(3, 31, 20));
+  EXPECT_EQ(repo->Materialize(h_shared), FullImage(3, 31, 20));
 
   // An empty batch is a no-op commit.
   const auto empty = repo->CommitBatch(repo->BeginBatch());
@@ -854,15 +829,18 @@ TEST_F(RepoTest, BatchRejectionIsAllOrNothing) {
   const uint64_t h1 = repo->PutImage(FullImage(1, 10, 20));
   ASSERT_NE(h1, 0u) << repo->error();
 
-  // Three good images and one bad delta (its CRC pin names content the
-  // parent does not hold): the whole epoch must be refused.
+  // Two good images around a corrupt one (a flipped payload bit): the whole
+  // epoch must be refused.
+  std::vector<uint8_t> corrupt = FullImage(3, 11, 20);
+  corrupt.back() ^= 0x10;
   auto batch = repo->BeginBatch();
   batch->Stage(FullImage(2, 30, 40));
-  batch->Stage(DeltaImage(3, 1, 11, /*parent_b=*/999), h1);
+  batch->Stage(std::move(corrupt));
   batch->Stage(FullImage(4, 50, 60));
   const auto result = repo->CommitBatch(std::move(batch));
   EXPECT_FALSE(result.ok);
-  EXPECT_NE(result.error.find("delta ref"), std::string::npos) << result.error;
+  EXPECT_NE(result.error.find("CRC mismatch"), std::string::npos)
+      << result.error;
   EXPECT_EQ(result.handles, (std::vector<uint64_t>{0, 0, 0}));
   EXPECT_EQ(repo->live_image_count(), 1u);
 
@@ -899,67 +877,50 @@ TEST_F(RepoTest, IncrementalRetentionMatchesRebuild) {
   ASSERT_NE(h2, 0u) << repo->error();
   expect_matches_rebuild("second full image");
 
-  // One epoch: a delta on h2, a delta on h1, and a full image whose payloads
-  // all dedup against h1.
+  // One epoch: an image sharing "b" with h2, one sharing "b" with h1, and
+  // one whose payloads all dedup against h1.
   auto batch = repo->BeginBatch();
-  batch->Stage(DeltaImage(3, 2, 31, 40), h2);
-  batch->Stage(DeltaImage(4, 1, 11, 20), h1);
+  batch->Stage(FullImage(3, 31, 40));
+  batch->Stage(FullImage(4, 11, 20));
   batch->Stage(FullImage(5, 10, 20));
   const std::vector<uint64_t> epoch1 = commit(std::move(batch));
   ASSERT_EQ(epoch1.size(), 3u);
   const uint64_t h3 = epoch1[0];
   const uint64_t h4 = epoch1[1];
   const uint64_t h5 = epoch1[2];
-  ASSERT_EQ(repo->ParentHandleOf(h3), h2);
-  ASSERT_EQ(repo->ParentHandleOf(h4), h1);
   expect_matches_rebuild("mixed epoch");
 
-  // A retired ancestor pinned by a live child stays a valid delta parent.
+  // Retiring an image whose payloads are all still shared frees nothing.
   ASSERT_TRUE(repo->RetireImage(h1)) << repo->error();
-  expect_matches_rebuild("retire pinned ancestor");
-  const uint64_t h6 = repo->PutImage(DeltaImage(6, 1, 12, 20), h1);
-  EXPECT_NE(h6, 0u) << repo->error();
-  expect_matches_rebuild("delta on retired, pinned ancestor");
-
+  expect_matches_rebuild("retire a dedup twin");
+  EXPECT_EQ(repo->garbage_payload_bytes(), 0u);
   ASSERT_TRUE(repo->RetireImage(h2)) << repo->error();
   ASSERT_TRUE(repo->RetireImage(h5)) << repo->error();
-  expect_matches_rebuild("retire a delta parent and a dedup twin");
-
-  // Folding the chains unpins h1 and h2: a new delta on h1 is refused and
-  // leaves the repository unchanged.
-  ASSERT_EQ(repo->CompactChains(), 3u);
-  expect_matches_rebuild("compact");
+  expect_matches_rebuild("retire a sharer and the last holder of a payload");
   EXPECT_GT(repo->garbage_payload_bytes(), 0u);
-  const size_t images_before = repo->image_count();
-  EXPECT_EQ(repo->PutImage(DeltaImage(7, 1, 13, 20), h1), 0u);
-  EXPECT_NE(repo->error().find("unretained"), std::string::npos)
-      << repo->error();
-  EXPECT_EQ(repo->image_count(), images_before);
-  expect_matches_rebuild("rejected delta on unpinned ancestor");
 
   ASSERT_TRUE(repo->CollectGarbage().ok) << repo->error();
   EXPECT_FALSE(repo->Has(h1));
   EXPECT_FALSE(repo->Has(h2));
   expect_matches_rebuild("gc");
 
-  // Commits after GC: a full image sharing one payload with the folded h3
-  // and a delta on h3 across batches, then a delta on that delta.
+  // Commits after GC: an image re-offering a payload the GC dropped and one
+  // sharing h3's "b", then a single put sharing it too.
   batch = repo->BeginBatch();
   batch->Stage(FullImage(8, 30, 40));
-  batch->Stage(DeltaImage(9, 3, 32, 40), h3);
+  batch->Stage(FullImage(9, 32, 40));
   const std::vector<uint64_t> epoch2 = commit(std::move(batch));
   ASSERT_EQ(epoch2.size(), 2u);
   expect_matches_rebuild("epoch after gc");
-  const uint64_t h10 = repo->PutImage(DeltaImage(10, 9, 33, 40), epoch2[1]);
+  const uint64_t h10 = repo->PutImage(FullImage(10, 33, 40));
   ASSERT_NE(h10, 0u) << repo->error();
-  expect_matches_rebuild("delta on a delta");
+  expect_matches_rebuild("put after an epoch");
 
   ASSERT_TRUE(repo->RetireImage(h3)) << repo->error();
   ASSERT_TRUE(repo->RetireImage(epoch2[1])) << repo->error();
   ASSERT_TRUE(repo->RetireImage(h4)) << repo->error();
-  ASSERT_NE(repo->PutImage(DeltaImage(11, 10, 34, 40), h10), 0u)
-      << repo->error();
-  expect_matches_rebuild("delta under a retired chain");
+  ASSERT_NE(repo->PutImage(FullImage(11, 34, 40)), 0u) << repo->error();
+  expect_matches_rebuild("put after retires");
   EXPECT_GT(repo->live_payload_bytes(), 0u);
   EXPECT_GT(repo->garbage_payload_bytes(), 0u);
 }
@@ -1100,9 +1061,9 @@ TEST_F(RepoTest, FailedCommitLeavesRepositoryOpenableAtPreviousEpoch) {
 // never half-visible.
 class RepoBatchDurabilityTest : public RepoTest {
  protected:
-  // One committed image, then one batched epoch of three (a full, a second
-  // full, and a delta on the committed image) — closed so all bytes are on
-  // disk.
+  // One committed image, then one batched epoch of three (two sharing
+  // nothing, one sharing "b" with the committed image) — closed so all bytes
+  // are on disk.
   void BuildBatchedFixture() {
     auto repo = OpenRepo();
     const uint64_t h1 = repo->PutImage(FullImage(1, 10, 20));
@@ -1110,7 +1071,7 @@ class RepoBatchDurabilityTest : public RepoTest {
     auto batch = repo->BeginBatch();
     batch->Stage(FullImage(2, 30, 40));
     batch->Stage(FullImage(3, 50, 60));
-    batch->Stage(DeltaImage(4, 1, 11, 20), h1);
+    batch->Stage(FullImage(4, 11, 20));
     const auto result = repo->CommitBatch(std::move(batch));
     ASSERT_TRUE(result.ok) << result.error;
     ASSERT_EQ(repo->live_image_count(), 4u);
@@ -1361,7 +1322,7 @@ TEST_F(RepoTest, FsyncModeSurvivesFullLifecycleAndReopen) {
     ASSERT_NE(repo, nullptr) << error;
     const uint64_t h1 = repo->PutImage(FullImage(1, 10, 20));
     ASSERT_NE(h1, 0u) << repo->error();
-    h2 = repo->PutImage(DeltaImage(2, 1, 11, 20), h1);
+    h2 = repo->PutImage(FullImage(2, 11, 20));
     ASSERT_NE(h2, 0u) << repo->error();
     ASSERT_TRUE(repo->RetireImage(h1)) << repo->error();
     const auto gc = repo->CollectGarbage();

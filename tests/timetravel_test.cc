@@ -4,8 +4,9 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <optional>
+#include <utility>
 
-#include "src/sim/image.h"
 #include "src/timetravel/basic_run.h"
 #include "src/timetravel/distributed_run.h"
 #include "src/timetravel/checkpoint_tree.h"
@@ -124,99 +125,63 @@ TEST(ImageRestoreTest, RestoredDigestMatchesRecordedOnCpuWorkload) {
   }
 }
 
-// Re-emits the self-contained `image` as a delta against `parent`, the way
-// the engine emits its captures: every chunk whose payload the parent holds
-// unchanged becomes a delta ref pinned by that payload's CRC.
-std::vector<uint8_t> DeltaAgainst(const std::vector<uint8_t>& image,
-                                  const std::vector<uint8_t>& parent) {
-  const CheckpointImageView view(image);
-  const CheckpointImageView base(parent);
-  CheckpointImageBuilder builder;
-  builder.SetDeltaHeader(view.image_id(), base.image_id());
-  for (const std::string& id : view.ChunkIds()) {
-    if (base.HasChunk(id) && base.Chunk(id) == view.Chunk(id)) {
-      builder.AddDeltaChunk(id, Crc32(view.Chunk(id)));
-    } else {
-      builder.AddChunk(id, view.Chunk(id));
-    }
-  }
-  return builder.Serialize();
-}
-
-// Runs the same deterministic workload twice — once emitting full images,
-// once emitting a delta chain — captures at the same instants, and verifies
-// that every image the delta run publishes restores to exactly the state
-// digest the full image restores to. Unresolved delta images must be
-// rejected by the restore path, never half-applied.
+// Runs the same deterministic workload twice — once re-serializing every
+// component at every capture, once skipping unchanged ones — captures at the
+// same instants, and verifies that both publish byte-identical images that
+// restore to the recorded digest. From the second capture on, skipping
+// stages fewer frozen-window bytes, and neither run needs a CRC-compare
+// fallback.
 template <typename RunT>
-void VerifyDeltaChainMatchesFullRestores() {
+void VerifySkippingMatchesFullCaptures() {
   typename RunT::Params full_params;
-  full_params.delta_images = false;
-  typename RunT::Params delta_params;
-  delta_params.delta_images = true;
+  full_params.skip_unchanged = false;
+  typename RunT::Params skip_params;
+  skip_params.skip_unchanged = true;
 
   RunT full(full_params);
-  RunT delta(delta_params);
+  RunT skip(skip_params);
 
-  struct Recorded {
-    CheckpointCapture full_cap;
-    CheckpointCapture delta_cap;
-  };
-  std::vector<Recorded> caps;
+  std::vector<std::pair<CheckpointCapture, CheckpointCapture>> caps;
   for (int k = 1; k <= 4; ++k) {
     full.AdvanceTo(k * 2 * kSecond);
-    delta.AdvanceTo(k * 2 * kSecond);
-    Recorded rec;
-    rec.full_cap = full.CaptureCheckpoint();
-    rec.delta_cap = delta.CaptureCheckpoint();
+    skip.AdvanceTo(k * 2 * kSecond);
+    const CheckpointCapture full_cap = full.CaptureCheckpoint();
+    const CheckpointCapture skip_cap = skip.CaptureCheckpoint();
     // Identical workloads checkpointed at identical instants: the recorded
-    // post-resume digests must agree regardless of the image format.
-    ASSERT_EQ(rec.full_cap.digest, rec.delta_cap.digest) << "capture " << k;
-    // The full run is the byte-level reference: a delta capture publishes
-    // exactly the self-contained image the full capture emits.
-    EXPECT_EQ(*rec.delta_cap.image, *rec.full_cap.image) << "capture " << k;
-    caps.push_back(std::move(rec));
+    // post-resume digests and the images must agree.
+    ASSERT_EQ(full_cap.digest, skip_cap.digest) << "capture " << k;
+    EXPECT_EQ(*skip_cap.image, *full_cap.image) << "capture " << k;
+    const CaptureStats& f = full.engine().last_capture_stats();
+    const CaptureStats& s = skip.engine().last_capture_stats();
+    EXPECT_EQ(f.unchanged_chunks, 0u) << "capture " << k;
+    if (k > 1) {
+      EXPECT_GT(s.unchanged_chunks, 0u) << "capture " << k;
+      EXPECT_LT(s.staged_bytes, f.staged_bytes) << "capture " << k;
+      EXPECT_EQ(s.crc_fallbacks, 0u) << "capture " << k;
+      EXPECT_EQ(f.crc_fallbacks, 0u) << "capture " << k;
+    }
+    caps.emplace_back(full_cap, skip_cap);
   }
-  // The chain actually deltified: later captures reference their parents.
-  EXPECT_GT(delta.engine().last_capture_stats().delta_chunks, 0u);
 
-  size_t raw_deltas = 0;
   for (size_t k = 0; k < caps.size(); ++k) {
-    const std::vector<uint8_t>& materialized = *caps[k].delta_cap.image;
-    ASSERT_FALSE(materialized.empty()) << "capture " << k;
-
+    const auto& [full_cap, skip_cap] = caps[k];
     RunT from_full(full_params);
-    std::optional<uint64_t> df = from_full.RestoreFromImage(*caps[k].full_cap.image);
-    RunT from_delta(delta_params);
-    std::optional<uint64_t> dd = from_delta.RestoreFromImage(materialized);
+    RunT from_skip(skip_params);
+    const std::optional<uint64_t> df = from_full.RestoreFromImage(*full_cap.image);
+    const std::optional<uint64_t> ds = from_skip.RestoreFromImage(*skip_cap.image);
     ASSERT_TRUE(df.has_value()) << "capture " << k;
-    ASSERT_TRUE(dd.has_value()) << "capture " << k;
-    EXPECT_EQ(*df, caps[k].full_cap.digest) << "capture " << k;
-    EXPECT_EQ(*dd, caps[k].full_cap.digest) << "capture " << k;
-
-    if (k == 0) {
-      continue;
-    }
-    const std::vector<uint8_t> raw =
-        DeltaAgainst(materialized, *caps[k - 1].delta_cap.image);
-    CheckpointImageView raw_view(raw);
-    ASSERT_TRUE(raw_view.ok()) << raw_view.error();
-    if (raw_view.is_delta()) {
-      ++raw_deltas;
-      RunT reject(delta_params);
-      EXPECT_FALSE(reject.RestoreFromImage(raw).has_value())
-          << "raw delta image of capture " << k << " must be rejected";
-    }
+    ASSERT_TRUE(ds.has_value()) << "capture " << k;
+    EXPECT_EQ(*df, full_cap.digest) << "capture " << k;
+    EXPECT_EQ(*ds, full_cap.digest) << "capture " << k;
   }
-  EXPECT_GT(raw_deltas, 0u);
 }
 
-TEST(DeltaChainRestoreTest, BasicRunDeltaChainRestoresDigestIdentical) {
-  VerifyDeltaChainMatchesFullRestores<BasicExperimentRun>();
+TEST(SkipUnchangedTest, BasicRunImagesByteIdenticalWithAndWithoutSkipping) {
+  VerifySkippingMatchesFullCaptures<BasicExperimentRun>();
 }
 
-TEST(DeltaChainRestoreTest, CpuRunDeltaChainRestoresDigestIdentical) {
-  VerifyDeltaChainMatchesFullRestores<CpuExperimentRun>();
+TEST(SkipUnchangedTest, CpuRunImagesByteIdenticalWithAndWithoutSkipping) {
+  VerifySkippingMatchesFullCaptures<CpuExperimentRun>();
 }
 
 TEST(ImageRestoreTest, ImageReplayContinuesLikeTheOriginalFuture) {
@@ -339,7 +304,7 @@ TEST(DistributedTimeTravelTest, PerturbedReplayExploresDifferentExecutions) {
 // The engine's async path snapshots components into staging buffers while
 // frozen and serializes in the background; the contract is that nothing
 // observable changes: identical capture instants, byte-identical images,
-// identical delta decisions and digests.
+// identical skip decisions and digests.
 
 template <typename Run>
 void ExpectAsyncCaptureMatchesSync() {
@@ -361,8 +326,9 @@ void ExpectAsyncCaptureMatchesSync() {
     const CaptureStats& s = sync_run.engine().last_capture_stats();
     const CaptureStats& a = async_run.engine().last_capture_stats();
     EXPECT_EQ(s.serialized_bytes, a.serialized_bytes);
+    EXPECT_EQ(s.staged_bytes, a.staged_bytes);
     EXPECT_EQ(s.payload_chunks, a.payload_chunks);
-    EXPECT_EQ(s.delta_chunks, a.delta_chunks);
+    EXPECT_EQ(s.unchanged_chunks, a.unchanged_chunks);
     EXPECT_EQ(s.version_skips, a.version_skips);
     EXPECT_EQ(s.crc_fallbacks, a.crc_fallbacks);
     sync_run.AdvanceTo(sync_run.Now() + 700 * kMillisecond);
@@ -393,15 +359,15 @@ TEST(AsyncCaptureTest, StagingBuffersDoNotLeakStaleBytesAcrossRestore) {
   ASSERT_NE(c1.image, nullptr);
   ASSERT_NE(c2.image, nullptr);
 
-  // Roll back to c1 (pool generation bumps, delta tracks void), then capture
+  // Roll back to c1 (pool generation bumps, dirty tracks void), then capture
   // again straight away with the recycled buffer.
   const std::optional<uint64_t> restored = run.RestoreFromImage(*c1.image);
   ASSERT_TRUE(restored.has_value());
   EXPECT_EQ(*restored, c1.digest);
   const CheckpointCapture c3 = run.CaptureCheckpoint();
   ASSERT_NE(c3.image, nullptr);
-  // First post-restore capture restarts the delta chain: self-contained.
-  EXPECT_EQ(run.engine().last_capture_stats().delta_chunks, 0u);
+  // The first post-restore capture re-serializes every component.
+  EXPECT_EQ(run.engine().last_capture_stats().unchanged_chunks, 0u);
 
   // The recycled-buffer capture must restore to exactly the state it named.
   BasicExperimentRun fresh(params);
