@@ -41,7 +41,6 @@ void BitTorrentPeer::Listen() {
     PeerLink& l = links_[conn->peer()];
     l.conn = conn;
     l.remote_has.assign(piece_count_, false);
-    swarm_->version_.Bump();  // new links_ entry
     conn->SetMessageCallback([this, peer = conn->peer()](std::shared_ptr<AppPayload> msg) {
       OnMessage(peer, std::move(msg));
     });
@@ -57,7 +56,6 @@ void BitTorrentPeer::ConnectTo(BitTorrentPeer* remote) {
   PeerLink& l = links_[peer_id];
   l.conn = conn;
   l.remote_has.assign(piece_count_, false);
-  swarm_->version_.Bump();  // new links_ entry
   conn->SetMessageCallback([this, peer_id](std::shared_ptr<AppPayload> msg) {
     OnMessage(peer_id, std::move(msg));
   });
@@ -94,13 +92,11 @@ void BitTorrentPeer::OnMessage(NodeId from, std::shared_ptr<AppPayload> payload)
   switch (msg->type) {
     case BtMessage::Type::kBitfield:
       l->remote_has = msg->bitfield;
-      swarm_->version_.Bump();
       RequestMore(from);
       break;
     case BtMessage::Type::kHave:
       if (msg->piece < piece_count_) {
         l->remote_has[msg->piece] = true;
-        swarm_->version_.Bump();
       }
       RequestMore(from);
       break;
@@ -122,10 +118,6 @@ void BitTorrentPeer::OnMessage(NodeId from, std::shared_ptr<AppPayload> payload)
 }
 
 void BitTorrentPeer::OnPieceReceived(NodeId from, uint32_t piece) {
-  // Covers the outstanding decrement, have_/pieces_held_/completion_time_
-  // updates below, and the meter adds (over-bumping on a duplicate piece is
-  // harmless — it costs one redundant serialization, never stale state).
-  swarm_->version_.Bump();
   PeerLink* l = link(from);
   if (l != nullptr && l->outstanding > 0) {
     --l->outstanding;
@@ -157,9 +149,7 @@ void BitTorrentPeer::RequestMore(NodeId from) {
     return;
   }
   while (l->outstanding < swarm_->params().pipeline_depth) {
-    // Random-start linear probe for a needed piece the remote holds. The
-    // bump covers the rng draw even when the probe comes up empty.
-    swarm_->version_.Bump();
+    // Random-start linear probe for a needed piece the remote holds.
     const uint32_t start = static_cast<uint32_t>(rng_.NextUint64() % piece_count_);
     uint32_t chosen = piece_count_;
     for (uint32_t i = 0; i < piece_count_; ++i) {
@@ -288,7 +278,6 @@ void BitTorrentSwarm::SaveState(ArchiveWriter* w) const {
 }
 
 void BitTorrentSwarm::RestoreState(ArchiveReader& r) {
-  version_.Bump();
   complete_clients_ = static_cast<size_t>(r.Read<uint64_t>());
   rng_.Restore(r);
   const uint64_t n = r.Read<uint64_t>();
@@ -304,7 +293,6 @@ void BitTorrentSwarm::RestoreState(ArchiveReader& r) {
 
 void BitTorrentSwarm::NotePieceComplete(BitTorrentPeer* peer) {
   (void)peer;
-  version_.Bump();
   ++complete_clients_;
   if (complete_clients_ == peers_.size() - 1 && all_done_) {
     auto cb = std::move(all_done_);

@@ -108,10 +108,6 @@ class BitTorrentSwarm : public Checkpointable {
   std::string checkpoint_id() const override { return "app.bittorrent"; }
   void SaveState(ArchiveWriter* w) const override;
   void RestoreState(ArchiveReader& r) override;
-  // One swarm-level counter: peers bump it (via swarm_) on every mutation of
-  // their serialized fields — link creation, bitfield/HAVE updates, piece
-  // arrival, request issue — so any peer activity invalidates the chunk.
-  uint64_t state_version() const override { return version_.value(); }
 
  private:
   friend class BitTorrentPeer;
@@ -125,7 +121,6 @@ class BitTorrentSwarm : public Checkpointable {
   std::function<void()> all_done_;
   size_t complete_clients_ = 0;
   Rng rng_;
-  StateVersion version_;
 };
 
 }  // namespace tcsim

@@ -23,7 +23,6 @@ void IperfApp::Start(std::function<void()> done) {
         conn->EnableTrace();
         conn->SetDeliveryCallback([this](uint64_t bytes) {
           delivered_ += bytes;
-          version_.Bump();
           meter_.Add(receiver_->kernel().GetTimeOfDay(), bytes);
           TopUpSendQueue();
           if (delivered_ >= params_.total_bytes && done_) {
@@ -49,7 +48,6 @@ void IperfApp::TopUpSendQueue() {
     sender_->kernel().TouchMemory(bytes / 8);  // stream generation dirties memory
     sender_conn_->Send(bytes);
     queued_ += bytes;
-    version_.Bump();
   }
 }
 

@@ -53,10 +53,7 @@ class IperfApp : public Checkpointable {
   void RestoreState(ArchiveReader& r) override {
     delivered_ = r.Read<uint64_t>();
     queued_ = r.Read<uint64_t>();
-    version_.Bump();
   }
-  // Serialized state mutates only on delivery and send-queue top-up.
-  uint64_t state_version() const override { return version_.value(); }
 
  private:
   // Keeps the send queue topped up without buffering the whole stream in
@@ -71,7 +68,6 @@ class IperfApp : public Checkpointable {
   ThroughputMeter meter_;
   uint64_t delivered_ = 0;
   uint64_t queued_ = 0;
-  StateVersion version_;
   std::function<void()> done_;
 };
 

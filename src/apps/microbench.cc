@@ -9,7 +9,6 @@ void SleepLoopApp::Start(std::function<void()> done) {
   done_ = std::move(done);
   remaining_ = params_.iterations;
   last_wakeup_ = node_->kernel().GetTimeOfDay();
-  version_.Bump();
   Iterate();
 }
 
@@ -34,13 +33,11 @@ void SleepLoopApp::Iterate() {
                         0.0, static_cast<double>(params_.dispatch_jitter)))));
   wakeup_pending_ = true;
   next_wakeup_vdeadline_ = quantized + jitter;
-  version_.Bump();  // rng draw + wakeup bookkeeping
   kernel.Usleep(next_wakeup_vdeadline_ - vnow, [this] { OnWakeup(); });
 }
 
 void SleepLoopApp::OnWakeup() {
   wakeup_pending_ = false;
-  version_.Bump();
   const SimTime now = node_->kernel().GetTimeOfDay();
   const double iteration_ms = ToMilliseconds(now - last_wakeup_);
   iterations_ms_.Add(iteration_ms);
@@ -64,7 +61,6 @@ void SleepLoopApp::RestoreState(ArchiveReader& r) {
   next_wakeup_vdeadline_ = r.Read<SimTime>();
   last_wakeup_ = r.Read<SimTime>();
   rng_.Restore(r);
-  version_.Bump();
   if (wakeup_pending_ && r.ok()) {
     node_->kernel().RestoreTimerAtVirtual(next_wakeup_vdeadline_,
                                           [this] { OnWakeup(); });
@@ -74,7 +70,6 @@ void SleepLoopApp::RestoreState(ArchiveReader& r) {
 void CpuLoopApp::Start(std::function<void()> done) {
   done_ = std::move(done);
   remaining_ = params_.iterations;
-  version_.Bump();
   Iterate();
 }
 
@@ -88,20 +83,17 @@ void CpuLoopApp::Iterate() {
   }
   GuestKernel& kernel = node_->kernel();
   iter_start_v_ = kernel.GetTimeOfDay();
-  version_.Bump();
   kernel.TouchMemory(params_.touched_bytes_per_iteration);
   SubmitWork(params_.work);
 }
 
 void CpuLoopApp::SubmitWork(SimTime work) {
   job_active_ = true;
-  version_.Bump();
   node_->kernel().RunCpu(work, [this] { OnIterationDone(); });
 }
 
 void CpuLoopApp::OnIterationDone() {
   job_active_ = false;
-  version_.Bump();
   const SimTime now = node_->kernel().GetTimeOfDay();
   const double iteration_ms = ToMilliseconds(now - iter_start_v_);
   iterations_ms_.Add(iteration_ms);
@@ -134,7 +126,6 @@ void CpuLoopApp::RestoreState(ArchiveReader& r) {
   if (!r.ok()) {
     return;
   }
-  version_.Bump();
   if (job_active) {
     // Re-submit the remainder; the suspended scheduler enqueues it and the
     // resume pass starts the clock.

@@ -49,8 +49,6 @@ class SleepLoopApp : public Checkpointable {
   std::string checkpoint_id() const override { return "app.sleep_loop"; }
   void SaveState(ArchiveWriter* w) const override;
   void RestoreState(ArchiveReader& r) override;
-  // Serialized state mutates on Start/Iterate/OnWakeup (and restore).
-  uint64_t state_version() const override { return version_.value(); }
 
  private:
   void Iterate();
@@ -66,7 +64,6 @@ class SleepLoopApp : public Checkpointable {
   Samples iterations_ms_;
   TraceLog trace_;
   std::function<void()> done_;
-  StateVersion version_;
 };
 
 // A fixed CPU-bound job in a loop. Nominal iteration time is the work
@@ -96,12 +93,6 @@ class CpuLoopApp : public Checkpointable {
   std::string checkpoint_id() const override { return "app.cpu_loop"; }
   void SaveState(ArchiveWriter* w) const override;
   void RestoreState(ArchiveReader& r) override;
-  // SaveState also serializes the in-flight job's remainder, which lives in
-  // the CPU scheduler — fold its version in so scheduler progress (job
-  // charging) invalidates this chunk too.
-  uint64_t state_version() const override {
-    return version_.value() + node_->kernel().cpu().state_version();
-  }
 
  private:
   void Iterate();
@@ -116,7 +107,6 @@ class CpuLoopApp : public Checkpointable {
   Samples iterations_ms_;
   TraceLog trace_;
   std::function<void()> done_;
-  StateVersion version_;
 };
 
 }  // namespace tcsim

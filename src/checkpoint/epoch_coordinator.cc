@@ -137,7 +137,7 @@ void PartitionEpochCoordinator::CaptureEpochAsync() {
   scheduler_->ForEachPartition([this, &ledger, lg, k](Partition* p) {
     const double p0 = lg ? ledger.NowMs() : 0.0;
     StagedCapture* staged = &staged_[p->id()];
-    pool_.Acquire(staged);
+    staged->Reset();
     snapshot_(p, staged);
     if (lg) {
       obs::LedgerRecord lr;
@@ -199,7 +199,6 @@ void PartitionEpochCoordinator::BackgroundCommit(size_t index) {
     }
     FoldImage(image, &rec, batch.get());
     images[p] = std::move(image);
-    pool_.Release(&staged_[p]);
   }
   if (batch != nullptr) {
     CommitSpill(std::move(batch), &rec);

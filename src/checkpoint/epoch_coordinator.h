@@ -36,10 +36,11 @@ class PartitionEpochCoordinator {
   using CaptureFn = std::function<std::vector<uint8_t>(Partition*)>;
 
   // Freeze-phase snapshot for asynchronous epochs: clone the partition's
-  // component state into the staged capture (no framing, CRC, or I/O). Runs
-  // at the epoch barrier, possibly on a worker thread, and must touch only
-  // that partition. The staged bytes are serialized on the background thread
-  // and must be byte-identical to what CaptureFn would have returned.
+  // component state into the staged capture, which the coordinator has
+  // Reset (no framing, CRC, or I/O). Runs at the epoch barrier, possibly on
+  // a worker thread, and must touch only that partition. The staged bytes
+  // are serialized on the background thread and must be byte-identical to
+  // what CaptureFn would have returned.
   using SnapshotFn = std::function<void(Partition*, StagedCapture*)>;
 
   struct EpochRecord {
@@ -170,9 +171,9 @@ class PartitionEpochCoordinator {
   CheckpointRepo* repo_ = nullptr;
   std::vector<EpochRecord> history_;
   // Async scratch, indexed by partition: pinned staging buffers reused across
-  // epochs. Written by the freeze phase, read by the background commit — the
-  // join edge between them is the synchronization.
-  StagingBufferPool pool_;
+  // epochs (Reset keeps their capacity). Written by the freeze phase, read by
+  // the background commit — the join edge between them is the
+  // synchronization.
   std::vector<StagedCapture> staged_;
   std::thread background_;
   std::vector<uint64_t> spill_handles_;

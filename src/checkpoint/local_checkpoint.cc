@@ -34,12 +34,6 @@ LocalCheckpointEngine::LocalCheckpointEngine(Simulator* sim, ExperimentNode* nod
           obs::MetricsRegistry::Global().FindCounter("checkpoint.engine.image_bytes")),
       serialized_bytes_counter_(obs::MetricsRegistry::Global().FindCounter(
           "checkpoint.engine.serialized_bytes")),
-      payload_chunks_counter_(obs::MetricsRegistry::Global().FindCounter(
-          "checkpoint.engine.payload_chunks")),
-      // Counts unchanged chunks. The name is older than this meaning; it
-      // stays because tcbench's ckpt.delta_chunks reads it.
-      unchanged_chunks_counter_(
-          obs::MetricsRegistry::Global().FindCounter("checkpoint.engine.delta_chunks")),
       frozen_wall_us_hist_(obs::MetricsRegistry::Global().FindHistogram(
           "checkpoint.engine.frozen_us")),
       background_wall_us_hist_(obs::MetricsRegistry::Global().FindHistogram(
@@ -152,56 +146,31 @@ void LocalCheckpointEngine::AddCheckpointable(Checkpointable* component) {
 }
 
 void LocalCheckpointEngine::SnapshotComponents() {
-  const std::vector<Checkpointable*>& components = Components();
-  if (tracks_.size() != components.size()) {
-    tracks_.assign(components.size(), ComponentTrack{});
-  }
   assert(!pending_capture_);
-  pool_.Acquire(&staged_);
+  staged_.Reset();
 
-  // All component bytes land back to back in one pinned buffer; after the
-  // first few captures its capacity covers the steady state and the frozen
-  // window performs no allocation for payload bytes.
+  // All bytes land back to back in one pinned buffer; after the first few
+  // captures its capacity covers the steady state and the frozen window
+  // performs no allocation for payload bytes.
+  //
+  // Engine metadata first: the saved instant plus the record and accounting
+  // a restore target needs to continue exactly where the original paused.
   ArchiveWriter w(std::move(staged_.buffer));
-
-  // Engine metadata: the saved instant plus the record and accounting a
-  // restore target needs to continue exactly where the original paused.
-  // Always entry 0 and never a version skip — it changes at every capture.
-  {
-    StagedEntry meta;
-    meta.id = "sim.time";
-    meta.offset = w.size();
-    w.Write<SimTime>(current_.saved_at);
-    w.Write<SimTime>(current_.request_time);
-    w.Write<SimTime>(current_.suspended_at);
-    w.Write<uint64_t>(current_.image_bytes);
-    w.Write<uint64_t>(residual_dirty_);
-    w.Write<uint64_t>(saver_.last_image_bytes());
-    rng_.Save(&w);
-    meta.size = w.size() - meta.offset;
-    staged_.entries.push_back(std::move(meta));
-  }
-
-  for (size_t i = 0; i < components.size(); ++i) {
-    const Checkpointable* component = components[i];
-    const ComponentTrack& track = tracks_[i];
-    StagedEntry entry;
-    entry.id = component->checkpoint_id();
-    entry.version = component->state_version();
-    if (policy_.skip_unchanged && track.valid && entry.version != 0 &&
-        entry.version == track.version) {
-      // Dirty tracking says the bytes are unchanged: stage nothing at all —
-      // the commit frames the chunk from the tracked payload.
-      entry.version_skip = true;
-    } else {
-      entry.offset = w.size();
-      component->SaveState(&w);
-      entry.size = w.size() - entry.offset;
-    }
-    staged_.entries.push_back(std::move(entry));
-  }
-
+  StagedEntry meta;
+  meta.id = "sim.time";
+  meta.offset = w.size();
+  w.Write<SimTime>(current_.saved_at);
+  w.Write<SimTime>(current_.request_time);
+  w.Write<SimTime>(current_.suspended_at);
+  w.Write<uint64_t>(current_.image_bytes);
+  w.Write<uint64_t>(residual_dirty_);
+  w.Write<uint64_t>(saver_.last_image_bytes());
+  rng_.Save(&w);
+  meta.size = w.size() - meta.offset;
+  staged_.entries.push_back(std::move(meta));
   staged_.buffer = w.Take();
+
+  StageComponents(Components(), &staged_);
   pending_capture_ = true;
 }
 
@@ -225,66 +194,19 @@ void LocalCheckpointEngine::EnsureCaptureCommitted() {
 void LocalCheckpointEngine::CommitPendingCapture() {
   assert(pending_capture_);
   pending_capture_ = false;
-  // A restore between freeze and commit would leave the staged bytes
-  // describing pre-restore state; the pool generation catches that misuse.
-  assert(staged_.generation == pool_.generation());
 
   CaptureStats stats;
-  stats.image_id = next_image_id_++;
   stats.staged_bytes = staged_.buffer.size();
-
-  CheckpointImageBuilder builder;
-  builder.SetImageId(stats.image_id);
-  for (size_t i = 0; i < staged_.entries.size(); ++i) {
-    const StagedEntry& entry = staged_.entries[i];
-    const uint8_t* p = staged_.entry_data(entry);
-    if (i == 0) {
-      // Engine metadata: always staged.
-      builder.AddChunk(entry.id, std::vector<uint8_t>(p, p + entry.size));
-      ++stats.payload_chunks;
-      continue;
-    }
-    ComponentTrack& track = tracks_[i - 1];
-    if (entry.version_skip) {
-      ++stats.unchanged_chunks;
-      ++stats.version_skips;
-    } else {
-      std::vector<uint8_t> payload(p, p + entry.size);
-      const uint32_t crc = Crc32(payload);
-      if (policy_.skip_unchanged && track.valid && crc == track.crc) {
-        // Uninstrumented (or over-bumped) component whose bytes came out
-        // identical anyway: unchanged, just proven the expensive way.
-        ++stats.unchanged_chunks;
-        ++stats.crc_fallbacks;
-      } else {
-        track.payload = std::move(payload);
-        ++stats.payload_chunks;
-      }
-      track.version = entry.version;
-      track.crc = crc;
-      track.valid = true;
-    }
-    builder.AddChunk(entry.id, track.payload);
-  }
-  pool_.Release(&staged_);
-
-  stats.total_chunks = builder.chunk_count();
   last_image_ =
-      std::make_shared<const std::vector<uint8_t>>(builder.Serialize());
+      std::make_shared<const std::vector<uint8_t>>(SerializeStagedImage(staged_));
   stats.serialized_bytes = last_image_->size();
   last_capture_stats_ = stats;
 
   captures_counter_->Increment();
   serialized_bytes_counter_->Add(stats.serialized_bytes);
-  payload_chunks_counter_->Add(stats.payload_chunks);
-  unchanged_chunks_counter_->Add(stats.unchanged_chunks);
   obs::TraceSession::Global().Instant(
       node_->name(), "ckpt.capture", sim_->Now(),
-      {{"image_id", static_cast<double>(stats.image_id)},
-       {"payload_chunks", static_cast<double>(stats.payload_chunks)},
-       {"unchanged_chunks", static_cast<double>(stats.unchanged_chunks)},
-       {"version_skips", static_cast<double>(stats.version_skips)},
-       {"staged_bytes", static_cast<double>(stats.staged_bytes)},
+      {{"staged_bytes", static_cast<double>(stats.staged_bytes)},
        {"serialized_bytes", static_cast<double>(stats.serialized_bytes)}});
 }
 
@@ -324,13 +246,11 @@ bool LocalCheckpointEngine::RestoreImage(const std::vector<uint8_t>& image_bytes
   saver_.RestoreImageBytes(saver_bytes);
   last_image_ = std::make_shared<const std::vector<uint8_t>>(image_bytes);
 
-  // Dirty tracking is void after a restore: component state now reflects
-  // the installed image, not the engine's last capture, so the next capture
-  // re-serializes every component. Any staging buffer acquired before this
-  // point is poisoned too — staged bytes describe pre-restore state and must
-  // never be committed (CommitPendingCapture asserts).
-  tracks_.clear();
-  pool_.InvalidateAll();
+  // Staged bytes describe pre-restore state. None are pending (a capture
+  // commits before its engine leaves in_progress_), and the next capture
+  // stages from scratch.
+  assert(!pending_capture_);
+  staged_.Reset();
 
   in_progress_ = true;
   hold_after_save_ = true;  // a restored run has no saved-callback to fire

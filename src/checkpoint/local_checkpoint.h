@@ -58,14 +58,6 @@ struct CheckpointPolicy {
   // accumulate — the empirical transparency limit of Figure 4 (~80 us).
   SimTime resume_timer_latency = 40 * kMicrosecond;
 
-  // Dirty tracking: a component whose state_version() is unchanged since the
-  // previous capture is not re-serialized in the frozen window; its chunk is
-  // framed from the payload tracked at that capture, so the frozen-window
-  // copy is O(changed state). The image is byte-identical either way
-  // (test-enforced). Disabling this re-serializes every component at every
-  // capture (what tab_delta_capture compares against).
-  bool skip_unchanged = true;
-
   // Every capture clones component state into reusable staging buffers
   // inside the frozen window, then frames and publishes it in a commit step.
   // Two-phase capture defers that commit until after the atomic resume (or
@@ -77,19 +69,10 @@ struct CheckpointPolicy {
   LiveMemorySaver::Params saver;
 };
 
-// What the last capture did — the observability surface for dirty tracking
-// (printed by bench/tab_delta_capture, asserted by tests).
+// What the last capture did (asserted by tests).
 struct CaptureStats {
-  uint64_t image_id = 0;
-  size_t total_chunks = 0;
-  size_t payload_chunks = 0;    // changed (or first capture): new payload
-  size_t unchanged_chunks = 0;  // framed from the previous capture's payload
-  size_t version_skips = 0;     // unchanged chunks proven by version counter
-                                // alone (component was never re-serialized)
-  size_t crc_fallbacks = 0;     // unchanged chunks proven the expensive way:
-                                // the component was re-serialized and its CRC
-                                // matched the previous capture (uninstrumented
-                                // or over-bumped state_version)
+  size_t crc_fallbacks = 0;     // always 0 (every capture stages every
+                                // component); read only by tcbench/tcbench.cc
   size_t staged_bytes = 0;      // bytes copied in the freeze phase
   size_t serialized_bytes = 0;  // size of the published image
 };
@@ -138,8 +121,7 @@ class LocalCheckpointEngine : public CheckpointParticipant {
 
   // The composite image captured by the last completed save; null before
   // the first checkpoint. Shared, so time-travel tree nodes can retain
-  // thousands of images cheaply. Self-contained: every component's chunk
-  // carries its payload, skipped or not.
+  // thousands of images cheaply.
   //
   // These accessors force any pending two-phase capture to commit first
   // (EnsureCaptureCommitted), so a held engine — saved but not yet resumed —
@@ -149,7 +131,7 @@ class LocalCheckpointEngine : public CheckpointParticipant {
     return last_image_;
   }
 
-  // Breakdown of the last capture (changed vs unchanged chunks, bytes).
+  // Byte counts of the last capture.
   const CaptureStats& last_capture_stats() {
     EnsureCaptureCommitted();
     return last_capture_stats_;
@@ -163,8 +145,8 @@ class LocalCheckpointEngine : public CheckpointParticipant {
   // Applies a composite image to this engine's (freshly built, running)
   // experiment and leaves it suspended-held at the saved instant. Returns
   // false without touching the run if the container is malformed (bad
-  // magic, unsupported version, truncated, CRC mismatch, or a parent link),
-  // or the engine metadata chunk is missing.
+  // magic, unsupported version, truncated, CRC mismatch), or the engine
+  // metadata chunk is missing.
   // Components without a matching chunk keep their freshly built state
   // (forward compatibility).
   bool RestoreImage(const std::vector<uint8_t>& image_bytes);
@@ -183,13 +165,13 @@ class LocalCheckpointEngine : public CheckpointParticipant {
   // The node's components plus registered extras, built on first use.
   const std::vector<Checkpointable*>& Components();
 
-  // Capture, freeze half: clones component state into the staging buffer
-  // (version-skip entries carry no bytes at all). Runs inside the frozen
-  // window; does no framing or CRC.
+  // Capture, freeze half: stages the engine metadata entry, then every
+  // component (StageComponents). Runs inside the frozen window; does no
+  // framing or CRC.
   void SnapshotComponents();
 
   // Capture, commit half: frames the staged snapshot as the composite image
-  // (skipped components from their tracked payloads) and publishes it.
+  // (SerializeStagedImage) and publishes it.
   void CommitPendingCapture();
 
   Simulator* sim_;
@@ -210,27 +192,12 @@ class LocalCheckpointEngine : public CheckpointParticipant {
   std::vector<Checkpointable*> components_;
   std::vector<Checkpointable*> extra_components_;
   std::shared_ptr<const std::vector<uint8_t>> last_image_;
-
-  // Per-component dirty tracking: the version counter, payload CRC and
-  // payload bytes as of the last capture. `valid` means the tracked values
-  // describe the component's chunk in the last published image; a skipped
-  // component's chunk is framed from `payload`.
-  struct ComponentTrack {
-    uint64_t version = 0;
-    uint32_t crc = 0;
-    bool valid = false;
-    std::vector<uint8_t> payload;
-  };
-
-  std::vector<ComponentTrack> tracks_;
-  uint64_t next_image_id_ = 1;
   CaptureStats last_capture_stats_;
 
   // Capture state. The staged capture is pinned between the freeze phase
   // (SnapshotComponents, inside the frozen window) and the commit
   // (CommitPendingCapture: still frozen when synchronous, else after resume
-  // or on first accessor touch).
-  StagingBufferPool pool_;
+  // or on first accessor touch); Reset keeps its capacity across captures.
   StagedCapture staged_;
   bool pending_capture_ = false;
 
@@ -243,8 +210,6 @@ class LocalCheckpointEngine : public CheckpointParticipant {
   obs::Counter* restores_counter_;
   obs::Counter* image_bytes_counter_;
   obs::Counter* serialized_bytes_counter_;
-  obs::Counter* payload_chunks_counter_;
-  obs::Counter* unchanged_chunks_counter_;
   obs::Histogram* frozen_wall_us_hist_;      // wall µs of the capture point
                                              // inside the frozen window
   obs::Histogram* background_wall_us_hist_;  // wall µs of the deferred commit

@@ -53,14 +53,12 @@ EventHandle HardwareClock::ScheduleAtLocal(SimTime local_time, std::function<voi
 }
 
 void HardwareClock::Rebase() {
-  version_.Bump();
   const SimTime now = sim_->Now();
   offset_ = LocalAt(now) - now;
   ref_ = now;
 }
 
 void HardwareClock::StartNtp() {
-  version_.Bump();
   if (ntp_running_) {
     return;
   }
@@ -70,7 +68,6 @@ void HardwareClock::StartNtp() {
 }
 
 void HardwareClock::StopNtp() {
-  version_.Bump();
   if (!ntp_running_) {
     return;
   }
@@ -91,7 +88,6 @@ void HardwareClock::RegisterInvariants(InvariantRegistry* reg,
 }
 
 void HardwareClock::NtpPoll() {
-  version_.Bump();
   if (!ntp_running_) {
     return;
   }

@@ -101,7 +101,6 @@ class HardwareClock : public Checkpointable {
   std::string checkpoint_id() const override { return "clock"; }
   void SaveState(ArchiveWriter* w) const override;
   void RestoreState(ArchiveReader& r) override;
-  uint64_t state_version() const override { return version_.value(); }
 
  private:
   void NtpPoll();
@@ -121,7 +120,6 @@ class HardwareClock : public Checkpointable {
   SimTime ntp_next_poll_ = 0;  // absolute physical time of the pending poll
   EventHandle ntp_event_;
   Samples error_history_;
-  StateVersion version_;
 };
 
 }  // namespace tcsim

@@ -59,19 +59,6 @@ class DelayNode : public Checkpointable {
   void RestoreState(ArchiveReader& r) override;
   void ApplyImageInPlace(ArchiveReader& r);
 
-  // Dirty-tracking version: this chunk serializes the clock and both pipe
-  // directions, so their counters are summed (each is monotonic).
-  uint64_t state_version() const override {
-    uint64_t v = clock_.state_version();
-    if (pipe_ab_ != nullptr) {
-      v += pipe_ab_->state_version();
-    }
-    if (pipe_ba_ != nullptr) {
-      v += pipe_ba_->state_version();
-    }
-    return v;
-  }
-
   // In-flight packets currently captured in the node.
   size_t PacketsHeld() const;
 

@@ -64,13 +64,11 @@ SimTime Pipe::SerializationTime(uint32_t bytes) const {
 }
 
 void Pipe::HandlePacket(const Packet& pkt) {
-  ++version_;
   ++ingress_total_;
   Ingest(pkt);
 }
 
 void Pipe::Ingest(const Packet& pkt) {
-  ++version_;
   if (suspended_) {
     suspend_ingress_log_.push_back(pkt);
     return;
@@ -99,7 +97,6 @@ void Pipe::StartTransmissionIfIdle() {
 }
 
 void Pipe::OnTransmitDone() {
-  ++version_;
   tx_active_ = false;
   ScheduleDelivery(tx_packet_, config_.delay);
   StartTransmissionIfIdle();
@@ -117,7 +114,6 @@ void Pipe::ScheduleDelivery(const Packet& pkt, SimTime delay) {
 }
 
 void Pipe::Deliver(uint64_t transit_id) {
-  ++version_;
   auto it = std::find_if(delay_line_.begin(), delay_line_.end(),
                          [transit_id](const InTransit& t) { return t.id == transit_id; });
   assert(it != delay_line_.end());
@@ -128,7 +124,6 @@ void Pipe::Deliver(uint64_t transit_id) {
 }
 
 void Pipe::Suspend() {
-  ++version_;
   assert(!suspended_);
   suspended_ = true;
   if (tx_active_) {
@@ -142,7 +137,6 @@ void Pipe::Suspend() {
 }
 
 void Pipe::Resume() {
-  ++version_;
   assert(suspended_);
   suspended_ = false;
   // Packets resume with their remaining times: total shaping delay observed
@@ -210,7 +204,6 @@ void Pipe::Save(ArchiveWriter* w) const {
 }
 
 void Pipe::ResetForRestore() {
-  ++version_;
   tx_event_.Cancel();
   tx_active_ = false;
   tx_remaining_ = 0;
@@ -222,7 +215,6 @@ void Pipe::ResetForRestore() {
 }
 
 void Pipe::Restore(ArchiveReader& r, bool credit_ingress) {
-  ++version_;
   assert(!tx_active_ && queue_.empty() && delay_line_.empty());
   config_.bandwidth_bps = r.Read<uint64_t>();
   config_.delay = r.Read<SimTime>();

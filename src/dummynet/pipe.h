@@ -102,10 +102,6 @@ class Pipe : public PacketHandler {
   // still held in the shaping stages, or awaits ingest after a resume.
   void RegisterInvariants(InvariantRegistry* reg, const std::string& name);
 
-  // Mutation counter over the state Save() serializes; the owning DelayNode
-  // folds it into its state_version() for dirty tracking.
-  uint64_t state_version() const { return version_; }
-
  private:
   struct InTransit {
     uint64_t id;
@@ -146,7 +142,6 @@ class Pipe : public PacketHandler {
   uint64_t queue_drops_ = 0;
   uint64_t loss_drops_ = 0;
   uint64_t ingress_total_ = 0;
-  uint64_t version_ = 1;
 };
 
 }  // namespace tcsim

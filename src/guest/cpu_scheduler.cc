@@ -31,16 +31,11 @@ void CpuScheduler::Resume() {
   assert(suspended_);
   suspended_ = false;
   last_update_ = sim_->Now();
-  version_.Bump();
   Reschedule();
 }
 
 void CpuScheduler::ChargeProgress() {
   const SimTime now = sim_->Now();
-  // Every public mutator funnels through here first; one bump covers
-  // last_update_, capacity/suspend flips, and the job remainders that
-  // dependent components (CpuLoopApp, CpuExperimentRun) serialize.
-  version_.Bump();
   if (suspended_ || jobs_.empty()) {
     last_update_ = now;
     return;
@@ -90,7 +85,6 @@ void CpuScheduler::RestoreState(ArchiveReader& r) {
   last_update_ = r.Read<SimTime>();
   completion_event_.Cancel();
   jobs_.clear();
-  version_.Bump();
 }
 
 void CpuScheduler::OnCompletion() {

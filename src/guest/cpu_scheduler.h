@@ -57,10 +57,6 @@ class CpuScheduler : public Checkpointable {
   std::string checkpoint_id() const override { return "guest.cpu"; }
   void SaveState(ArchiveWriter* w) const override;
   void RestoreState(ArchiveReader& r) override;
-  // Bumped in ChargeProgress (which every mutator calls first), Resume, and
-  // RestoreState. Components that serialize JobRemainders() fold this
-  // version into their own.
-  uint64_t state_version() const override { return version_.value(); }
 
  private:
   struct Job {
@@ -80,7 +76,6 @@ class CpuScheduler : public Checkpointable {
   bool suspended_ = false;
   SimTime last_update_ = 0;
   EventHandle completion_event_;
-  StateVersion version_;
 };
 
 }  // namespace tcsim

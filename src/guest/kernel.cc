@@ -11,7 +11,6 @@ namespace tcsim {
 void BlockFrontend::Read(uint64_t block, uint32_t nblocks,
                          std::function<void(std::vector<uint64_t>)> done) {
   assert(!quiesced_ && "guest I/O submitted while device is quiesced");
-  kernel_->BumpStateVersion();  // in_flight_ is serialized kernel state
   ++in_flight_;
   backend_->Read(block, nblocks,
                  [this, done = std::move(done)](std::vector<uint64_t> contents) mutable {
@@ -27,7 +26,6 @@ void BlockFrontend::Read(uint64_t block, uint32_t nblocks,
 void BlockFrontend::Write(uint64_t block, const std::vector<uint64_t>& contents,
                           std::function<void()> done) {
   assert(!quiesced_ && "guest I/O submitted while device is quiesced");
-  kernel_->BumpStateVersion();  // in_flight_ is serialized kernel state
   ++in_flight_;
   backend_->Write(block, contents, [this, done = std::move(done)]() mutable {
     OnCompletion(std::move(done));
@@ -38,7 +36,6 @@ void BlockFrontend::OnCompletion(std::function<void()> deliver) {
   // The completion IRQ itself runs outside the firewall (kBlockIrqDrain):
   // it must, so in-flight requests can drain during a checkpoint.
   kernel_->NoteActivityRun(ActivityClass::kBlockIrqDrain);
-  kernel_->BumpStateVersion();  // in_flight_/quiescing_/quiesced_ mutate below
   --in_flight_;
   if (kernel_->firewall().engaged()) {
     // The application-visible completion is inside-firewall work: defer it.
@@ -59,7 +56,6 @@ void BlockFrontend::OnCompletion(std::function<void()> deliver) {
 }
 
 void BlockFrontend::Quiesce(std::function<void()> drained) {
-  kernel_->BumpStateVersion();
   if (in_flight_ == 0) {
     quiesced_ = true;
     if (drained) {
@@ -72,7 +68,6 @@ void BlockFrontend::Quiesce(std::function<void()> drained) {
 }
 
 void BlockFrontend::Unquiesce() {
-  kernel_->BumpStateVersion();
   quiesced_ = false;
   std::deque<std::function<void()>> deferred;
   deferred.swap(deferred_completions_);
@@ -109,7 +104,6 @@ void GuestKernel::RunCpu(SimTime work, std::function<void()> done) {
 TimerHandle GuestKernel::ScheduleActivity(SimTime delay, ActivityClass cls,
                                           std::function<void()> fn) {
   assert(delay >= 0);
-  version_.Bump();  // next_timer_id_ is serialized
   const uint64_t id = next_timer_id_++;
   GuestTimer timer;
   timer.virtual_deadline = VirtualNow() + delay;
@@ -150,7 +144,6 @@ void GuestKernel::FireTimer(uint64_t id) {
   if (!firewall_.MayRun(timer.cls)) {
     // The timer tick is suppressed inside the firewall; the job stays queued
     // with its virtual deadline and is rescheduled at resume.
-    version_.Bump();  // the firewall's deferred count is serialized
     timer.deferred = true;
     return;
   }
@@ -163,7 +156,6 @@ void GuestKernel::FireTimer(uint64_t id) {
 
 void GuestKernel::Dispatch(ActivityClass cls, std::function<void()> fn) {
   if (!firewall_.MayRun(cls)) {
-    version_.Bump();  // the firewall's deferred count is serialized
     deferred_dispatches_.emplace_back(cls, std::move(fn));
     return;
   }
@@ -172,7 +164,6 @@ void GuestKernel::Dispatch(ActivityClass cls, std::function<void()> fn) {
 }
 
 void GuestKernel::NoteActivityRun(ActivityClass cls) {
-  version_.Bump();  // activity counters are serialized
   ++activity_counter_;
   if (!RunsOutsideFirewall(cls)) {
     ++inside_activity_counter_;
@@ -189,7 +180,6 @@ uint64_t GuestKernel::activities_run_while_engaged(ActivityClass cls) const {
 
 void GuestKernel::StopInsideActivities() {
   assert(!suspended_);
-  version_.Bump();
   suspended_ = true;
   firewall_.Engage();
   cpu_.Suspend();
@@ -205,7 +195,6 @@ void GuestKernel::StopInsideActivities() {
 
 void GuestKernel::ResumeInsideActivities() {
   assert(suspended_);
-  version_.Bump();  // suspended_, firewall state and the resume RNG mutate
   suspended_ = false;
   firewall_.Disengage();
 
@@ -241,7 +230,6 @@ void GuestKernel::ResumeInsideActivities() {
 TimerHandle GuestKernel::RestoreFrozenTimer(SimTime virtual_deadline,
                                             ActivityClass cls,
                                             std::function<void()> fn) {
-  version_.Bump();  // next_timer_id_ is serialized
   const uint64_t id = next_timer_id_++;
   GuestTimer timer;
   timer.virtual_deadline = virtual_deadline;

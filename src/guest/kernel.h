@@ -173,7 +173,6 @@ class GuestKernel : public TimerHost, public Checkpointable {
   void SetResumeTimerLatency(SimTime mean, uint64_t seed) {
     resume_timer_latency_ = mean;
     resume_latency_rng_ = Rng(seed);
-    version_.Bump();
   }
 
   // Approximate kernel state size for checkpoint image accounting.
@@ -192,7 +191,6 @@ class GuestKernel : public TimerHost, public Checkpointable {
   std::string checkpoint_id() const override { return "guest.kernel"; }
   void SaveState(ArchiveWriter* w) const override;
   void RestoreState(ArchiveReader& r) override;
-  uint64_t state_version() const override { return version_.value(); }
 
  private:
   friend class BlockFrontend;
@@ -210,10 +208,6 @@ class GuestKernel : public TimerHost, public Checkpointable {
   void NoteActivityRun(ActivityClass cls);
   EventHandle ScheduleAtVirtualDeadline(SimTime deadline, uint64_t id);
 
-  // Dirty-tracking instrumentation: every mutation of state that
-  // SaveState serializes must pass through a bump (over-bumping is safe).
-  void BumpStateVersion() { version_.Bump(); }
-
   Simulator* sim_;
   Domain* domain_;
   std::string name_;
@@ -230,7 +224,6 @@ class GuestKernel : public TimerHost, public Checkpointable {
   Rng resume_latency_rng_{0};
   uint64_t activity_counter_ = 0;
   uint64_t inside_activity_counter_ = 0;
-  StateVersion version_;
 };
 
 }  // namespace tcsim

@@ -22,7 +22,6 @@ void Nic::Send(const Packet& pkt) {
 }
 
 void Nic::HandlePacket(const Packet& pkt) {
-  version_.Bump();  // arrival counters and the suspend log are serialized
   ++packets_arrived_;
   rx_packets_counter_->Increment();
   rx_bytes_counter_->Add(pkt.size_bytes);
@@ -44,17 +43,9 @@ void Nic::RegisterInvariants(InvariantRegistry* reg, const std::string& name) {
   });
 }
 
-void Nic::Suspend() {
-  // No bump: versioned captures only happen inside the suspend window, so
-  // the flag reads `true` in every image — the flip itself is invisible to
-  // them. Packets logged while suspended bump via HandlePacket.
-  suspended_ = true;
-}
+void Nic::Suspend() { suspended_ = true; }
 
 void Nic::Resume() {
-  if (!suspend_log_.empty()) {
-    version_.Bump();  // replay moves packets into packets_received_
-  }
   suspended_ = false;
   // Replay in arrival order. Replayed packets are delivered at the resume
   // instant; receivers time-stamp them with their (frozen-then-resumed)
@@ -100,7 +91,6 @@ void Nic::SaveState(ArchiveWriter* w) const {
 }
 
 void Nic::RestoreState(ArchiveReader& r) {
-  version_.Bump();
   suspended_ = r.Read<uint8_t>() != 0;
   packets_arrived_ = r.Read<uint64_t>();
   packets_received_ = r.Read<uint64_t>();

@@ -86,7 +86,6 @@ class Nic : public PacketHandler, public Checkpointable {
   std::string checkpoint_id() const override { return checkpoint_id_; }
   void SaveState(ArchiveWriter* w) const override;
   void RestoreState(ArchiveReader& r) override;
-  uint64_t state_version() const override { return version_.value(); }
 
  private:
   struct LoggedPacket {
@@ -105,7 +104,6 @@ class Nic : public PacketHandler, public Checkpointable {
   uint64_t packets_logged_ = 0;
   uint64_t packets_arrived_ = 0;
   Samples replay_delays_;
-  StateVersion version_;
 
   // Telemetry handles (never serialized; counters are process-wide and
   // monotonic across restores by design).

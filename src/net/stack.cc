@@ -47,7 +47,6 @@ void NetworkStack::SendUdp(NodeId dst, uint16_t dst_port, uint16_t src_port,
 TcpConnection* NetworkStack::ConnectTcp(NodeId dst, uint16_t dst_port,
                                         TcpConnection::Params params,
                                         std::function<void()> on_connected) {
-  version_.Bump();  // next_ephemeral_port_ and the connection set mutate
   const uint16_t local_port = next_ephemeral_port_++;
   auto conn = std::make_unique<TcpConnection>(this, timers_, dst, local_port, dst_port,
                                               params);
@@ -63,7 +62,6 @@ void NetworkStack::ListenTcp(uint16_t port, std::function<void(TcpConnection*)> 
 }
 
 void NetworkStack::SendPacket(Packet pkt) {
-  version_.Bump();  // next_packet_id_ is serialized
   pkt.id = next_packet_id_++;
   pkt.first_sent = sim_->Now();
   Nic* nic = RouteFor(pkt.dst);
@@ -96,7 +94,6 @@ void NetworkStack::OnReceive(const Packet& pkt) {
       auto conn = std::make_unique<TcpConnection>(this, timers_, pkt.src, pkt.dst_port,
                                                   pkt.src_port, listener_it->second.params);
       TcpConnection* raw = conn.get();
-      version_.Bump();  // the connection set mutates
       connections_[key] = std::move(conn);
       listener_it->second.on_accept(raw);
       raw->AcceptSyn(pkt);
@@ -138,14 +135,6 @@ void NetworkStack::RestoreState(ArchiveReader& r) {
     ArchiveReader sub(blob);
     it->second->Restore(sub);
   }
-}
-
-uint64_t NetworkStack::state_version() const {
-  uint64_t v = version_.value();
-  for (const auto& [key, conn] : connections_) {
-    v += conn->state_version();
-  }
-  return v;
 }
 
 std::vector<TcpConnection*> NetworkStack::Connections() const {

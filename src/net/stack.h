@@ -89,11 +89,6 @@ class NetworkStack : public Checkpointable {
   void SaveState(ArchiveWriter* w) const override;
   void RestoreState(ArchiveReader& r) override;
 
-  // Dirty-tracking version: the stack's own allocator mutations plus every
-  // connection's counter. Connections are never removed, so the sum is
-  // monotonic — unchanged sum means no serialized byte changed.
-  uint64_t state_version() const override;
-
  private:
   struct Listener {
     std::function<void(TcpConnection*)> on_accept;
@@ -130,7 +125,6 @@ class NetworkStack : public Checkpointable {
   std::string checkpoint_id_ = "net.stack";
   uint16_t next_ephemeral_port_ = 40000;
   uint64_t next_packet_id_ = 1;
-  StateVersion version_;
 };
 
 }  // namespace tcsim

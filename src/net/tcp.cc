@@ -45,7 +45,6 @@ TcpConnection::TcpConnection(NetworkStack* stack, TimerHost* timers, NodeId peer
 }
 
 void TcpConnection::Connect(std::function<void()> on_connected) {
-  version_.Bump();
   assert(state_ == State::kClosed);
   on_connected_ = std::move(on_connected);
   state_ = State::kSynSent;
@@ -54,7 +53,6 @@ void TcpConnection::Connect(std::function<void()> on_connected) {
 }
 
 void TcpConnection::AcceptSyn(const Packet& syn) {
-  version_.Bump();
   assert(state_ == State::kClosed);
   assert(syn.tcp.syn && !syn.tcp.fin);
   state_ = State::kSynReceived;
@@ -63,20 +61,17 @@ void TcpConnection::AcceptSyn(const Packet& syn) {
 }
 
 void TcpConnection::Send(uint64_t bytes) {
-  version_.Bump();
   stream_end_ += bytes;
   TrySend();
 }
 
 void TcpConnection::SendMessage(uint32_t bytes, std::shared_ptr<AppPayload> payload) {
-  version_.Bump();
   assert(bytes > 0);
   outgoing_messages_[stream_end_ + bytes] = FramedMessage{std::move(payload)};
   Send(bytes);
 }
 
 void TcpConnection::Close() {
-  version_.Bump();
   if (fin_queued_) {
     return;
   }
@@ -233,7 +228,6 @@ void TcpConnection::RetransmitFirstUnacked() {
 }
 
 void TcpConnection::OnRto() {
-  version_.Bump();
   if (state_ == State::kSynSent) {
     SendControl(/*syn=*/true, /*ack=*/false, /*fin=*/false, 0);
     rto_ = std::min<SimTime>(rto_ * 2, params_.max_rto);
@@ -395,7 +389,6 @@ void TcpConnection::Restore(ArchiveReader& r) {
 }
 
 void TcpConnection::HandleSegment(const Packet& pkt) {
-  version_.Bump();
   ++stats_.segments_received;
 
   // Handshake transitions.

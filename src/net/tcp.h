@@ -133,12 +133,6 @@ class TcpConnection {
   // Passive-open entry: reacts to the initial SYN.
   void AcceptSyn(const Packet& syn);
 
-  // Mutation counter over the serialized protocol control block; the stack
-  // folds it into its own state_version() for dirty tracking. Bumped at
-  // every entry point that can mutate connection state (app calls, segment
-  // arrival, RTO firing).
-  uint64_t state_version() const { return version_.value(); }
-
  private:
   enum class State { kClosed, kSynSent, kSynReceived, kEstablished, kFinished };
 
@@ -226,7 +220,6 @@ class TcpConnection {
   uint32_t last_peer_window_seen_ = 0xFFFFFFFF;
   bool trace_enabled_ = false;
   std::vector<TraceEntry> trace_;
-  StateVersion version_;
 };
 
 }  // namespace tcsim

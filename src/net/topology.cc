@@ -28,21 +28,6 @@ constexpr uint64_t kRxSalt = 0x7061636B6574ull;    // "packet"
 constexpr uint64_t kXorSalt = 0x6D6972726F72ull;   // "mirror"
 constexpr uint64_t kPongSalt = 0x706F6E67ull;      // "pong"
 
-// Clones the walk's state into `out`'s reused staging buffer, all bytes back
-// to back; SerializeStagedImage(*out) frames them as the walk's image.
-void StageWalk(std::span<Checkpointable* const> walk, StagedCapture* out) {
-  ArchiveWriter w(std::move(out->buffer));
-  for (const Checkpointable* c : walk) {
-    StagedEntry entry;
-    entry.id = c->checkpoint_id();
-    entry.offset = w.size();
-    c->SaveState(&w);
-    entry.size = w.size() - entry.offset;
-    out->entries.push_back(std::move(entry));
-  }
-  out->buffer = w.Take();
-}
-
 }  // namespace
 
 // --- StaticRouter -------------------------------------------------------------
@@ -55,7 +40,6 @@ void StaticRouter::SetLanRoute(uint32_t lan, Wire* hop) {
 }
 
 void StaticRouter::HandlePacket(const Packet& pkt) {
-  version_.Bump();
   const uint32_t lan = layout_.lan_of(pkt.dst);
   Wire* hop = lan < lan_routes_.size() ? lan_routes_[lan] : nullptr;
   if (hop == nullptr) {
@@ -77,7 +61,6 @@ void StaticRouter::SaveState(ArchiveWriter* w) const {
 void StaticRouter::RestoreState(ArchiveReader& r) {
   forwarded_ = r.Read<uint64_t>();
   dropped_ = r.Read<uint64_t>();
-  version_.Bump();
 }
 
 // --- TrafficNode --------------------------------------------------------------
@@ -108,7 +91,6 @@ void TrafficNode::ScheduleNext() {
                           static_cast<double>(traffic_.mean_gap))) +
                       kMicrosecond;
   next_send_at_ = sim_->Now() + gap;
-  version_.Bump();  // rng draw + next_send_at_
   sim_->ScheduleAt(next_send_at_, [this] { SendOne(); });
 }
 
@@ -154,7 +136,6 @@ void TrafficNode::SendOne() {
   pkt.size_bytes = kPacketHeaderBytes + traffic_.payload_bytes;
   pkt.first_sent = sim_->Now();
   ++sent_;
-  version_.Bump();  // next_data_seq_, sent_, and PickDestination's rng draws
   nic_->Send(pkt);
   ScheduleNext();
 }
@@ -162,7 +143,6 @@ void TrafficNode::SendOne() {
 void TrafficNode::OnReceive(const Packet& pkt) {
   ++rx_packets_;
   rx_bytes_ += pkt.size_bytes;
-  version_.Bump();
   // Commutative accumulators: sum and xor are invariant under delivery
   // reordering, so nanosecond ties interleaving differently across partition
   // counts cannot change the behaviour digest.
@@ -222,7 +202,6 @@ void TrafficNode::RestoreState(ArchiveReader& r) {
   digest_sum_ = r.Read<uint64_t>();
   digest_xor_ = r.Read<uint64_t>();
   rng_.Restore(r);
-  version_.Bump();
   if (!r.ok()) {
     return;
   }
@@ -462,8 +441,8 @@ std::vector<uint8_t> GeneratedTopology::CapturePartitionImage(
 
 void GeneratedTopology::SnapshotPartition(uint32_t partition,
                                           StagedCapture* out) const {
-  StageWalk(std::span(walks_[partition]).first(host_walk_size_[partition]),
-            out);
+  StageComponents(
+      std::span(walks_[partition]).first(host_walk_size_[partition]), out);
 }
 
 std::vector<uint8_t> GeneratedTopology::CaptureHaPartitionImage(
@@ -475,7 +454,7 @@ std::vector<uint8_t> GeneratedTopology::CaptureHaPartitionImage(
 
 void GeneratedTopology::SnapshotHaPartition(uint32_t partition,
                                             StagedCapture* out) const {
-  StageWalk(walks_[partition], out);
+  StageComponents(walks_[partition], out);
 }
 
 bool GeneratedTopology::RestoreHaPartition(uint32_t partition,

@@ -115,7 +115,6 @@ class StaticRouter : public PacketHandler, public Checkpointable {
   std::string checkpoint_id() const override { return checkpoint_id_; }
   void SaveState(ArchiveWriter* w) const override;
   void RestoreState(ArchiveReader& r) override;
-  uint64_t state_version() const override { return version_.value(); }
 
  private:
   TopologyLayout layout_;
@@ -124,7 +123,6 @@ class StaticRouter : public PacketHandler, public Checkpointable {
   uint64_t forwarded_ = 0;
   uint64_t dropped_ = 0;
   std::string checkpoint_id_ = "net.router";
-  StateVersion version_;
 };
 
 // A host: sends fixed-size datagrams at exponentially distributed intervals
@@ -164,9 +162,6 @@ class TrafficNode : public Checkpointable {
   std::string checkpoint_id() const override;
   void SaveState(ArchiveWriter* w) const override;
   void RestoreState(ArchiveReader& r) override;
-  // Serialized state mutates only on the send chain (ScheduleNext/SendOne)
-  // and the receive path (OnReceive); each bumps once.
-  uint64_t state_version() const override { return version_.value(); }
 
  private:
   void ScheduleNext();
@@ -188,7 +183,6 @@ class TrafficNode : public Checkpointable {
   uint64_t pongs_sent_ = 0;
   uint64_t digest_sum_ = 0;  // commutative accumulators over packet-id hashes
   uint64_t digest_xor_ = 0;
-  StateVersion version_;
 };
 
 // A generated topology plus the partitioned kernel driving it. Always runs
@@ -241,8 +235,9 @@ class GeneratedTopology {
   // scheduler's capture phase.
   std::vector<uint8_t> CapturePartitionImage(uint32_t partition) const;
 
-  // Freeze-phase half of the same capture: clones the prefix's state into
-  // `out`'s staging buffer without framing it. Same concurrency contract.
+  // Freeze-phase half of the same capture: StageComponents of the prefix,
+  // appended to `out` without framing (the owner Resets `out` first). Same
+  // concurrency contract.
   void SnapshotPartition(uint32_t partition, StagedCapture* out) const;
 
   // Composite image of the whole walk, the SerializeStagedImage of

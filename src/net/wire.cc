@@ -75,7 +75,6 @@ SimTime Wire::SerializationTime(uint32_t bytes) const {
 void Wire::InjectLinkFault(SimTime until, double loss) {
   fault_until_ = until;
   fault_loss_ = loss;
-  version_.Bump();
 }
 
 void Wire::Transmit(const Packet& pkt) {
@@ -84,7 +83,6 @@ void Wire::Transmit(const Packet& pkt) {
   busy_until_ = tx_done;
   ++packets_sent_;
   bytes_sent_ += pkt.size_bytes;
-  version_.Bump();
   // An armed link fault overrides the configured loss rate until it expires.
   // A dead link (loss >= 1) drops without consuming an rng draw, so the loss
   // stream past the fault window stays aligned with a fault-free run.
@@ -123,7 +121,6 @@ void Wire::DeliverHead() {
   in_flight_.pop_front();
   bytes_in_flight_ -= entry.pkt.size_bytes;
   bytes_delivered_ += entry.pkt.size_bytes;
-  version_.Bump();
   sink_->HandlePacket(entry.pkt);
 }
 
@@ -178,7 +175,6 @@ void Wire::RestoreState(ArchiveReader& r) {
   for (const InFlightPacket& e : in_flight_) {
     sim_->ScheduleAt(e.deliver_at, [this] { DeliverHead(); });
   }
-  version_.Bump();
 }
 
 }  // namespace tcsim

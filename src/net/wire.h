@@ -129,7 +129,6 @@ class Wire : public Checkpointable {
   std::string checkpoint_id() const override { return checkpoint_id_; }
   void SaveState(ArchiveWriter* w) const override;
   void RestoreState(ArchiveReader& r) override;
-  uint64_t state_version() const override { return version_.value(); }
 
  private:
   struct InFlightPacket {
@@ -163,7 +162,6 @@ class Wire : public Checkpointable {
   uint64_t bytes_dropped_ = 0;
   uint64_t bytes_in_flight_ = 0;
   std::string checkpoint_id_ = "net.wire";
-  StateVersion version_;
 };
 
 }  // namespace tcsim

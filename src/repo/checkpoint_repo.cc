@@ -163,13 +163,9 @@ std::vector<uint8_t> CheckpointRepo::EncodeImageRecord(uint64_t handle,
                                                        const ImageRecord& rec) {
   ArchiveWriter w;
   w.Write<uint64_t>(handle);
-  w.Write<uint64_t>(rec.embedded_id);
-  w.Write<uint64_t>(0);  // embedded parent id
-  w.Write<uint64_t>(0);  // parent handle
   w.Write<uint64_t>(rec.chunks.size());
   for (const ChunkRef& cr : rec.chunks) {
     w.WriteString(cr.id);
-    w.Write<uint8_t>(kRepoChunkPayloadRef);
     w.Write<uint64_t>(cr.key.hash);
     w.Write<uint32_t>(cr.key.crc);
     w.Write<uint64_t>(cr.key.size);
@@ -182,20 +178,14 @@ bool CheckpointRepo::DecodeImageRecord(const std::vector<uint8_t>& payload,
                                        uint64_t* handle, ImageRecord* rec) {
   ArchiveReader r(payload);
   *handle = r.Read<uint64_t>();
-  rec->embedded_id = r.Read<uint64_t>();
-  const uint64_t parent_image = r.Read<uint64_t>();
-  const uint64_t parent_record = r.Read<uint64_t>();
   const uint64_t count = r.Read<uint64_t>();
-  if (!r.ok() || parent_image != 0 || parent_record != 0) {
+  if (!r.ok()) {
     return false;
   }
   rec->chunks.clear();
   for (uint64_t i = 0; i < count; ++i) {
     ChunkRef cr;
     cr.id = r.ReadString();
-    if (r.Read<uint8_t>() != kRepoChunkPayloadRef) {
-      return false;
-    }
     cr.key.hash = r.Read<uint64_t>();
     cr.key.crc = r.Read<uint32_t>();
     cr.key.size = r.Read<uint64_t>();
@@ -355,18 +345,6 @@ CheckpointRepo::BatchCommitResult CheckpointRepo::CommitBatch(
       err = e->parse_error;
       break;
     }
-    const uint64_t handle = next_handle_ + staged.size();
-    ImageRecord rec;
-    if (e->format_version == kImageFormatVersion) {
-      rec.embedded_id = handle;  // v1 images carry no identity; assign one
-    } else {
-      rec.embedded_id = e->embedded_id;
-      if (rec.embedded_id == 0) {
-        err = "v2 image without an id";
-        break;
-      }
-    }
-
     // Validate this entry's whole chunk table before touching the segment:
     // payload CRCs were proven by the hashing pool. Earlier entries of a
     // failing batch may already have appended — those bytes become orphans
@@ -381,6 +359,7 @@ CheckpointRepo::BatchCommitResult CheckpointRepo::CommitBatch(
       break;
     }
 
+    ImageRecord rec;
     rec.chunks.reserve(e->chunks.size());
     for (const RepoWriteBatch::StagedChunk& sc : e->chunks) {
       ChunkRef cr;
@@ -525,7 +504,7 @@ bool CheckpointRepo::RetireImage(uint64_t handle) {
     return false;
   }
   it->second.live = false;
-  RebuildRetention();
+  Release(handle);
   error_.clear();
   return true;
 }
@@ -542,7 +521,6 @@ std::vector<uint8_t> CheckpointRepo::Materialize(uint64_t handle) {
     return {};
   }
   CheckpointImageBuilder builder;
-  builder.SetImageId(rec.embedded_id);
   std::vector<uint8_t> payload;
   for (const ChunkRef& cr : rec.chunks) {
     if (!segment_->ReadPayload(cr.offset, cr.key, &payload)) {
@@ -678,6 +656,14 @@ void CheckpointRepo::Retain(uint64_t handle) {
   }
 }
 
+void CheckpointRepo::Release(uint64_t handle) {
+  for (const ChunkRef& cr : records_.at(handle).chunks) {
+    if (--payloads_.at(cr.key).refs == 0) {
+      live_payload_bytes_ -= kSegmentRecordOverhead + cr.key.size;
+    }
+  }
+}
+
 void CheckpointRepo::RebuildRetention() {
   for (auto& [key, entry] : payloads_) {
     entry.refs = 0;
@@ -721,10 +707,6 @@ std::vector<uint64_t> CheckpointRepo::LiveHandles() const {
     }
   }
   return handles;
-}
-
-uint64_t CheckpointRepo::ImageIdOf(uint64_t handle) const {
-  return records_.at(handle).embedded_id;
 }
 
 size_t CheckpointRepo::live_image_count() const {

@@ -27,9 +27,9 @@
 //    references it. A refcount-based GC rewrites the (segment, journal) pair
 //    with only the live records and their payloads, installing the new epoch
 //    by an atomic CURRENT rename.
-//  - Materialize(handle) rebuilds the stored image as a format-v2 composite
-//    image (src/sim/image.h): the stored image id, every chunk in the
-//    original chunk order.
+//  - Materialize(handle) rebuilds the stored image (src/sim/image.h): every
+//    chunk in the original chunk order, i.e. exactly the bytes PutImage was
+//    given (a repeated chunk id keeps its first copy only).
 
 #ifndef TCSIM_SRC_REPO_CHECKPOINT_REPO_H_
 #define TCSIM_SRC_REPO_CHECKPOINT_REPO_H_
@@ -74,10 +74,10 @@ class CheckpointRepo {
   CheckpointRepo(const CheckpointRepo&) = delete;
   CheckpointRepo& operator=(const CheckpointRepo&) = delete;
 
-  // Stores a serialized composite image (format v1 or v2) and returns its
-  // repository handle (monotonic, never reused), or 0 on rejection (error()
-  // says why; the repository is unchanged). A malformed image — one
-  // CheckpointImageView refuses — is rejected.
+  // Stores a serialized composite image and returns its repository handle
+  // (monotonic, never reused), or 0 on rejection (error() says why; the
+  // repository is unchanged). A malformed image — one CheckpointImageView
+  // refuses — is rejected.
   uint64_t PutImage(const std::vector<uint8_t>& image_bytes);
 
   // --- Batched group commit ----------------------------------------------------
@@ -145,10 +145,6 @@ class CheckpointRepo {
   // Live handles in ascending order.
   std::vector<uint64_t> LiveHandles() const;
 
-  // The image id embedded in the stored image's header (v1 images are
-  // assigned their handle). Handle must exist.
-  uint64_t ImageIdOf(uint64_t handle) const;
-
   size_t image_count() const { return records_.size(); }
   size_t live_image_count() const;
 
@@ -176,16 +172,16 @@ class CheckpointRepo {
   };
 
   struct ImageRecord {
-    uint64_t embedded_id = 0;
     bool live = true;
     std::vector<ChunkRef> chunks;
   };
 
   CheckpointRepo(std::string dir, RepoOptions options);
 
-  // Serializes / parses the journal payload of a put record. The layout keeps
-  // the parent fields and chunk kind bytes of earlier parent-linked records:
-  // they are written 0 and 1, and a record with any other value is refused.
+  // Serializes / parses the journal payload of a put record:
+  //   handle u64 | chunk count u64
+  //   chunk : id (length-prefixed string) | content hash u64 | CRC32 u32
+  //         | size u64 | segment offset u64
   static std::vector<uint8_t> EncodeImageRecord(uint64_t handle,
                                                 const ImageRecord& rec);
   static bool DecodeImageRecord(const std::vector<uint8_t>& payload,
@@ -201,8 +197,12 @@ class CheckpointRepo {
   // O(history).
   void Retain(uint64_t handle);
 
+  // The mirror of Retain: lowers them for `handle`, one reference per chunk,
+  // so a retire costs O(record), not O(history).
+  void Release(uint64_t handle);
+
   // Clears the refcounts, then retains every live record: the full recompute
-  // for the mutations that can shrink retention (open, retire, GC).
+  // for open and GC.
   void RebuildRetention();
 
   // Appends a journal record with the publication barrier (segment flushed

@@ -48,9 +48,6 @@ inline constexpr uint8_t kJournalNextHandle = 4;
 // the record makes every image of the batch invisible, never a prefix.
 inline constexpr uint8_t kJournalBatchPut = 5;
 
-// The one chunk kind of a put record's chunk table.
-inline constexpr uint8_t kRepoChunkPayloadRef = 1;
-
 // Fixed framing sizes (used by recovery bounds checks and space accounting).
 inline constexpr uint64_t kSegmentHeaderBytes = 8;
 inline constexpr uint64_t kSegmentRecordOverhead = 4 + 8 + 4;

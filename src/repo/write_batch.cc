@@ -34,8 +34,6 @@ void RepoWriteBatch::PrepareEntry(Entry* entry) {
   CheckpointImageLiteView view(*entry->bytes);
   if (view.ok()) {
     entry->parsed_ok = true;
-    entry->format_version = view.format_version();
-    entry->embedded_id = view.image_id();
     entry->chunks.reserve(view.chunks().size());
     for (const CheckpointImageLiteView::Chunk& c : view.chunks()) {
       StagedChunk sc;

@@ -43,7 +43,7 @@ class RepoWriteBatch {
   RepoWriteBatch(const RepoWriteBatch&) = delete;
   RepoWriteBatch& operator=(const RepoWriteBatch&) = delete;
 
-  // Stages one serialized image (format v1 or v2); the i-th staged image
+  // Stages one serialized image; the i-th staged image
   // gets the commit result's handles[i]. Rejections surface at commit, never
   // here.
   void Stage(std::shared_ptr<const std::vector<uint8_t>> image);
@@ -70,8 +70,6 @@ class RepoWriteBatch {
     std::shared_ptr<const std::vector<uint8_t>> bytes;
     bool parsed_ok = false;
     std::string parse_error;
-    uint32_t format_version = 0;
-    uint64_t embedded_id = 0;
     std::vector<StagedChunk> chunks;
   };
 

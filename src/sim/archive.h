@@ -28,12 +28,12 @@ class ArchiveWriter {
  public:
   ArchiveWriter() = default;
 
-  // Adopts an existing backing vector, reusing its capacity. The vector is
-  // cleared but not shrunk, so a staging buffer that has grown to its
-  // steady-state size is never reallocated on later captures.
-  explicit ArchiveWriter(std::vector<uint8_t> adopt) : data_(std::move(adopt)) {
-    data_.clear();
-  }
+  // Adopts an existing backing vector and appends after its bytes, reusing
+  // its capacity: a staging buffer that has grown to its steady-state size
+  // (and is cleared, not shrunk, between captures) is never reallocated on
+  // later captures.
+  explicit ArchiveWriter(std::vector<uint8_t> adopt)
+      : data_(std::move(adopt)) {}
 
   // Writes a trivially-copyable value.
   template <typename T>

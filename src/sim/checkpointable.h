@@ -41,31 +41,6 @@ class Checkpointable {
   // capture time). Implementations must tolerate truncated input by checking
   // r.ok() before trusting counts read from the archive.
   virtual void RestoreState(ArchiveReader& r) = 0;
-
-  // Mutation version counter for dirty tracking. A component that bumps a
-  // counter on every mutation of serialized state returns it here; the
-  // capture path then skips re-serializing the component when the version is
-  // unchanged since the previous capture, and reuses that capture's payload.
-  // Returning 0 (the default) means "not instrumented" and the engine falls
-  // back to serialize-and-compare-CRC.
-  //
-  // Correctness contract: it is always safe to over-bump (a spurious bump
-  // only costs one redundant serialization), but an instrumented component
-  // that mutates serialized state WITHOUT bumping publishes stale state —
-  // that is a checkpoint-corruption bug. Instrument conservatively.
-  virtual uint64_t state_version() const { return 0; }
-};
-
-// Convenience mutation counter for state_version() implementations: starts at
-// 1 so an instrumented component is distinguishable from the uninstrumented
-// default of 0.
-class StateVersion {
- public:
-  void Bump() { ++value_; }
-  uint64_t value() const { return value_; }
-
- private:
-  uint64_t value_ = 1;
 };
 
 }  // namespace tcsim

@@ -46,35 +46,20 @@ void CheckpointImageBuilder::AddChunk(std::string id,
   chunks_.push_back(PendingChunk{std::move(id), std::move(payload)});
 }
 
-void CheckpointImageBuilder::SetImageId(uint64_t image_id) {
-  v2_ = true;
-  image_id_ = image_id;
-}
-
 std::vector<uint8_t> CheckpointImageBuilder::Serialize() const {
   size_t total = 2 * sizeof(uint32_t) + sizeof(uint64_t);
-  if (v2_) {
-    total += 2 * sizeof(uint64_t);
-  }
   for (const PendingChunk& c : chunks_) {
-    total += StringWireSize(c.id) + (v2_ ? sizeof(uint8_t) : 0) +
-             sizeof(uint64_t) + sizeof(uint32_t) + c.payload.size();
+    total += StringWireSize(c.id) + sizeof(uint64_t) + sizeof(uint32_t) +
+             c.payload.size();
   }
 
   ArchiveWriter w;
   w.Reserve(total);
   w.Write<uint32_t>(kImageMagic);
-  w.Write<uint32_t>(v2_ ? kImageFormatVersion2 : kImageFormatVersion);
-  if (v2_) {
-    w.Write<uint64_t>(image_id_);
-    w.Write<uint64_t>(0);  // parent image id
-  }
+  w.Write<uint32_t>(kImageFormatVersion);
   w.Write<uint64_t>(chunks_.size());
   for (const PendingChunk& c : chunks_) {
     w.WriteString(c.id);
-    if (v2_) {
-      w.Write<uint8_t>(kChunkKindPayload);
-    }
     w.Write<uint64_t>(c.payload.size());
     w.Write<uint32_t>(Crc32(c.payload));
     w.WriteBytes(c.payload.data(), c.payload.size());
@@ -85,7 +70,6 @@ std::vector<uint8_t> CheckpointImageBuilder::Serialize() const {
 CheckpointImageView::CheckpointImageView(const std::vector<uint8_t>& image) {
   const CheckpointImageLiteView lite(image);
   version_ = lite.format_version();
-  image_id_ = lite.image_id();
   if (!lite.ok()) {
     error_ = lite.error();
     return;
@@ -169,37 +153,18 @@ CheckpointImageLiteView::CheckpointImageLiteView(
     return;
   }
   version_ = c.Read<uint32_t>();
-  if (!c.ok ||
-      (version_ != kImageFormatVersion && version_ != kImageFormatVersion2)) {
+  if (!c.ok || version_ != kImageFormatVersion) {
     Fail("unsupported format version " + std::to_string(version_));
     return;
-  }
-  const bool v2 = version_ == kImageFormatVersion2;
-  uint64_t parent = 0;
-  if (v2) {
-    image_id_ = c.Read<uint64_t>();
-    parent = c.Read<uint64_t>();
   }
   const uint64_t count = c.Read<uint64_t>();
   if (!c.ok) {
     Fail("truncated header");
     return;
   }
-  if (parent != 0) {
-    Fail("image names parent image " + std::to_string(parent) +
-         "; images must be self-contained");
-    return;
-  }
   std::set<std::string> seen;
   for (uint64_t i = 0; i < count; ++i) {
     std::string id = c.ReadString();
-    if (v2) {
-      const uint8_t kind = c.Read<uint8_t>();
-      if (c.ok && kind != kChunkKindPayload) {
-        Fail("unknown chunk kind in chunk '" + id + "'");
-        return;
-      }
-    }
     const uint64_t len = c.Read<uint64_t>();
     const uint32_t crc = c.Read<uint32_t>();
     if (!c.ok) {
@@ -212,11 +177,7 @@ CheckpointImageLiteView::CheckpointImageLiteView(
       return;
     }
     if (!seen.insert(id).second) {
-      if (v2) {
-        Fail("duplicate chunk id '" + id + "'");
-        return;
-      }
-      // No reader uses a dropped v1 duplicate's bytes, but a flipped bit
+      // No reader uses a dropped duplicate's bytes, but a flipped bit
       // anywhere in an image is still an error.
       if (Crc32(payload.data, payload.size) != crc) {
         Fail("CRC mismatch in chunk '" + id + "'");

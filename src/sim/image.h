@@ -9,19 +9,10 @@
 //   chunk  : id (length-prefixed string) | payload length u64 | CRC32 u32
 //          | payload bytes
 //
-// Format v2 adds an image identity to the header and a kind byte to every
-// chunk:
-//
-//   header : magic u32 | format version u32 (=2) | image id u64
-//          | parent image id u64 (always 0) | chunk count u64
-//   chunk  : id (length-prefixed string) | kind u8 (=1)
-//          | payload length u64 | CRC32 u32 | payload bytes
-//
 // Every image is self-contained: each chunk carries its component's payload.
 // Unchanged state costs no extra disk because the repository stores each
-// payload once by content (see CheckpointRepo). The parent field and the
-// kind byte keep the v2 layout of earlier delta images; readers refuse a
-// nonzero parent and any chunk kind other than 1.
+// payload once by content (see CheckpointRepo). Version 1 is the only format:
+// readers refuse every other version, the retired version 2 included.
 //
 // Properties:
 //  - Versioned: a reader rejects images whose major format version it does
@@ -52,10 +43,6 @@ inline uint32_t Crc32(const std::vector<uint8_t>& data) {
 
 inline constexpr uint32_t kImageMagic = 0x504B4354;  // "TCKP" little-endian
 inline constexpr uint32_t kImageFormatVersion = 1;
-inline constexpr uint32_t kImageFormatVersion2 = 2;
-
-// The one chunk kind of format v2.
-inline constexpr uint8_t kChunkKindPayload = 1;
 
 // A non-owning view of contiguous payload bytes (parsed in place inside a
 // serialized image; the image buffer must outlive the span).
@@ -64,17 +51,13 @@ struct ByteSpan {
   uint64_t size = 0;
 };
 
-// Builds a composite image from component chunks. Emits format v1 unless an
-// image identity is set, in which case it emits v2.
+// Builds a composite image from component chunks.
 class CheckpointImageBuilder {
  public:
   // Appends a raw payload chunk. Ids must be unique within one image. Both
   // arguments are taken by value and moved into place, so callers that hand
   // over rvalues pay zero payload copies.
   void AddChunk(std::string id, std::vector<uint8_t> payload);
-
-  // Switches the builder to format v2 with the given identity.
-  void SetImageId(uint64_t image_id);
 
   size_t chunk_count() const { return chunks_.size(); }
 
@@ -89,11 +72,9 @@ class CheckpointImageBuilder {
   };
 
   std::vector<PendingChunk> chunks_;
-  bool v2_ = false;
-  uint64_t image_id_ = 0;
 };
 
-// Parses and validates a composite image (format v1 or v2), then hands
+// Parses and validates a composite image, then hands
 // chunks out by id. The structural parse is CheckpointImageLiteView's; this
 // view adds the CRC check of every chunk and copies the payloads into an
 // index by id, so lookups stay valid after the image buffer is gone.
@@ -102,16 +83,13 @@ class CheckpointImageView {
   explicit CheckpointImageView(const std::vector<uint8_t>& image);
 
   // False if the envelope was malformed: bad magic, unsupported version,
-  // truncation, any chunk failing its CRC, or a v2 image naming a parent.
-  // When false, error() says why and no chunk is accessible.
+  // truncation, or any chunk failing its CRC. When false, error() says why
+  // and no chunk is accessible.
   bool ok() const { return ok_; }
   const std::string& error() const { return error_; }
 
   uint32_t format_version() const { return version_; }
   size_t chunk_count() const { return order_.size(); }
-
-  // v2 identity; 0 for v1 images.
-  uint64_t image_id() const { return image_id_; }
 
   bool HasChunk(const std::string& id) const;
 
@@ -131,20 +109,18 @@ class CheckpointImageView {
   bool ok_ = false;
   std::string error_;
   uint32_t version_ = 0;
-  uint64_t image_id_ = 0;
   std::map<std::string, std::vector<uint8_t>> chunks_;
   std::vector<std::string> order_;
 };
 
-// Zero-copy structural parse of a composite image (v1 or v2): the chunk
+// Zero-copy structural parse of a composite image: the chunk
 // table in file order, with payload *spans* into the caller's buffer instead
 // of copies, and no CRC pass over the chunks it keeps — the batched
 // repository path verifies payload CRCs on its hashing pool, off the staging
 // thread, so parsing here costs O(chunk count), not O(bytes). This is the one
 // parser of the format: it rejects every structural malformation (bad magic,
-// unsupported version, truncation, a nonzero parent, chunk kinds other than
-// 1, duplicate ids (v2), and a v1 duplicate whose dropped bytes fail their
-// CRC), and CheckpointImageView builds on it. The image bytes must outlive
+// unsupported version, truncation, and a duplicate whose dropped bytes fail
+// their CRC), and CheckpointImageView builds on it. The image bytes must outlive
 // the view and its spans.
 class CheckpointImageLiteView {
  public:
@@ -160,10 +136,9 @@ class CheckpointImageLiteView {
   const std::string& error() const { return error_; }
 
   uint32_t format_version() const { return version_; }
-  uint64_t image_id() const { return image_id_; }
 
-  // Chunks in file order. For v1 images a repeated id keeps the first
-  // occurrence only: later duplicates lose, once their CRC holds.
+  // Chunks in file order. A repeated id keeps the first occurrence only:
+  // later duplicates lose, once their CRC holds.
   const std::vector<Chunk>& chunks() const { return chunks_; }
 
  private:
@@ -172,7 +147,6 @@ class CheckpointImageLiteView {
   bool ok_ = false;
   std::string error_;
   uint32_t version_ = 0;
-  uint64_t image_id_ = 0;
   std::vector<Chunk> chunks_;
 };
 

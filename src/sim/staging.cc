@@ -1,6 +1,5 @@
 #include "src/sim/staging.h"
 
-#include <cassert>
 #include <utility>
 
 #include "src/sim/archive.h"
@@ -8,13 +7,25 @@
 
 namespace tcsim {
 
+void StageComponents(std::span<Checkpointable* const> components,
+                     StagedCapture* out) {
+  ArchiveWriter w(std::move(out->buffer));
+  for (const Checkpointable* c : components) {
+    StagedEntry entry;
+    entry.id = c->checkpoint_id();
+    entry.offset = w.size();
+    c->SaveState(&w);
+    entry.size = w.size() - entry.offset;
+    out->entries.push_back(std::move(entry));
+  }
+  out->buffer = w.Take();
+}
+
 std::vector<uint8_t> SerializeStagedImage(const StagedCapture& capture) {
   // The v1 layout of CheckpointImageBuilder::Serialize, sized once: each
   // staged entry is copied straight from the staging buffer into the image.
   size_t total = 2 * sizeof(uint32_t) + sizeof(uint64_t);
   for (const StagedEntry& entry : capture.entries) {
-    // Partition captures never skip: every entry carries its bytes.
-    assert(!entry.version_skip);
     total += sizeof(uint64_t) + entry.id.size() + sizeof(uint64_t) +
              sizeof(uint32_t) + entry.size;
   }
@@ -31,37 +42,6 @@ std::vector<uint8_t> SerializeStagedImage(const StagedCapture& capture) {
     w.WriteBytes(p, entry.size);
   }
   return w.Take();
-}
-
-void StagingBufferPool::Acquire(StagedCapture* out) {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (out->buffer.capacity() == 0 && !free_.empty()) {
-    out->buffer = std::move(free_.back());
-    free_.pop_back();
-  }
-  out->Reset();
-  out->generation = generation_;
-}
-
-void StagingBufferPool::Release(StagedCapture* capture) {
-  std::lock_guard<std::mutex> lock(mu_);
-  capture->entries.clear();
-  capture->buffer.clear();
-  if (capture->buffer.capacity() != 0) {
-    free_.push_back(std::move(capture->buffer));
-    capture->buffer = std::vector<uint8_t>();
-  }
-  capture->generation = 0;
-}
-
-void StagingBufferPool::InvalidateAll() {
-  std::lock_guard<std::mutex> lock(mu_);
-  ++generation_;
-}
-
-uint64_t StagingBufferPool::generation() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return generation_;
 }
 
 }  // namespace tcsim

@@ -128,7 +128,6 @@ void BranchStore::Read(uint64_t block, uint32_t nblocks,
 
 void BranchStore::Write(uint64_t block, const std::vector<uint64_t>& contents,
                         std::function<void()> done) {
-  version_.Bump();  // delta maps / allocator heads are serialized
   assert(block + contents.size() <= size_blocks_);
   const uint32_t nblocks = static_cast<uint32_t>(contents.size());
   static obs::Counter* const writes = CowCounter("storage.cow.writes");
@@ -177,7 +176,6 @@ void BranchStore::Write(uint64_t block, const std::vector<uint64_t>& contents,
 }
 
 void BranchStore::MergeCurrentIntoAggregated(bool reorder) {
-  version_.Bump();  // delta maps / allocator heads are serialized
   for (const auto& [block, extent] : current_) {
     aggregated_[block] = extent;  // slot reassigned below
   }
@@ -201,7 +199,6 @@ void BranchStore::MergeCurrentIntoAggregated(bool reorder) {
 }
 
 void BranchStore::DiscardCurrentDelta() {
-  version_.Bump();  // delta maps / allocator heads are serialized
   current_.clear();
   log_head_ = 0;
 }

@@ -124,7 +124,6 @@ class BranchStore : public BlockDevice, public Checkpointable {
   std::string checkpoint_id() const override { return "storage.branch"; }
   void SaveState(ArchiveWriter* w) const override;
   void RestoreState(ArchiveReader& r) override;
-  uint64_t state_version() const override { return version_.value(); }
 
  private:
   // Disk layout (block addresses on the physical disk).
@@ -151,7 +150,6 @@ class BranchStore : public BlockDevice, public Checkpointable {
   uint64_t agg_next_slot_ = 0;   // next free slot in the aggregated area
   std::unordered_set<uint64_t> initialized_meta_regions_;
   std::function<bool(uint64_t)> free_filter_;
-  StateVersion version_;
 };
 
 }  // namespace tcsim

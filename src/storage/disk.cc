@@ -17,9 +17,6 @@ void Disk::StartNext() {
   busy_ = true;
   Request req = std::move(queue_.front());
   queue_.pop_front();
-  // Every serialized field (head position, counters, busy time) mutates only
-  // below; one bump covers the whole request.
-  version_.Bump();
 
   SimTime service = 0;
   if (req.offset != head_pos_) {

@@ -83,13 +83,7 @@ class Disk : public Checkpointable {
     busy_time_ = r.Read<SimTime>();
     busy_ = false;
     queue_.clear();
-    version_.Bump();
   }
-
-  // Every serialized field mutates only in StartNext (and RestoreState), so
-  // one bump there keeps the version exact: an idle-since-last-capture disk
-  // is skipped without re-serialization.
-  uint64_t state_version() const override { return version_.value(); }
 
  private:
   struct Request {
@@ -112,7 +106,6 @@ class Disk : public Checkpointable {
   uint64_t seeks_ = 0;
   uint64_t short_seeks_ = 0;
   SimTime busy_time_ = 0;
-  StateVersion version_;
 };
 
 }  // namespace tcsim

@@ -22,7 +22,6 @@ BasicExperimentRun::BasicExperimentRun(Params params)
   node_ = std::make_unique<ExperimentNode>(&sim_, Rng(params_.seed ^ 0xABCD), cfg);
   CheckpointPolicy policy;
   policy.resume_timer_latency = 0;  // digests must be reproducible
-  policy.skip_unchanged = params_.skip_unchanged;
   policy.async_capture = params_.async_capture;
   engine_ = std::make_unique<LocalCheckpointEngine>(&sim_, node_.get(), policy);
   engine_->AddCheckpointable(this);  // workload progress rides in the image
@@ -30,7 +29,6 @@ BasicExperimentRun::BasicExperimentRun(Params params)
 }
 
 void BasicExperimentRun::Tick() {
-  version_.Bump();  // rng draw + next_tick_vdeadline_
   const SimTime delay = static_cast<SimTime>(
       workload_rng_.Exponential(static_cast<double>(params_.mean_tick))) + kMicrosecond;
   next_tick_vdeadline_ = node_->kernel().GetTimeOfDay() + delay;
@@ -38,14 +36,12 @@ void BasicExperimentRun::Tick() {
 }
 
 void BasicExperimentRun::TickBody() {
-  version_.Bump();  // counter_, writes_issued_, next_block_
   ++counter_;
   node_->kernel().TouchMemory(64 * 1024);
   std::vector<uint64_t> contents(params_.blocks_per_tick, counter_);
   ++writes_issued_;
   node_->kernel().block().Write(next_block_, contents, [this] {
     ++io_completions_;
-    version_.Bump();
   });
   next_block_ += params_.blocks_per_tick;
   Tick();
@@ -72,7 +68,6 @@ void BasicExperimentRun::SaveState(ArchiveWriter* w) const {
 }
 
 void BasicExperimentRun::RestoreState(ArchiveReader& r) {
-  version_.Bump();
   counter_ = r.Read<uint64_t>();
   next_block_ = r.Read<uint64_t>();
   writes_issued_ = r.Read<uint64_t>();
@@ -128,7 +123,6 @@ void BasicExperimentRun::Perturb(uint64_t seed) {
   // Relaxed-determinism replay: reseed the workload's randomness from the
   // branch point on (the "non-determinism knob" of Section 6).
   workload_rng_ = Rng(seed);
-  version_.Bump();
 }
 
 // --- CpuExperimentRun ---------------------------------------------------------
@@ -142,7 +136,6 @@ CpuExperimentRun::CpuExperimentRun(Params params)
   node_ = std::make_unique<ExperimentNode>(&sim_, Rng(params_.seed ^ 0xC4D7), cfg);
   CheckpointPolicy policy;
   policy.resume_timer_latency = 0;
-  policy.skip_unchanged = params_.skip_unchanged;
   policy.async_capture = params_.async_capture;
   engine_ = std::make_unique<LocalCheckpointEngine>(&sim_, node_.get(), policy);
   engine_->AddCheckpointable(this);
@@ -150,7 +143,6 @@ CpuExperimentRun::CpuExperimentRun(Params params)
 }
 
 void CpuExperimentRun::StartBurst() {
-  version_.Bump();  // rng draw
   const SimTime work = static_cast<SimTime>(workload_rng_.Exponential(
                            static_cast<double>(params_.mean_burst))) +
                        kMicrosecond;
@@ -159,13 +151,11 @@ void CpuExperimentRun::StartBurst() {
 }
 
 void CpuExperimentRun::SubmitBurst(SimTime work) {
-  version_.Bump();  // burst_active_
   burst_active_ = true;
   node_->kernel().RunCpu(work, [this] { OnBurstDone(); });
 }
 
 void CpuExperimentRun::OnBurstDone() {
-  version_.Bump();  // burst_active_, iterations_, rng draw, deadline
   burst_active_ = false;
   ++iterations_;
   const SimTime gap = static_cast<SimTime>(workload_rng_.Exponential(
@@ -208,7 +198,6 @@ void CpuExperimentRun::SaveState(ArchiveWriter* w) const {
 }
 
 void CpuExperimentRun::RestoreState(ArchiveReader& r) {
-  version_.Bump();
   iterations_ = r.Read<uint64_t>();
   const bool burst_active = r.Read<uint8_t>() != 0;
   next_burst_vdeadline_ = r.Read<SimTime>();
@@ -258,7 +247,6 @@ void CpuExperimentRun::Perturb(uint64_t seed) {
     return;
   }
   workload_rng_ = Rng(seed);
-  version_.Bump();
 }
 
 }  // namespace tcsim

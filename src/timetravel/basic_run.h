@@ -26,7 +26,6 @@ class BasicExperimentRun : public ReplayableRun, public Checkpointable {
     uint64_t seed = 1;              // construction seed (fixed per tree)
     SimTime mean_tick = 5 * kMillisecond;
     uint64_t blocks_per_tick = 4;
-    bool skip_unchanged = true;      // engine's dirty tracking
     bool async_capture = true;       // two-phase capture (freeze + background)
   };
 
@@ -50,9 +49,6 @@ class BasicExperimentRun : public ReplayableRun, public Checkpointable {
   std::string checkpoint_id() const override { return "workload.basic"; }
   void SaveState(ArchiveWriter* w) const override;
   void RestoreState(ArchiveReader& r) override;
-  // Bumped on every tick, write completion, restore and perturb — the only
-  // paths that touch the serialized fields.
-  uint64_t state_version() const override { return version_.value(); }
 
   // Workload observables (for divergence assertions in tests).
   uint64_t counter() const { return counter_; }
@@ -74,7 +70,6 @@ class BasicExperimentRun : public ReplayableRun, public Checkpointable {
   uint64_t writes_issued_ = 0;
   uint64_t io_completions_ = 0;
   SimTime next_tick_vdeadline_ = 0;  // virtual-time deadline of the armed tick
-  StateVersion version_;
 };
 
 // A second, CPU-bound ReplayableRun: alternating CPU bursts and sleeps, with
@@ -87,7 +82,6 @@ class CpuExperimentRun : public ReplayableRun, public Checkpointable {
     SimTime mean_burst = 8 * kMillisecond;  // CPU work per iteration
     SimTime mean_gap = 3 * kMillisecond;    // sleep between iterations
     uint64_t touched_bytes = 256 * 1024;    // dirtied per iteration
-    bool skip_unchanged = true;
     bool async_capture = true;
   };
 
@@ -107,12 +101,6 @@ class CpuExperimentRun : public ReplayableRun, public Checkpointable {
   std::string checkpoint_id() const override { return "workload.cpu"; }
   void SaveState(ArchiveWriter* w) const override;
   void RestoreState(ArchiveReader& r) override;
-  // SaveState reads the in-flight burst's remainder out of the CPU
-  // scheduler, so fold the scheduler's version in: scheduler progress alone
-  // must invalidate this chunk too.
-  uint64_t state_version() const override {
-    return version_.value() + node_->kernel().cpu().state_version();
-  }
 
   uint64_t iterations() const { return iterations_; }
   ExperimentNode& node() { return *node_; }
@@ -132,7 +120,6 @@ class CpuExperimentRun : public ReplayableRun, public Checkpointable {
   uint64_t iterations_ = 0;
   bool burst_active_ = false;
   SimTime next_burst_vdeadline_ = 0;  // armed gap timer's virtual deadline
-  StateVersion version_;
 };
 
 }  // namespace tcsim

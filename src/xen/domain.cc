@@ -25,7 +25,6 @@ void Domain::FreezeTime() {
   }
   frozen_virtual_ = VirtualNow();
   time_frozen_ = true;
-  version_.Bump();
 }
 
 void Domain::UnfreezeTime(bool compensate) {
@@ -33,7 +32,6 @@ void Domain::UnfreezeTime(bool compensate) {
     return;
   }
   time_frozen_ = false;
-  version_.Bump();
   if (compensate) {
     // Fold the downtime into the virtual TSC offset: guest time continues
     // seamlessly from the frozen value.
@@ -59,7 +57,6 @@ void Domain::SuspendRunstateAccounting() {
   }
   runstate_.running += sim_->Now() - last_runstate_update_;
   runstate_active_ = false;
-  version_.Bump();
 }
 
 void Domain::ResumeRunstateAccounting() {
@@ -68,7 +65,6 @@ void Domain::ResumeRunstateAccounting() {
   }
   runstate_active_ = true;
   last_runstate_update_ = sim_->Now();
-  version_.Bump();
 }
 
 void Domain::ChargeStolenTime(SimTime amount) {
@@ -79,7 +75,6 @@ void Domain::ChargeStolenTime(SimTime amount) {
   last_runstate_update_ = sim_->Now();
   runstate_.running -= std::min(runstate_.running, amount);
   runstate_.runnable += amount;
-  version_.Bump();
 }
 
 void Domain::AccrueBackgroundDirtying() const {
@@ -88,9 +83,6 @@ void Domain::AccrueBackgroundDirtying() const {
   const uint64_t accrued = static_cast<uint64_t>(
       ToSeconds(elapsed) * static_cast<double>(config_.background_dirty_rate_bytes_per_sec));
   dirty_bytes_ = std::min(dirty_bytes_ + accrued, config_.memory_bytes);
-  // Covers TouchMemory/ClearDirtyBytes too: both accrue first, then adjust
-  // dirty_bytes_ before any capture can observe the version.
-  version_.Bump();
 }
 
 void Domain::TouchMemory(uint64_t bytes) {
@@ -134,7 +126,6 @@ void Domain::RestoreState(ArchiveReader& r) {
   last_runstate_update_ = r.Read<SimTime>();
   dirty_bytes_ = r.Read<uint64_t>();
   last_dirty_accrual_ = r.Read<SimTime>();
-  version_.Bump();
 }
 
 }  // namespace tcsim

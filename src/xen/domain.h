@@ -123,10 +123,6 @@ class Domain : public Checkpointable {
   std::string checkpoint_id() const override { return "xen.domain"; }
   void SaveState(ArchiveWriter* w) const override;
   void RestoreState(ArchiveReader& r) override;
-  // Bumped on every mutation of serialized state: the freeze/runstate
-  // transitions, stolen-time charges, and dirty-tracking accrual (which runs
-  // inside const readers, hence the mutable counter).
-  uint64_t state_version() const override { return version_.value(); }
 
  private:
   // Folds background dirtying into dirty_bytes_ up to now.
@@ -146,7 +142,6 @@ class Domain : public Checkpointable {
 
   mutable uint64_t dirty_bytes_ = 0;
   mutable SimTime last_dirty_accrual_ = 0;
-  mutable StateVersion version_;
 };
 
 }  // namespace tcsim

@@ -31,7 +31,6 @@ void Hypervisor::RunDom0Job(const std::string& name, double cpu_fraction, SimTim
   const uint64_t id = next_job_id_++;
   active_jobs_.push_back(Dom0Job{id, cpu_fraction, sim_->Now() + duration});
   active_demand_ += cpu_fraction;
-  version_.Bump();
   RecomputeCapacity();
   if (domain_ != nullptr) {
     domain_->ChargeStolenTime(
@@ -51,7 +50,6 @@ void Hypervisor::FinishJob(uint64_t id) {
   if (active_demand_ < 1e-12) {
     active_demand_ = 0.0;
   }
-  version_.Bump();
   RecomputeCapacity();
 }
 
@@ -86,7 +84,6 @@ void Hypervisor::RestoreState(ArchiveReader& r) {
     // happened on the timeline the image captured.
     sim_->ScheduleAt(job.end_time, [this, id = job.id] { FinishJob(id); });
   }
-  version_.Bump();
   RecomputeCapacity();
 }
 

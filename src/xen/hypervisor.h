@@ -65,8 +65,6 @@ class Hypervisor : public Checkpointable {
   std::string checkpoint_id() const override { return "xen.hypervisor"; }
   void SaveState(ArchiveWriter* w) const override;
   void RestoreState(ArchiveReader& r) override;
-  // Serialized state mutates only when a Dom0 job starts or retires.
-  uint64_t state_version() const override { return version_.value(); }
 
  private:
   // An in-flight Dom0 job: its CPU demand and when it retires. Tracked as
@@ -89,7 +87,6 @@ class Hypervisor : public Checkpointable {
   uint64_t dom0_jobs_run_ = 0;
   uint64_t next_job_id_ = 1;
   std::vector<Dom0Job> active_jobs_;
-  StateVersion version_;
 };
 
 // Live-checkpoint memory engine (the live-migration-derived saver).

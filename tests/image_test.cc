@@ -81,7 +81,7 @@ TEST(ImageContainerTest, RoundTripsChunksThroughSerialization) {
   EXPECT_EQ(a2.value, 17u);
   EXPECT_EQ(b2.value, 42u);
 
-  // The partition-image writer frames a staged capture as the builder frames
+  // The staged-image writer frames a staged capture as the builder frames
   // the same chunks: here an empty id, an empty payload and a 28-byte id, and
   // a capture with no entries at all.
   const std::vector<std::pair<std::string, std::vector<uint8_t>>> chunks = {
@@ -121,9 +121,8 @@ TEST(ImageContainerTest, RejectsUnsupportedFormatVersion) {
   Counter a("a");
   builder.AddChunk(a.checkpoint_id(), SaveOf(a));
   std::vector<uint8_t> image = builder.Serialize();
-  // The version field follows the u32 magic. Patch past format v2, the
-  // newest supported.
-  const uint32_t future = kImageFormatVersion2 + 1;
+  // The version field follows the u32 magic. Patch in a future version.
+  const uint32_t future = 3;
   std::memcpy(image.data() + sizeof(uint32_t), &future, sizeof(future));
   CheckpointImageView view(image);
   EXPECT_FALSE(view.ok());
@@ -210,174 +209,74 @@ TEST(ImageContainerTest, ShortChunkReportsPartialRestore) {
   EXPECT_FALSE(view.RestoreInto(a));
 }
 
-// --- Format v2 -----------------------------------------------------------------
-
-// Writes a v2 image by hand: `parent` and the chunk kinds are free, so
-// the retired shapes the builder can no longer emit (a parent link and kind-2
-// delta refs, which carry a u32 parent CRC instead of a payload) can be fed to
-// the decoders.
-struct HandChunk {
-  std::string id;
-  uint8_t kind = kChunkKindPayload;
-  std::vector<uint8_t> payload;  // kind 1
-  uint32_t pin = 0;              // kind 2
-};
-
-std::vector<uint8_t> HandWrittenV2(uint64_t image_id, uint64_t parent,
-                                   const std::vector<HandChunk>& chunks) {
+// Format version 2, retired, put an image id and a parent id in the header
+// and a kind byte before each chunk's length. Writes the bytes its writer
+// emitted for image id 5 holding one chunk.
+std::vector<uint8_t> RetiredV2Image(const std::string& id,
+                                    const std::vector<uint8_t>& payload) {
   ArchiveWriter w;
   w.Write<uint32_t>(kImageMagic);
-  w.Write<uint32_t>(kImageFormatVersion2);
-  w.Write<uint64_t>(image_id);
-  w.Write<uint64_t>(parent);
-  w.Write<uint64_t>(chunks.size());
-  for (const HandChunk& c : chunks) {
-    w.WriteString(c.id);
-    w.Write<uint8_t>(c.kind);
-    if (c.kind == kChunkKindPayload) {
-      w.Write<uint64_t>(c.payload.size());
-      w.Write<uint32_t>(Crc32(c.payload));
-      w.WriteBytes(c.payload.data(), c.payload.size());
-    } else {
-      w.Write<uint32_t>(c.pin);
-    }
-  }
+  w.Write<uint32_t>(2);  // format version
+  w.Write<uint64_t>(5);  // image id
+  w.Write<uint64_t>(0);  // parent image id
+  w.Write<uint64_t>(1);  // chunk count
+  w.WriteString(id);
+  w.Write<uint8_t>(1);  // chunk kind: payload
+  w.Write<uint64_t>(payload.size());
+  w.Write<uint32_t>(Crc32(payload));
+  w.WriteBytes(payload.data(), payload.size());
   return w.Take();
 }
 
-// Both decoders refuse `image` with an error naming `what`.
-void ExpectRefused(const std::vector<uint8_t>& image, const std::string& what) {
+TEST(ImageContainerTest, RefusesFormatVersion2) {
+  Counter a("a");
+  a.value = 17;
+  const std::vector<uint8_t> image = RetiredV2Image(a.checkpoint_id(), SaveOf(a));
   const CheckpointImageView view(image);
   EXPECT_FALSE(view.ok());
-  EXPECT_NE(view.error().find(what), std::string::npos) << view.error();
+  EXPECT_EQ(view.error(), "unsupported format version 2");
   EXPECT_EQ(view.chunk_count(), 0u);
+  EXPECT_FALSE(view.RestoreInto(a));
   const CheckpointImageLiteView lite(image);
   EXPECT_FALSE(lite.ok());
   EXPECT_EQ(lite.error(), view.error());
   EXPECT_TRUE(lite.chunks().empty());
 }
 
-TEST(DeltaImageTest, SelfContainedV2RoundTrips) {
-  CheckpointImageBuilder builder;
-  builder.SetImageId(5);
-  Counter a("a");
-  a.value = 17;
-  builder.AddChunk(a.checkpoint_id(), SaveOf(a));
-  const std::vector<uint8_t> image = builder.Serialize();
-  // The builder writes the v2 layout with the parent field 0 and kind 1.
-  EXPECT_EQ(image, HandWrittenV2(5, 0, {{"a", kChunkKindPayload, SaveOf(a)}}));
-
-  CheckpointImageView view(image);
-  ASSERT_TRUE(view.ok()) << view.error();
-  EXPECT_EQ(view.format_version(), kImageFormatVersion2);
-  EXPECT_EQ(view.image_id(), 5u);
-  Counter a2("a");
-  EXPECT_TRUE(view.RestoreInto(a2));
-  EXPECT_EQ(a2.value, 17u);
-}
-
-TEST(DeltaImageTest, RejectsUnknownChunkKind) {
-  CheckpointImageBuilder builder;
-  builder.SetImageId(1);
-  builder.AddChunk("a", PayloadOf(1));
-  const std::vector<uint8_t> image = builder.Serialize();
-  // v2 header is magic u32 | version u32 | image id u64 | parent id u64 |
-  // count u64; the first chunk's kind byte follows its length-prefixed id.
-  const size_t kind_off = 4 + 4 + 8 + 8 + 8 + 8 + 1;
-  ASSERT_EQ(image[kind_off], kChunkKindPayload);
-  // Kind 2 was the retired delta ref.
-  for (const uint8_t kind : {uint8_t{2}, uint8_t{7}}) {
-    std::vector<uint8_t> mutant = image;
-    mutant[kind_off] = kind;
-    ExpectRefused(mutant, "kind");
-  }
-}
-
-TEST(DeltaImageTest, RejectsDuplicateChunkIds) {
-  CheckpointImageBuilder builder;
-  builder.SetImageId(1);
-  builder.AddChunk("a", PayloadOf(1));
-  builder.AddChunk("a", PayloadOf(2));
-  CheckpointImageView view(builder.Serialize());
-  EXPECT_FALSE(view.ok());
-  EXPECT_NE(view.error().find("duplicate"), std::string::npos) << view.error();
-}
-
-TEST(DeltaImageTest, RejectsImagesNamingAParent) {
-  // Every image is self-contained: a v2 header naming parent 5 is refused,
-  // whether its chunks are payloads or a retired delta ref into the parent.
-  ExpectRefused(HandWrittenV2(6, 5, {{"changed", kChunkKindPayload,
-                                      PayloadOf(18)}}),
-                "parent");
-  ExpectRefused(HandWrittenV2(6, 5,
-                              {{"changed", kChunkKindPayload, PayloadOf(18)},
-                               {"same", 2, {}, Crc32(PayloadOf(17))}}),
-                "parent");
-  // The same chunk table without the parent link is fine.
-  EXPECT_TRUE(CheckpointImageView(
-                  HandWrittenV2(6, 0, {{"changed", kChunkKindPayload,
-                                        PayloadOf(18)}}))
-                  .ok());
-}
-
-TEST(DeltaImageTest, RejectsEveryTruncationPointOfV2) {
-  CheckpointImageBuilder builder;
-  builder.SetImageId(9);
-  builder.AddChunk("payload-chunk", PayloadOf(7));
-  builder.AddChunk("second-chunk", {1, 2, 3});
-  const std::vector<uint8_t> image = builder.Serialize();
-  for (size_t len = 0; len < image.size(); ++len) {
-    std::vector<uint8_t> prefix(image.begin(), image.begin() + len);
-    CheckpointImageView view(prefix);
-    EXPECT_FALSE(view.ok()) << "prefix of " << len << " bytes accepted";
-  }
-}
-
 // --- Seeded mutation fuzzing of the decoder ------------------------------------
 //
-// Flips bits in, truncates, splices, and overwrites the length and kind
-// fields of a v1 image, a v2 image and a hand-written v2 image in the retired
-// delta shape (a parent link and kind-2 refs). Every mutant must be rejected
-// with an error, or be accepted and round-trip: rebuilt through the builder
-// it parses back to the same header, ids and payloads. The sanitize-preset
-// run of this test is the no-UB check of the decoder.
+// Flips bits in, truncates, splices, and overwrites the length fields of two
+// images. Every mutant must be rejected with an error, or be accepted and
+// round-trip: rebuilt through the builder it parses back to the same ids and
+// payloads. The sanitize-preset run of this test is the no-UB check of the
+// decoder.
 
 struct SeedImage {
   std::vector<uint8_t> bytes;
   std::vector<size_t> length_fields;  // u64 offsets: chunk count, id and
                                       // payload lengths
-  std::vector<size_t> kind_fields;    // u8 offsets (v2 only)
   std::vector<size_t> boundaries;     // chunk starts, and the image end
 };
 
-// Writes the image by hand and records its field offsets from the layout in
-// src/sim/image.h, checked against the written size. A v1 seed is written by
-// the builder.
-SeedImage MakeSeed(bool v2, uint64_t image_id, uint64_t parent,
-                   const std::vector<HandChunk>& chunks) {
+// Builds the image and records its field offsets from the layout in
+// src/sim/image.h, checked against the built size.
+SeedImage MakeSeed(
+    const std::vector<std::pair<std::string, std::vector<uint8_t>>>& chunks) {
   SeedImage seed;
-  size_t pos = v2 ? 24 : 8;  // magic, version (and the v2 image/parent ids)
+  size_t pos = 8;  // magic, version
   seed.length_fields.push_back(pos);
   pos += sizeof(uint64_t);
-  CheckpointImageBuilder v1;
-  for (const HandChunk& c : chunks) {
+  CheckpointImageBuilder builder;
+  for (const auto& [id, payload] : chunks) {
     seed.boundaries.push_back(pos);
     seed.length_fields.push_back(pos);
-    pos += sizeof(uint64_t) + c.id.size();
-    if (v2) {
-      seed.kind_fields.push_back(pos);
-      pos += sizeof(uint8_t);
-    }
-    if (c.kind == kChunkKindPayload) {
-      seed.length_fields.push_back(pos);
-      pos += sizeof(uint64_t) + sizeof(uint32_t) + c.payload.size();
-      v1.AddChunk(c.id, c.payload);
-    } else {
-      pos += sizeof(uint32_t);
-    }
+    pos += sizeof(uint64_t) + id.size();
+    seed.length_fields.push_back(pos);
+    pos += sizeof(uint64_t) + sizeof(uint32_t) + payload.size();
+    builder.AddChunk(id, payload);
   }
   seed.boundaries.push_back(pos);
-  seed.bytes = v2 ? HandWrittenV2(image_id, parent, chunks) : v1.Serialize();
+  seed.bytes = builder.Serialize();
   EXPECT_EQ(pos, seed.bytes.size());
   return seed;
 }
@@ -396,17 +295,12 @@ bool RejectedOrRoundTrips(const std::vector<uint8_t>& mutant, bool* accepted) {
     return false;
   }
   CheckpointImageBuilder builder;
-  if (view.format_version() == kImageFormatVersion2) {
-    builder.SetImageId(view.image_id());
-  }
   for (const std::string& id : view.ChunkIds()) {
     builder.AddChunk(id, view.Chunk(id));
   }
   const std::vector<uint8_t> rebuilt = builder.Serialize();
   const CheckpointImageView again(rebuilt);
-  if (!again.ok() || again.format_version() != view.format_version() ||
-      again.image_id() != view.image_id() ||
-      again.ChunkIds() != view.ChunkIds()) {
+  if (!again.ok() || again.ChunkIds() != view.ChunkIds()) {
     return false;
   }
   for (const std::string& id : view.ChunkIds()) {
@@ -419,28 +313,12 @@ bool RejectedOrRoundTrips(const std::vector<uint8_t>& mutant, bool* accepted) {
 
 TEST(ImageMutationTest, EveryMutantIsRejectedOrRoundTrips) {
   const std::vector<SeedImage> seeds = {
-      MakeSeed(/*v2=*/false, 0, 0,
-               {{"alpha", kChunkKindPayload, PayloadOf(1)},
-                {"beta", kChunkKindPayload, {1, 2, 3, 4, 5}},
-                {"", kChunkKindPayload, {}}}),
-      MakeSeed(/*v2=*/true, 7, 0,
-               {{"alpha", kChunkKindPayload, PayloadOf(2)},
-                {"beta", kChunkKindPayload, {6, 7, 8}}}),
-      MakeSeed(/*v2=*/true, 8, 7,
-               {{"alpha", kChunkKindPayload, PayloadOf(3)},
-                {"beta", 2, {}, Crc32(std::vector<uint8_t>{6, 7, 8})},
-                {"gamma", 2, {}, 0xDEADBEEF}}),
+      MakeSeed({{"alpha", PayloadOf(1)}, {"beta", {1, 2, 3, 4, 5}}, {"", {}}}),
+      MakeSeed({{"alpha", PayloadOf(2)}, {"beta", {6, 7, 8}}}),
   };
-  // The first two seeds are what the builder writes; the retired delta shape
-  // is refused as it stands.
-  CheckpointImageBuilder v2;
-  v2.SetImageId(7);
-  v2.AddChunk("alpha", PayloadOf(2));
-  v2.AddChunk("beta", {6, 7, 8});
-  EXPECT_EQ(seeds[1].bytes, v2.Serialize());
-  EXPECT_TRUE(CheckpointImageView(seeds[0].bytes).ok());
-  EXPECT_FALSE(CheckpointImageView(seeds[2].bytes).ok());
-  EXPECT_FALSE(CheckpointImageLiteView(seeds[2].bytes).ok());
+  for (const SeedImage& seed : seeds) {
+    EXPECT_TRUE(CheckpointImageView(seed.bytes).ok());
+  }
   const uint64_t kLengths[] = {0, 1, 4, 8, 13, 0x7FFFFFFFull,
                                0x4000000000000000ull, ~0ull};
 
@@ -452,7 +330,7 @@ TEST(ImageMutationTest, EveryMutantIsRejectedOrRoundTrips) {
   for (int round = 0; round < 3000; ++round) {
     const SeedImage& seed = seeds[below(seeds.size())];
     std::vector<uint8_t> mutant = seed.bytes;
-    switch (round % 5) {
+    switch (round % 4) {
       case 0:  // flip one to three bits
         for (size_t k = 0, n = 1 + below(3); k < n; ++k) {
           mutant[below(mutant.size())] ^= static_cast<uint8_t>(1u << below(8));
@@ -485,18 +363,10 @@ TEST(ImageMutationTest, EveryMutantIsRejectedOrRoundTrips) {
                     &len, sizeof(len));
         break;
       }
-      case 4:  // overwrite a kind byte (v1 seeds flip a bit instead)
-        if (seed.kind_fields.empty()) {
-          mutant[below(mutant.size())] ^= static_cast<uint8_t>(1u << below(8));
-        } else {
-          mutant[seed.kind_fields[below(seed.kind_fields.size())]] =
-              static_cast<uint8_t>(below(4));
-        }
-        break;
     }
     bool accepted = false;
     EXPECT_TRUE(RejectedOrRoundTrips(mutant, &accepted))
-        << "mutant " << round << " (mutation " << round % 5 << ")";
+        << "mutant " << round << " (mutation " << round % 4 << ")";
     ++(accepted ? accepted_count : rejected_count);
   }
   // Both outcomes occur: the mutator reaches past the rejection paths.

@@ -64,11 +64,10 @@ std::vector<uint8_t> PayloadOf(uint64_t value) {
   return w.Take();
 }
 
-// A v2 image with two payload chunks. Images sharing a value share that
+// An image with two payload chunks. Images sharing a value share that
 // payload, which the repository stores once.
-std::vector<uint8_t> FullImage(uint64_t id, uint64_t a, uint64_t b) {
+std::vector<uint8_t> FullImage(uint64_t a, uint64_t b) {
   CheckpointImageBuilder builder;
-  builder.SetImageId(id);
   builder.AddChunk("a", PayloadOf(a));
   builder.AddChunk("b", PayloadOf(b));
   return builder.Serialize();
@@ -103,43 +102,40 @@ uint64_t FoldMaterializations(CheckpointRepo* repo) {
 // --- Put / Materialize fidelity ------------------------------------------------
 
 TEST_F(RepoTest, MaterializeMatchesLiteralSelfContainedImages) {
-  // Materialization rebuilds the stored image: the stored image id, every
-  // chunk in the original chunk order, whether or not its payload was shared
-  // with an earlier image.
+  // Materialization rebuilds the stored image, every chunk in the original
+  // chunk order, whether or not its payload was shared with an earlier
+  // image: exactly the bytes put.
   auto repo = OpenRepo();
-  const uint64_t h1 = repo->PutImage(FullImage(1, 10, 20));
+  const uint64_t h1 = repo->PutImage(FullImage(10, 20));
   ASSERT_NE(h1, 0u) << repo->error();
-  const uint64_t h2 = repo->PutImage(FullImage(2, 11, 20));
+  const uint64_t h2 = repo->PutImage(FullImage(11, 20));
   ASSERT_NE(h2, 0u) << repo->error();
 
-  EXPECT_EQ(repo->Materialize(h1), FullImage(1, 10, 20));
-  EXPECT_EQ(repo->Materialize(h2), FullImage(2, 11, 20));
+  EXPECT_EQ(repo->Materialize(h1), FullImage(10, 20));
+  EXPECT_EQ(repo->Materialize(h2), FullImage(11, 20));
 
-  // A v1 image carries no identity: it is assigned its handle.
-  CheckpointImageBuilder v1;
-  v1.AddChunk("a", PayloadOf(10));
-  const uint64_t h3 = repo->PutImage(v1.Serialize());
+  // A one-chunk image whose payload the repository already holds.
+  CheckpointImageBuilder one_chunk;
+  one_chunk.AddChunk("a", PayloadOf(10));
+  const std::vector<uint8_t> put = one_chunk.Serialize();
+  const uint64_t h3 = repo->PutImage(put);
   ASSERT_NE(h3, 0u) << repo->error();
-  EXPECT_EQ(repo->ImageIdOf(h3), h3);
-  CheckpointImageBuilder v1_materialized;
-  v1_materialized.SetImageId(h3);
-  v1_materialized.AddChunk("a", PayloadOf(10));
-  EXPECT_EQ(repo->Materialize(h3), v1_materialized.Serialize());
+  EXPECT_EQ(repo->Materialize(h3), put);
 }
 
 TEST_F(RepoTest, DedupStoresSharedPayloadsOnce) {
   auto repo = OpenRepo();
   // Two unrelated images sharing chunk contents: payload bytes land once.
-  ASSERT_NE(repo->PutImage(FullImage(1, 10, 20)), 0u) << repo->error();
+  ASSERT_NE(repo->PutImage(FullImage(10, 20)), 0u) << repo->error();
   const uint64_t physical_after_first = repo->physical_put_bytes();
-  ASSERT_NE(repo->PutImage(FullImage(2, 10, 20)), 0u) << repo->error();
+  ASSERT_NE(repo->PutImage(FullImage(10, 20)), 0u) << repo->error();
   EXPECT_EQ(repo->physical_put_bytes(), physical_after_first);
   EXPECT_EQ(repo->logical_put_bytes(), 2 * physical_after_first);
 }
 
 TEST_F(RepoTest, RejectsBadPuts) {
   auto repo = OpenRepo();
-  const uint64_t h1 = repo->PutImage(FullImage(1, 10, 20));
+  const uint64_t h1 = repo->PutImage(FullImage(10, 20));
   ASSERT_NE(h1, 0u);
 
   const auto expect_refused = [&repo](const std::vector<uint8_t>& image,
@@ -150,15 +146,23 @@ TEST_F(RepoTest, RejectsBadPuts) {
   // Garbage bytes.
   expect_refused({1, 2, 3}, "malformed image");
   // A flipped payload bit.
-  std::vector<uint8_t> flipped = FullImage(2, 11, 20);
+  std::vector<uint8_t> flipped = FullImage(11, 20);
   flipped.back() ^= 0x10;
   expect_refused(flipped, "CRC mismatch in chunk 'b'");
-  // A v2 image naming a parent (offset 16, after magic, version and id).
-  std::vector<uint8_t> naming_parent = FullImage(2, 11, 20);
-  naming_parent[16] = 1;
-  expect_refused(naming_parent, "parent");
-  // A v2 image without an id.
-  expect_refused(FullImage(0, 11, 20), "without an id");
+  // An image of the retired format version 2: image id 5, parent 0, and a
+  // kind byte (1, a payload) before the chunk's length.
+  ArchiveWriter v2;
+  v2.Write<uint32_t>(kImageMagic);
+  v2.Write<uint32_t>(2);
+  v2.Write<uint64_t>(5);
+  v2.Write<uint64_t>(0);
+  v2.Write<uint64_t>(1);
+  v2.WriteString("a");
+  v2.Write<uint8_t>(1);
+  v2.Write<uint64_t>(sizeof(uint64_t));
+  v2.Write<uint32_t>(Crc32(PayloadOf(17)));
+  v2.WriteBytes(PayloadOf(17).data(), sizeof(uint64_t));
+  expect_refused(v2.Take(), "malformed image: unsupported format version 2");
   // A v1 image repeating chunk 'a', whose dropped second copy fails its CRC
   // (66 bytes): the view refuses it, so the repository must too.
   CheckpointImageBuilder two_copies;
@@ -179,8 +183,8 @@ TEST_F(RepoTest, RejectsBadPuts) {
 
 TEST_F(RepoTest, RetireKeepsSharedPayloadsLive) {
   auto repo = OpenRepo();
-  const uint64_t h1 = repo->PutImage(FullImage(1, 10, 20));
-  const uint64_t h2 = repo->PutImage(FullImage(2, 11, 20));
+  const uint64_t h1 = repo->PutImage(FullImage(10, 20));
+  const uint64_t h2 = repo->PutImage(FullImage(11, 20));
   ASSERT_NE(h2, 0u) << repo->error();
   EXPECT_EQ(repo->live_payload_bytes(), 3 * kStoredPayload);
 
@@ -188,7 +192,7 @@ TEST_F(RepoTest, RetireKeepsSharedPayloadsLive) {
   EXPECT_FALSE(repo->IsLive(h1));
   EXPECT_TRUE(repo->Materialize(h1).empty());  // retired: not materializable
   // The payload h1 shared with h2 stays live; its own becomes garbage.
-  EXPECT_EQ(repo->Materialize(h2), FullImage(2, 11, 20)) << repo->error();
+  EXPECT_EQ(repo->Materialize(h2), FullImage(11, 20)) << repo->error();
   EXPECT_EQ(repo->live_payload_bytes(), 2 * kStoredPayload);
   EXPECT_EQ(repo->garbage_payload_bytes(), kStoredPayload);
 
@@ -239,7 +243,7 @@ TEST_F(RepoTest, HistoryAppendsOnlyChangedPayloads) {
 
   // Two-chunk images whose chunk "b" never changes: after the first put,
   // each appends only its new "a".
-  check({FullImage(1, 10, 20), FullImage(2, 11, 20), FullImage(3, 12, 20)},
+  check({FullImage(10, 20), FullImage(11, 20), FullImage(12, 20)},
         {16, 8, 8}, 3);
 
   // 25 images of 16 chunks of 256 KiB. Image d > 0 rewrites a 4-chunk
@@ -259,7 +263,6 @@ TEST_F(RepoTest, HistoryAppendsOnlyChangedPayloads) {
     const size_t first = (d * kWindow) % kChunks;
     uint64_t fresh = 0;
     CheckpointImageBuilder image;
-    image.SetImageId(d + 1);
     for (size_t c = 0; c < kChunks; ++c) {
       if (d == 0 || (c >= first && c < first + kWindow)) {
         seeds[c] = d % 3 == 0 ? c + 1 : next_seed++;
@@ -278,8 +281,8 @@ TEST_F(RepoTest, GcReclaimsUnreferencedPayloadsAndSurvivesReopen) {
   uint64_t h2 = 0;
   {
     auto repo = OpenRepo();
-    const uint64_t h1 = repo->PutImage(FullImage(1, 10, 20));
-    h2 = repo->PutImage(FullImage(2, 11, 20));
+    const uint64_t h1 = repo->PutImage(FullImage(10, 20));
+    h2 = repo->PutImage(FullImage(11, 20));
     ASSERT_NE(h2, 0u) << repo->error();
     // h1's unshared payload becomes garbage.
     ASSERT_TRUE(repo->RetireImage(h1));
@@ -290,15 +293,15 @@ TEST_F(RepoTest, GcReclaimsUnreferencedPayloadsAndSurvivesReopen) {
     EXPECT_GT(gc.reclaimed_bytes, 0u);
     EXPECT_EQ(repo->garbage_payload_bytes(), 0u);
     EXPECT_FALSE(repo->Has(h1));  // dropped entirely
-    EXPECT_EQ(repo->Materialize(h2), FullImage(2, 11, 20));
+    EXPECT_EQ(repo->Materialize(h2), FullImage(11, 20));
   }
   // The GC'd epoch is what a fresh process opens.
   auto repo = OpenRepo();
   ASSERT_NE(repo, nullptr);
   EXPECT_EQ(repo->live_image_count(), 1u);
-  EXPECT_EQ(repo->Materialize(h2), FullImage(2, 11, 20));
+  EXPECT_EQ(repo->Materialize(h2), FullImage(11, 20));
   // Handles are never reused, even though the GC dropped records.
-  const uint64_t h3 = repo->PutImage(FullImage(7, 1, 2));
+  const uint64_t h3 = repo->PutImage(FullImage(1, 2));
   EXPECT_GT(h3, h2);
 }
 
@@ -308,17 +311,17 @@ TEST_F(RepoTest, ReopenContinuesWhereTheLastProcessStopped) {
   uint64_t h1 = 0, h2 = 0;
   {
     auto repo = OpenRepo();
-    h1 = repo->PutImage(FullImage(1, 10, 20));
-    h2 = repo->PutImage(FullImage(2, 11, 20));
+    h1 = repo->PutImage(FullImage(10, 20));
+    h2 = repo->PutImage(FullImage(11, 20));
     ASSERT_NE(h2, 0u) << repo->error();
   }
   auto repo = OpenRepo();
   ASSERT_NE(repo, nullptr);
   EXPECT_EQ(repo->LiveHandles(), (std::vector<uint64_t>{h1, h2}));
-  EXPECT_EQ(repo->Materialize(h1), FullImage(1, 10, 20));
-  EXPECT_EQ(repo->Materialize(h2), FullImage(2, 11, 20));
+  EXPECT_EQ(repo->Materialize(h1), FullImage(10, 20));
+  EXPECT_EQ(repo->Materialize(h2), FullImage(11, 20));
   // Dedup extends across the restart: only the new "a" is appended.
-  const uint64_t h3 = repo->PutImage(FullImage(3, 12, 20));
+  const uint64_t h3 = repo->PutImage(FullImage(12, 20));
   ASSERT_NE(h3, 0u) << repo->error();
   EXPECT_EQ(repo->physical_put_bytes(), sizeof(uint64_t));
 }
@@ -327,7 +330,7 @@ TEST_F(RepoTest, TornJournalTailIsDiscarded) {
   uint64_t h1 = 0;
   {
     auto repo = OpenRepo();
-    h1 = repo->PutImage(FullImage(1, 10, 20));
+    h1 = repo->PutImage(FullImage(10, 20));
     ASSERT_NE(h1, 0u);
   }
   // A crash mid-append leaves a torn record at the tail.
@@ -343,7 +346,7 @@ TEST_F(RepoTest, TornJournalTailIsDiscarded) {
   EXPECT_TRUE(repo->IsLive(h1));
   EXPECT_FALSE(repo->Materialize(h1).empty());
   // The tail was truncated: appending works and survives another reopen.
-  const uint64_t h2 = repo->PutImage(FullImage(2, 30, 40));
+  const uint64_t h2 = repo->PutImage(FullImage(30, 40));
   ASSERT_NE(h2, 0u);
   repo.reset();
   repo = OpenRepo();
@@ -353,7 +356,7 @@ TEST_F(RepoTest, TornJournalTailIsDiscarded) {
 TEST_F(RepoTest, FlippedSegmentByteIsRejectedAtOpen) {
   {
     auto repo = OpenRepo();
-    ASSERT_NE(repo->PutImage(FullImage(1, 10, 20)), 0u);
+    ASSERT_NE(repo->PutImage(FullImage(10, 20)), 0u);
   }
   const std::string segment = dir_ + "/segment.1";
   const uint64_t size = fs::file_size(segment);
@@ -408,10 +411,10 @@ class RepoDurabilityTest : public RepoTest {
   // them sharing a payload, and a retire. Closed so all bytes are on disk.
   void BuildFixture() {
     auto repo = OpenRepo();
-    ASSERT_NE(repo->PutImage(FullImage(1, 10, 20)), 0u) << repo->error();
-    const uint64_t h2 = repo->PutImage(FullImage(2, 11, 20));
+    ASSERT_NE(repo->PutImage(FullImage(10, 20)), 0u) << repo->error();
+    const uint64_t h2 = repo->PutImage(FullImage(11, 20));
     ASSERT_NE(h2, 0u) << repo->error();
-    ASSERT_NE(repo->PutImage(FullImage(3, 30, 40)), 0u);
+    ASSERT_NE(repo->PutImage(FullImage(30, 40)), 0u);
     ASSERT_TRUE(repo->RetireImage(3));
   }
 };
@@ -504,18 +507,18 @@ class RepoMutationTest : public RepoTest {
   // it was live.
   void BuildSeed() {
     auto repo = OpenRepo();
-    const uint64_t h1 = repo->PutImage(FullImage(1, 10, 20));
+    const uint64_t h1 = repo->PutImage(FullImage(10, 20));
     ASSERT_NE(h1, 0u) << repo->error();
-    ASSERT_NE(repo->PutImage(FullImage(2, 11, 20)), 0u) << repo->error();
+    ASSERT_NE(repo->PutImage(FullImage(11, 20)), 0u) << repo->error();
     auto batch = repo->BeginBatch();
-    batch->Stage(FullImage(3, 30, 40));
-    batch->Stage(FullImage(4, 12, 20));
+    batch->Stage(FullImage(30, 40));
+    batch->Stage(FullImage(12, 20));
     ASSERT_TRUE(repo->CommitBatch(std::move(batch)).ok) << repo->error();
     for (const uint64_t handle : repo->LiveHandles()) {
       intact_[handle] = repo->Materialize(handle);
     }
     ASSERT_TRUE(repo->RetireImage(h1)) << repo->error();
-    const uint64_t h5 = repo->PutImage(FullImage(5, 50, 60));
+    const uint64_t h5 = repo->PutImage(FullImage(50, 60));
     ASSERT_NE(h5, 0u) << repo->error();
     intact_[h5] = repo->Materialize(h5);
     ASSERT_EQ(intact_.size(), 5u);
@@ -548,44 +551,18 @@ TEST_F(RepoMutationTest, EveryMutantIsRefusedOrOpensConsistent) {
     return CheckpointRepo::Open(mutant_dir.string(), options, error);
   };
 
-  // Retired shapes. The first put (a batch of one) holds handle 1's put
-  // record after its count and length; its layout is in
-  // CheckpointRepo::EncodeImageRecord: handle u64 | image id u64 | parent
-  // image id u64 | parent handle u64 | chunk count u64 | chunks.
-  const std::vector<uint8_t> put1(
-      journal.begin() + records[0].offset + 2 * sizeof(uint64_t),
-      journal.begin() + records[0].offset + records[0].size);
-  ArchiveWriter kind2;  // handle 6 whose chunk "b" is a parent ref
-  kind2.Write<uint64_t>(6);
-  kind2.Write<uint64_t>(6);
-  kind2.Write<uint64_t>(0);
-  kind2.Write<uint64_t>(0);
-  kind2.Write<uint64_t>(1);
-  kind2.WriteString("b");
-  kind2.Write<uint8_t>(2);
-  kind2.Write<uint32_t>(Crc32(PayloadOf(20)));
-  std::vector<uint8_t> with_parent = put1;  // handle 6 naming parent handle 1
-  const uint64_t handle6 = 6, parent1 = 1;
-  std::memcpy(with_parent.data(), &handle6, sizeof handle6);
-  std::memcpy(with_parent.data() + 3 * sizeof(uint64_t), &parent1,
-              sizeof parent1);
-  ASSERT_NE(put1, with_parent);
-  const struct {
-    uint8_t type;
-    std::vector<uint8_t> payload;
-    std::string why;
-  } retired[] = {
-      {kJournalPutImage, kind2.Take(), "corrupt image record"},
-      {kJournalPutImage, with_parent, "corrupt image record"},
-      {3, put1, "unknown journal record type 3"},
-  };
-  for (const auto& record : retired) {
+  // The retired record type 3, carrying a put record. The first put (a
+  // batch of one) holds handle 1's put record after its count and length.
+  {
+    const std::vector<uint8_t> put1(
+        journal.begin() + records[0].offset + 2 * sizeof(uint64_t),
+        journal.begin() + records[0].offset + records[0].size);
     std::vector<uint8_t> mutant_journal = journal;
-    AppendJournalRecord(&mutant_journal, record.type, record.payload);
+    AppendJournalRecord(&mutant_journal, 3, put1);
     std::string error;
-    EXPECT_EQ(open_mutant(mutant_journal, segment, &error), nullptr)
-        << record.why;
-    EXPECT_NE(error.find(record.why), std::string::npos) << error;
+    EXPECT_EQ(open_mutant(mutant_journal, segment, &error), nullptr);
+    EXPECT_NE(error.find("unknown journal record type 3"), std::string::npos)
+        << error;
   }
 
   const uint64_t kValues[] = {0, 1, 8, 0x7FFFFFFFull, 0x4000000000000000ull,
@@ -660,7 +637,7 @@ TEST_F(RepoMutationTest, EveryMutantIsRefusedOrOpensConsistent) {
           << " holding bytes it never had";
     }
     if (reframed) {
-      EXPECT_TRUE(repo->PutImage(FullImage(6, 70, 80)) != 0 ||
+      EXPECT_TRUE(repo->PutImage(FullImage(70, 80)) != 0 ||
                   !repo->error().empty())
           << "mutant " << round;
       EXPECT_TRUE(repo->CollectGarbage().ok || !repo->error().empty())
@@ -788,14 +765,14 @@ TEST_F(RepoTest, ReopenRejectsCraftedManifests) {
 
 TEST_F(RepoTest, BatchCommitsEpochAllAtOnceAndMatchesOracle) {
   auto repo = OpenRepo();
-  const uint64_t committed = repo->PutImage(FullImage(1, 10, 20));
+  const uint64_t committed = repo->PutImage(FullImage(10, 20));
   ASSERT_NE(committed, 0u) << repo->error();
 
   // One epoch: an image sharing nothing and one sharing "b" with the
   // committed image. Handles follow stage order.
   auto batch = repo->BeginBatch();
-  batch->Stage(FullImage(2, 30, 40));
-  batch->Stage(FullImage(3, 31, 20));
+  batch->Stage(FullImage(30, 40));
+  batch->Stage(FullImage(31, 20));
   EXPECT_EQ(batch->staged_count(), 2u);
   const auto result = repo->CommitBatch(std::move(batch));
   ASSERT_TRUE(result.ok) << result.error;
@@ -809,14 +786,14 @@ TEST_F(RepoTest, BatchCommitsEpochAllAtOnceAndMatchesOracle) {
   EXPECT_EQ(result.appended_payload_bytes, 3 * sizeof(uint64_t));
 
   EXPECT_EQ(repo->live_image_count(), 3u);
-  EXPECT_EQ(repo->Materialize(h_new), FullImage(2, 30, 40));
-  EXPECT_EQ(repo->Materialize(h_shared), FullImage(3, 31, 20));
+  EXPECT_EQ(repo->Materialize(h_new), FullImage(30, 40));
+  EXPECT_EQ(repo->Materialize(h_shared), FullImage(31, 20));
 
   // The epoch survives a restart exactly as committed.
   repo.reset();
   repo = OpenRepo();
   EXPECT_EQ(repo->live_image_count(), 3u);
-  EXPECT_EQ(repo->Materialize(h_shared), FullImage(3, 31, 20));
+  EXPECT_EQ(repo->Materialize(h_shared), FullImage(31, 20));
 
   // An empty batch is a no-op commit.
   const auto empty = repo->CommitBatch(repo->BeginBatch());
@@ -826,17 +803,17 @@ TEST_F(RepoTest, BatchCommitsEpochAllAtOnceAndMatchesOracle) {
 
 TEST_F(RepoTest, BatchRejectionIsAllOrNothing) {
   auto repo = OpenRepo();
-  const uint64_t h1 = repo->PutImage(FullImage(1, 10, 20));
+  const uint64_t h1 = repo->PutImage(FullImage(10, 20));
   ASSERT_NE(h1, 0u) << repo->error();
 
   // Two good images around a corrupt one (a flipped payload bit): the whole
   // epoch must be refused.
-  std::vector<uint8_t> corrupt = FullImage(3, 11, 20);
+  std::vector<uint8_t> corrupt = FullImage(11, 20);
   corrupt.back() ^= 0x10;
   auto batch = repo->BeginBatch();
-  batch->Stage(FullImage(2, 30, 40));
+  batch->Stage(FullImage(30, 40));
   batch->Stage(std::move(corrupt));
-  batch->Stage(FullImage(4, 50, 60));
+  batch->Stage(FullImage(50, 60));
   const auto result = repo->CommitBatch(std::move(batch));
   EXPECT_FALSE(result.ok);
   EXPECT_NE(result.error.find("CRC mismatch"), std::string::npos)
@@ -845,7 +822,7 @@ TEST_F(RepoTest, BatchRejectionIsAllOrNothing) {
   EXPECT_EQ(repo->live_image_count(), 1u);
 
   // The repository is still fully usable after rejections.
-  EXPECT_NE(repo->PutImage(FullImage(5, 70, 80)), 0u) << repo->error();
+  EXPECT_NE(repo->PutImage(FullImage(70, 80)), 0u) << repo->error();
   EXPECT_EQ(repo->live_image_count(), 2u);
 }
 
@@ -870,19 +847,19 @@ TEST_F(RepoTest, IncrementalRetentionMatchesRebuild) {
     return result.handles;
   };
 
-  const uint64_t h1 = repo->PutImage(FullImage(1, 10, 20));
+  const uint64_t h1 = repo->PutImage(FullImage(10, 20));
   ASSERT_NE(h1, 0u) << repo->error();
   expect_matches_rebuild("full image");
-  const uint64_t h2 = repo->PutImage(FullImage(2, 30, 40));
+  const uint64_t h2 = repo->PutImage(FullImage(30, 40));
   ASSERT_NE(h2, 0u) << repo->error();
   expect_matches_rebuild("second full image");
 
   // One epoch: an image sharing "b" with h2, one sharing "b" with h1, and
   // one whose payloads all dedup against h1.
   auto batch = repo->BeginBatch();
-  batch->Stage(FullImage(3, 31, 40));
-  batch->Stage(FullImage(4, 11, 20));
-  batch->Stage(FullImage(5, 10, 20));
+  batch->Stage(FullImage(31, 40));
+  batch->Stage(FullImage(11, 20));
+  batch->Stage(FullImage(10, 20));
   const std::vector<uint64_t> epoch1 = commit(std::move(batch));
   ASSERT_EQ(epoch1.size(), 3u);
   const uint64_t h3 = epoch1[0];
@@ -907,19 +884,19 @@ TEST_F(RepoTest, IncrementalRetentionMatchesRebuild) {
   // Commits after GC: an image re-offering a payload the GC dropped and one
   // sharing h3's "b", then a single put sharing it too.
   batch = repo->BeginBatch();
-  batch->Stage(FullImage(8, 30, 40));
-  batch->Stage(FullImage(9, 32, 40));
+  batch->Stage(FullImage(30, 40));
+  batch->Stage(FullImage(32, 40));
   const std::vector<uint64_t> epoch2 = commit(std::move(batch));
   ASSERT_EQ(epoch2.size(), 2u);
   expect_matches_rebuild("epoch after gc");
-  const uint64_t h10 = repo->PutImage(FullImage(10, 33, 40));
+  const uint64_t h10 = repo->PutImage(FullImage(33, 40));
   ASSERT_NE(h10, 0u) << repo->error();
   expect_matches_rebuild("put after an epoch");
 
   ASSERT_TRUE(repo->RetireImage(h3)) << repo->error();
   ASSERT_TRUE(repo->RetireImage(epoch2[1])) << repo->error();
   ASSERT_TRUE(repo->RetireImage(h4)) << repo->error();
-  ASSERT_NE(repo->PutImage(FullImage(11, 34, 40)), 0u) << repo->error();
+  ASSERT_NE(repo->PutImage(FullImage(34, 40)), 0u) << repo->error();
   expect_matches_rebuild("put after retires");
   EXPECT_GT(repo->live_payload_bytes(), 0u);
   EXPECT_GT(repo->garbage_payload_bytes(), 0u);
@@ -943,6 +920,12 @@ TEST_F(RepoTest, HashThreadsProduceByteIdenticalRepository) {
       ASSERT_NE(oracle->PutImage(image), 0u) << oracle->error();
     }
     const uint64_t oracle_fold = FoldMaterializations(oracle.get());
+    // The oracle materializes exactly the bytes put, in put order.
+    Fnv1aDigest put;
+    for (const std::vector<uint8_t>& image : images) {
+      put.MixBytes(image.data(), image.size());
+    }
+    EXPECT_EQ(oracle_fold, put.value());
     oracle.reset();
     fs::remove_all(oracle_dir);
 
@@ -961,10 +944,7 @@ TEST_F(RepoTest, HashThreadsProduceByteIdenticalRepository) {
       }
       ASSERT_EQ(batch->staged_count(), images.size());
       ASSERT_TRUE(repo->CommitBatch(std::move(batch)).ok);
-      // Handles follow stage order: image i + 1 got handle i + 1.
-      for (uint64_t i = 0; i < images.size(); ++i) {
-        EXPECT_EQ(repo->ImageIdOf(i + 1), i + 1);
-      }
+      // Handles follow stage order, so the fold in handle order matches.
       EXPECT_EQ(FoldMaterializations(repo.get()), oracle_fold);
       repo.reset();
 
@@ -990,7 +970,7 @@ TEST_F(RepoTest, HashThreadsProduceByteIdenticalRepository) {
   // matters.
   std::vector<std::vector<uint8_t>> images;
   for (uint64_t i = 0; i < 16; ++i) {
-    images.push_back(FullImage(i + 1, i % 4, i * 7));
+    images.push_back(FullImage(i % 4, i * 7));
   }
   check(images);
 
@@ -1014,7 +994,7 @@ TEST_F(RepoTest, FailedCommitLeavesRepositoryOpenableAtPreviousEpoch) {
   uint64_t h1 = 0;
   {
     auto repo = OpenRepo();
-    h1 = repo->PutImage(FullImage(1, 10, 20));
+    h1 = repo->PutImage(FullImage(10, 20));
     ASSERT_NE(h1, 0u) << repo->error();
   }
   {
@@ -1031,7 +1011,7 @@ TEST_F(RepoTest, FailedCommitLeavesRepositoryOpenableAtPreviousEpoch) {
     RepoIoFaultInjector::Arm(RepoIoTarget::kSegment, full_disk);
 
     auto batch = repo->BeginBatch();
-    batch->Stage(FullImage(2, 30, 40));
+    batch->Stage(FullImage(30, 40));
     const auto result = repo->CommitBatch(std::move(batch));
     EXPECT_FALSE(result.ok);
     EXPECT_NE(result.error.find("append failed"), std::string::npos)
@@ -1041,17 +1021,17 @@ TEST_F(RepoTest, FailedCommitLeavesRepositoryOpenableAtPreviousEpoch) {
     // work.
     EXPECT_EQ(repo->live_image_count(), 1u);
     auto retry = repo->BeginBatch();
-    retry->Stage(FullImage(3, 50, 60));
+    retry->Stage(FullImage(50, 60));
     EXPECT_FALSE(repo->CommitBatch(std::move(retry)).ok);
-    EXPECT_EQ(repo->Materialize(h1), FullImage(1, 10, 20));
+    EXPECT_EQ(repo->Materialize(h1), FullImage(10, 20));
   }
 
   // A fresh process opens the previous epoch, whole and writable.
   auto reopened = OpenRepo();
   ASSERT_NE(reopened, nullptr);
   EXPECT_EQ(reopened->live_image_count(), 1u);
-  EXPECT_EQ(reopened->Materialize(h1), FullImage(1, 10, 20));
-  EXPECT_NE(reopened->PutImage(FullImage(2, 30, 40)), 0u)
+  EXPECT_EQ(reopened->Materialize(h1), FullImage(10, 20));
+  EXPECT_NE(reopened->PutImage(FullImage(30, 40)), 0u)
       << reopened->error();
 }
 
@@ -1066,12 +1046,12 @@ class RepoBatchDurabilityTest : public RepoTest {
   // are on disk.
   void BuildBatchedFixture() {
     auto repo = OpenRepo();
-    const uint64_t h1 = repo->PutImage(FullImage(1, 10, 20));
+    const uint64_t h1 = repo->PutImage(FullImage(10, 20));
     ASSERT_NE(h1, 0u) << repo->error();
     auto batch = repo->BeginBatch();
-    batch->Stage(FullImage(2, 30, 40));
-    batch->Stage(FullImage(3, 50, 60));
-    batch->Stage(FullImage(4, 11, 20));
+    batch->Stage(FullImage(30, 40));
+    batch->Stage(FullImage(50, 60));
+    batch->Stage(FullImage(11, 20));
     const auto result = repo->CommitBatch(std::move(batch));
     ASSERT_TRUE(result.ok) << result.error;
     ASSERT_EQ(repo->live_image_count(), 4u);
@@ -1320,9 +1300,9 @@ TEST_F(RepoTest, FsyncModeSurvivesFullLifecycleAndReopen) {
     std::string error;
     auto repo = CheckpointRepo::Open(dir_, opts, &error);
     ASSERT_NE(repo, nullptr) << error;
-    const uint64_t h1 = repo->PutImage(FullImage(1, 10, 20));
+    const uint64_t h1 = repo->PutImage(FullImage(10, 20));
     ASSERT_NE(h1, 0u) << repo->error();
-    h2 = repo->PutImage(FullImage(2, 11, 20));
+    h2 = repo->PutImage(FullImage(11, 20));
     ASSERT_NE(h2, 0u) << repo->error();
     ASSERT_TRUE(repo->RetireImage(h1)) << repo->error();
     const auto gc = repo->CollectGarbage();
@@ -1333,7 +1313,7 @@ TEST_F(RepoTest, FsyncModeSurvivesFullLifecycleAndReopen) {
     auto repo = CheckpointRepo::Open(dir_, opts, &error);
     ASSERT_NE(repo, nullptr) << error;
     EXPECT_TRUE(repo->IsLive(h2));
-    EXPECT_EQ(repo->Materialize(h2), FullImage(2, 11, 20)) << repo->error();
+    EXPECT_EQ(repo->Materialize(h2), FullImage(11, 20)) << repo->error();
   }
 }
 
