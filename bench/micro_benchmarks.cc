@@ -34,7 +34,9 @@ std::atomic<uint64_t> g_allocations{0};
 
 }  // namespace tcsim
 
-void* operator new(std::size_t size) {
+// noinline: once these are inlined into a caller, GCC sees `free` applied to
+// a pointer from `operator new` and warns (-Wmismatched-new-delete).
+__attribute__((noinline)) void* operator new(std::size_t size) {
   tcsim::g_allocations.fetch_add(1, std::memory_order_relaxed);
   if (void* p = std::malloc(size)) {
     return p;
@@ -42,8 +44,10 @@ void* operator new(std::size_t size) {
   throw std::bad_alloc();
 }
 
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+__attribute__((noinline)) void operator delete(void* p) noexcept { std::free(p); }
+__attribute__((noinline)) void operator delete(void* p, std::size_t) noexcept {
+  std::free(p);
+}
 
 namespace tcsim {
 namespace {

@@ -81,6 +81,14 @@ void BlockFrontend::Unquiesce() {
 GuestKernel::GuestKernel(Simulator* sim, Domain* domain, std::string name)
     : sim_(sim), domain_(domain), name_(std::move(name)), cpu_(sim) {}
 
+GuestKernel::~GuestKernel() {
+  // Handles may outlive the kernel (their owners die after it); unlink them
+  // so a late Cancel only sets the flag.
+  for (auto& [id, timer] : timers_) {
+    timer.state->host = nullptr;
+  }
+}
+
 NetworkStack* GuestKernel::CreateNetworkStack(NodeId addr) {
   assert(net_ == nullptr);
   net_ = std::make_unique<NetworkStack>(sim_, this, addr);
@@ -104,16 +112,34 @@ void GuestKernel::RunCpu(SimTime work, std::function<void()> done) {
 TimerHandle GuestKernel::ScheduleActivity(SimTime delay, ActivityClass cls,
                                           std::function<void()> fn) {
   assert(delay >= 0);
+  return AddTimer(VirtualNow() + delay, cls, std::move(fn), /*arm=*/true);
+}
+
+TimerHandle GuestKernel::AddTimer(SimTime virtual_deadline, ActivityClass cls,
+                                  std::function<void()> fn, bool arm) {
   const uint64_t id = next_timer_id_++;
   GuestTimer timer;
-  timer.virtual_deadline = VirtualNow() + delay;
+  timer.virtual_deadline = virtual_deadline;
   timer.cls = cls;
   timer.fn = std::move(fn);
   timer.state = std::make_shared<TimerState>();
+  timer.state->host = this;
+  timer.state->id = id;
   TimerHandle handle(timer.state);
-  timer.sim_event = ScheduleAtVirtualDeadline(timer.virtual_deadline, id);
+  if (arm) {
+    timer.sim_event = ScheduleAtVirtualDeadline(virtual_deadline, id);
+  }
   timers_.emplace(id, std::move(timer));
   return handle;
+}
+
+void GuestKernel::CancelTimer(uint64_t id) {
+  // Every path that lets go of a timer clears its link first, so a linked
+  // handle always finds its timer here.
+  auto it = timers_.find(id);
+  assert(it != timers_.end());
+  it->second.sim_event.Cancel();
+  timers_.erase(it);
 }
 
 EventHandle GuestKernel::ScheduleAtVirtualDeadline(SimTime deadline, uint64_t id) {
@@ -132,15 +158,13 @@ EventHandle GuestKernel::ScheduleAtVirtualDeadline(SimTime deadline, uint64_t id
 }
 
 void GuestKernel::FireTimer(uint64_t id) {
+  // A timer armed while time was frozen gets a second event when the resume
+  // pass re-arms it; whichever of the two fires second finds it gone.
   auto it = timers_.find(id);
   if (it == timers_.end()) {
     return;
   }
   GuestTimer& timer = it->second;
-  if (timer.state->cancelled) {
-    timers_.erase(it);
-    return;
-  }
   if (!firewall_.MayRun(timer.cls)) {
     // The timer tick is suppressed inside the firewall; the job stays queued
     // with its virtual deadline and is rescheduled at resume.
@@ -149,6 +173,7 @@ void GuestKernel::FireTimer(uint64_t id) {
   }
   NoteActivityRun(timer.cls);
   timer.state->fired = true;
+  timer.state->host = nullptr;
   auto fn = std::move(timer.fn);
   timers_.erase(it);
   fn();
@@ -230,17 +255,9 @@ void GuestKernel::ResumeInsideActivities() {
 TimerHandle GuestKernel::RestoreFrozenTimer(SimTime virtual_deadline,
                                             ActivityClass cls,
                                             std::function<void()> fn) {
-  const uint64_t id = next_timer_id_++;
-  GuestTimer timer;
-  timer.virtual_deadline = virtual_deadline;
-  timer.cls = cls;
-  timer.fn = std::move(fn);
-  timer.state = std::make_shared<TimerState>();
-  TimerHandle handle(timer.state);
   // No simulator event: the restored kernel is suspended, and the resume
   // pass schedules every frozen inside-firewall timer.
-  timers_.emplace(id, std::move(timer));
-  return handle;
+  return AddTimer(virtual_deadline, cls, std::move(fn), /*arm=*/false);
 }
 
 void GuestKernel::SaveState(ArchiveWriter* w) const {
@@ -285,6 +302,7 @@ void GuestKernel::RestoreState(ArchiveReader& r) {
   // entry is replaced by what the owners re-register during their restores.
   for (auto& [id, timer] : timers_) {
     timer.sim_event.Cancel();
+    timer.state->host = nullptr;
   }
   timers_.clear();
   deferred_dispatches_.clear();

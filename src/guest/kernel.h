@@ -83,6 +83,7 @@ class BlockFrontend : public BlockDevice {
 class GuestKernel : public TimerHost, public Checkpointable {
  public:
   GuestKernel(Simulator* sim, Domain* domain, std::string name);
+  ~GuestKernel() override;
 
   GuestKernel(const GuestKernel&) = delete;
   GuestKernel& operator=(const GuestKernel&) = delete;
@@ -204,6 +205,11 @@ class GuestKernel : public TimerHost, public Checkpointable {
     bool deferred = false;
   };
 
+  // TimerHost: a cancelled handle erases its timer and simulator event.
+  void CancelTimer(uint64_t id) override;
+
+  TimerHandle AddTimer(SimTime virtual_deadline, ActivityClass cls,
+                       std::function<void()> fn, bool arm);
   void FireTimer(uint64_t id);
   void NoteActivityRun(ActivityClass cls);
   EventHandle ScheduleAtVirtualDeadline(SimTime deadline, uint64_t id);

@@ -10,6 +10,7 @@
 #ifndef TCSIM_SRC_NET_TIMER_HOST_H_
 #define TCSIM_SRC_NET_TIMER_HOST_H_
 
+#include <cstdint>
 #include <functional>
 #include <memory>
 #include <utility>
@@ -19,12 +20,21 @@
 
 namespace tcsim {
 
+class TimerHost;
+
 // Shared cancellation state for a virtual timer. A timer may be migrated
 // across simulator events when its host is checkpointed and resumed; the
-// handle stays valid throughout.
+// handle stays valid throughout. While the timer is registered with a host
+// that drops cancelled timers (GuestKernel), `host` links back to it under
+// `id`, so Cancel erases the timer and its simulator event at once instead
+// of leaving a dead event to surface at the deadline. The host clears the
+// link whenever it lets go of the timer (fire, restore, destruction), so a
+// handle never reaches a host that no longer holds its timer.
 struct TimerState {
   bool cancelled = false;
   bool fired = false;
+  TimerHost* host = nullptr;
+  uint64_t id = 0;
 };
 
 // Cancellable handle to a virtual timer.
@@ -33,12 +43,9 @@ class TimerHandle {
   TimerHandle() = default;
   explicit TimerHandle(std::shared_ptr<TimerState> state) : state_(std::move(state)) {}
 
-  // Cancels the timer if it has not fired. Safe on empty handles.
-  void Cancel() {
-    if (state_ != nullptr) {
-      state_->cancelled = true;
-    }
-  }
+  // Cancels the timer if it has not fired. Safe on empty handles and
+  // repeated calls.
+  void Cancel();
 
   bool pending() const { return state_ != nullptr && !state_->cancelled && !state_->fired; }
 
@@ -66,7 +73,25 @@ class TimerHost {
     const SimTime now = VirtualNow();
     return ScheduleVirtual(deadline > now ? deadline - now : 0, std::move(fn));
   }
+
+ protected:
+  friend class TimerHandle;
+
+  // Drops timer `id` and its simulator event; called once, by the first
+  // Cancel of a handle whose TimerState links to this host. Hosts that never
+  // set the link keep the default, and their timers check the flag instead.
+  virtual void CancelTimer(uint64_t /*id*/) {}
 };
+
+inline void TimerHandle::Cancel() {
+  if (state_ == nullptr) {
+    return;
+  }
+  state_->cancelled = true;
+  if (TimerHost* host = std::exchange(state_->host, nullptr)) {
+    host->CancelTimer(state_->id);
+  }
+}
 
 // TimerHost running directly on physical simulator time. Used for components
 // that are never checkpointed (Emulab servers) and for protocol unit tests.

@@ -54,7 +54,7 @@ EventHandle EventQueue::Push(SimTime t, EventFn fn) {
   // global event-creation order, which is what the determinism digest keys on.
   const uint64_t seq = next_seq_++;
   heap_.push_back(HeapEntry{t, seq, index, slot.generation});
-  std::push_heap(heap_.begin(), heap_.end(), After);
+  std::push_heap(heap_.begin(), heap_.end(), After{});
   ++live_;
   if (live_ > live_high_water_) {
     live_high_water_ = live_;
@@ -83,7 +83,18 @@ void EventQueue::CancelSlot(uint32_t index, uint32_t generation) {
   ReleaseSlot(index);
   --live_;
   // The heap entry stays behind as stale; DropStale discards it when it
-  // surfaces. This keeps Cancel O(1) instead of O(n) heap surgery.
+  // surfaces, or the rebuild below once stale entries outnumber live ones.
+  if (++stale_ > live_) {
+    PurgeStale();
+  }
+}
+
+void EventQueue::PurgeStale() {
+  heap_.erase(std::remove_if(heap_.begin(), heap_.end(),
+                             [this](const HeapEntry& e) { return Stale(e); }),
+              heap_.end());
+  std::make_heap(heap_.begin(), heap_.end(), After{});
+  stale_ = 0;
 }
 
 bool EventQueue::SlotPending(uint32_t index, uint32_t generation) const {
@@ -101,6 +112,7 @@ void EventQueue::Clear() {
     }
   }
   heap_.clear();
+  stale_ = 0;
   live_ = 0;
   // next_seq_ and digest_ are deliberately preserved: they fingerprint the
   // whole process run across checkpoint restores.
@@ -108,8 +120,9 @@ void EventQueue::Clear() {
 
 void EventQueue::DropStale() const {
   while (!heap_.empty() && Stale(heap_.front())) {
-    std::pop_heap(heap_.begin(), heap_.end(), After);
+    std::pop_heap(heap_.begin(), heap_.end(), After{});
     heap_.pop_back();
+    --stale_;
   }
 }
 
@@ -124,7 +137,7 @@ EventFn EventQueue::Pop(SimTime* t) {
   DropStale();
   assert(!heap_.empty());
   const HeapEntry top = heap_.front();
-  std::pop_heap(heap_.begin(), heap_.end(), After);
+  std::pop_heap(heap_.begin(), heap_.end(), After{});
   heap_.pop_back();
   *t = top.time;
   EventFn fn = std::move(slots_[top.slot].fn);

@@ -14,6 +14,12 @@
 //    slot's generation and frees it immediately; the matching heap entry
 //    becomes stale and is skipped when it surfaces. A reused slot invalidates
 //    old handles by construction (their generation no longer matches).
+//  - The queue counts its stale entries. Once they outnumber the live ones,
+//    Cancel rebuilds the heap from the live entries (erase + make_heap): the
+//    rebuild is paid for by the cancels since the last one, so a cancel
+//    costs amortised O(1), and right after a cancel the heap holds at most
+//    twice the live events. (time, seq) is a strict order, so the heap's
+//    shape never changes which event pops next.
 //  - The binary heap is a plain std::vector of POD entries ordered with
 //    push_heap/pop_heap, so Pop moves the callback out of its slot directly —
 //    no const_cast move from priority_queue::top().
@@ -119,6 +125,10 @@ class EventQueue {
   // Pushes served by reusing a freed slot (pool hits).
   uint64_t slot_reuses() const { return slot_reuses_; }
 
+  // Heap entries, live and stale. Right after any Cancel this is at most
+  // 2 * Size(): the stale-entry rebuild sees to it.
+  size_t heap_entries() const { return heap_.size(); }
+
   // Largest live-event population ever reached — the queue-depth high-water
   // mark exported as "sim.queue.depth_high_water". Maintained inline in Push
   // (one compare); the telemetry layer only reads it, keeping the dispatch
@@ -159,12 +169,15 @@ class EventQueue {
     uint32_t generation;
   };
 
-  static bool After(const HeapEntry& a, const HeapEntry& b) {
-    if (a.time != b.time) {
-      return a.time > b.time;
+  // The heap comparator, a function object so push_heap/pop_heap inline it.
+  struct After {
+    bool operator()(const HeapEntry& a, const HeapEntry& b) const {
+      if (a.time != b.time) {
+        return a.time > b.time;
+      }
+      return a.seq > b.seq;
     }
-    return a.seq > b.seq;
-  }
+  };
 
   bool Stale(const HeapEntry& e) const {
     const Slot& s = slots_[e.slot];
@@ -173,6 +186,9 @@ class EventQueue {
 
   // Drops stale (cancelled) entries from the top of the heap.
   void DropStale() const;
+
+  // Rebuilds the heap from its live entries.
+  void PurgeStale();
 
   // Returns the slot to the free list and invalidates outstanding handles.
   void ReleaseSlot(uint32_t index);
@@ -195,6 +211,7 @@ class EventQueue {
   std::vector<Slot> slots_;
   uint32_t free_head_ = kNoSlot;
   mutable std::vector<HeapEntry> heap_;
+  mutable size_t stale_ = 0;  // heap_ entries whose event was cancelled
   size_t live_ = 0;
   size_t live_high_water_ = 0;
   uint64_t next_seq_ = 0;

@@ -9,6 +9,7 @@
 #include "src/guest/cpu_scheduler.h"
 #include "src/guest/firewall.h"
 #include "src/guest/node.h"
+#include "src/sim/archive.h"
 #include "src/sim/random.h"
 #include "src/sim/simulator.h"
 #include "src/xen/domain.h"
@@ -229,15 +230,69 @@ TEST(GuestKernelTest, UsleepFiresAfterVirtualDelay) {
   EXPECT_NEAR(static_cast<double>(woke_virtual), 10.0 * kMillisecond, 2000.0);
 }
 
+// Cancel reaches the kernel: the timer leaves at once with its simulator
+// event, so neither the event queue nor the checkpoint accounting carries a
+// dead timer to its deadline, and a later resume cannot re-arm it. Cancels
+// of a timer the kernel no longer holds (fired, dropped by a restore, or
+// outliving the kernel) only set the handle's flag.
 TEST(GuestKernelTest, TimerHandleCancelWorks) {
   Simulator sim;
-  ExperimentNode node(&sim, Rng(2), SmallNodeConfig("pc1", 1));
-  bool fired = false;
-  TimerHandle handle = node.kernel().Usleep(10 * kMillisecond, [&] { fired = true; });
+  auto node = std::make_unique<ExperimentNode>(&sim, Rng(2), SmallNodeConfig("pc1", 1));
+  GuestKernel& kernel = node->kernel();
+  const size_t idle_events = sim.pending_events();
+  const uint64_t idle_bytes = kernel.StateSizeBytes();
+  int fired = 0;
+
+  TimerHandle handle = kernel.Usleep(10 * kMillisecond, [&] { ++fired; });
   EXPECT_TRUE(handle.pending());
+  EXPECT_EQ(sim.pending_events(), idle_events + 1);
+  EXPECT_GT(kernel.StateSizeBytes(), idle_bytes);
   handle.Cancel();
+  EXPECT_FALSE(handle.pending());
+  EXPECT_EQ(sim.pending_events(), idle_events);
+  EXPECT_EQ(kernel.StateSizeBytes(), idle_bytes);
+  handle.Cancel();  // twice: no-op
+  EXPECT_EQ(sim.pending_events(), idle_events);
+
+  // Cancelled while suspended: the resume pass has nothing to re-arm.
+  TimerHandle frozen = kernel.Usleep(10 * kMillisecond, [&] { ++fired; });
+  kernel.StopInsideActivities();
+  frozen.Cancel();
+  EXPECT_EQ(kernel.StateSizeBytes(), idle_bytes);
+  kernel.ResumeInsideActivities();
+  EXPECT_EQ(sim.pending_events(), idle_events);
   sim.RunUntil(kSecond);
-  EXPECT_FALSE(fired);
+  EXPECT_EQ(fired, 0);
+
+  // After the timer fired: no-op.
+  TimerHandle done = kernel.Usleep(10 * kMillisecond, [&] { ++fired; });
+  sim.RunUntil(2 * kSecond);
+  EXPECT_EQ(fired, 1);
+  const size_t events_after_fire = sim.pending_events();
+  done.Cancel();
+  EXPECT_EQ(sim.pending_events(), events_after_fire);
+
+  // After RestoreState dropped the timer: no-op. The restore also rewinds
+  // the timer ids, so the next timer reuses the dropped one's id; the stale
+  // handle must not cancel it.
+  ArchiveWriter saved;
+  kernel.SaveState(&saved);
+  TimerHandle dropped = kernel.Usleep(10 * kMillisecond, [&] { ++fired; });
+  ArchiveReader reader(saved.data());
+  kernel.RestoreState(reader);
+  ASSERT_TRUE(reader.ok());
+  EXPECT_EQ(kernel.StateSizeBytes(), idle_bytes);
+  TimerHandle successor = kernel.Usleep(10 * kMillisecond, [&] { fired += 10; });
+  dropped.Cancel();
+  EXPECT_TRUE(successor.pending());
+  sim.RunUntil(3 * kSecond);
+  EXPECT_EQ(fired, 11);
+
+  // A handle that outlives its kernel: no-op (ASan catches a dangling host).
+  TimerHandle orphan = kernel.Usleep(10 * kMillisecond, [&] { ++fired; });
+  node.reset();
+  orphan.Cancel();
+  EXPECT_FALSE(orphan.pending());
 }
 
 TEST(GuestKernelTest, DeferredDispatchRunsAfterResume) {

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
+#include <utility>
 #include <vector>
 
 #include "src/sim/archive.h"
@@ -223,6 +225,55 @@ TEST(EventQueueTest, PopAfterCancellationChurnSkipsStaleEntries) {
   }
   EXPECT_EQ(fired_live, 30);
   EXPECT_EQ(fired_cancelled, 10);  // only the uncancelled survivors
+
+  // Second input: deadlines with many ties, and pushes, cancels and pops
+  // interleaved so that cancelled entries outnumber live ones and the heap
+  // is rebuilt from its live entries. Every dispatch must match a sorted
+  // (time, seq) oracle; seq is the push index, one per Push.
+  EventQueue churn;
+  std::set<std::pair<SimTime, uint64_t>> oracle;
+  std::vector<std::pair<EventHandle, std::pair<SimTime, uint64_t>>> armed;
+  uint64_t next_seq = 0;
+  uint64_t dispatched = 0;
+  int rebuilds = 0;
+  Rng rng(7);
+  auto pop_and_check = [&] {
+    ASSERT_FALSE(oracle.empty());
+    SimTime at = 0;
+    EventFn fn = churn.Pop(&at);
+    fn();
+    EXPECT_EQ(at, oracle.begin()->first);
+    EXPECT_EQ(dispatched, oracle.begin()->second);
+    oracle.erase(oracle.begin());
+  };
+  for (int round = 0; round < 200; ++round) {
+    const SimTime now = oracle.empty() ? 0 : oracle.begin()->first;
+    for (int i = 0; i < 20; ++i) {
+      const SimTime at = now + rng.UniformInt(0, 30);
+      const uint64_t seq = next_seq++;
+      armed.push_back({churn.Push(at, [&dispatched, seq] { dispatched = seq; }), {at, seq}});
+      oracle.insert({at, seq});
+    }
+    for (auto& [handle, key] : armed) {
+      if (handle.pending() && rng.UniformInt(0, 3) != 0) {
+        const size_t entries = churn.heap_entries();
+        handle.Cancel();
+        oracle.erase(key);
+        rebuilds += churn.heap_entries() < entries ? 1 : 0;
+        EXPECT_LE(churn.heap_entries(), 2 * churn.Size());
+      }
+    }
+    std::erase_if(armed, [](const auto& a) { return !a.first.pending(); });
+    for (int i = 0; i < 3 && !churn.Empty(); ++i) {
+      pop_and_check();
+    }
+    ASSERT_EQ(churn.Size(), oracle.size());
+  }
+  while (!churn.Empty()) {
+    pop_and_check();
+  }
+  EXPECT_TRUE(oracle.empty());
+  EXPECT_GT(rebuilds, 0);
 }
 
 // A handle whose slot was recycled must read as not-pending and its Cancel
