@@ -28,7 +28,6 @@ BitTorrentPeer::BitTorrentPeer(BitTorrentSwarm* swarm, ExperimentNode* node, boo
       have_(piece_count_, seeder),
       pieces_held_(seeder ? piece_count_ : 0),
       requested_(piece_count_, false),
-      download_meter_(swarm->params().throughput_bucket),
       rng_(swarm->params().seed ^ (0xB17700 + node->id())) {}
 
 BitTorrentPeer::PeerLink* BitTorrentPeer::link(NodeId peer) {
@@ -123,7 +122,6 @@ void BitTorrentPeer::OnPieceReceived(NodeId from, uint32_t piece) {
     --l->outstanding;
   }
   const SimTime vnow = node_->kernel().GetTimeOfDay();
-  download_meter_.Add(vnow, swarm_->params().piece_bytes);
   if (from == swarm_->seeder()->node()->id()) {
     swarm_->seeder_upload_meter(node_->id()).Add(vnow, swarm_->params().piece_bytes);
   }

@@ -35,9 +35,6 @@ class BitTorrentPeer {
   size_t pieces_held() const { return pieces_held_; }
   SimTime completion_time() const { return completion_time_; }
 
-  // Bytes received from each remote peer, bucketed over time.
-  ThroughputMeter& download_meter() { return download_meter_; }
-
  private:
   friend class BitTorrentSwarm;
 
@@ -65,7 +62,6 @@ class BitTorrentPeer {
   size_t pieces_held_ = 0;
   std::vector<bool> requested_;  // globally requested by this peer
   std::unordered_map<NodeId, PeerLink> links_;
-  ThroughputMeter download_meter_;
   SimTime completion_time_ = -1;
   Rng rng_;
 };

@@ -22,19 +22,6 @@ SimTime DistributedCheckpointRecord::SuspendSkew() const {
   return hi - lo;
 }
 
-SimTime DistributedCheckpointRecord::TotalFrozenSpan() const {
-  if (locals.empty()) {
-    return 0;
-  }
-  SimTime first_suspend = locals.front().suspended_at;
-  SimTime last_save = locals.front().saved_at;
-  for (const LocalCheckpointRecord& rec : locals) {
-    first_suspend = std::min(first_suspend, rec.suspended_at);
-    last_save = std::max(last_save, rec.saved_at);
-  }
-  return last_save - first_suspend;
-}
-
 uint64_t DistributedCheckpointRecord::TotalImageBytes() const {
   uint64_t total = 0;
   for (const LocalCheckpointRecord& rec : locals) {
@@ -181,7 +168,7 @@ void DistributedCoordinator::CheckpointScheduledAndHold(
 void DistributedCoordinator::ResumeAll(std::function<void()> resumed) {
   assert(held_);
   held_ = false;
-  current_.resume_local_time = boss_clock_->LocalNow() + resume_margin_;
+  current_.resume_local_time = boss_clock_->LocalNow() + kResumeMargin;
   auto msg = std::make_shared<CheckpointControlMessage>();
   msg->type = CheckpointControlMessage::Type::kResumeAt;
   msg->local_time = current_.resume_local_time;
@@ -232,7 +219,7 @@ void DistributedCoordinator::FinishRound() {
     return;
   }
   // Barrier complete: schedule the synchronized resume.
-  current_.resume_local_time = boss_clock_->LocalNow() + resume_margin_;
+  current_.resume_local_time = boss_clock_->LocalNow() + kResumeMargin;
   auto msg = std::make_shared<CheckpointControlMessage>();
   msg->type = CheckpointControlMessage::Type::kResumeAt;
   msg->local_time = current_.resume_local_time;

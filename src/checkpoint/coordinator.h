@@ -43,10 +43,6 @@ struct DistributedCheckpointRecord {
   // coordinated checkpoint's precision.
   SimTime SuspendSkew() const;
 
-  // Latest save completion minus earliest suspension: the span during which
-  // at least one participant was frozen.
-  SimTime TotalFrozenSpan() const;
-
   uint64_t TotalImageBytes() const;
 };
 
@@ -92,9 +88,6 @@ class DistributedCoordinator {
   // fires shortly after the resume instant.
   void ResumeAll(std::function<void()> resumed = nullptr);
 
-  // Slack between barrier completion and the synchronized resume instant.
-  void set_resume_margin(SimTime margin) { resume_margin_ = margin; }
-
   // Registers barrier-sanity audits (and event-driven duplicate reporting)
   // with `reg`. Completed rounds are checked with AuditCheckpointRecord; an
   // in-progress round must never have collected more locals than the
@@ -122,7 +115,8 @@ class DistributedCoordinator {
   HardwareClock* boss_clock_;
   size_t expected_ = 0;           // barrier size of the current round
   size_t expected_override_ = 0;  // nonzero pins the barrier size
-  SimTime resume_margin_ = 5 * kMillisecond;
+  // Slack between barrier completion and the synchronized resume instant.
+  static constexpr SimTime kResumeMargin = 5 * kMillisecond;
 
   bool in_progress_ = false;
   bool hold_ = false;

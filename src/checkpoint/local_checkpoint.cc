@@ -8,10 +8,9 @@ namespace tcsim {
 
 namespace {
 
-// Wall-clock microseconds between two steady_clock samples. The frozen/
-// background histograms measure real work done at one simulated instant, so
-// sim-time is useless here — this is the one place the engine reads the host
-// clock.
+// Wall-clock microseconds between two steady_clock samples. The frozen
+// histogram measures real work done at one simulated instant, so sim-time is
+// useless here — this is the one place the engine reads the host clock.
 double WallMicros(std::chrono::steady_clock::time_point t0,
                   std::chrono::steady_clock::time_point t1) {
   return std::chrono::duration<double, std::micro>(t1 - t0).count();
@@ -35,9 +34,7 @@ LocalCheckpointEngine::LocalCheckpointEngine(Simulator* sim, ExperimentNode* nod
       serialized_bytes_counter_(obs::MetricsRegistry::Global().FindCounter(
           "checkpoint.engine.serialized_bytes")),
       frozen_wall_us_hist_(obs::MetricsRegistry::Global().FindHistogram(
-          "checkpoint.engine.frozen_us")),
-      background_wall_us_hist_(obs::MetricsRegistry::Global().FindHistogram(
-          "checkpoint.engine.background_us")) {
+          "checkpoint.engine.frozen_us")) {
   node_->kernel().SetResumeTimerLatency(policy_.resume_timer_latency,
                                         0xC0FFEEull ^ node->id());
 }
@@ -145,13 +142,12 @@ void LocalCheckpointEngine::AddCheckpointable(Checkpointable* component) {
   }
 }
 
-void LocalCheckpointEngine::SnapshotComponents() {
-  assert(!pending_capture_);
+void LocalCheckpointEngine::Capture() {
   staged_.Reset();
 
   // All bytes land back to back in one pinned buffer; after the first few
-  // captures its capacity covers the steady state and the frozen window
-  // performs no allocation for payload bytes.
+  // captures its capacity covers the steady state and staging performs no
+  // allocation for payload bytes.
   //
   // Engine metadata first: the saved instant plus the record and accounting
   // a restore target needs to continue exactly where the original paused.
@@ -171,43 +167,17 @@ void LocalCheckpointEngine::SnapshotComponents() {
   staged_.buffer = w.Take();
 
   StageComponents(Components(), &staged_);
-  pending_capture_ = true;
-}
-
-void LocalCheckpointEngine::EnsureCaptureCommitted() {
-  if (!pending_capture_) {
-    return;
-  }
-  const auto t0 = std::chrono::steady_clock::now();
-  CommitPendingCapture();
-  const double wall_us = WallMicros(t0, std::chrono::steady_clock::now());
-  background_wall_us_hist_->Observe(wall_us);
-  obs::TraceSession& trace = obs::TraceSession::Global();
-  const obs::SpanId span =
-      trace.BeginSpan(node_->name(), "ckpt.background", sim_->Now());
-  trace.AddSpanArg(span, "wall_us", wall_us);
-  trace.AddSpanArg(span, "serialized_bytes",
-                   static_cast<double>(last_capture_stats_.serialized_bytes));
-  trace.EndSpan(span, sim_->Now());
-}
-
-void LocalCheckpointEngine::CommitPendingCapture() {
-  assert(pending_capture_);
-  pending_capture_ = false;
-
-  CaptureStats stats;
-  stats.staged_bytes = staged_.buffer.size();
+  const size_t staged_bytes = staged_.buffer.size();
   last_image_ =
       std::make_shared<const std::vector<uint8_t>>(SerializeStagedImage(staged_));
-  stats.serialized_bytes = last_image_->size();
-  last_capture_stats_ = stats;
+  const size_t serialized_bytes = last_image_->size();
 
   captures_counter_->Increment();
-  serialized_bytes_counter_->Add(stats.serialized_bytes);
+  serialized_bytes_counter_->Add(serialized_bytes);
   obs::TraceSession::Global().Instant(
       node_->name(), "ckpt.capture", sim_->Now(),
-      {{"staged_bytes", static_cast<double>(stats.staged_bytes)},
-       {"serialized_bytes", static_cast<double>(stats.serialized_bytes)}});
+      {{"staged_bytes", static_cast<double>(staged_bytes)},
+       {"serialized_bytes", static_cast<double>(serialized_bytes)}});
 }
 
 bool LocalCheckpointEngine::RestoreImage(const std::vector<uint8_t>& image_bytes) {
@@ -246,12 +216,6 @@ bool LocalCheckpointEngine::RestoreImage(const std::vector<uint8_t>& image_bytes
   saver_.RestoreImageBytes(saver_bytes);
   last_image_ = std::make_shared<const std::vector<uint8_t>>(image_bytes);
 
-  // Staged bytes describe pre-restore state. None are pending (a capture
-  // commits before its engine leaves in_progress_), and the next capture
-  // stages from scratch.
-  assert(!pending_capture_);
-  staged_.Reset();
-
   in_progress_ = true;
   hold_after_save_ = true;  // a restored run has no saved-callback to fire
   held_ = true;
@@ -277,18 +241,10 @@ void LocalCheckpointEngine::OnStateSaved() {
   trace.EndSpan(save_span_, sim_->Now());
   save_span_ = 0;
   // Capture point: inside the suspended window, after the memory image is
-  // saved and before any resume. Every capture clones state into staging
-  // buffers here; two-phase capture defers the framing commit to resume,
-  // the synchronous baseline commits now.
-  {
-    const auto t0 = std::chrono::steady_clock::now();
-    SnapshotComponents();
-    if (!policy_.async_capture) {
-      CommitPendingCapture();
-    }
-    frozen_wall_us_hist_->Observe(
-        WallMicros(t0, std::chrono::steady_clock::now()));
-  }
+  // saved and before any resume.
+  const auto t0 = std::chrono::steady_clock::now();
+  Capture();
+  frozen_wall_us_hist_->Observe(WallMicros(t0, std::chrono::steady_clock::now()));
   if (hold_after_save_) {
     held_ = true;
     if (saved_cb_) {
@@ -326,12 +282,6 @@ void LocalCheckpointEngine::AtomicResume() {
   in_progress_ = false;
   obs::TraceSession::Global().EndSpan(frozen_span_, sim_->Now());
   frozen_span_ = 0;
-
-  // Background half of a two-phase capture: the frozen window is over, so
-  // frame and publish now (unless an accessor already forced it while the
-  // engine was held). Runs before the saved callback fires so consumers of
-  // last_image() in the callback observe the committed capture.
-  EnsureCaptureCommitted();
 
   // Flush the captured image to the snapshot disk in the background; the
   // Dom0 CPU and disk activity is the post-checkpoint perturbation the

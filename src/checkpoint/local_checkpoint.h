@@ -58,23 +58,13 @@ struct CheckpointPolicy {
   // accumulate — the empirical transparency limit of Figure 4 (~80 us).
   SimTime resume_timer_latency = 40 * kMicrosecond;
 
-  // Every capture clones component state into reusable staging buffers
-  // inside the frozen window, then frames and publishes it in a commit step.
-  // Two-phase capture defers that commit until after the atomic resume (or
-  // the first accessor that needs it), so only the clone is frozen-window
-  // time. Disabling commits inside the frozen window. The emitted image is
-  // byte-identical either way (test-enforced).
-  bool async_capture = true;
-
   LiveMemorySaver::Params saver;
 };
 
-// What the last capture did (asserted by tests).
+// What the last capture did.
 struct CaptureStats {
-  size_t crc_fallbacks = 0;     // always 0 (every capture stages every
-                                // component); read only by tcbench/tcbench.cc
-  size_t staged_bytes = 0;      // bytes copied in the freeze phase
-  size_t serialized_bytes = 0;  // size of the published image
+  size_t crc_fallbacks = 0;  // always 0 (every capture stages every
+                             // component); read only by tcbench/tcbench.cc
 };
 
 // Drives local checkpoints of one ExperimentNode. Also implements
@@ -120,27 +110,14 @@ class LocalCheckpointEngine : public CheckpointParticipant {
   void AddCheckpointable(Checkpointable* component);
 
   // The composite image captured by the last completed save; null before
-  // the first checkpoint. Shared, so time-travel tree nodes can retain
-  // thousands of images cheaply.
-  //
-  // These accessors force any pending two-phase capture to commit first
-  // (EnsureCaptureCommitted), so a held engine — saved but not yet resumed —
-  // still observes the image its freeze phase staged.
-  std::shared_ptr<const std::vector<uint8_t>> last_image() {
-    EnsureCaptureCommitted();
+  // the first checkpoint. Published at the capture point, so a held engine
+  // (saved but not yet resumed) already has it. Shared, so time-travel tree
+  // nodes can retain thousands of images cheaply.
+  std::shared_ptr<const std::vector<uint8_t>> last_image() const {
     return last_image_;
   }
 
-  // Byte counts of the last capture.
-  const CaptureStats& last_capture_stats() {
-    EnsureCaptureCommitted();
-    return last_capture_stats_;
-  }
-
-  // Commits a pending two-phase capture (frame + publish) if one is staged,
-  // timed as background work; no-op otherwise. Called automatically at
-  // atomic resume and from the accessors above.
-  void EnsureCaptureCommitted();
+  const CaptureStats& last_capture_stats() const { return last_capture_stats_; }
 
   // Applies a composite image to this engine's (freshly built, running)
   // experiment and leaves it suspended-held at the saved instant. Returns
@@ -165,14 +142,10 @@ class LocalCheckpointEngine : public CheckpointParticipant {
   // The node's components plus registered extras, built on first use.
   const std::vector<Checkpointable*>& Components();
 
-  // Capture, freeze half: stages the engine metadata entry, then every
-  // component (StageComponents). Runs inside the frozen window; does no
-  // framing or CRC.
-  void SnapshotComponents();
-
-  // Capture, commit half: frames the staged snapshot as the composite image
-  // (SerializeStagedImage) and publishes it.
-  void CommitPendingCapture();
+  // The capture point, inside the frozen window: stages the engine metadata
+  // entry and every component (StageComponents), frames them as the
+  // composite image (SerializeStagedImage) and publishes it.
+  void Capture();
 
   Simulator* sim_;
   ExperimentNode* node_;
@@ -194,25 +167,20 @@ class LocalCheckpointEngine : public CheckpointParticipant {
   std::shared_ptr<const std::vector<uint8_t>> last_image_;
   CaptureStats last_capture_stats_;
 
-  // Capture state. The staged capture is pinned between the freeze phase
-  // (SnapshotComponents, inside the frozen window) and the commit
-  // (CommitPendingCapture: still frozen when synchronous, else after resume
-  // or on first accessor touch); Reset keeps its capacity across captures.
+  // Staging buffer of the capture point. Every capture resets it first;
+  // Reset keeps its capacity across captures.
   StagedCapture staged_;
-  bool pending_capture_ = false;
 
   // Telemetry. Counters are resolved once at construction; the phase spans
   // live on this node's own track (the node name). The "ckpt.frozen" span
   // covers suspend -> resume, "ckpt.save" the suspend -> state-saved prefix
-  // of it; the capture point emits a "ckpt.capture" instant carrying the
-  // CaptureStats. All no-ops while tracing is off.
+  // of it; the capture point emits a "ckpt.capture" instant carrying its
+  // staged and serialized byte counts. All no-ops while tracing is off.
   obs::Counter* captures_counter_;
   obs::Counter* restores_counter_;
   obs::Counter* image_bytes_counter_;
   obs::Counter* serialized_bytes_counter_;
-  obs::Histogram* frozen_wall_us_hist_;      // wall µs of the capture point
-                                             // inside the frozen window
-  obs::Histogram* background_wall_us_hist_;  // wall µs of the deferred commit
+  obs::Histogram* frozen_wall_us_hist_;  // wall µs of the capture point
   obs::SpanId precopy_span_ = 0;
   obs::SpanId frozen_span_ = 0;
   obs::SpanId save_span_ = 0;

@@ -46,9 +46,6 @@ class IdleSwapMonitor {
     swapped_cb_ = std::move(cb);
   }
 
-  // Time the experiment has currently been observed idle.
-  SimTime idle_for() const { return idle_since_ >= 0 ? sim_->Now() - idle_since_ : 0; }
-
   bool swapped_out_by_monitor() const { return swapped_; }
 
  private:

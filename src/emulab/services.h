@@ -113,7 +113,6 @@ class DnsServer {
   explicit DnsServer(NetworkStack* boss_stack, uint16_t port = kDnsPort);
 
   void AddRecord(const std::string& name, NodeId address) { records_[name] = address; }
-  size_t record_count() const { return records_.size(); }
 
  private:
   void OnRequest(const Packet& pkt);

@@ -92,8 +92,6 @@ class ExperimentNode {
   // layers that re-register timers (network stack, workloads) are restored.
   void AppendCheckpointables(std::vector<Checkpointable*>* out);
 
-  Disk& data_disk() { return data_disk_; }
-  Disk& snapshot_disk() { return snapshot_disk_; }
   BranchStore& store() { return store_; }
   MirrorVolume& mirror() { return mirror_; }
   TransferChannel& fs_channel() { return fs_channel_; }

@@ -4,7 +4,6 @@
 #include <chrono>
 
 #include "src/obs/epoch_ledger.h"
-#include "src/obs/trace_session.h"
 #include "src/sim/simulator.h"
 
 namespace tcsim {
@@ -23,10 +22,6 @@ RecoveryRecord FailoverManager::KillAndRestore(uint32_t victim, SimTime now,
                                                const CommittedEpoch& target) {
   assert(victim < topo_->partition_count());
   assert(target.at <= now);
-  // Post-fault forensics: when the flight recorder is armed, dump the
-  // pre-kill window before recovery mutates anything — not only on the first
-  // invariant violation.
-  obs::TraceSession::Global().DumpRingNow("failover recovery start");
   obs::EpochLedger& ledger = obs::EpochLedger::Global();
   const bool lg = ledger.enabled();
   const double l0 = lg ? ledger.NowMs() : 0.0;
@@ -36,9 +31,6 @@ RecoveryRecord FailoverManager::KillAndRestore(uint32_t victim, SimTime now,
   rec.killed_at = now;
   rec.restored_to = target.at;
   rec.epoch = target.epoch;
-
-  obs::SpanId span = obs::TraceSession::Global().BeginSpan(
-      "ha", "ha.failover", target.at);
 
   if (buffer_ != nullptr) {
     rec.discarded = buffer_->DiscardUnreleasedFrom(victim, target.epoch);
@@ -59,12 +51,6 @@ RecoveryRecord FailoverManager::KillAndRestore(uint32_t victim, SimTime now,
   recovery_ms_->Observe(rec.wall_ms);
   rollback_us_->Observe(static_cast<double>(now - target.at) /
                         static_cast<double>(kMicrosecond));
-  obs::TraceSession& session = obs::TraceSession::Global();
-  session.AddSpanArg(span, "partition", static_cast<double>(victim));
-  session.AddSpanArg(span, "epoch", static_cast<double>(target.epoch));
-  session.AddSpanArg(span, "replayed", static_cast<double>(rec.replayed));
-  session.AddSpanArg(span, "discarded", static_cast<double>(rec.discarded));
-  session.EndSpan(span, now);
   if (lg) {
     ledger.StampHere(static_cast<int32_t>(victim), "failover", l0,
                      ledger.NowMs(), "fault",

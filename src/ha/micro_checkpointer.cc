@@ -4,7 +4,6 @@
 #include <cassert>
 
 #include "src/obs/epoch_ledger.h"
-#include "src/obs/trace_session.h"
 #include "src/repo/io_fault.h"
 
 namespace tcsim {
@@ -119,12 +118,6 @@ void MicroCheckpointer::OnBarrier(SimTime barrier) {
       durable_epoch_ = committed;
     }
     epochs_counter_->Increment();
-    obs::TraceSession& session = obs::TraceSession::Global();
-    obs::SpanId span = session.BeginSpan("ha", "ha.epoch_commit", latest_.at);
-    session.AddSpanArg(span, "epoch", static_cast<double>(committed));
-    session.AddSpanArg(span, "bytes", static_cast<double>(rec.image_bytes));
-    session.AddSpanArg(span, "durable", latest_.durable ? 1.0 : 0.0);
-    session.EndSpan(span, barrier);
   }
   if (lg) {
     ledger.StampHere(-1, "epoch_commit", c0, ledger.NowMs(), "publish",

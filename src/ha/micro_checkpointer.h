@@ -96,8 +96,7 @@ class MicroCheckpointer {
   OutputCommitBuffer* output_buffer() { return buffer_.get(); }
   FailoverManager* failover() { return failover_.get(); }
 
-  // Newest committed epoch (epoch 0 until the first commit lands).
-  const CommittedEpoch& latest_committed() const { return latest_; }
+  // Newest committed epoch (0 until the first commit lands).
   uint64_t epochs_committed() const { return latest_.epoch; }
 
  private:

@@ -134,7 +134,6 @@ class OutputCommitBuffer : public WireEgressTap {
   uint64_t discarded_total() const { return discarded_total_; }
   uint64_t replayed_total() const { return replayed_total_; }
   uint64_t suppressed_total() const { return suppressed_total_; }
-  size_t replay_log_size() const { return released_.size(); }
 
  private:
   struct Held {

@@ -68,7 +68,6 @@ class Nic : public PacketHandler, public Checkpointable {
   // Total arrivals from the wire (delivered upward or sitting in the suspend
   // log). Conservation: arrivals == received + pending replay.
   uint64_t packets_arrived() const { return packets_arrived_; }
-  size_t packets_pending_replay() const { return suspend_log_.size(); }
 
   // Registers the receive-path conservation audit under `name`: every packet
   // the wire handed to this NIC was either delivered upward or is logged

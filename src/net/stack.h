@@ -41,8 +41,6 @@ class NetworkStack : public Checkpointable {
   // Routes traffic destined to `dst` out of `nic`.
   void AddRoute(NodeId dst, Nic* nic) { routes_[dst] = nic; }
 
-  void SetDefaultNic(Nic* nic) { default_nic_ = nic; }
-
   // --- UDP -------------------------------------------------------------------
 
   // Registers a datagram handler on `port`.

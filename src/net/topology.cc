@@ -43,9 +43,6 @@ void StaticRouter::HandlePacket(const Packet& pkt) {
   const uint32_t lan = layout_.lan_of(pkt.dst);
   Wire* hop = lan < lan_routes_.size() ? lan_routes_[lan] : nullptr;
   if (hop == nullptr) {
-    hop = default_route_;
-  }
-  if (hop == nullptr) {
     ++dropped_;
     return;
   }

@@ -94,15 +94,14 @@ struct TopologyLayout {
   }
 };
 
-// Interior router with a static destination-LAN -> next-hop-wire table and an
-// optional default route. Stateless per packet, so running it inside
-// whichever partition delivered the packet is safe by construction.
+// Interior router with a static destination-LAN -> next-hop-wire table; a
+// packet for a LAN with no route is dropped. Stateless per packet, so running
+// it inside whichever partition delivered the packet is safe by construction.
 class StaticRouter : public PacketHandler, public Checkpointable {
  public:
   explicit StaticRouter(TopologyLayout layout) : layout_(layout) {}
 
   void SetLanRoute(uint32_t lan, Wire* hop);
-  void SetDefaultRoute(Wire* hop) { default_route_ = hop; }
 
   void HandlePacket(const Packet& pkt) override;
 
@@ -119,7 +118,6 @@ class StaticRouter : public PacketHandler, public Checkpointable {
  private:
   TopologyLayout layout_;
   std::vector<Wire*> lan_routes_;
-  Wire* default_route_ = nullptr;
   uint64_t forwarded_ = 0;
   uint64_t dropped_ = 0;
   std::string checkpoint_id_ = "net.router";
@@ -266,8 +264,6 @@ class GeneratedTopology {
     return interior_wire_partition_[i];
   }
 
-  size_t lan_count() const { return lans_.size(); }
-  Lan* lan(size_t i) { return lans_[i].get(); }
   uint32_t lan_partition(uint32_t lan) const {
     return zone_partition_[layout_.zone_of_lan(lan)];
   }

@@ -43,7 +43,6 @@ void TraceSession::Clear() {
   records_.clear();
   next_id_ = 1;
   dropped_ = 0;
-  last_time_ = 0;
   tracks_.clear();
   track_index_.clear();
 }
@@ -105,7 +104,6 @@ SpanId TraceSession::BeginSpan(const std::string& track, const char* name, SimTi
   if (!enabled()) {
     return 0;
   }
-  Note(t);
   Record rec;
   rec.track = InternTrack(track);
   rec.kind = 0;
@@ -120,7 +118,6 @@ void TraceSession::EndSpan(SpanId id, SimTime t) {
   if (rec == nullptr || rec->kind != 0 || rec->end >= 0) {
     return;
   }
-  Note(t);
   rec->end = t >= rec->begin ? t : rec->begin;
 }
 
@@ -137,7 +134,6 @@ void TraceSession::Instant(const std::string& track, const char* name, SimTime t
   if (!enabled()) {
     return;
   }
-  Note(t);
   Record rec;
   rec.track = InternTrack(track);
   rec.kind = 1;
@@ -308,24 +304,6 @@ std::string TraceSession::DumpTail(size_t n) const {
     FormatRecord(*ChronoRecord(i), tracks_, &out);
   }
   return out;
-}
-
-void TraceSession::DumpRingNow(const char* reason, size_t tail) const {
-  if (mode_ != Mode::kRing) {
-    return;
-  }
-  std::ostringstream out;
-  out << "=== flight recorder: " << reason << " ===\n";
-  if (recorded() == 0) {
-    out << "  (no telemetry records held)\n";
-  } else {
-    out << DumpTail(tail);
-  }
-  if (AuditDumpSink()) {
-    AuditDumpSink()(out.str());
-  } else {
-    std::fputs(out.str().c_str(), stderr);
-  }
 }
 
 void TraceSession::SetAuditDumpSink(std::function<void(const std::string&)> sink) {

@@ -3,8 +3,11 @@
 //
 // A TraceSession records begin/end spans and instant events, threaded by
 // *simulated* time (the only clock that means anything inside the modelled
-// testbed) and grouped into named tracks (one per node, plus "coordinator",
-// "repo", "emulab"). Two export formats:
+// testbed) and grouped into named tracks (one per node, plus "coordinator"
+// and "emulab"). It is not thread-safe: only the paper stack writes it, from
+// its single simulation thread. The repository, the epoch coordinator and HA,
+// which also run on worker and commit threads, stamp the EpochLedger instead.
+// Two export formats:
 //
 //   - Chrome trace JSON ("X" complete events + thread-name metadata): open
 //     the file at chrome://tracing or ui.perfetto.dev and the coordinator
@@ -86,11 +89,6 @@ class TraceSession {
   void Instant(const std::string& track, const char* name, SimTime t,
                std::initializer_list<TraceArg> args = {});
 
-  // The largest sim time seen by any record — the "current time" for layers
-  // with no simulator at hand (repository file I/O happens inside a capture
-  // event; stamping it with the capture's instant keeps causality readable).
-  SimTime LastTime() const { return last_time_; }
-
   // --- Introspection ---------------------------------------------------------
 
   size_t recorded() const { return records_.size(); }
@@ -107,12 +105,6 @@ class TraceSession {
   std::string ExportSummaryTable() const;
   // The newest `n` records, oldest first — the flight-recorder dump.
   std::string DumpTail(size_t n) const;
-
-  // Flight-recorder dump on demand: in ring mode, writes the newest `tail`
-  // records (prefixed with `reason`) through the audit-dump sink — the same
-  // channel the invariant-violation hook uses. No-op in kOff/kFull modes, so
-  // callers on recovery paths stamp unconditionally.
-  void DumpRingNow(const char* reason, size_t tail = 64) const;
 
   // Installs the process-wide invariant-violation hook: the first violation
   // any InvariantRegistry records dumps this session's newest `tail` records
@@ -143,11 +135,6 @@ class TraceSession {
   Record* Place(Record rec);     // appends (full) or overwrites (ring)
   Record* Find(SpanId id);
   const Record* ChronoRecord(size_t i) const;  // i-th oldest held record
-  void Note(SimTime t) {
-    if (t > last_time_) {
-      last_time_ = t;
-    }
-  }
   static void FormatRecord(const Record& rec, const std::vector<std::string>& tracks,
                            std::string* out);
 
@@ -156,7 +143,6 @@ class TraceSession {
   std::vector<Record> records_;
   uint64_t next_id_ = 1;
   uint64_t dropped_ = 0;
-  SimTime last_time_ = 0;
   std::vector<std::string> tracks_;
   std::unordered_map<std::string, uint32_t> track_index_;
 };

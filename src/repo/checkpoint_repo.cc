@@ -8,7 +8,6 @@
 
 #include "src/obs/epoch_ledger.h"
 #include "src/obs/metrics.h"
-#include "src/obs/trace_session.h"
 #include "src/sim/archive.h"
 #include "src/sim/image.h"
 
@@ -17,9 +16,8 @@ namespace tcsim {
 namespace {
 
 // Repository counters, resolved once on first use. The repository has no
-// simulator of its own; trace instants are stamped with the trace session's
-// last-seen sim time (repo I/O happens inside a capture event, so that is
-// the causally enclosing instant).
+// simulator of its own, so its timing goes only to the epoch ledger's
+// wall-clock stamps (repo.hash_wait, repo.append, repo.fsync, repo.journal).
 obs::Counter* RepoCounter(const char* name) {
   return obs::MetricsRegistry::Global().FindCounter(name);
 }
@@ -326,10 +324,6 @@ CheckpointRepo::BatchCommitResult CheckpointRepo::CommitBatch(
     return result;
   }
 
-  obs::TraceSession& trace = obs::TraceSession::Global();
-  const obs::SpanId span =
-      trace.BeginSpan("repo", "repo.commit", trace.LastTime());
-
   // Publication order is stage order: handles, segment offsets, and the
   // journal record depend only on the staged images and their order.
   std::string err;
@@ -437,8 +431,6 @@ CheckpointRepo::BatchCommitResult CheckpointRepo::CommitBatch(
     result.error = err;
     static obs::Counter* const failed = RepoCounter("repo.batch.failed_commits");
     failed->Increment();
-    trace.AddSpanArg(span, "failed", 1.0);
-    trace.EndSpan(span, trace.LastTime());
     return result;
   }
 
@@ -482,12 +474,6 @@ CheckpointRepo::BatchCommitResult CheckpointRepo::CommitBatch(
 
   result.ok = true;
   error_.clear();
-  trace.AddSpanArg(span, "images", static_cast<double>(result.images));
-  trace.AddSpanArg(span, "staged_bytes",
-                   static_cast<double>(result.staged_bytes));
-  trace.AddSpanArg(span, "appended_bytes",
-                   static_cast<double>(result.appended_payload_bytes));
-  trace.EndSpan(span, trace.LastTime());
   return result;
 }
 
@@ -641,10 +627,6 @@ CheckpointRepo::GcResult CheckpointRepo::CollectGarbage() {
   static obs::Counter* const gc_reclaimed = RepoCounter("repo.gc.reclaimed_bytes");
   gc_runs->Increment();
   gc_reclaimed->Add(result.reclaimed_bytes);
-  obs::TraceSession& trace = obs::TraceSession::Global();
-  trace.Instant("repo", "repo.gc", trace.LastTime(),
-                {{"reclaimed_bytes", static_cast<double>(result.reclaimed_bytes)},
-                 {"live_bytes", static_cast<double>(result.live_bytes)}});
   return result;
 }
 

@@ -44,8 +44,6 @@ class HashPool {
 
   uint64_t tasks_submitted() const;
 
-  size_t thread_count() const { return threads_.size(); }
-
  private:
   void WorkerMain();
 

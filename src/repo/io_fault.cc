@@ -45,14 +45,6 @@ void RepoIoFaultInjector::Arm(RepoIoTarget target, RepoIoFaultPlan plan) {
   armed_.store(true, std::memory_order_relaxed);
 }
 
-void RepoIoFaultInjector::Disarm(RepoIoTarget target) {
-  InjectorState& s = State();
-  std::lock_guard<std::mutex> lock(s.mu);
-  Target(s, target).armed = false;
-  armed_.store(s.targets[0].armed || s.targets[1].armed,
-               std::memory_order_relaxed);
-}
-
 void RepoIoFaultInjector::DisarmAll() {
   InjectorState& s = State();
   std::lock_guard<std::mutex> lock(s.mu);

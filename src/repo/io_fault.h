@@ -41,7 +41,6 @@ class RepoIoFaultInjector {
  public:
   // Arms `plan` for `target`. Replaces any previous plan for that target.
   static void Arm(RepoIoTarget target, RepoIoFaultPlan plan);
-  static void Disarm(RepoIoTarget target);
   static void DisarmAll();
 
   // Writes injected so far that were torn or refused for `target`.

@@ -65,9 +65,6 @@ class EventFn {
 
   explicit operator bool() const { return ops_ != nullptr; }
 
-  // True if the wrapped callable lives in the inline buffer (no heap).
-  bool stores_inline() const { return ops_ != nullptr && obj_ == &storage_; }
-
   void Reset() {
     if (ops_ != nullptr) {
       ops_->destroy(obj_);

@@ -58,7 +58,6 @@ class Disk : public Checkpointable {
   uint64_t blocks_written() const { return blocks_written_; }
   uint64_t seeks() const { return seeks_; }            // full-stroke seeks
   uint64_t short_seeks() const { return short_seeks_; }
-  SimTime busy_time() const { return busy_time_; }
 
   const DiskParams& params() const { return params_; }
 

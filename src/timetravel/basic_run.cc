@@ -22,7 +22,6 @@ BasicExperimentRun::BasicExperimentRun(Params params)
   node_ = std::make_unique<ExperimentNode>(&sim_, Rng(params_.seed ^ 0xABCD), cfg);
   CheckpointPolicy policy;
   policy.resume_timer_latency = 0;  // digests must be reproducible
-  policy.async_capture = params_.async_capture;
   engine_ = std::make_unique<LocalCheckpointEngine>(&sim_, node_.get(), policy);
   engine_->AddCheckpointable(this);  // workload progress rides in the image
   Tick();
@@ -136,7 +135,6 @@ CpuExperimentRun::CpuExperimentRun(Params params)
   node_ = std::make_unique<ExperimentNode>(&sim_, Rng(params_.seed ^ 0xC4D7), cfg);
   CheckpointPolicy policy;
   policy.resume_timer_latency = 0;
-  policy.async_capture = params_.async_capture;
   engine_ = std::make_unique<LocalCheckpointEngine>(&sim_, node_.get(), policy);
   engine_->AddCheckpointable(this);
   StartBurst();

@@ -26,7 +26,6 @@ class BasicExperimentRun : public ReplayableRun, public Checkpointable {
     uint64_t seed = 1;              // construction seed (fixed per tree)
     SimTime mean_tick = 5 * kMillisecond;
     uint64_t blocks_per_tick = 4;
-    bool async_capture = true;       // two-phase capture (freeze + background)
   };
 
   explicit BasicExperimentRun(Params params);
@@ -82,7 +81,6 @@ class CpuExperimentRun : public ReplayableRun, public Checkpointable {
     SimTime mean_burst = 8 * kMillisecond;  // CPU work per iteration
     SimTime mean_gap = 3 * kMillisecond;    // sleep between iterations
     uint64_t touched_bytes = 256 * 1024;    // dirtied per iteration
-    bool async_capture = true;
   };
 
   explicit CpuExperimentRun(Params params);

@@ -83,11 +83,6 @@ class Domain : public Checkpointable {
   // value; without it (baseline) the guest observes the downtime as a jump.
   void UnfreezeTime(bool compensate);
 
-  // Shifts the virtual clock by `delta` — models the small TSC compensation
-  // error of a real resume path (the empirical ~80 us limit on local
-  // checkpoint transparency the paper measures in Figure 4).
-  void NudgeVirtualOffset(SimTime delta) { virtual_offset_ -= delta; }
-
   // --- Runstate accounting ----------------------------------------------------
 
   // Runstate counters as the *guest* sees them. While accounting is

@@ -11,6 +11,7 @@
 
 #include <cstdint>
 #include <filesystem>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -22,6 +23,8 @@
 #include "src/ha/micro_checkpointer.h"
 #include "src/ha/output_buffer.h"
 #include "src/net/topology.h"
+#include "src/obs/epoch_ledger.h"
+#include "src/obs/metrics.h"
 #include "src/obs/trace_session.h"
 #include "src/repo/checkpoint_repo.h"
 #include "src/repo/io_fault.h"
@@ -456,10 +459,26 @@ TEST(HaDurabilityTest, TornRepoWriteFreezesReleaseButNotFailover) {
   fs::remove_all(repo2_dir);
 }
 
-// --- Telemetry: HA spans and counters never perturb the run
+// --- Telemetry: HA records and counters never perturb the run
 
 TEST(HaObservabilityTest, TelemetryIsPerturbationFree) {
-  auto run = [](bool tracing) {
+  // Two inputs: the faulty HA run, and the same run spilling every epoch to
+  // a repository. With the repository attached, the group commit runs on
+  // the background commit thread while the coordinator thread publishes
+  // epochs, so under TSan this input also catches a layer that records
+  // telemetry from both threads.
+  auto run = [](bool tracing, bool with_repo) {
+    const std::string dir =
+        (fs::path(::testing::TempDir()) /
+         (tracing ? "tcsim_ha_obs_repo_on" : "tcsim_ha_obs_repo_off"))
+            .string();
+    std::unique_ptr<CheckpointRepo> repo;
+    if (with_repo) {
+      fs::remove_all(dir);
+      std::string error;
+      repo = CheckpointRepo::Open(dir, RepoOptions{}, &error);
+      EXPECT_NE(repo, nullptr) << error;
+    }
     if (tracing) {
       obs::TraceSession::Global().StartFull();
     } else {
@@ -467,27 +486,35 @@ TEST(HaObservabilityTest, TelemetryIsPerturbationFree) {
     }
     ha::FaultInjector fi(6);
     fi.GenerateKillSchedule(kPartitions, 2, kHorizon);
-    const HaRunResult r = RunHa(HaPolicy(1), &fi);
+    const HaRunResult r = RunHa(HaPolicy(1), &fi, repo.get());
     obs::TraceSession::Global().Stop();
+    if (with_repo) {
+      repo.reset();
+      fs::remove_all(dir);
+    }
     return r;
   };
-  const HaRunResult off = run(false);
-  const HaRunResult on = run(true);
-  EXPECT_EQ(on.events, off.events);
-  EXPECT_EQ(on.behavior, off.behavior);
-  EXPECT_EQ(on.captures, off.captures);
-  ExpectTraceIdentical(on.trace, off.trace);
+  for (const bool with_repo : {false, true}) {
+    SCOPED_TRACE(with_repo ? "repository attached" : "no repository");
+    const HaRunResult off = run(false, with_repo);
+    const HaRunResult on = run(true, with_repo);
+    EXPECT_EQ(on.events, off.events);
+    EXPECT_EQ(on.behavior, off.behavior);
+    EXPECT_EQ(on.captures, off.captures);
+    ExpectTraceIdentical(on.trace, off.trace);
+  }
   obs::TraceSession::Global().Clear();
 }
 
-TEST(HaObservabilityTest, FailoverEmitsSpansAndMetrics) {
+TEST(HaObservabilityTest, FailoverEmitsLedgerStampsAndMetrics) {
   obs::MetricsRegistry& reg = obs::MetricsRegistry::Global();
   reg.ResetAll();
-  obs::TraceSession::Global().StartFull();
+  obs::EpochLedger& ledger = obs::EpochLedger::Global();
+  ledger.Enable();
   ha::FaultInjector fi(8);
   fi.Schedule({3 * kPeriod + kPeriod / 2, ha::FaultKind::kKillPartition, 0});
   const HaRunResult r = RunHa(HaPolicy(1), &fi);
-  obs::TraceSession::Global().Stop();
+  ledger.Disable();
   ASSERT_EQ(r.recoveries.size(), 1u);
   EXPECT_EQ(reg.FindCounter("ha.failover.count")->value(), 1u);
   EXPECT_GT(reg.FindCounter("ha.epochs_committed")->value(), 0u);
@@ -495,47 +522,37 @@ TEST(HaObservabilityTest, FailoverEmitsSpansAndMetrics) {
   EXPECT_GT(reg.FindCounter("ha.buffer.held_packets")->value(), 0u);
   EXPECT_GT(reg.FindHistogram("ha.failover.recovery_ms")->count(), 0u);
   EXPECT_GT(reg.FindHistogram("ha.buffer.hold_time_us")->count(), 0u);
-  const std::string table = obs::TraceSession::Global().ExportSummaryTable();
-  EXPECT_NE(table.find("ha.epoch_commit"), std::string::npos);
-  EXPECT_NE(table.find("ha.failover"), std::string::npos);
-  obs::TraceSession::Global().Clear();
-  reg.ResetAll();
-}
 
-TEST(HaObservabilityTest, FlightRecorderDumpsOnRecoveryStart) {
-  // With the ring-buffer flight recorder armed, the moment failover begins
-  // tearing down the victim it dumps the recorded tail through the audit
-  // sink — the timeline that led up to the fault, captured before recovery
-  // overwrites it. Full mode and off mode must stay silent: the auto-dump
-  // is the crash recorder's feature, not general tracing's.
-  std::vector<std::string> dumps;
-  obs::TraceSession::SetAuditDumpSink(
-      [&](const std::string& d) { dumps.push_back(d); });
-
-  auto run_with_kill = [] {
-    ha::FaultInjector fi(8);
-    fi.Schedule({3 * kPeriod + kPeriod / 2, ha::FaultKind::kKillPartition, 0});
-    const HaRunResult r = RunHa(HaPolicy(1), &fi);
-    EXPECT_EQ(r.recoveries.size(), 1u);
+  // The failover and the epoch commits are recorded once each, as ledger
+  // stamps; the failover stamp carries what the RecoveryRecord says.
+  const ha::RecoveryRecord& rec = r.recoveries[0];
+  auto arg = [](const obs::LedgerRecord& lr, const char* key) {
+    for (uint8_t a = 0; a < lr.nargs; ++a) {
+      if (std::string(lr.args[a].key) == key) {
+        return lr.args[a].value;
+      }
+    }
+    ADD_FAILURE() << lr.phase << " has no arg " << key;
+    return -1.0;
   };
-
-  obs::TraceSession::Global().StartRing(64);
-  run_with_kill();
-  obs::TraceSession::Global().Stop();
-  ASSERT_EQ(dumps.size(), 1u) << "one recovery, one dump";
-  EXPECT_NE(dumps[0].find("failover recovery start"), std::string::npos);
-  EXPECT_NE(dumps[0].find("flight recorder"), std::string::npos);
-  // The dump carries the pre-fault timeline (epoch commits lead the ring).
-  EXPECT_NE(dumps[0].find("ha.epoch_commit"), std::string::npos) << dumps[0];
-
-  dumps.clear();
-  obs::TraceSession::Global().StartFull();
-  run_with_kill();
-  obs::TraceSession::Global().Stop();
-  EXPECT_TRUE(dumps.empty()) << "full-trace mode is not the flight recorder";
-
-  obs::TraceSession::Global().Clear();
-  obs::TraceSession::SetAuditDumpSink(nullptr);
+  size_t failovers = 0;
+  size_t epoch_commits = 0;
+  for (const obs::LedgerRecord& lr : ledger.Merged()) {
+    const std::string phase = lr.phase;
+    if (phase == "epoch_commit") {
+      ++epoch_commits;
+    } else if (phase == "failover") {
+      ++failovers;
+      EXPECT_EQ(lr.partition, static_cast<int32_t>(rec.partition));
+      EXPECT_EQ(arg(lr, "epoch"), static_cast<double>(rec.epoch));
+      EXPECT_EQ(arg(lr, "replayed"), static_cast<double>(rec.replayed));
+      EXPECT_EQ(arg(lr, "discarded"), static_cast<double>(rec.discarded));
+    }
+  }
+  EXPECT_EQ(failovers, 1u);
+  EXPECT_GE(epoch_commits, 1u);
+  ledger.Clear();
+  reg.ResetAll();
 }
 
 }  // namespace

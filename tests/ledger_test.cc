@@ -229,7 +229,7 @@ struct LedgerRunResult {
   std::vector<AnalyzerRecord> records;
 };
 
-LedgerRunResult RunCheckpointedFatTree(bool ledger_on, bool async_capture,
+LedgerRunResult RunCheckpointedFatTree(bool ledger_on, bool two_phase,
                                        uint32_t workers) {
   if (ledger_on) {
     EpochLedger::Global().Enable();
@@ -241,7 +241,7 @@ LedgerRunResult RunCheckpointedFatTree(bool ledger_on, bool async_capture,
   PartitionEpochCoordinator epochs(
       topo->scheduler(), 10 * kMillisecond,
       [&topo](Partition* p) { return topo->CapturePartitionImage(p->id()); });
-  if (async_capture) {
+  if (two_phase) {
     epochs.EnableAsyncCapture([&topo](Partition* p, StagedCapture* out) {
       topo->SnapshotPartition(p->id(), out);
     });
@@ -258,12 +258,12 @@ LedgerRunResult RunCheckpointedFatTree(bool ledger_on, bool async_capture,
 }
 
 TEST_F(LedgerTest, LedgerIsPerturbationFreeOnSyncAndAsyncCapture) {
-  for (const bool async_capture : {false, true}) {
-    SCOPED_TRACE(async_capture ? "async" : "sync");
+  for (const bool two_phase : {false, true}) {
+    SCOPED_TRACE(two_phase ? "async" : "sync");
     const LedgerRunResult off =
-        RunCheckpointedFatTree(false, async_capture, /*workers=*/2);
+        RunCheckpointedFatTree(false, two_phase, /*workers=*/2);
     const LedgerRunResult on =
-        RunCheckpointedFatTree(true, async_capture, /*workers=*/2);
+        RunCheckpointedFatTree(true, two_phase, /*workers=*/2);
     EXPECT_FALSE(on.records.empty());
     EXPECT_EQ(off.captures_digest, on.captures_digest);
     EXPECT_EQ(off.event_digest, on.event_digest);
@@ -278,11 +278,11 @@ TEST_F(LedgerTest, CoordinatorAttributionCoversEpochWallTime) {
   const std::set<std::string> kSerial = {"window",  "commit_wait",
                                          "freeze",  "capture",
                                          "spill",   "commit_launch"};
-  for (const bool async_capture : {false, true}) {
-    const char* mode = async_capture ? "async" : "sync";
+  for (const bool two_phase : {false, true}) {
+    const char* mode = two_phase ? "async" : "sync";
     SCOPED_TRACE(mode);
     const LedgerRunResult run =
-        RunCheckpointedFatTree(true, async_capture, /*workers=*/2);
+        RunCheckpointedFatTree(true, two_phase, /*workers=*/2);
     const LedgerAnalysis analysis = tools::Analyze(run.records);
     EXPECT_TRUE(analysis.ok()) << analysis.errors.front();
     ASSERT_EQ(analysis.epochs.size(), 5u);
@@ -331,10 +331,10 @@ TEST_F(LedgerTest, CoordinatorAttributionCoversEpochWallTime) {
       // An async epoch opens with the previous epoch's commit launch, which
       // runs after that epoch closed; the first epoch has none.
       std::vector<std::string> expected =
-          async_capture ? std::vector<std::string>{"commit_launch", "window",
+          two_phase ? std::vector<std::string>{"commit_launch", "window",
                                                    "commit_wait", "freeze"}
                         : std::vector<std::string>{"window", "capture"};
-      if (async_capture && i == 0) {
+      if (two_phase && i == 0) {
         expected.erase(expected.begin());
       }
       EXPECT_EQ(epoch_phases[i], expected) << "epoch " << spans[i]->epoch;
@@ -344,7 +344,7 @@ TEST_F(LedgerTest, CoordinatorAttributionCoversEpochWallTime) {
     for (const AnalyzerRecord& rec : run.records) {
       phases.insert(rec.phase);
     }
-    if (async_capture) {
+    if (two_phase) {
       // Two-phase path: per-partition freeze detail, the background commit
       // and its serialization.
       EXPECT_TRUE(phases.count("freeze.partition"));
@@ -354,7 +354,7 @@ TEST_F(LedgerTest, CoordinatorAttributionCoversEpochWallTime) {
       EXPECT_TRUE(phases.count("capture.partition"));
     }
     for (const EpochAnalysis& epoch : analysis.epochs) {
-      EXPECT_EQ(epoch.mode, async_capture ? "async" : "sync");
+      EXPECT_EQ(epoch.mode, two_phase ? "async" : "sync");
       EXPECT_GE(epoch.straggler_partition, 0)
           << "epoch " << epoch.epoch << " must name its straggler";
       EXPECT_LT(epoch.straggler_partition, 4);
@@ -374,9 +374,9 @@ TEST_F(LedgerTest, LedgerStructureIsDeterministicAcrossIdenticalRuns) {
   // (epoch, partition, phase, cause) sequence — what tcsim_analyze --diff
   // consumes — must match element for element.
   const LedgerRunResult a =
-      RunCheckpointedFatTree(true, /*async_capture=*/true, /*workers=*/2);
+      RunCheckpointedFatTree(true, /*two_phase=*/true, /*workers=*/2);
   const LedgerRunResult b =
-      RunCheckpointedFatTree(true, /*async_capture=*/true, /*workers=*/2);
+      RunCheckpointedFatTree(true, /*two_phase=*/true, /*workers=*/2);
   EXPECT_EQ(a.captures_digest, b.captures_digest);
   ASSERT_EQ(a.records.size(), b.records.size());
   for (size_t i = 0; i < a.records.size(); ++i) {
@@ -520,7 +520,7 @@ TEST_F(LedgerTest, AnalyzerSelfCheckFlagsStructuralProblems) {
 
 TEST_F(LedgerTest, ReportAndDiffCarryTheAttribution) {
   const LedgerRunResult run =
-      RunCheckpointedFatTree(true, /*async_capture=*/true, /*workers=*/2);
+      RunCheckpointedFatTree(true, /*two_phase=*/true, /*workers=*/2);
   const LedgerAnalysis analysis = tools::Analyze(run.records);
   const std::string text = tools::ReportText(analysis);
   EXPECT_NE(text.find("window"), std::string::npos);

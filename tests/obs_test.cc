@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <filesystem>
 #include <string>
 #include <vector>
@@ -137,8 +138,6 @@ TEST_F(ObsTest, SpansNestAndOrderInChromeJson) {
   // The span arg and the instant arg both survive export.
   EXPECT_NE(json.find("\"bytes\": 42"), std::string::npos);
   EXPECT_NE(json.find("\"v\": 1"), std::string::npos);
-
-  EXPECT_EQ(trace.LastTime(), 9 * kMicrosecond);
 }
 
 TEST_F(ObsTest, OpenSpanExportsWithZeroDurationAndFlag) {
@@ -266,8 +265,9 @@ TEST_F(ObsTest, TracingIsPerturbationFreeOnBasicExperimentRun) {
 
 // A stateful swap-out/in cycle of a one-node experiment, with the fs
 // server's repository attached when `repo` is non-null. Returns the event
-// digest at the end of the cycle.
-uint64_t RunStatefulSwapCycle(CheckpointRepo* repo) {
+// digest at the end of the cycle; `saved_at` (optional) receives the
+// swap-out checkpoint's saved instant.
+uint64_t RunStatefulSwapCycle(CheckpointRepo* repo, SimTime* saved_at = nullptr) {
   Simulator sim;
   Testbed testbed(&sim, 77);
   testbed.AttachRepository(repo);
@@ -294,24 +294,31 @@ uint64_t RunStatefulSwapCycle(CheckpointRepo* repo) {
     EXPECT_TRUE(in.repo_verified);
     EXPECT_EQ(repo->live_image_count(), 1u) << repo->error();
   }
+  const std::vector<LocalCheckpointRecord>& history =
+      experiment->engine("pc1")->history();
+  EXPECT_EQ(history.size(), 1u);
+  if (saved_at != nullptr && !history.empty()) {
+    *saved_at = history.back().saved_at;
+  }
   return sim.Digest();
 }
 
 TEST_F(ObsTest, TracingIsPerturbationFreeOnRepoAttachedRun) {
   // A stateful swap through the fs server's durable repository: the put
-  // path (lite parse, hashing pool, group commit, repo.commit spans) and the
-  // swap-in read-back must not perturb the simulation either — with or
+  // path (lite parse, hashing pool, group commit, repo.spill instants) and
+  // the swap-in read-back must not perturb the simulation either — with or
   // without tracing.
   namespace fs = std::filesystem;
   const std::string base =
       (fs::path(::testing::TempDir()) / "tcsim_obs_repo").string();
-  auto run_with_repo = [&base](const char* tag) {
+  SimTime saved_at = -1;
+  auto run_with_repo = [&base, &saved_at](const char* tag) {
     const std::string dir = base + "_" + tag;
     fs::remove_all(dir);
     std::string error;
     auto repo = CheckpointRepo::Open(dir, RepoOptions{}, &error);
     EXPECT_NE(repo, nullptr) << error;
-    const uint64_t digest = RunStatefulSwapCycle(repo.get());
+    const uint64_t digest = RunStatefulSwapCycle(repo.get(), &saved_at);
     fs::remove_all(dir);
     return digest;
   };
@@ -336,9 +343,21 @@ TEST_F(ObsTest, TracingIsPerturbationFreeOnRepoAttachedRun) {
   EXPECT_GT(reg.FindCounter("repo.commit.flushes")->value(), 0u);
   EXPECT_EQ(reg.FindCounter("repo.batch.failed_commits")->value(), 0u);
   ASSERT_NE(reg.FindGauge("repo.hashpool.max_queue_depth"), nullptr);
-  // And the group commit is visible as a span on the repo track.
+  // The spill is visible as the node's repo.spill instant, and the node's
+  // one capture is recorded at its capture point: the saved instant, not
+  // the later barrier where StatefulSwapOut reads last_image().
   const std::string json = TraceSession::Global().ExportChromeJson();
-  EXPECT_NE(json.find("\"name\": \"repo.commit\""), std::string::npos);
+  EXPECT_NE(json.find("\"name\": \"repo.spill\""), std::string::npos);
+  const std::string capture = "\"name\": \"ckpt.capture\"";
+  const size_t first = json.find(capture);
+  ASSERT_NE(first, std::string::npos);
+  EXPECT_EQ(json.find(capture, first + 1), std::string::npos)
+      << "one swap-out, one capture";
+  char at_saved[96];
+  std::snprintf(at_saved, sizeof at_saved, "%s, \"ts\": %.3f,", capture.c_str(),
+                ToMicroseconds(saved_at));
+  EXPECT_NE(json.find(at_saved), std::string::npos)
+      << "want " << at_saved << " got " << json.substr(first, 48);
 }
 
 TEST_F(ObsTest, TracingIsPerturbationFreeOnCpuExperimentRun) {

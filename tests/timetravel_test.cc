@@ -183,6 +183,34 @@ TEST(ImageRestoreTest, CorruptImageIsRejectedWithoutTouchingTheRun) {
   EXPECT_GT(fresh.counter(), 0u);
 }
 
+TEST(ImageRestoreTest, StagingBuffersDoNotLeakStaleBytesAcrossRestore) {
+  // Regression: the engine's staging buffer, reused across captures, must be
+  // rebuilt from post-restore state. Every capture resets it first, so its
+  // old contents must not surface in the first post-restore capture.
+  BasicExperimentRun::Params params;
+  BasicExperimentRun run(params);
+  run.AdvanceTo(1 * kSecond);
+  const CheckpointCapture c1 = run.CaptureCheckpoint();
+  run.AdvanceTo(2 * kSecond);
+  const CheckpointCapture c2 = run.CaptureCheckpoint();
+  ASSERT_NE(c1.image, nullptr);
+  ASSERT_NE(c2.image, nullptr);
+
+  // Roll back to c1, then capture again straight away into the reused
+  // buffer.
+  const std::optional<uint64_t> restored = run.RestoreFromImage(*c1.image);
+  ASSERT_TRUE(restored.has_value());
+  EXPECT_EQ(*restored, c1.digest);
+  const CheckpointCapture c3 = run.CaptureCheckpoint();
+  ASSERT_NE(c3.image, nullptr);
+
+  // The reused-buffer capture must restore to exactly the state it named.
+  BasicExperimentRun fresh(params);
+  const std::optional<uint64_t> fresh_digest = fresh.RestoreFromImage(*c3.image);
+  ASSERT_TRUE(fresh_digest.has_value());
+  EXPECT_EQ(*fresh_digest, c3.digest);
+}
+
 TEST(RestoreTimeTest, RestoreTimeScalesWithImageSize) {
   TimeTravelTree tree(MakeFactory());
   const std::vector<int> ids = tree.RecordOriginalRun(6 * kSecond, 2 * kSecond);
@@ -238,77 +266,6 @@ TEST(DistributedTimeTravelTest, PerturbedReplayExploresDifferentExecutions) {
   ASSERT_FALSE(perturbed.empty());
   EXPECT_EQ(tree.tree()[same.back()].digest, tree.tree()[ids.back()].digest);
   EXPECT_NE(tree.tree()[perturbed.back()].digest, tree.tree()[ids.back()].digest);
-}
-
-// --- Two-phase (async) capture identity -----------------------------------------
-//
-// The engine's async path snapshots components into staging buffers while
-// frozen and serializes in the background; the contract is that nothing
-// observable changes: identical capture instants, byte-identical images,
-// identical staged and serialized sizes and digests.
-
-template <typename Run>
-void ExpectAsyncCaptureMatchesSync() {
-  typename Run::Params params;
-  params.async_capture = false;
-  Run sync_run(params);
-  params.async_capture = true;
-  Run async_run(params);
-
-  for (int k = 0; k < 4; ++k) {
-    const CheckpointCapture sync_cap = sync_run.CaptureCheckpoint();
-    const CheckpointCapture async_cap = async_run.CaptureCheckpoint();
-    ASSERT_NE(sync_cap.image, nullptr);
-    ASSERT_NE(async_cap.image, nullptr);
-    EXPECT_EQ(sync_cap.captured_at, async_cap.captured_at) << "capture " << k;
-    EXPECT_EQ(sync_cap.digest, async_cap.digest) << "capture " << k;
-    EXPECT_EQ(*sync_cap.image, *async_cap.image)
-        << "image bytes diverged at capture " << k;
-    const CaptureStats& s = sync_run.engine().last_capture_stats();
-    const CaptureStats& a = async_run.engine().last_capture_stats();
-    EXPECT_EQ(s.serialized_bytes, a.serialized_bytes);
-    EXPECT_EQ(s.staged_bytes, a.staged_bytes);
-    sync_run.AdvanceTo(sync_run.Now() + 700 * kMillisecond);
-    async_run.AdvanceTo(async_run.Now() + 700 * kMillisecond);
-  }
-}
-
-TEST(AsyncCaptureTest, BasicRunImagesByteIdenticalToSync) {
-  ExpectAsyncCaptureMatchesSync<BasicExperimentRun>();
-}
-
-TEST(AsyncCaptureTest, CpuRunImagesByteIdenticalToSync) {
-  ExpectAsyncCaptureMatchesSync<CpuExperimentRun>();
-}
-
-TEST(AsyncCaptureTest, StagingBuffersDoNotLeakStaleBytesAcrossRestore) {
-  // Regression: the engine's staging buffer, reused across captures, must be
-  // rebuilt from post-restore state. No staged capture is pending at a
-  // restore (RestoreImage asserts it); this checks the benign path — the
-  // buffer's old contents must not surface in the first post-restore
-  // capture.
-  BasicExperimentRun::Params params;
-  BasicExperimentRun run(params);
-  run.AdvanceTo(1 * kSecond);
-  const CheckpointCapture c1 = run.CaptureCheckpoint();
-  run.AdvanceTo(2 * kSecond);
-  const CheckpointCapture c2 = run.CaptureCheckpoint();
-  ASSERT_NE(c1.image, nullptr);
-  ASSERT_NE(c2.image, nullptr);
-
-  // Roll back to c1, then capture again straight away into the reused
-  // buffer.
-  const std::optional<uint64_t> restored = run.RestoreFromImage(*c1.image);
-  ASSERT_TRUE(restored.has_value());
-  EXPECT_EQ(*restored, c1.digest);
-  const CheckpointCapture c3 = run.CaptureCheckpoint();
-  ASSERT_NE(c3.image, nullptr);
-
-  // The reused-buffer capture must restore to exactly the state it named.
-  BasicExperimentRun fresh(params);
-  const std::optional<uint64_t> fresh_digest = fresh.RestoreFromImage(*c3.image);
-  ASSERT_TRUE(fresh_digest.has_value());
-  EXPECT_EQ(*fresh_digest, c3.digest);
 }
 
 }  // namespace
