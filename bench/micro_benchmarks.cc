@@ -14,10 +14,13 @@
 #include <new>
 
 #include "src/checkpoint/local_checkpoint.h"
+#include "src/emulab/external_observer.h"
 #include "src/guest/node.h"
+#include "src/ha/micro_checkpointer.h"
 #include "src/net/stack.h"
 #include "src/net/tcp.h"
 #include "src/net/timer_host.h"
+#include "src/net/topology.h"
 #include "src/net/wire.h"
 #include "src/sim/random.h"
 #include "src/sim/simulator.h"
@@ -94,6 +97,47 @@ void BM_EventSteadyStateDispatch(benchmark::State& state) {
       events > 0 ? static_cast<double>(allocs) / static_cast<double>(events) : 0);
 }
 BENCHMARK(BM_EventSteadyStateDispatch);
+
+// Steady-state HA epochs: a 100-host fat tree on 4 partitions under
+// MicroCheckpointer (50 Hz, two-phase capture, buffered output, observer
+// attached). After 200 ms of warm-up each iteration runs one more epoch.
+// Counts heap allocations per dispatched event across the whole system —
+// hold, release, injection, replay bookkeeping and capture.
+void BM_HaEpochSteadyState(benchmark::State& state) {
+  GeneratedTopologyParams params;
+  params.hosts = 100;
+  params.hosts_per_lan = 5;
+  params.lans_per_zone = 5;
+  auto topo = GeneratedTopology::Build(params, /*partitions=*/4, /*workers=*/2);
+  emulab::ExternalObserver observer;
+  ha::MicroCheckpointPolicy policy;
+  policy.period = 20 * kMillisecond;
+  policy.max_in_flight_epochs = 1;
+  policy.buffer_output = true;
+  ha::MicroCheckpointer mc(topo.get(), policy);
+  mc.SetObserver(&observer);
+  const auto events = [&topo] {
+    uint64_t n = 0;
+    for (size_t p = 0; p < topo->partition_count(); ++p) {
+      n += topo->partition_sim(p)->events_processed();
+    }
+    return n;
+  };
+  SimTime now = 200 * kMillisecond;
+  mc.RunUntil(now);
+  const uint64_t events_before = events();
+  const uint64_t allocs_before = g_allocations.load(std::memory_order_relaxed);
+  for (auto _ : state) {
+    now += policy.period;
+    mc.RunUntil(now);
+  }
+  const uint64_t dispatched = events() - events_before;
+  const uint64_t allocs = g_allocations.load(std::memory_order_relaxed) - allocs_before;
+  state.SetItemsProcessed(static_cast<int64_t>(dispatched));
+  state.counters["allocs_per_event"] = benchmark::Counter(
+      dispatched > 0 ? static_cast<double>(allocs) / static_cast<double>(dispatched) : 0);
+}
+BENCHMARK(BM_HaEpochSteadyState)->Unit(benchmark::kMillisecond);
 
 void BM_RngNormal(benchmark::State& state) {
   Rng rng(1);

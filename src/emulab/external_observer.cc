@@ -15,7 +15,23 @@ uint64_t Mix64(uint64_t x) {
   return x ^ (x >> 31);
 }
 
+constexpr uint32_t kNoTag = static_cast<uint32_t>(-1);
+
 }  // namespace
+
+uint32_t ExternalObserver::TagId(uint32_t src, uint32_t dst) {
+  if (src >= tag_ids_.size()) {
+    tag_ids_.resize(src + 1);
+  }
+  std::vector<uint32_t>& row = tag_ids_[src];
+  if (dst >= row.size()) {
+    row.resize(dst + 1, kNoTag);
+  }
+  if (row[dst] == kNoTag) {
+    row[dst] = trace_.Intern(std::to_string(src) + ">" + std::to_string(dst));
+  }
+  return row[dst];
+}
 
 void ExternalObserver::Observe(const Packet& pkt, SimTime visible_at,
                                uint32_t src, uint32_t dst) {
@@ -25,12 +41,12 @@ void ExternalObserver::Observe(const Packet& pkt, SimTime visible_at,
   // reordered, dropped or substituted packet flips the diff.
   const double value =
       static_cast<double>(Mix64(pkt.id ^ (uint64_t{pkt.size_bytes} << 1)) >> 14);
-  trace_.Record(visible_at,
-                std::to_string(src) + ">" + std::to_string(dst), value);
+  trace_.Record(visible_at, TagId(src, dst), value);
 }
 
 void ExternalObserver::Clear() {
   trace_.Clear();
+  tag_ids_.clear();
   observed_ = 0;
 }
 

@@ -16,6 +16,7 @@
 #define TCSIM_SRC_EMULAB_EXTERNAL_OBSERVER_H_
 
 #include <cstdint>
+#include <vector>
 
 #include "src/net/packet.h"
 #include "src/sim/time.h"
@@ -35,10 +36,15 @@ class ExternalObserver {
 
   uint64_t observed() const { return observed_; }
   const TraceLog& trace() const { return trace_; }
+  // Drops the trace, its tags and the tag-id cache.
   void Clear();
 
  private:
+  // The trace's id for the tag "src>dst", interned on first use.
+  uint32_t TagId(uint32_t src, uint32_t dst);
+
   TraceLog trace_;
+  std::vector<std::vector<uint32_t>> tag_ids_;  // [src][dst]; -1 until interned
   uint64_t observed_ = 0;
 };
 

@@ -99,7 +99,7 @@ void MicroCheckpointer::OnBarrier(SimTime barrier) {
   const uint64_t k = static_cast<uint64_t>(barrier / policy_.period);
   if (buffer_ != nullptr) {
     // Epoch k's capture just happened at this barrier and nothing has run
-    // since, so the shards' sequence counters are its discard watermark.
+    // since, so the partitions' emission positions are its discard watermark.
     buffer_->MarkEpoch(k);
   }
   const uint64_t committed = k > lag() ? k - lag() : 0;

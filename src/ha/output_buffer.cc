@@ -11,17 +11,24 @@ namespace tcsim {
 namespace ha {
 
 OutputCommitBuffer::OutputCommitBuffer(GeneratedTopology* topo) : topo_(topo) {
-  held_.resize(topo->partition_count());
-  emit_pos_.assign(topo->partition_count(), 0);
-  released_floor_.assign(topo->partition_count(), 0);
-  shard_stats_.resize(topo->partition_count());
+  const size_t partitions = topo->partition_count();
+  emit_pos_.assign(partitions, 0);
+  released_floor_.assign(partitions, 0);
+  replay_logs_.resize(partitions);
+  shard_stats_.resize(partitions);
   epoch_seq_[0] = emit_pos_;  // the bootstrap capture's watermark
   for (size_t i = 0; i < topo->interior_wire_count(); ++i) {
     Wire* w = topo->interior_wire(i);
-    if (w->is_cross_partition()) {
-      w->SetEgressTap(this);
+    if (!w->is_cross_partition()) {
+      continue;
     }
+    w->SetEgressTap(this, static_cast<uint32_t>(streams_.size()));
+    Stream& st = streams_.emplace_back();
+    st.src_partition = topo->interior_wire_partition(i);
+    st.dst_partition = w->dst_partition();
+    st.sink = w->sink();
   }
+  merge_heap_.reserve(streams_.size());
   obs::MetricsRegistry& reg = obs::MetricsRegistry::Global();
   held_packets_counter_ = reg.FindCounter("ha.buffer.held_packets");
   held_bytes_counter_ = reg.FindCounter("ha.buffer.held_bytes");
@@ -41,13 +48,13 @@ OutputCommitBuffer::~OutputCommitBuffer() {
   }
 }
 
-bool OutputCommitBuffer::OnCrossEgress(Wire* wire, const Packet& pkt,
-                                       SimTime deliver_at,
-                                       uint32_t src_partition,
-                                       uint32_t dst_partition) {
-  const uint64_t pos = emit_pos_[src_partition]++;
-  ShardStats& stats = shard_stats_[src_partition];
-  if (pos < released_floor_[src_partition]) {
+bool OutputCommitBuffer::OnCrossEgress(uint32_t stream, const Packet& pkt,
+                                       SimTime deliver_at) {
+  Stream& st = streams_[stream];
+  const uint32_t src = st.src_partition;
+  const uint64_t pos = emit_pos_[src]++;
+  ShardStats& stats = shard_stats_[src];
+  if (pos < released_floor_[src]) {
     // A replaying victim re-emitting output that already escaped: the
     // original of this emission was released before the kill (it postdated
     // the restored capture — e.g. a forward of a delivery injected at the
@@ -56,15 +63,13 @@ bool OutputCommitBuffer::OnCrossEgress(Wire* wire, const Packet& pkt,
     ++stats.suppressed;
     return true;
   }
-  Held h;
-  h.send_time = topo_->partition_sim(src_partition)->Now();
-  h.deliver_at = deliver_at;
-  h.src_partition = src_partition;
-  h.dst_partition = dst_partition;
-  h.seq = pos;
-  h.pkt = pkt;
-  h.sink = wire->sink();
-  held_[src_partition].push_back(std::move(h));
+  // One wire emits in (deliver_at, position) order: its serializer clock is
+  // monotone and its delay constant. A restore trims the stream to entries
+  // emitted before the capture, so re-emissions still append in order.
+  assert(st.held.empty() || st.held.back().deliver_at < deliver_at ||
+         (st.held.back().deliver_at == deliver_at && st.held.back().seq < pos));
+  st.held.push_back(
+      Held{topo_->partition_sim(src)->Now(), deliver_at, pos, pkt});
   ++stats.held_packets;
   stats.held_bytes += pkt.size_bytes;
   return true;
@@ -80,41 +85,86 @@ void OutputCommitBuffer::FlushShardTelemetry() {
   }
 }
 
+void OutputCommitBuffer::Inject(uint32_t dst, uint64_t index, SimTime at) {
+  ReplayLog* log = &replay_logs_[dst];
+  topo_->partition_sim(dst)->ScheduleAt(at, [log, index] {
+    const Released& rec = log->at_index(index);
+    rec.sink->HandlePacket(rec.pkt);
+  });
+}
+
+bool OutputCommitBuffer::DueKey(uint32_t s, SimTime cutoff,
+                                MergeKey* key) const {
+  const Stream& st = streams_[s];
+  if (st.held.empty() || st.held.front().send_time > cutoff) {
+    return false;
+  }
+  const Held& h = st.held.front();
+  *key = MergeKey{h.deliver_at, st.src_partition, s, h.seq};
+  return true;
+}
+
+namespace {
+
+// Restores a heap ordered by `after` (a min-heap: no element is `after` its
+// parent) whose root was just replaced.
+template <typename T, typename After>
+void SiftDownRoot(std::vector<T>& heap, After after) {
+  const size_t n = heap.size();
+  const T key = heap[0];
+  size_t i = 0;
+  for (size_t child = 1; child < n; child = 2 * i + 1) {
+    if (child + 1 < n && after(heap[child], heap[child + 1])) {
+      ++child;
+    }
+    if (!after(key, heap[child])) {
+      break;
+    }
+    heap[i] = heap[child];
+    i = child;
+  }
+  heap[i] = key;
+}
+
+}  // namespace
+
 size_t OutputCommitBuffer::ReleaseUpTo(SimTime cutoff, SimTime barrier) {
   obs::EpochLedger& ledger = obs::EpochLedger::Global();
   const bool lg = ledger.enabled();
   const double l0 = lg ? ledger.NowMs() : 0.0;
   FlushShardTelemetry();
-  // Send times within one shard are monotone (a partition's clock never runs
-  // backward within a timeline, and after a restore the shard was already
-  // truncated to the restore point), so the releasable set is a prefix.
-  std::vector<Held> batch;
-  for (size_t p = 0; p < held_.size(); ++p) {
-    auto& shard = held_[p];
-    while (!shard.empty() && shard.front().send_time <= cutoff) {
-      released_floor_[p] = shard.front().seq + 1;
-      batch.push_back(std::move(shard.front()));
-      shard.pop_front();
+  // Total deterministic order, independent of which partition produced what
+  // first: arrival instant, then source partition, then source sequence.
+  // Each stream is already sorted by that key, and send times along a stream
+  // are monotone (a partition's clock never runs backward within a timeline,
+  // and after a restore the stream was already truncated to the restore
+  // point), so a k-way merge of the streams' send-time prefixes yields
+  // exactly the sorted order of the releasable set.
+  merge_heap_.clear();
+  for (uint32_t s = 0; s < streams_.size(); ++s) {
+    MergeKey key;
+    if (DueKey(s, cutoff, &key)) {
+      merge_heap_.push_back(key);
     }
   }
-  // Total deterministic order, independent of which shard produced what
-  // first: arrival instant, then source partition, then source sequence.
-  std::sort(batch.begin(), batch.end(), [](const Held& a, const Held& b) {
-    if (a.deliver_at != b.deliver_at) return a.deliver_at < b.deliver_at;
-    if (a.src_partition != b.src_partition)
-      return a.src_partition < b.src_partition;
-    return a.seq < b.seq;
-  });
+  std::make_heap(merge_heap_.begin(), merge_heap_.end(), ReleasesAfter{});
+  size_t released = 0;
   double hold_us_max = 0.0;
   double hold_us_sum = 0.0;
-  for (Held& h : batch) {
+  while (!merge_heap_.empty()) {
+    const uint32_t s = merge_heap_.front().stream;
+    Stream& st = streams_[s];
+    Held& h = st.held.front();
     const SimTime inject_at = std::max(h.deliver_at, barrier);
-    PacketHandler* sink = h.sink;
-    const Packet pkt = h.pkt;
-    topo_->partition_sim(h.dst_partition)
-        ->ScheduleAt(inject_at, [sink, pkt] { sink->HandlePacket(pkt); });
+    released_floor_[st.src_partition] =
+        std::max(released_floor_[st.src_partition], h.seq + 1);
+    ReplayLog& log = replay_logs_[st.dst_partition];
+    const uint64_t index = log.end_index();
+    log.push_back(Released{inject_at, barrier, st.sink, std::move(h.pkt)});
+    Inject(st.dst_partition, index, inject_at);
     if (observer_ != nullptr) {
-      observer_->Observe(pkt, inject_at, h.src_partition, h.dst_partition);
+      observer_->Observe(log.back().pkt, inject_at, st.src_partition,
+                         st.dst_partition);
     }
     const double hold_us = static_cast<double>(inject_at - h.send_time) /
                            static_cast<double>(kMicrosecond);
@@ -123,27 +173,31 @@ size_t OutputCommitBuffer::ReleaseUpTo(SimTime cutoff, SimTime barrier) {
       hold_us_max = hold_us;
     }
     hold_time_us_->Observe(hold_us);
-    Released rec;
-    rec.inject_at = inject_at;
-    rec.release_barrier = barrier;
-    rec.dst_partition = h.dst_partition;
-    rec.pkt = std::move(h.pkt);
-    rec.sink = sink;
-    released_.push_back(std::move(rec));
+    st.held.pop_front();
+    ++released;
+    // The stream's next due entry (if any) replaces it at the root: one
+    // sift instead of a pop and a push per released packet.
+    if (!DueKey(s, cutoff, &merge_heap_.front())) {
+      merge_heap_.front() = merge_heap_.back();
+      merge_heap_.pop_back();
+    }
+    if (!merge_heap_.empty()) {
+      SiftDownRoot(merge_heap_, ReleasesAfter{});
+    }
   }
-  released_total_ += batch.size();
-  released_counter_->Add(batch.size());
+  released_total_ += released;
+  released_counter_->Add(released);
   if (lg) {
     // Simulated hold times ride along as args: the analyzer's output-hold
     // percentiles come from these per-release samples.
     ledger.StampHere(
         -1, "output_release", l0, ledger.NowMs(), "epoch_commit",
-        {{"released", static_cast<double>(batch.size())},
+        {{"released", static_cast<double>(released)},
          {"hold_max_us", hold_us_max},
          {"hold_mean_us",
-          batch.empty() ? 0.0 : hold_us_sum / static_cast<double>(batch.size())}});
+          released == 0 ? 0.0 : hold_us_sum / static_cast<double>(released)}});
   }
-  return batch.size();
+  return released;
 }
 
 void OutputCommitBuffer::MarkEpoch(uint64_t epoch) {
@@ -161,13 +215,18 @@ size_t OutputCommitBuffer::DiscardUnreleasedFrom(uint32_t victim,
   const auto it = epoch_seq_.find(epoch);
   assert(it != epoch_seq_.end() && "restore target epoch was never marked");
   const uint64_t watermark = it->second[victim];
-  auto& shard = held_[victim];
   size_t discarded = 0;
-  // Emission positions within a shard are monotone, so the post-capture
-  // entries are a suffix.
-  while (!shard.empty() && shard.back().seq >= watermark) {
-    shard.pop_back();
-    ++discarded;
+  // Emission positions along a stream are monotone, so the post-capture
+  // entries are a suffix of each of the victim's streams.
+  for (Stream& st : streams_) {
+    if (st.src_partition != victim) {
+      continue;
+    }
+    Fifo<Held>& held = st.held;
+    while (!held.empty() && held.back().seq >= watermark) {
+      held.pop_back();
+      ++discarded;
+    }
   }
   // Replay restarts the victim's emission stream at the capture point;
   // re-emissions reclaim their original positions so the released floor can
@@ -179,23 +238,20 @@ size_t OutputCommitBuffer::DiscardUnreleasedFrom(uint32_t victim,
 }
 
 size_t OutputCommitBuffer::ReplayInbound(uint32_t victim, SimTime restored_to) {
-  Simulator* sim = topo_->partition_sim(victim);
-  assert(sim->Now() == restored_to && "reset the victim before replaying");
+  assert(topo_->partition_sim(victim)->Now() == restored_to &&
+         "reset the victim before replaying");
+  ReplayLog& log = replay_logs_[victim];
   size_t replayed = 0;
-  // Released entries are re-injected in their original release order; an
-  // entry whose delivery fired before the restore-point capture (inject_at
-  // earlier than the barrier, or at an earlier barrier's injection that the
-  // epoch's RunUntil consumed) is already part of the image and skipped.
-  for (const Released& rec : released_) {
-    if (rec.dst_partition != victim) {
-      continue;
-    }
+  // Entries are re-injected in their original release order; an entry whose
+  // delivery fired before the restore-point capture (inject_at earlier than
+  // the barrier, or at an earlier barrier's injection that the epoch's
+  // RunUntil consumed) is already part of the image and skipped.
+  for (uint64_t i = log.front_index(); i < log.end_index(); ++i) {
+    const Released& rec = log.at_index(i);
     if (rec.inject_at <= restored_to && rec.release_barrier < restored_to) {
       continue;  // consumed before the restored image was captured
     }
-    PacketHandler* sink = rec.sink;
-    const Packet pkt = rec.pkt;
-    sim->ScheduleAt(rec.inject_at, [sink, pkt] { sink->HandlePacket(pkt); });
+    Inject(victim, i, rec.inject_at);
     ++replayed;
   }
   replayed_total_ += replayed;
@@ -204,32 +260,20 @@ size_t OutputCommitBuffer::ReplayInbound(uint32_t victim, SimTime restored_to) {
 }
 
 void OutputCommitBuffer::PruneReplayLog(SimTime floor) {
-  while (!released_.empty()) {
-    const Released& rec = released_.front();
+  for (ReplayLog& log : replay_logs_) {
     // Mirror of the ReplayInbound skip rule: an entry no restore at or after
     // `floor` can need is dead.
-    if (rec.inject_at <= floor && rec.release_barrier < floor) {
-      released_.pop_front();
-    } else {
-      break;
+    while (!log.empty() && log.front().inject_at <= floor &&
+           log.front().release_barrier < floor) {
+      log.pop_front();
     }
   }
 }
 
 size_t OutputCommitBuffer::held_count() const {
   size_t n = 0;
-  for (const auto& shard : held_) {
-    n += shard.size();
-  }
-  return n;
-}
-
-uint64_t OutputCommitBuffer::held_bytes() const {
-  uint64_t n = 0;
-  for (const auto& shard : held_) {
-    for (const Held& h : shard) {
-      n += h.pkt.size_bytes;
-    }
+  for (const Stream& st : streams_) {
+    n += st.held.size();
   }
   return n;
 }

@@ -18,35 +18,49 @@
 // the property the transparency tests diff. Released deliveries are ordered
 // by (deliver_at, source partition, emission position).
 //
+// Held output is kept per tapped wire (a stream). One wire emits in
+// (deliver_at, position) order — its serializer clock is monotone and its
+// delay constant — so release merges the streams' releasable prefixes
+// instead of sorting them. A source partition's whole emission stream is
+// not in deliver_at order (its wires have different delays), which is why
+// the streams are per wire and not per partition.
+//
 // Emission positions are what make failover exactly-once. A restore rewinds
 // the victim's position counter to the target epoch's watermark, so the
 // deterministic replay re-emits the victim's post-capture output under the
-// original positions. Positions still below the shard's released floor have
-// already escaped (released before the kill — possible because deliveries
-// injected at a barrier fire after that barrier's capture, so output they
-// trigger postdates the restorable image yet is releasable one epoch later);
-// those re-emissions are suppressed at the tap. Positions at or above the
-// floor were still held at the kill, were discarded then, and are re-held
-// exactly once.
+// original positions. Positions still below the partition's released floor
+// have already escaped (released before the kill — possible because
+// deliveries injected at a barrier fire after that barrier's capture, so
+// output they trigger postdates the restorable image yet is releasable one
+// epoch later); those re-emissions are suppressed at the tap. Positions at or
+// above the floor were still held at the kill, were discarded then, and are
+// re-held exactly once.
 //
-// The released log doubles as the failover replay log: a restored partition
-// lost every released delivery still pending in its event queue (the queue
-// is wiped, and raw injected closures are not component state), so
-// ReplayInbound re-injects the released entries the restored timeline still
-// needs. DiscardUnreleasedFrom drops a victim's held output — its replay
-// regenerates exactly those sends, which is what makes duplication
-// impossible: output escapes the buffer only once, after commit.
+// Each released delivery is appended to its destination partition's replay
+// log, and its injected event names the entry by (log, absolute index)
+// instead of carrying a copy of the packet. The log doubles as the failover
+// replay log: a restored partition lost every released delivery still
+// pending in its event queue (the queue is wiped, and injected events are
+// not component state), so ReplayInbound re-injects the entries of the
+// victim's log the restored timeline still needs. DiscardUnreleasedFrom
+// drops a victim's held output — its replay regenerates exactly those sends,
+// which is what makes duplication impossible: output escapes the buffer only
+// once, after commit.
+//
+// Lifetime: injected events point into the replay logs, so the buffer must
+// outlive every run of the topology it taps (MicroCheckpointer owns both the
+// buffer and the runs).
 //
 // Threading: OnCrossEgress runs on whichever worker thread drives the source
-// partition, so held state is sharded per source partition (single-writer,
-// like the scheduler's outboxes); everything else runs on the coordinator
+// partition, so each stream and each partition's emission counters have a
+// single writer (like the scheduler's outboxes); injected events read only
+// their destination's replay log; everything else runs on the coordinator
 // thread between windows, synchronized by the scheduler's phase barriers.
 
 #ifndef TCSIM_SRC_HA_OUTPUT_BUFFER_H_
 #define TCSIM_SRC_HA_OUTPUT_BUFFER_H_
 
 #include <cstdint>
-#include <deque>
 #include <map>
 #include <vector>
 
@@ -55,6 +69,7 @@
 #include "src/net/topology.h"
 #include "src/net/wire.h"
 #include "src/obs/metrics.h"
+#include "src/sim/fifo.h"
 #include "src/sim/time.h"
 
 namespace tcsim {
@@ -63,8 +78,8 @@ namespace ha {
 class OutputCommitBuffer : public WireEgressTap {
  public:
   // Installs this buffer as the egress tap of every cross-partition interior
-  // wire of `topo`. Does not own `topo`; the buffer must outlive the taps
-  // (detached in the destructor).
+  // wire of `topo`, one stream per wire. Does not own `topo`; the buffer must
+  // outlive the taps (detached in the destructor) and every event it injects.
   explicit OutputCommitBuffer(GeneratedTopology* topo);
   ~OutputCommitBuffer() override;
 
@@ -77,26 +92,28 @@ class OutputCommitBuffer : public WireEgressTap {
 
   // WireEgressTap: holds the packet. Always returns true — while the buffer
   // is installed, no cross-partition packet escapes before commit. Each
-  // emission takes the shard's next logical stream position as its sequence;
-  // a position below the shard's released floor is a replaying victim
-  // re-emitting output that already escaped (e.g. re-forwarding a re-injected
-  // delivery whose original forward was released before the kill), and is
-  // dropped instead of held — output escapes exactly once.
-  bool OnCrossEgress(Wire* wire, const Packet& pkt, SimTime deliver_at,
-                     uint32_t src_partition, uint32_t dst_partition) override;
+  // emission takes the source partition's next logical stream position as
+  // its sequence; a position below the partition's released floor is a
+  // replaying victim re-emitting output that already escaped (e.g.
+  // re-forwarding a re-injected delivery whose original forward was released
+  // before the kill), and is dropped instead of held — output escapes exactly
+  // once.
+  bool OnCrossEgress(uint32_t stream, const Packet& pkt,
+                     SimTime deliver_at) override;
 
   // Releases every held packet with send_time <= `cutoff` (the committed
   // epoch's instant), injecting each delivery into its destination partition
   // at max(deliver_at, barrier). Deliveries are injected in (deliver_at,
-  // src partition, seq) order. Coordinator thread, between windows. Returns
-  // the number released.
+  // src partition, seq) order, merged from the streams. Coordinator thread,
+  // between windows. Returns the number released.
   size_t ReleaseUpTo(SimTime cutoff, SimTime barrier);
 
-  // Epoch bookkeeping: records every shard's emission position as the
-  // watermark of `epoch`. Called at the epoch's barrier, after the capture
-  // and before the system resumes, so the watermark splits each shard's
-  // emission stream exactly at the capture instant: emissions below it
-  // happened before the image was taken, emissions at or above it after.
+  // Epoch bookkeeping: records every source partition's emission position
+  // as the watermark of `epoch`. Called at the epoch's barrier, after the
+  // capture and before the system resumes, so the watermark splits each
+  // partition's emission stream exactly at the capture instant: emissions
+  // below it happened before the image was taken, emissions at or above it
+  // after.
   void MarkEpoch(uint64_t epoch);
 
   // Failover: drops the victim's held output emitted after `epoch`'s
@@ -113,7 +130,7 @@ class OutputCommitBuffer : public WireEgressTap {
   // Returns the number discarded.
   size_t DiscardUnreleasedFrom(uint32_t victim, uint64_t epoch);
 
-  // Failover: re-injects released deliveries destined for `victim` that the
+  // Failover: re-injects the entries of `victim`'s replay log that the
   // restore wiped from its event queue — entries with inject_at strictly
   // after `restored_to`, plus entries released at the `restored_to` barrier
   // itself (those fired after the epoch capture, so their effect is not in
@@ -121,14 +138,14 @@ class OutputCommitBuffer : public WireEgressTap {
   // `restored_to`. Returns the number re-injected.
   size_t ReplayInbound(uint32_t victim, SimTime restored_to);
 
-  // Drops released-log entries no future restore can need: any restore
+  // Drops replay-log entries no future restore can need: any restore
   // targets an epoch at or after `floor` (the newest committed epoch), so
-  // entries whose delivery effect is inside every such image are dead.
+  // entries whose delivery effect is inside every such image are dead (and
+  // their injected events have fired).
   void PruneReplayLog(SimTime floor);
 
   // Held packets not yet released.
   size_t held_count() const;
-  uint64_t held_bytes() const;
 
   uint64_t released_total() const { return released_total_; }
   uint64_t discarded_total() const { return discarded_total_; }
@@ -139,47 +156,80 @@ class OutputCommitBuffer : public WireEgressTap {
   struct Held {
     SimTime send_time = 0;   // source partition clock at Transmit
     SimTime deliver_at = 0;  // arrival instant at the sink, pre-buffering
-    uint32_t src_partition = 0;
-    uint32_t dst_partition = 0;
     uint64_t seq = 0;  // logical emission position in the source's stream
     Packet pkt;
+  };
+
+  // One tapped wire's held output, in (deliver_at, seq) order. Written only
+  // by the thread running the source partition; aligned so neighbouring
+  // streams driven by different workers do not share a cache line.
+  struct alignas(64) Stream {
+    uint32_t src_partition = 0;
+    uint32_t dst_partition = 0;
     PacketHandler* sink = nullptr;
+    Fifo<Held> held;
+  };
+
+  // A stream's front in ReleaseUpTo's merge, keyed by release order:
+  // (deliver_at, src partition, seq) — a strict order, as one partition's
+  // positions are distinct.
+  struct MergeKey {
+    SimTime deliver_at = 0;
+    uint32_t src_partition = 0;
+    uint32_t stream = 0;
+    uint64_t seq = 0;
+  };
+  // merge_heap_'s order: true if `a` releases after `b` (a min-heap).
+  struct ReleasesAfter {
+    bool operator()(const MergeKey& a, const MergeKey& b) const {
+      if (a.deliver_at != b.deliver_at) return a.deliver_at > b.deliver_at;
+      if (a.src_partition != b.src_partition)
+        return a.src_partition > b.src_partition;
+      return a.seq > b.seq;
+    }
   };
 
   struct Released {
     SimTime inject_at = 0;        // when the delivery was scheduled to fire
     SimTime release_barrier = 0;  // the barrier that released it
-    uint32_t dst_partition = 0;
-    Packet pkt;
     PacketHandler* sink = nullptr;
+    Packet pkt;
   };
+  using ReplayLog = Fifo<Released>;
+
+  // Schedules the delivery of entry `index` of partition `dst`'s replay log.
+  void Inject(uint32_t dst, uint64_t index, SimTime at);
+  // Stream `s`'s front as a merge key, or false if it is empty or was sent
+  // after `cutoff`.
+  bool DueKey(uint32_t s, SimTime cutoff, MergeKey* key) const;
 
   GeneratedTopology* topo_;
   emulab::ExternalObserver* observer_ = nullptr;
-  // Sharded per source partition: index p is written only by the thread
-  // running partition p (send times within one shard are monotone, so a
-  // release takes a prefix).
-  std::vector<std::deque<Held>> held_;
-  // Per-shard logical emission position. Rewound to the restore epoch's
-  // watermark on failover: a replaying victim re-emits its post-capture
-  // output under the original positions, making "already escaped" a simple
-  // position test against released_floor_.
+  std::vector<Stream> streams_;
+  // Per source partition logical emission position. Rewound to the restore
+  // epoch's watermark on failover: a replaying victim re-emits its
+  // post-capture output under the original positions, making "already
+  // escaped" a simple position test against released_floor_.
   std::vector<uint64_t> emit_pos_;
-  // Per-shard count of released emissions. Releases always take the
-  // position-order prefix of a shard, so positions below the floor have
-  // escaped to the outside world and must never escape again.
+  // Per source partition: one past the highest released position. Releases
+  // take each stream's send-time prefix, and send times are monotone in
+  // position across a partition's streams, so every position below the
+  // floor has escaped to the outside world and must never escape again.
   std::vector<uint64_t> released_floor_;
   // Per-epoch emission watermarks (epoch -> emit_pos_ at its capture).
   // Restores only ever target the newest committed epoch (or the epoch-0
   // bootstrap early on), so old entries are pruned aggressively.
   std::map<uint64_t, std::vector<uint64_t>> epoch_seq_;
-  std::deque<Released> released_;  // replay log, in release order
+  // Per destination partition, in release order. Never resized after
+  // construction: injected events hold pointers to its elements.
+  std::vector<ReplayLog> replay_logs_;
+  std::vector<MergeKey> merge_heap_;  // ReleaseUpTo's heap, reused
   uint64_t released_total_ = 0;
   uint64_t discarded_total_ = 0;
   uint64_t replayed_total_ = 0;
   uint64_t suppressed_total_ = 0;
 
-  // Hot-path tallies, sharded like held_: OnCrossEgress runs on worker
+  // Hot-path tallies per source partition: OnCrossEgress runs on worker
   // threads concurrently, so it must never touch the shared obs counters
   // directly. FlushShardTelemetry() folds the deltas into the registry on the
   // coordinator thread at each barrier (workers are parked, the phase barrier

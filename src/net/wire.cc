@@ -93,7 +93,6 @@ void Wire::Transmit(const Packet& pkt) {
     bytes_dropped_ += pkt.size_bytes;
     return;
   }
-  Packet copy = pkt;
   if (source_partition_ != nullptr) {
     // Cross-partition delivery: the packet leaves this wire's accounting at
     // the boundary post (in-flight bytes stay 0 so the conservation audit
@@ -101,17 +100,17 @@ void Wire::Transmit(const Packet& pkt) {
     // sink's HandlePacket runs inside the destination partition.
     bytes_delivered_ += pkt.size_bytes;
     if (tap_ != nullptr &&
-        tap_->OnCrossEgress(this, copy, tx_done + delay_,
-                            source_partition_->id(), dst_partition_)) {
+        tap_->OnCrossEgress(tap_stream_, pkt, tx_done + delay_)) {
       return;  // held by the output-commit buffer; it posts the delivery
     }
     PacketHandler* sink = sink_;
-    source_partition_->PostRemote(dst_partition_, tx_done + delay_,
-                                  [sink, copy] { sink->HandlePacket(copy); });
+    source_partition_->PostRemote(
+        dst_partition_, tx_done + delay_,
+        [sink, copy = pkt] { sink->HandlePacket(copy); });
     return;
   }
   bytes_in_flight_ += pkt.size_bytes;
-  in_flight_.push_back(InFlightPacket{tx_done + delay_, std::move(copy)});
+  in_flight_.push_back(InFlightPacket{tx_done + delay_, pkt});
   sim_->ScheduleAt(tx_done + delay_, [this] { DeliverHead(); });
 }
 

@@ -4,11 +4,11 @@
 #define TCSIM_SRC_NET_WIRE_H_
 
 #include <cstdint>
-#include <deque>
 #include <string>
 
 #include "src/net/packet.h"
 #include "src/sim/checkpointable.h"
+#include "src/sim/fifo.h"
 #include "src/sim/invariants.h"
 #include "src/sim/random.h"
 #include "src/sim/simulator.h"
@@ -17,7 +17,6 @@
 namespace tcsim {
 
 class Partition;
-class Wire;
 
 // Anything that can accept a packet: a NIC, a switch fabric, a Dummynet pipe.
 class PacketHandler {
@@ -34,13 +33,14 @@ class WireEgressTap {
  public:
   virtual ~WireEgressTap() = default;
 
-  // `deliver_at` is the instant the packet would arrive at `wire`'s sink in
-  // partition `dst_partition`. Return true to take ownership of the delivery
-  // (the wire posts nothing; the tap releases or drops the packet itself);
-  // false to let the normal boundary post proceed.
-  virtual bool OnCrossEgress(Wire* wire, const Packet& pkt, SimTime deliver_at,
-                             uint32_t src_partition,
-                             uint32_t dst_partition) = 0;
+  // `stream` is the index the tap was installed under (SetEgressTap); the
+  // wire's source and destination partitions and its sink are constants of
+  // the stream. `deliver_at` is the instant the packet would arrive at the
+  // sink. Return true to take ownership of the delivery (the wire posts
+  // nothing; the tap releases or drops the packet itself); false to let the
+  // normal boundary post proceed.
+  virtual bool OnCrossEgress(uint32_t stream, const Packet& pkt,
+                             SimTime deliver_at) = 0;
 };
 
 // A one-way wire. Models serialization (back-to-back packets queue behind one
@@ -91,10 +91,14 @@ class Wire : public Checkpointable {
   bool is_cross_partition() const { return source_partition_ != nullptr; }
   uint32_t dst_partition() const { return dst_partition_; }
 
-  // Installs (or clears, with null) the cross-partition egress tap. Only
-  // consulted on cross-partition wires; intra-partition traffic is interior
-  // to the closed system and never externally visible.
-  void SetEgressTap(WireEgressTap* tap) { tap_ = tap; }
+  // Installs (or clears, with null) the cross-partition egress tap; the wire
+  // names itself to the tap as `stream`. Only consulted on cross-partition
+  // wires; intra-partition traffic is interior to the closed system and
+  // never externally visible.
+  void SetEgressTap(WireEgressTap* tap, uint32_t stream = 0) {
+    tap_ = tap;
+    tap_stream_ = stream;
+  }
 
   // Fault injection: until simulated instant `until`, transmissions are lost
   // with probability `loss` instead of the configured loss rate. loss >= 1
@@ -151,10 +155,11 @@ class Wire : public Checkpointable {
   Partition* source_partition_ = nullptr;  // non-null: cross-partition wire
   uint32_t dst_partition_ = 0;
   WireEgressTap* tap_ = nullptr;
+  uint32_t tap_stream_ = 0;
   SimTime busy_until_ = 0;
   SimTime fault_until_ = 0;
   double fault_loss_ = 0.0;
-  std::deque<InFlightPacket> in_flight_;
+  Fifo<InFlightPacket> in_flight_;
   uint64_t packets_sent_ = 0;
   uint64_t packets_dropped_ = 0;
   uint64_t bytes_sent_ = 0;

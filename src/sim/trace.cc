@@ -20,18 +20,37 @@ std::string TraceDiff::Describe() const {
   return out.str();
 }
 
+uint32_t TraceLog::Intern(std::string_view tag) {
+  const auto it = std::find(tags_.begin(), tags_.end(), tag);
+  if (it != tags_.end()) {
+    return static_cast<uint32_t>(it - tags_.begin());
+  }
+  tags_.emplace_back(tag);
+  return static_cast<uint32_t>(tags_.size() - 1);
+}
+
 TraceDiff TraceLog::Compare(const TraceLog& other) const {
+  // Tag ids are per log: map each of ours to the id `other` gave the same
+  // name (or to none), so the record loop compares names by comparing ids.
+  constexpr uint32_t kUnknown = static_cast<uint32_t>(-1);
+  std::vector<uint32_t> to_other(tags_.size(), kUnknown);
+  for (size_t t = 0; t < tags_.size(); ++t) {
+    const auto it = std::find(other.tags_.begin(), other.tags_.end(), tags_[t]);
+    if (it != other.tags_.end()) {
+      to_other[t] = static_cast<uint32_t>(it - other.tags_.begin());
+    }
+  }
   TraceDiff diff;
   const size_t common = std::min(records_.size(), other.records_.size());
   for (size_t i = 0; i < common; ++i) {
     const TraceRecord& a = records_[i];
     const TraceRecord& b = other.records_[i];
-    if (a.tag != b.tag) {
+    if (to_other[a.tag_id] != b.tag_id) {
       // First tag divergence: pinpoint it even when the lengths also differ
       // (a shape change usually starts with one extra or missing record).
       diff.first_mismatch = i;
-      diff.mismatch_a = a.tag;
-      diff.mismatch_b = b.tag;
+      diff.mismatch_a = tag(a);
+      diff.mismatch_b = other.tag(b);
       return diff;
     }
     diff.max_time_delta =
@@ -41,9 +60,11 @@ TraceDiff TraceLog::Compare(const TraceLog& other) const {
   if (records_.size() != other.records_.size()) {
     // The common prefix agrees; one side simply has more records.
     diff.first_mismatch = common;
-    diff.mismatch_a = common < records_.size() ? records_[common].tag : kEndOfTrace;
-    diff.mismatch_b =
-        common < other.records_.size() ? other.records_[common].tag : kEndOfTrace;
+    diff.mismatch_a =
+        common < records_.size() ? tag(records_[common]) : kEndOfTrace;
+    diff.mismatch_b = common < other.records_.size()
+                          ? other.tag(other.records_[common])
+                          : kEndOfTrace;
     return diff;
   }
   diff.comparable = true;

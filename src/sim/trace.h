@@ -10,6 +10,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "src/sim/time.h"
@@ -19,9 +20,10 @@ namespace tcsim {
 // One observation made from inside the system under test.
 struct TraceRecord {
   SimTime virtual_time = 0;  // timestamp as seen by the guest
-  std::string tag;           // what was observed (e.g. "iter", "recv")
+  uint32_t tag_id = 0;       // what was observed: TraceLog::tag names it
   double value = 0.0;        // observation payload (e.g. measured latency)
 };
+static_assert(sizeof(TraceRecord) == 24, "observer traces hold millions");
 
 // Result of comparing two traces record-by-record.
 struct TraceDiff {
@@ -47,23 +49,40 @@ struct TraceDiff {
   std::string Describe() const;
 };
 
-// Append-only log of guest observations.
+// Append-only log of guest observations. Tags (e.g. "iter", "recv") are
+// interned in a per-log table, so a record is 24 bytes however long its tag;
+// tag ids mean nothing across logs. A log names only a handful of tags, so
+// the table is searched linearly.
 class TraceLog {
  public:
-  void Record(SimTime virtual_time, std::string tag, double value) {
-    records_.push_back({virtual_time, std::move(tag), value});
+  // The id of `tag` in this log's table, adding it if new.
+  uint32_t Intern(std::string_view tag);
+
+  void Record(SimTime virtual_time, uint32_t tag_id, double value) {
+    records_.push_back({virtual_time, tag_id, value});
+  }
+  void Record(SimTime virtual_time, std::string_view tag, double value) {
+    Record(virtual_time, Intern(tag), value);
   }
 
   const std::vector<TraceRecord>& records() const { return records_; }
+  const std::string& tag(const TraceRecord& rec) const {
+    return tags_[rec.tag_id];
+  }
   size_t size() const { return records_.size(); }
-  void Clear() { records_.clear(); }
+  // Drops the records and the tag table together.
+  void Clear() {
+    records_.clear();
+    tags_.clear();
+  }
 
-  // Record-by-record comparison with another trace. Traces of different
-  // lengths or differing tag sequences yield comparable == false.
+  // Record-by-record comparison with another trace, by tag name. Traces of
+  // different lengths or differing tag sequences yield comparable == false.
   TraceDiff Compare(const TraceLog& other) const;
 
  private:
   std::vector<TraceRecord> records_;
+  std::vector<std::string> tags_;
 };
 
 }  // namespace tcsim

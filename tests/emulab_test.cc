@@ -14,6 +14,7 @@
 #include "src/emulab/idle_monitor.h"
 #include "src/emulab/experiment.h"
 #include "src/emulab/experiment_spec.h"
+#include "src/emulab/external_observer.h"
 #include "src/emulab/services.h"
 #include "src/emulab/testbed.h"
 #include "src/sim/simulator.h"
@@ -375,6 +376,27 @@ TEST(ExperimentTest, StatefulSwapPersistsThroughRepository) {
   EXPECT_EQ(repo->live_image_count(), 1u);
 
   std::filesystem::remove_all(dir);
+}
+
+TEST(ExternalObserverTest, ClearDropsTraceTagsAndIdCache) {
+  emulab::ExternalObserver observer;
+  Packet pkt;
+  pkt.id = 7;
+  pkt.size_bytes = 64;
+  observer.Observe(pkt, kMillisecond, 0, 1);
+  observer.Observe(pkt, 2 * kMillisecond, 2, 3);
+  observer.Observe(pkt, 3 * kMillisecond, 0, 1);
+  const TraceLog& trace = observer.trace();
+  ASSERT_EQ(trace.size(), 3u);
+  EXPECT_EQ(trace.records()[0].tag_id, trace.records()[2].tag_id);
+  EXPECT_EQ(trace.tag(trace.records()[1]), "2>3");
+  observer.Clear();
+  EXPECT_EQ(observer.observed(), 0u);
+  EXPECT_EQ(trace.size(), 0u);
+  // The tag table is empty again, so a stale cached id would name nothing.
+  observer.Observe(pkt, 4 * kMillisecond, 2, 3);
+  ASSERT_EQ(trace.size(), 1u);
+  EXPECT_EQ(trace.tag(trace.records()[0]), "2>3");
 }
 
 }  // namespace

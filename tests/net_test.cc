@@ -5,6 +5,8 @@
 
 #include <memory>
 #include <tuple>
+#include <utility>
+#include <vector>
 
 #include "src/net/lan.h"
 #include "src/net/nic.h"
@@ -12,6 +14,7 @@
 #include "src/net/tcp.h"
 #include "src/net/timer_host.h"
 #include "src/net/wire.h"
+#include "src/sim/archive.h"
 #include "src/sim/random.h"
 #include "src/sim/simulator.h"
 
@@ -65,6 +68,61 @@ TEST(WireTest, BackToBackPacketsQueueBehindEachOther) {
   EXPECT_EQ(arrivals[0], 10 * kMicrosecond);
   EXPECT_EQ(arrivals[1], 20 * kMicrosecond);
   EXPECT_EQ(arrivals[2], 30 * kMicrosecond);
+}
+
+// Records each delivery's packet id and arrival instant.
+class DeliveryLog : public PacketHandler {
+ public:
+  explicit DeliveryLog(Simulator* sim) : sim_(sim) {}
+  void HandlePacket(const Packet& pkt) override {
+    deliveries.emplace_back(pkt.id, sim_->Now());
+  }
+  std::vector<std::pair<uint64_t, SimTime>> deliveries;
+
+ private:
+  Simulator* sim_;
+};
+
+TEST(WireTest, SaveMidDrainRestoresRemainingDeliveries) {
+  // 1 Gbps, 50 us propagation: ten back-to-back 1250-byte packets arrive
+  // 10 us apart, from 60 us to 150 us.
+  constexpr SimTime kDelay = 50 * kMicrosecond;
+  Simulator sim;
+  DeliveryLog sink(&sim);
+  Wire wire(&sim, Rng(1), 1'000'000'000, kDelay, 0.0, &sink);
+  for (uint64_t i = 0; i < 10; ++i) {
+    Packet pkt = MakePacket(1, 2, 1250);
+    pkt.id = 100 + i;
+    wire.Transmit(pkt);
+  }
+  // Six delivered: the in-flight queue's head is past its compaction point
+  // (half the entries dead), so the save sees a compacted, partly drained
+  // queue.
+  sim.RunUntil(115 * kMicrosecond);
+  ASSERT_EQ(sink.deliveries.size(), 6u);
+  ArchiveWriter saved;
+  wire.SaveState(&saved);
+
+  Simulator restored_sim;
+  restored_sim.ResetForRestore(sim.Now());
+  DeliveryLog restored_sink(&restored_sim);
+  Wire restored(&restored_sim, Rng(2), 1'000'000'000, kDelay, 0.0,
+                &restored_sink);
+  ArchiveReader reader(saved.data());
+  restored.RestoreState(reader);
+  ASSERT_TRUE(reader.ok());
+  ArchiveWriter resaved;
+  restored.SaveState(&resaved);
+  EXPECT_EQ(resaved.data(), saved.data());
+
+  sim.Run();
+  restored_sim.Run();
+  const std::vector<std::pair<uint64_t, SimTime>> remaining(
+      sink.deliveries.begin() + 6, sink.deliveries.end());
+  ASSERT_EQ(remaining.size(), 4u);
+  EXPECT_EQ(remaining.front(),
+            std::make_pair(uint64_t{106}, 120 * kMicrosecond));
+  EXPECT_EQ(restored_sink.deliveries, remaining);
 }
 
 TEST(WireTest, ZeroBandwidthMeansInfinitelyFast) {

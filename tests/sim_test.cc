@@ -413,6 +413,27 @@ TEST(TraceTest, IdenticalTracesCompareEqual) {
   EXPECT_TRUE(diff.comparable);
   EXPECT_EQ(diff.max_time_delta, 0);
   EXPECT_EQ(diff.max_value_delta, 0.0);
+
+  // Tags compare by name: two logs that interned the same tags in different
+  // orders (so their ids differ) still compare equal.
+  TraceLog c;
+  TraceLog d;
+  c.Intern("y");
+  d.Intern("x");
+  for (int i = 0; i < 4; ++i) {
+    const char* tag = i % 2 == 0 ? "x" : "y";
+    c.Record(i, tag, i);
+    d.Record(i, tag, i);
+  }
+  EXPECT_NE(c.records()[0].tag_id, d.records()[0].tag_id);
+  EXPECT_EQ(c.tag(c.records()[0]), "x");
+  EXPECT_TRUE(c.Compare(d).comparable) << c.Compare(d).Describe();
+  EXPECT_TRUE(d.Compare(c).comparable) << d.Compare(c).Describe();
+
+  // Clear drops the tags with the records.
+  c.Clear();
+  EXPECT_EQ(c.size(), 0u);
+  EXPECT_EQ(c.Intern("x"), 0u);
 }
 
 TEST(TraceTest, TimeShiftDetected) {
