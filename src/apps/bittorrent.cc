@@ -280,11 +280,10 @@ void BitTorrentSwarm::RestoreState(ArchiveReader& r) {
   rng_.Restore(r);
   const uint64_t n = r.Read<uint64_t>();
   for (uint64_t i = 0; i < n && r.ok(); ++i) {
-    const std::vector<uint8_t> blob = r.ReadVector<uint8_t>();
+    ArchiveReader sub = r.ReadNested();
     if (!r.ok() || i >= peers_.size()) {
       continue;
     }
-    ArchiveReader sub(blob);
     peers_[i]->Restore(sub);
   }
 }

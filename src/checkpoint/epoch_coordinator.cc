@@ -1,7 +1,6 @@
 #include "src/checkpoint/epoch_coordinator.h"
 
 #include <cassert>
-#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <memory>
@@ -36,20 +35,17 @@ void PartitionEpochCoordinator::EnableAsyncCapture(SnapshotFn snapshot) {
   async_ = true;
 }
 
-double PartitionEpochCoordinator::JoinBackground() {
+void PartitionEpochCoordinator::JoinBackground() {
   if (!background_.joinable()) {
-    return 0.0;
+    return;
   }
-  const auto start = std::chrono::steady_clock::now();
   background_.join();
-  const auto end = std::chrono::steady_clock::now();
   // Publish the joined commit's images on this (the coordinator) thread.
   // BackgroundCommit writes background_images_, never committed_images_, so
   // readers of last_epoch_images() between a launch and the next join edge
   // (the HA layer harvests at every barrier) never race the commit thread.
   committed_images_ = std::move(background_images_);
   background_images_.clear();
-  return std::chrono::duration<double, std::milli>(end - start).count();
 }
 
 void PartitionEpochCoordinator::RunUntil(SimTime t) {
@@ -121,16 +117,14 @@ void PartitionEpochCoordinator::CaptureEpochAsync() {
   // Only a *subsequent* epoch blocks on the previous epoch's commit: by the
   // time the system has simulated one more period, the commit has usually
   // long finished and this join is free.
-  const double j0 = lg ? ledger.NowMs() : 0.0;
-  rec.commit_wait_ms = JoinBackground();
-  if (lg) {
-    ledger.StampHere(-1, "commit_wait", j0, ledger.NowMs(),
-                     "prev_epoch_commit");
-  }
+  const double j0 = ledger.NowMs();
+  JoinBackground();
+  const double j1 = ledger.NowMs();
+  ledger.StampHere(-1, "commit_wait", j0, j1, "prev_epoch_commit");
+  rec.commit_wait_ms = j1 - j0;
 
   staged_.resize(scheduler_->partition_count());
-  const auto start = std::chrono::steady_clock::now();
-  const double f0 = lg ? ledger.NowMs() : 0.0;
+  const double f0 = ledger.NowMs();
   // Freeze phase, inside the barrier: each partition clones its component
   // state into its pinned staging buffer — no archive framing, no CRC, no
   // repo I/O. Cost scales with dirty state, not image bytes.
@@ -150,12 +144,9 @@ void PartitionEpochCoordinator::CaptureEpochAsync() {
       ledger.Stamp(p->id(), lr);
     }
   });
-  const auto end = std::chrono::steady_clock::now();
-  if (lg) {
-    ledger.StampHere(-1, "freeze", f0, ledger.NowMs(), "barrier");
-  }
-  rec.frozen_wall_ms =
-      std::chrono::duration<double, std::milli>(end - start).count();
+  const double f1 = ledger.NowMs();
+  ledger.StampHere(-1, "freeze", f0, f1, "barrier");
+  rec.frozen_wall_ms = f1 - f0;
 
   history_.push_back(rec);
   const size_t index = history_.size() - 1;
@@ -182,8 +173,7 @@ void PartitionEpochCoordinator::BackgroundCommit(size_t index) {
   // this commit belongs to — the label its overlapped work carries.
   obs::EpochLedger::BindThread(obs::EpochLedger::kCommitShard,
                                static_cast<uint64_t>(index) + 1);
-  const auto start = std::chrono::steady_clock::now();
-  const double c0 = lg ? ledger.NowMs() : 0.0;
+  const double c0 = ledger.NowMs();
   EpochRecord& rec = history_[index];
   std::unique_ptr<RepoWriteBatch> batch =
       repo_ != nullptr ? repo_->BeginBatch() : nullptr;
@@ -204,12 +194,9 @@ void PartitionEpochCoordinator::BackgroundCommit(size_t index) {
     CommitSpill(std::move(batch), &rec);
   }
   background_images_ = std::move(images);
-  rec.background_wall_ms = std::chrono::duration<double, std::milli>(
-                               std::chrono::steady_clock::now() - start)
-                               .count();
-  if (lg) {
-    ledger.StampHere(-1, "commit", c0, ledger.NowMs(), "background");
-  }
+  const double c1 = ledger.NowMs();
+  ledger.StampHere(-1, "commit", c0, c1, "background");
+  rec.background_wall_ms = c1 - c0;
   obs::EpochLedger::UnbindThread();
 }
 
@@ -225,14 +212,19 @@ void PartitionEpochCoordinator::FoldImage(
   captures_digest_.MixBytes(image->data(), image->size());
 }
 
-void PartitionEpochCoordinator::CommitSpill(
+double PartitionEpochCoordinator::CommitSpill(
     std::unique_ptr<RepoWriteBatch> batch, EpochRecord* rec) {
-  const auto start = std::chrono::steady_clock::now();
+  obs::EpochLedger& ledger = obs::EpochLedger::Global();
+  const double s0 = ledger.NowMs();
   const CheckpointRepo::BatchCommitResult result =
       repo_->CommitBatch(std::move(batch));
-  rec->spill_wall_ms = std::chrono::duration<double, std::milli>(
-                           std::chrono::steady_clock::now() - start)
-                           .count();
+  const double s1 = ledger.NowMs();
+  rec->spill_wall_ms = s1 - s0;
+  if (!rec->async) {
+    // A synchronous spill is barrier time; an async one runs inside the
+    // background commit's stamp.
+    ledger.StampHere(-1, "spill", s0, s1, "group_commit");
+  }
   rec->spill_ok = result.ok;
   rec->spill_images = result.images;
   // Images were staged in partition order, so the handles are indexed by
@@ -241,6 +233,7 @@ void PartitionEpochCoordinator::CommitSpill(
   if (result.ok) {
     spill_handles_ = result.handles;
   }
+  return s1;
 }
 
 void PartitionEpochCoordinator::CaptureEpoch() {
@@ -258,8 +251,7 @@ void PartitionEpochCoordinator::CaptureEpoch() {
   if (capture_) {
     std::vector<std::shared_ptr<const std::vector<uint8_t>>> images(
         scheduler_->partition_count());
-    const auto start = std::chrono::steady_clock::now();
-    const double c0 = lg ? ledger.NowMs() : 0.0;
+    const double c0 = ledger.NowMs();
     // Each capture runs as one pool task and writes only its own slot; the
     // phase barrier inside ForEachPartition publishes the slots back to this
     // thread, which folds them in partition order.
@@ -283,21 +275,14 @@ void PartitionEpochCoordinator::CaptureEpoch() {
     for (const auto& image : images) {
       FoldImage(image, &rec, batch.get());
     }
-    if (lg) {
-      // The capture stamp closes after the fold: the digest and the staging
-      // are serial coordinator work inside the frozen window too.
-      ledger.StampHere(-1, "capture", c0, ledger.NowMs(), "barrier");
-    }
+    // The capture stamp closes after the fold: the digest and the staging
+    // are serial coordinator work inside the frozen window too.
+    double frozen_end = ledger.NowMs();
+    ledger.StampHere(-1, "capture", c0, frozen_end, "barrier");
     if (batch != nullptr) {
-      const double s0 = lg ? ledger.NowMs() : 0.0;
-      CommitSpill(std::move(batch), &rec);
-      if (lg) {
-        ledger.StampHere(-1, "spill", s0, ledger.NowMs(), "group_commit");
-      }
+      frozen_end = CommitSpill(std::move(batch), &rec);
     }
-    rec.frozen_wall_ms = std::chrono::duration<double, std::milli>(
-                             std::chrono::steady_clock::now() - start)
-                             .count();
+    rec.frozen_wall_ms = frozen_end - c0;
     committed_images_ = std::move(images);
   }
   history_.push_back(rec);

@@ -46,18 +46,22 @@ class PartitionEpochCoordinator {
   struct EpochRecord {
     SimTime at = 0;             // simulated instant of the barrier
     uint64_t image_bytes = 0;   // total bytes across partitions
-    // Wall-clock barrier time. Synchronous epochs: capture, fold and spill;
-    // async epochs: the freeze phase only.
+    // Wall times are differences of the ledger-clock readings the epoch's
+    // stamps carry, so each equals its stamp's duration.
+    //
+    // Barrier time. Synchronous epochs: from the "capture" stamp's begin to
+    // the end of the last barrier stamp ("spill" with a repository, else
+    // "capture"); async epochs: the "freeze" stamp.
     double frozen_wall_ms = 0.0;
     // Spill-to-repository stats (zero unless a repository is attached).
     bool spill_ok = false;        // the epoch's batch committed
     size_t spill_images = 0;      // images published by the batch
-    double spill_wall_ms = 0.0;   // wall-clock cost of the group commit
+    double spill_wall_ms = 0.0;   // the group commit (sync: "spill" stamp)
     // Two-phase (async) epoch stats, zero on synchronous epochs.
     bool async = false;
-    double background_wall_ms = 0.0;  // overlapped serialize+hash+commit
-    double commit_wait_ms = 0.0;      // barrier time this epoch spent blocked
-                                      // on the previous epoch's commit
+    double background_wall_ms = 0.0;  // serialize+hash+commit ("commit")
+    double commit_wait_ms = 0.0;      // barrier time blocked on the previous
+                                      // epoch's commit ("commit_wait")
   };
 
   // Epochs fire at period, 2*period, ... `period` must be positive (the
@@ -148,11 +152,12 @@ class PartitionEpochCoordinator {
   void FoldImage(const std::shared_ptr<const std::vector<uint8_t>>& image,
                  EpochRecord* rec, RepoWriteBatch* batch);
   // Group-commits one epoch's batch: records the outcome in `rec` and
-  // publishes the handles, indexed by partition, as spill_handles().
-  void CommitSpill(std::unique_ptr<RepoWriteBatch> batch, EpochRecord* rec);
-  // Joins the in-flight background commit, returning the wall ms spent
-  // blocked (0 when none was running or it had already finished).
-  double JoinBackground();
+  // publishes the handles, indexed by partition, as spill_handles(). A
+  // synchronous epoch stamps the commit as its "spill" phase. Returns the
+  // ledger-clock reading that ends the commit.
+  double CommitSpill(std::unique_ptr<RepoWriteBatch> batch, EpochRecord* rec);
+  // Joins the in-flight background commit, if any, and publishes its images.
+  void JoinBackground();
   // Emits epoch `k`'s boundary ledger record (span: end of the previous
   // epoch's capture to now) and advances the open-edge bookkeeping.
   void CloseEpochLedger(uint64_t k, const char* mode);

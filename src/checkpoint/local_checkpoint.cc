@@ -182,11 +182,12 @@ void LocalCheckpointEngine::Capture() {
 
 bool LocalCheckpointEngine::RestoreImage(const std::vector<uint8_t>& image_bytes) {
   assert(!in_progress_);
-  CheckpointImageView view(image_bytes);
-  if (!view.ok() || !view.HasChunk("sim.time")) {
+  const CheckpointImageView view(image_bytes);
+  const CheckpointImageView::Chunk* time_chunk = view.Find("sim.time");
+  if (time_chunk == nullptr) {
     return false;
   }
-  ArchiveReader meta(view.Chunk("sim.time"));
+  ArchiveReader meta(time_chunk->payload);
   const SimTime saved_at = meta.Read<SimTime>();
   const SimTime request_time = meta.Read<SimTime>();
   const SimTime suspended_at = meta.Read<SimTime>();

@@ -51,8 +51,7 @@ void DelayNode::SaveState(ArchiveWriter* w) const {
 }
 
 void DelayNode::RestoreState(ArchiveReader& r) {
-  const std::vector<uint8_t> clock_blob = r.ReadVector<uint8_t>();
-  ArchiveReader clock_reader(clock_blob);
+  ArchiveReader clock_reader = r.ReadNested();
   clock_.RestoreState(clock_reader);
   const bool has_pipes = r.Read<uint8_t>() != 0;
   if (has_pipes && pipe_ab_ && pipe_ba_ && r.ok()) {
@@ -64,7 +63,7 @@ void DelayNode::RestoreState(ArchiveReader& r) {
 }
 
 void DelayNode::ApplyImageInPlace(ArchiveReader& r) {
-  r.ReadVector<uint8_t>();  // clock chunk: the live clock stays authoritative
+  r.ReadNested();  // clock chunk: the live clock stays authoritative
   const bool has_pipes = r.Read<uint8_t>() != 0;
   if (has_pipes && pipe_ab_ && pipe_ba_ && r.ok()) {
     pipe_ab_->ResetForRestore();

@@ -1,7 +1,6 @@
 #include "src/ha/failover.h"
 
 #include <cassert>
-#include <chrono>
 
 #include "src/obs/epoch_ledger.h"
 #include "src/sim/simulator.h"
@@ -23,9 +22,7 @@ RecoveryRecord FailoverManager::KillAndRestore(uint32_t victim, SimTime now,
   assert(victim < topo_->partition_count());
   assert(target.at <= now);
   obs::EpochLedger& ledger = obs::EpochLedger::Global();
-  const bool lg = ledger.enabled();
-  const double l0 = lg ? ledger.NowMs() : 0.0;
-  const auto start = std::chrono::steady_clock::now();
+  const double l0 = ledger.NowMs();
   RecoveryRecord rec;
   rec.partition = victim;
   rec.killed_at = now;
@@ -44,20 +41,16 @@ RecoveryRecord FailoverManager::KillAndRestore(uint32_t victim, SimTime now,
     rec.replayed = buffer_->ReplayInbound(victim, target.at);
   }
 
-  rec.wall_ms = std::chrono::duration<double, std::milli>(
-                    std::chrono::steady_clock::now() - start)
-                    .count();
+  const double l1 = ledger.NowMs();
+  rec.wall_ms = l1 - l0;
   failovers_counter_->Increment();
   recovery_ms_->Observe(rec.wall_ms);
   rollback_us_->Observe(static_cast<double>(now - target.at) /
                         static_cast<double>(kMicrosecond));
-  if (lg) {
-    ledger.StampHere(static_cast<int32_t>(victim), "failover", l0,
-                     ledger.NowMs(), "fault",
-                     {{"epoch", static_cast<double>(target.epoch)},
-                      {"replayed", static_cast<double>(rec.replayed)},
-                      {"discarded", static_cast<double>(rec.discarded)}});
-  }
+  ledger.StampHere(static_cast<int32_t>(victim), "failover", l0, l1, "fault",
+                   {{"epoch", static_cast<double>(target.epoch)},
+                    {"replayed", static_cast<double>(rec.replayed)},
+                    {"discarded", static_cast<double>(rec.discarded)}});
 
   recoveries_.push_back(rec);
   return rec;

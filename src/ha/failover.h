@@ -33,7 +33,8 @@ struct RecoveryRecord {
   SimTime restored_to = 0;
   uint64_t epoch = 0;   // restore target
   bool ok = false;      // image parsed and every component restored
-  double wall_ms = 0.0; // discard + reset + restore + replay, wall clock
+  double wall_ms = 0.0; // discard + reset + restore + replay, wall clock:
+                        // the "failover" ledger stamp's duration
   size_t discarded = 0; // victim's unreleased held output dropped
   size_t replayed = 0;  // released inbound deliveries re-injected
 };

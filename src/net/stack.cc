@@ -124,7 +124,7 @@ void NetworkStack::RestoreState(ArchiveReader& r) {
     key.peer = r.Read<NodeId>();
     key.peer_port = r.Read<uint16_t>();
     key.local_port = r.Read<uint16_t>();
-    const std::vector<uint8_t> blob = r.ReadVector<uint8_t>();
+    ArchiveReader sub = r.ReadNested();
     if (!r.ok()) {
       break;
     }
@@ -132,7 +132,6 @@ void NetworkStack::RestoreState(ArchiveReader& r) {
     if (it == connections_.end()) {
       continue;  // endpoint the fresh experiment did not re-create
     }
-    ArchiveReader sub(blob);
     it->second->Restore(sub);
   }
 }

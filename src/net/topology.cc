@@ -456,7 +456,7 @@ void GeneratedTopology::SnapshotHaPartition(uint32_t partition,
 
 bool GeneratedTopology::RestoreHaPartition(uint32_t partition,
                                            const std::vector<uint8_t>& image) {
-  CheckpointImageView view(image);
+  const CheckpointImageView view(image);
   if (!view.ok()) {
     return false;
   }

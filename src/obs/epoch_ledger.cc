@@ -43,9 +43,6 @@ void EpochLedger::Clear() {
 }
 
 double EpochLedger::NowMs() const {
-  if (!enabled()) {
-    return 0.0;
-  }
   return std::chrono::duration<double, std::milli>(
              std::chrono::steady_clock::now() - base_)
       .count();

@@ -93,7 +93,9 @@ class EpochLedger {
 
   bool enabled() const { return enabled_.load(std::memory_order_relaxed); }
 
-  // Wall milliseconds since Enable(). 0 when disabled.
+  // Wall milliseconds since the last Enable() (since an arbitrary fixed
+  // instant if never enabled). Read whether or not recording is on, so a
+  // layer derives its own wall-time figures from the readings it stamps.
   double NowMs() const;
 
   // Appends `rec` to `shard`. The caller must be the shard's single writer

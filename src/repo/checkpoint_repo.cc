@@ -172,9 +172,8 @@ std::vector<uint8_t> CheckpointRepo::EncodeImageRecord(uint64_t handle,
   return w.Take();
 }
 
-bool CheckpointRepo::DecodeImageRecord(const std::vector<uint8_t>& payload,
-                                       uint64_t* handle, ImageRecord* rec) {
-  ArchiveReader r(payload);
+bool CheckpointRepo::DecodeImageRecord(ArchiveReader r, uint64_t* handle,
+                                       ImageRecord* rec) {
   *handle = r.Read<uint64_t>();
   const uint64_t count = r.Read<uint64_t>();
   if (!r.ok()) {
@@ -196,36 +195,36 @@ bool CheckpointRepo::DecodeImageRecord(const std::vector<uint8_t>& payload,
   return r.AtEnd();
 }
 
-bool CheckpointRepo::ApplyJournalRecord(const JournalRecord& jrec) {
-  switch (jrec.type) {
-    case kJournalPutImage: {
-      uint64_t handle = 0;
-      ImageRecord rec;
-      if (!DecodeImageRecord(jrec.payload, &handle, &rec) || handle == 0) {
-        error_ = "corrupt image record in journal";
-        return false;
-      }
-      if (records_.count(handle) != 0) {
-        error_ = "duplicate handle " + std::to_string(handle) + " in journal";
-        return false;
-      }
-      // Verify every payload this record makes visible, byte for byte.
-      std::vector<uint8_t> payload;
-      for (const ChunkRef& cr : rec.chunks) {
-        if (!segment_->ReadPayload(cr.offset, cr.key, &payload)) {
-          error_ = "payload of chunk '" + cr.id +
-                   "' failed verification (handle " + std::to_string(handle) +
-                   ")";
-          return false;
-        }
-        payloads_[cr.key].offset = cr.offset;
-      }
-      records_.emplace(handle, std::move(rec));
-      next_handle_ = std::max(next_handle_, handle + 1);
-      return true;
+bool CheckpointRepo::ApplyImageRecord(ArchiveReader record) {
+  uint64_t handle = 0;
+  ImageRecord rec;
+  if (!DecodeImageRecord(record, &handle, &rec) || handle == 0) {
+    error_ = "corrupt image record in journal";
+    return false;
+  }
+  if (records_.count(handle) != 0) {
+    error_ = "duplicate handle " + std::to_string(handle) + " in journal";
+    return false;
+  }
+  // Verify every payload this record makes visible, byte for byte.
+  std::vector<uint8_t> payload;
+  for (const ChunkRef& cr : rec.chunks) {
+    if (!segment_->ReadPayload(cr.offset, cr.key, &payload)) {
+      error_ = "payload of chunk '" + cr.id +
+               "' failed verification (handle " + std::to_string(handle) + ")";
+      return false;
     }
+    payloads_[cr.key].offset = cr.offset;
+  }
+  records_.emplace(handle, std::move(rec));
+  next_handle_ = std::max(next_handle_, handle + 1);
+  return true;
+}
+
+bool CheckpointRepo::ApplyJournalRecord(const JournalRecord& jrec) {
+  ArchiveReader r(jrec.payload);
+  switch (jrec.type) {
     case kJournalRetireImage: {
-      ArchiveReader r(jrec.payload);
       const uint64_t handle = r.Read<uint64_t>();
       auto it = records_.find(handle);
       if (!r.ok() || it == records_.end() || !it->second.live) {
@@ -237,27 +236,23 @@ bool CheckpointRepo::ApplyJournalRecord(const JournalRecord& jrec) {
       return true;
     }
     case kJournalBatchPut: {
-      // A group-committed epoch: count, then length-prefixed put sub-records,
-      // applied in order. The batch shares one CRC frame, so a torn tail
-      // dropped the whole record and we never see a partial epoch here; a
-      // sub-record that fails to apply is genuine corruption and refuses the
-      // open.
-      ArchiveReader r(jrec.payload);
+      // A group-committed batch: count, then length-prefixed put sub-records,
+      // applied in order, in place. The batch shares one CRC frame, so a torn
+      // tail dropped the whole record and we never see a partial batch here;
+      // a sub-record that fails to apply is genuine corruption and refuses
+      // the open.
       const uint64_t count = r.Read<uint64_t>();
       if (!r.ok()) {
         error_ = "corrupt batch record in journal";
         return false;
       }
       for (uint64_t i = 0; i < count; ++i) {
-        const uint64_t len = r.Read<uint64_t>();
-        if (!r.ok() || len > r.remaining()) {
+        const ArchiveReader record = r.ReadNested();
+        if (!r.ok()) {
           error_ = "corrupt batch record in journal";
           return false;
         }
-        JournalRecord sub;
-        sub.type = kJournalPutImage;
-        sub.payload = r.ReadBytes(len);
-        if (!ApplyJournalRecord(sub)) {
+        if (!ApplyImageRecord(record)) {
           return false;  // error_ already set by the sub-record
         }
       }
@@ -268,7 +263,6 @@ bool CheckpointRepo::ApplyJournalRecord(const JournalRecord& jrec) {
       return true;
     }
     case kJournalNextHandle: {
-      ArchiveReader r(jrec.payload);
       const uint64_t watermark = r.Read<uint64_t>();
       if (!r.ok()) {
         error_ = "corrupt next-handle record in journal";
@@ -339,25 +333,15 @@ CheckpointRepo::BatchCommitResult CheckpointRepo::CommitBatch(
       err = e->parse_error;
       break;
     }
-    // Validate this entry's whole chunk table before touching the segment:
-    // payload CRCs were proven by the hashing pool. Earlier entries of a
-    // failing batch may already have appended — those bytes become orphans
-    // the next GC reclaims, never a visible image.
-    for (const RepoWriteBatch::StagedChunk& sc : e->chunks) {
-      if (!sc.crc_ok) {
-        err = "malformed image: CRC mismatch in chunk '" + sc.id + "'";
-        break;
-      }
-    }
-    if (!err.empty()) {
-      break;
-    }
-
+    // The hashing pool's view proved every payload CRC, so a parsed entry
+    // is valid as a whole. Earlier entries of a failing batch may already
+    // have appended — those bytes become orphans the next GC reclaims, never
+    // a visible image.
     ImageRecord rec;
     rec.chunks.reserve(e->chunks.size());
     for (const RepoWriteBatch::StagedChunk& sc : e->chunks) {
       ChunkRef cr;
-      cr.id = sc.id;
+      cr.id = std::string(sc.id);
       cr.key = sc.key;
       result.logical_payload_bytes += sc.key.size;
       auto known = payloads_.find(sc.key);
@@ -406,10 +390,7 @@ CheckpointRepo::BatchCommitResult CheckpointRepo::CommitBatch(
     ArchiveWriter w;
     w.Write<uint64_t>(staged.size());
     for (size_t i = 0; i < staged.size(); ++i) {
-      const std::vector<uint8_t> sub =
-          EncodeImageRecord(next_handle_ + i, staged[i]);
-      w.Write<uint64_t>(sub.size());
-      w.WriteBytes(sub.data(), sub.size());
+      w.WriteVector(EncodeImageRecord(next_handle_ + i, staged[i]));
     }
     const std::vector<uint8_t> payload = w.Take();
     if (!journal_->Append(kJournalBatchPut, payload) ||
@@ -547,7 +528,7 @@ CheckpointRepo::GcResult CheckpointRepo::CollectGarbage() {
   }
 
   // Copy live records in handle order, with payloads deduped into the new
-  // segment.
+  // segment, then publish them as one batch record.
   std::map<ContentKey, uint64_t> new_offsets;
   std::map<uint64_t, ImageRecord> new_records;
   std::vector<uint8_t> payload;
@@ -563,7 +544,8 @@ CheckpointRepo::GcResult CheckpointRepo::CollectGarbage() {
           error_ = "GC read of chunk '" + cr.id + "' failed verification";
           return result;
         }
-        const uint64_t offset = new_segment->Append(payload);
+        const uint64_t offset =
+            new_segment->AppendSpan(payload.data(), payload.size(), cr.key.crc);
         if (offset == 0) {
           error_ = "GC segment write failed";
           return result;
@@ -572,12 +554,16 @@ CheckpointRepo::GcResult CheckpointRepo::CollectGarbage() {
       }
       cr.offset = it->second;
     }
-    if (!new_journal->Append(kJournalPutImage,
-                             EncodeImageRecord(handle, copy))) {
-      error_ = "GC journal write failed";
-      return result;
-    }
     new_records.emplace(handle, std::move(copy));
+  }
+  ArchiveWriter batch;
+  batch.Write<uint64_t>(new_records.size());
+  for (const auto& [handle, rec] : new_records) {
+    batch.WriteVector(EncodeImageRecord(handle, rec));
+  }
+  if (!new_journal->Append(kJournalBatchPut, batch.Take())) {
+    error_ = "GC journal write failed";
+    return result;
   }
   if (!new_segment->Flush(options_.fsync) || !new_journal->Flush(options_.fsync)) {
     error_ = "GC flush failed";

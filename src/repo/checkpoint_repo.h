@@ -45,6 +45,7 @@
 #include "src/repo/repo_format.h"
 #include "src/repo/segment_file.h"
 #include "src/repo/write_batch.h"
+#include "src/sim/archive.h"
 
 namespace tcsim {
 
@@ -178,19 +179,22 @@ class CheckpointRepo {
 
   CheckpointRepo(std::string dir, RepoOptions options);
 
-  // Serializes / parses the journal payload of a put record:
+  // Serializes / parses one put record, a sub-record of a kJournalBatchPut
+  // record:
   //   handle u64 | chunk count u64
   //   chunk : id (length-prefixed string) | content hash u64 | CRC32 u32
   //         | size u64 | segment offset u64
   static std::vector<uint8_t> EncodeImageRecord(uint64_t handle,
                                                 const ImageRecord& rec);
-  static bool DecodeImageRecord(const std::vector<uint8_t>& payload,
-                                uint64_t* handle, ImageRecord* rec);
+  static bool DecodeImageRecord(ArchiveReader r, uint64_t* handle,
+                                ImageRecord* rec);
 
   // Applies one parsed journal record to in-memory state, verifying every
   // payload reference against the segment. False (with error_) on anything
   // a crash cannot explain: bad refs, unknown handles, CRC mismatches.
   bool ApplyJournalRecord(const JournalRecord& rec);
+  // Applies one put sub-record of a batch record, read in place.
+  bool ApplyImageRecord(ArchiveReader record);
 
   // Raises the payload refcounts and live byte count for the live record
   // `handle`, so a commit retains its images in O(new images), not

@@ -37,15 +37,17 @@ inline constexpr uint32_t kJournalMagic = 0x4E524A54;        // "TJRN"
 inline constexpr uint32_t kJournalRecordMagic = 0x43524A54;  // "TJRC"
 inline constexpr uint32_t kRepoFormatVersion = 1;
 
-// Journal record types. Type 3 (the compaction of a parent-linked record)
-// is retired: Open refuses it like any unknown type.
-inline constexpr uint8_t kJournalPutImage = 1;
+// Journal record types. Types 1 (a single put, now a batch of one) and 3
+// (the compaction of a parent-linked record) are retired: Open refuses them
+// like any unknown type.
 inline constexpr uint8_t kJournalRetireImage = 2;
 inline constexpr uint8_t kJournalNextHandle = 4;
-// A group-committed epoch of puts: the payload is a count followed by
-// length-prefixed put-image sub-records. The whole batch shares one CRC
-// frame, so recovery sees the epoch all-or-nothing — a tear anywhere inside
-// the record makes every image of the batch invisible, never a prefix.
+// A group-committed batch of puts: the payload is a count followed by
+// length-prefixed put-image sub-records. Every put is one (a single put is a
+// batch of one, and GC rewrites the live records as one). The whole batch
+// shares one CRC frame, so recovery sees it all-or-nothing — a tear anywhere
+// inside the record makes every image of the batch invisible, never a
+// prefix.
 inline constexpr uint8_t kJournalBatchPut = 5;
 
 // Fixed framing sizes (used by recovery bounds checks and space accounting).
@@ -68,7 +70,6 @@ struct ContentKey {
 };
 
 // Computes the content key of a payload (FNV-1a 64 + CRC32 + length).
-ContentKey ContentKeyOf(const uint8_t* data, uint64_t size);
 ContentKey ContentKeyOf(const std::vector<uint8_t>& payload);
 
 }  // namespace tcsim

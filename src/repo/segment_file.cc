@@ -15,18 +15,10 @@
 
 namespace tcsim {
 
-ContentKey ContentKeyOf(const uint8_t* data, uint64_t size) {
-  Fnv1aDigest digest;
-  digest.MixBytes(data, size);
-  ContentKey key;
-  key.hash = digest.value();
-  key.crc = Crc32(data, size);
-  key.size = size;
-  return key;
-}
-
 ContentKey ContentKeyOf(const std::vector<uint8_t>& payload) {
-  return ContentKeyOf(payload.data(), payload.size());
+  Fnv1aDigest digest;
+  digest.MixBytes(payload.data(), payload.size());
+  return ContentKey{digest.value(), Crc32(payload), payload.size()};
 }
 
 namespace {
@@ -128,10 +120,6 @@ std::unique_ptr<SegmentFile> SegmentFile::OpenExisting(const std::string& path,
   const long end = std::ftell(f);
   return std::unique_ptr<SegmentFile>(
       new SegmentFile(f, path, static_cast<uint64_t>(end)));
-}
-
-uint64_t SegmentFile::Append(const std::vector<uint8_t>& payload) {
-  return AppendSpan(payload.data(), payload.size(), Crc32(payload));
 }
 
 uint64_t SegmentFile::AppendSpan(const uint8_t* payload, uint64_t size,

@@ -48,16 +48,14 @@ class SegmentFile {
   SegmentFile(const SegmentFile&) = delete;
   SegmentFile& operator=(const SegmentFile&) = delete;
 
-  // Appends one payload record; returns the record's byte offset, or 0 on
-  // I/O failure (0 is never a valid record offset — the header precedes all
-  // records). Not flushed until Flush(). A failed append is sticky (see
-  // ok()): the file position is no longer trustworthy, so every later append
-  // and flush fails too until the segment is reopened.
-  uint64_t Append(const std::vector<uint8_t>& payload);
-
-  // Same, but writes the record framing and payload straight from the
-  // caller's buffer with a CRC the caller already computed (the batch path's
-  // hashing pool) — no intermediate copy and no second CRC pass.
+  // Appends one payload record straight from the caller's buffer, framed
+  // with a CRC the caller has already verified (the image view's, or
+  // ReadPayload's) — no intermediate copy and no second CRC pass. Returns
+  // the record's byte offset, or 0 on I/O failure (0 is never a valid record
+  // offset — the header precedes all records). Not flushed until Flush(). A
+  // failed append is sticky (see ok()): the file position is no longer
+  // trustworthy, so every later append and flush fails too until the
+  // segment is reopened.
   uint64_t AppendSpan(const uint8_t* payload, uint64_t size, uint32_t crc);
 
   // Reads the payload at `offset`, verifying the record magic, the length

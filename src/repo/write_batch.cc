@@ -4,6 +4,7 @@
 
 #include "src/repo/checkpoint_repo.h"
 #include "src/repo/hash_pool.h"
+#include "src/sim/digest.h"
 
 namespace tcsim {
 
@@ -28,22 +29,19 @@ void RepoWriteBatch::Stage(std::vector<uint8_t>&& image) {
 }
 
 void RepoWriteBatch::PrepareEntry(Entry* entry) {
-  // Structural parse: O(chunk count), no payload copy. A malformed image is
+  // The view CRC-checks every payload in place; a malformed image is
   // remembered and rejected at commit with the same error PutImage would
-  // have produced.
-  CheckpointImageLiteView view(*entry->bytes);
+  // have produced. Each key takes the view's verified CRC, so only the
+  // content hash is computed here.
+  const CheckpointImageView view(*entry->bytes);
   if (view.ok()) {
     entry->parsed_ok = true;
     entry->chunks.reserve(view.chunks().size());
-    for (const CheckpointImageLiteView::Chunk& c : view.chunks()) {
-      StagedChunk sc;
-      sc.id = c.id;
-      sc.span = c.payload;
-      sc.key = ContentKeyOf(c.payload.data, c.payload.size);
-      // The envelope's declared CRC is re-proven against the actual bytes
-      // — the same integrity gate CheckpointImageView applies eagerly.
-      sc.crc_ok = sc.key.crc == c.crc;
-      entry->chunks.push_back(std::move(sc));
+    for (const CheckpointImageView::Chunk& c : view.chunks()) {
+      Fnv1aDigest hash;
+      hash.MixBytes(c.payload.data, c.payload.size);
+      entry->chunks.push_back(StagedChunk{
+          c.id, c.payload, ContentKey{hash.value(), c.crc, c.payload.size}});
     }
   } else {
     entry->parse_error = "malformed image: " + view.error();

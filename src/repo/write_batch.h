@@ -3,11 +3,11 @@
 // Every put goes through a batch; CheckpointRepo::PutImage is a batch of
 // one. A batch of many amortizes the commit across an epoch: the caller
 // *stages* serialized images — zero-copy, by sharing the buffer — and each
-// image's lite structural parse, content hashing and CRC verification run as
-// one task on the repository's background hashing pool, overlapped with
-// further staging. CommitBatch then validates, appends every new payload to
-// the segment (one flush), and publishes the whole epoch with a single
-// journal record (one flush) — recovery sees it all-or-nothing.
+// image's parse (CheckpointImageView, which CRC-checks every payload) and
+// content hashing run as one task on the repository's background hashing
+// pool, overlapped with further staging. CommitBatch then validates, appends
+// every new payload to the segment (one flush), and publishes the whole epoch
+// with a single journal record (one flush) — recovery sees it all-or-nothing.
 //
 // Determinism: handles, segment offsets, and the journal record are assigned
 // at commit in stage order, so the repository's bytes depend only on the
@@ -28,6 +28,7 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "src/repo/repo_format.h"
@@ -58,10 +59,9 @@ class RepoWriteBatch {
   friend class CheckpointRepo;
 
   struct StagedChunk {
-    std::string id;
+    std::string_view id;  // id bytes inside `Entry::bytes`
     ByteSpan span;        // payload bytes inside `Entry::bytes`
-    ContentKey key;       // the content key
-    bool crc_ok = false;  // computed CRC == the envelope's declared CRC
+    ContentKey key;       // the content key, with the view's verified CRC
   };
 
   // Heap-stable (vector of unique_ptr): an entry's task fills in everything
@@ -75,10 +75,10 @@ class RepoWriteBatch {
 
   explicit RepoWriteBatch(CheckpointRepo* repo);
 
-  // Hashing-pool task: the structural parse, then content keys + CRC
-  // verdicts for the entry's payload chunks. The entry is exclusively the
-  // task's until it counts itself done under mu_ — the commit thread only
-  // reads entries after WaitPrepared().
+  // Hashing-pool task: the verified parse, then the content keys of the
+  // entry's payload chunks. The entry is exclusively the task's until it
+  // counts itself done under mu_ — the commit thread only reads entries
+  // after WaitPrepared().
   void PrepareEntry(Entry* entry);
   // Waits until every staged entry's task is done.
   void WaitPrepared();

@@ -80,11 +80,23 @@ class ArchiveWriter {
   std::vector<uint8_t> data_;
 };
 
-// Sequential binary reader over an archive image. Does not own the bytes; the
-// backing vector must outlive the reader.
+// A non-owning view of contiguous bytes (a payload or sub-archive read in
+// place; the buffer it points into must outlive the span).
+struct ByteSpan {
+  const uint8_t* data = nullptr;
+  uint64_t size = 0;
+};
+
+// Sequential binary reader over an archive image: the one bounds-checked
+// decoder of checkpoint bytes. Reads in place; the bytes must outlive the
+// reader and every span or nested reader it hands out.
 class ArchiveReader {
  public:
-  explicit ArchiveReader(const std::vector<uint8_t>& data) : data_(data) {}
+  explicit ArchiveReader(ByteSpan span) : data_(span.data), size_(span.size) {}
+  explicit ArchiveReader(const std::vector<uint8_t>& data)
+      : ArchiveReader(ByteSpan{data.data(), data.size()}) {}
+  // A reader of a temporary would dangle.
+  explicit ArchiveReader(std::vector<uint8_t>&&) = delete;
 
   // Reads a trivially-copyable value written by ArchiveWriter::Write. Returns
   // a value-initialized T and sets the error flag if the image is truncated.
@@ -95,20 +107,15 @@ class ArchiveReader {
     if (!CheckAvailable(sizeof(T))) {
       return value;
     }
-    std::memcpy(&value, data_.data() + pos_, sizeof(T));
+    std::memcpy(&value, data_ + pos_, sizeof(T));
     pos_ += sizeof(T);
     return value;
   }
 
   // Reads a string written by WriteString.
   std::string ReadString() {
-    const uint64_t n = Read<uint64_t>();
-    if (!CheckAvailable(n)) {
-      return std::string();
-    }
-    std::string s(reinterpret_cast<const char*>(data_.data() + pos_), n);
-    pos_ += n;
-    return s;
+    const ByteSpan s = ReadSpan(Read<uint64_t>());
+    return std::string(reinterpret_cast<const char*>(s.data), s.size);
   }
 
   // Reads a vector written by WriteVector.
@@ -118,33 +125,35 @@ class ArchiveReader {
     const uint64_t n = Read<uint64_t>();
     // Guard the multiply: a corrupt count must not overflow to a small byte
     // total and pass the bounds check below.
-    if (!ok_ || n > (data_.size() - pos_) / sizeof(T)) {
+    if (!ok_ || n > (size_ - pos_) / sizeof(T)) {
       Fail();
       return {};
     }
     std::vector<T> v(n);
     if (n != 0) {  // an empty vector's data() may be null, invalid for memcpy
-      std::memcpy(v.data(), data_.data() + pos_, n * sizeof(T));
+      std::memcpy(v.data(), data_ + pos_, n * sizeof(T));
     }
     pos_ += n * sizeof(T);
     return v;
   }
 
-  // Reads exactly `n` raw bytes (framed by the caller).
-  std::vector<uint8_t> ReadBytes(size_t n) {
+  // The next `n` bytes, in place (framed by the caller). Empty on failure.
+  ByteSpan ReadSpan(uint64_t n) {
     if (!CheckAvailable(n)) {
       return {};
     }
-    std::vector<uint8_t> v(data_.begin() + pos_, data_.begin() + pos_ + n);
+    const ByteSpan span{data_ + pos_, n};
     pos_ += n;
-    return v;
+    return span;
   }
 
-  // Skips `n` bytes (e.g. an unknown chunk's payload).
-  void Skip(size_t n) {
-    if (CheckAvailable(n)) {
-      pos_ += n;
-    }
+  // A sub-archive framed by WriteVector<uint8_t>, read in place. If its
+  // length runs past this archive, both this reader and the returned one
+  // have failed.
+  ArchiveReader ReadNested() {
+    ArchiveReader sub(ReadSpan(Read<uint64_t>()));
+    sub.ok_ = ok_;
+    return sub;
   }
 
   // True while every read so far stayed inside the image. Sticky: once a read
@@ -152,14 +161,14 @@ class ArchiveReader {
   bool ok() const { return ok_; }
 
   // Bytes not yet consumed.
-  size_t remaining() const { return data_.size() - pos_; }
+  size_t remaining() const { return size_ - pos_; }
 
   // True once every byte has been consumed (and no read has failed).
-  bool AtEnd() const { return ok_ && pos_ == data_.size(); }
+  bool AtEnd() const { return ok_ && pos_ == size_; }
 
  private:
   bool CheckAvailable(uint64_t n) {
-    if (!ok_ || n > data_.size() - pos_) {
+    if (!ok_ || n > size_ - pos_) {
       Fail();
       return false;
     }
@@ -168,7 +177,8 @@ class ArchiveReader {
 
   void Fail() { ok_ = false; }
 
-  const std::vector<uint8_t>& data_;
+  const uint8_t* data_;
+  size_t size_;
   size_t pos_ = 0;
   bool ok_ = true;
 };

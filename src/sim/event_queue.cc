@@ -35,7 +35,7 @@ bool EventHandle::pending() const {
   return queue_ != nullptr && queue_->SlotPending(slot_, generation_);
 }
 
-EventHandle EventQueue::Push(SimTime t, EventFn fn) {
+EventHandle EventQueue::Push(SimTime t, EventFn&& fn) {
   CheckGuard();
   uint32_t index;
   if (free_head_ != kNoSlot) {

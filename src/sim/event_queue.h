@@ -90,7 +90,7 @@ class EventHandle {
 class EventQueue {
  public:
   // Enqueues `fn` to fire at absolute time `t`.
-  EventHandle Push(SimTime t, EventFn fn);
+  EventHandle Push(SimTime t, EventFn&& fn);
 
   // True if no live (non-cancelled) events remain.
   bool Empty() const { return live_ == 0; }

@@ -1,10 +1,7 @@
 #include "src/sim/image.h"
 
-#include <cstring>
-#include <set>
+#include <algorithm>
 #include <utility>
-
-#include "src/sim/archive.h"
 
 namespace tcsim {
 namespace {
@@ -68,140 +65,82 @@ std::vector<uint8_t> CheckpointImageBuilder::Serialize() const {
 }
 
 CheckpointImageView::CheckpointImageView(const std::vector<uint8_t>& image) {
-  const CheckpointImageLiteView lite(image);
-  version_ = lite.format_version();
-  if (!lite.ok()) {
-    error_ = lite.error();
-    return;
-  }
-  for (const CheckpointImageLiteView::Chunk& c : lite.chunks()) {
-    if (Crc32(c.payload.data, c.payload.size) != c.crc) {
-      error_ = "CRC mismatch in chunk '" + c.id + "'";
-      return;
-    }
-  }
-  for (const CheckpointImageLiteView::Chunk& c : lite.chunks()) {
-    chunks_.emplace(c.id, std::vector<uint8_t>(c.payload.data,
-                                               c.payload.data + c.payload.size));
-    order_.push_back(c.id);
-  }
-  ok_ = true;
-}
-
-bool CheckpointImageView::HasChunk(const std::string& id) const {
-  return ok_ && chunks_.count(id) != 0;
-}
-
-const std::vector<uint8_t>& CheckpointImageView::Chunk(
-    const std::string& id) const {
-  return chunks_.at(id);
-}
-
-namespace {
-
-// Bounds-checked forward cursor over the raw image bytes; every read either
-// advances or trips the sticky fail flag (mirrors ArchiveReader, but hands
-// out spans instead of copies).
-struct SpanCursor {
-  const uint8_t* base;
-  uint64_t size;
-  uint64_t pos = 0;
-  bool ok = true;
-
-  template <typename T>
-  T Read() {
-    T v{};
-    if (!ok || size - pos < sizeof(T)) {
-      ok = false;
-      return v;
-    }
-    std::memcpy(&v, base + pos, sizeof(T));
-    pos += sizeof(T);
-    return v;
-  }
-
-  std::string ReadString() {
-    const uint64_t n = Read<uint64_t>();
-    if (!ok || n > size - pos) {
-      ok = false;
-      return {};
-    }
-    std::string s(reinterpret_cast<const char*>(base + pos), n);
-    pos += n;
-    return s;
-  }
-
-  ByteSpan ReadSpan(uint64_t n) {
-    if (!ok || n > size - pos) {
-      ok = false;
-      return {};
-    }
-    ByteSpan span{base + pos, n};
-    pos += n;
-    return span;
-  }
-};
-
-}  // namespace
-
-CheckpointImageLiteView::CheckpointImageLiteView(
-    const std::vector<uint8_t>& image) {
-  SpanCursor c{image.data(), image.size()};
-  const uint32_t magic = c.Read<uint32_t>();
-  if (!c.ok || magic != kImageMagic) {
+  ArchiveReader r(image);
+  const uint32_t magic = r.Read<uint32_t>();
+  if (!r.ok() || magic != kImageMagic) {
     Fail("bad magic");
     return;
   }
-  version_ = c.Read<uint32_t>();
-  if (!c.ok || version_ != kImageFormatVersion) {
+  version_ = r.Read<uint32_t>();
+  if (!r.ok() || version_ != kImageFormatVersion) {
     Fail("unsupported format version " + std::to_string(version_));
     return;
   }
-  const uint64_t count = c.Read<uint64_t>();
-  if (!c.ok) {
+  const uint64_t count = r.Read<uint64_t>();
+  if (!r.ok()) {
     Fail("truncated header");
     return;
   }
-  std::set<std::string> seen;
+  // Every chunk frames at least its two lengths and its CRC, so a corrupt
+  // count cannot over-reserve.
+  constexpr uint64_t kMinChunkBytes = 2 * sizeof(uint64_t) + sizeof(uint32_t);
+  const uint64_t capacity = std::min(count, r.remaining() / kMinChunkBytes);
+  chunks_.reserve(capacity);
+  index_.reserve(capacity);
   for (uint64_t i = 0; i < count; ++i) {
-    std::string id = c.ReadString();
-    const uint64_t len = c.Read<uint64_t>();
-    const uint32_t crc = c.Read<uint32_t>();
-    if (!c.ok) {
+    const ByteSpan id_bytes = r.ReadSpan(r.Read<uint64_t>());
+    const uint64_t len = r.Read<uint64_t>();
+    const uint32_t crc = r.Read<uint32_t>();
+    if (!r.ok()) {
       Fail("truncated chunk table");
       return;
     }
-    ByteSpan payload = c.ReadSpan(len);
-    if (!c.ok) {
+    const ByteSpan payload = r.ReadSpan(len);
+    if (!r.ok()) {
       Fail("truncated chunk payload");
       return;
     }
-    if (!seen.insert(id).second) {
+    const std::string_view id(reinterpret_cast<const char*>(id_bytes.data),
+                              id_bytes.size);
+    if (!index_.emplace(id, chunks_.size()).second) {
       // No reader uses a dropped duplicate's bytes, but a flipped bit
       // anywhere in an image is still an error.
       if (Crc32(payload.data, payload.size) != crc) {
-        Fail("CRC mismatch in chunk '" + id + "'");
+        Fail("CRC mismatch in chunk '" + std::string(id) + "'");
         return;
       }
       continue;
     }
-    chunks_.push_back(Chunk{std::move(id), payload, crc});
+    chunks_.push_back(Chunk{id, payload, crc});
+  }
+  for (const Chunk& c : chunks_) {
+    if (Crc32(c.payload.data, c.payload.size) != c.crc) {
+      Fail("CRC mismatch in chunk '" + std::string(c.id) + "'");
+      return;
+    }
   }
   ok_ = true;
 }
 
-void CheckpointImageLiteView::Fail(const std::string& why) {
+void CheckpointImageView::Fail(const std::string& why) {
   ok_ = false;
   error_ = why;
   chunks_.clear();
+  index_.clear();
+}
+
+const CheckpointImageView::Chunk* CheckpointImageView::Find(
+    std::string_view id) const {
+  const auto it = index_.find(id);
+  return it == index_.end() ? nullptr : &chunks_[it->second];
 }
 
 bool CheckpointImageView::RestoreInto(Checkpointable& c) const {
-  const std::string id = c.checkpoint_id();
-  if (!HasChunk(id)) {
+  const Chunk* chunk = Find(c.checkpoint_id());
+  if (chunk == nullptr) {
     return false;
   }
-  ArchiveReader r(Chunk(id));
+  ArchiveReader r(chunk->payload);
   c.RestoreState(r);
   return r.ok();
 }

@@ -10,7 +10,7 @@ Partition::Partition(uint32_t id, Simulator* sim) : id_(id), sim_(sim) {
 
 Partition::~Partition() { sim_->InstallQueueGuard(nullptr); }
 
-void Partition::PostRemote(uint32_t dst, SimTime deliver_at, EventFn fn) {
+void Partition::PostRemote(uint32_t dst, SimTime deliver_at, EventFn&& fn) {
   outbox_.push_back(RemoteEvent{deliver_at, dst, std::move(fn)});
   ++remote_posted_;
 }

@@ -43,7 +43,7 @@ class Partition {
   // time plus the scheduler lookahead — which holds by construction when the
   // caller is a cross-partition wire whose latency was registered via
   // PartitionScheduler::RegisterCrossLatency.
-  void PostRemote(uint32_t dst, SimTime deliver_at, EventFn fn);
+  void PostRemote(uint32_t dst, SimTime deliver_at, EventFn&& fn);
 
   // Cross-partition events this partition has originated (diagnostics).
   uint64_t remote_posted() const { return remote_posted_; }

@@ -4,14 +4,14 @@
 
 namespace tcsim {
 
-EventHandle Simulator::Schedule(SimTime delay, EventFn fn) {
+EventHandle Simulator::Schedule(SimTime delay, EventFn&& fn) {
   if (delay < 0) {
     delay = 0;
   }
   return queue_.Push(now_ + delay, std::move(fn));
 }
 
-EventHandle Simulator::ScheduleAt(SimTime t, EventFn fn) {
+EventHandle Simulator::ScheduleAt(SimTime t, EventFn&& fn) {
   if (t < now_) {
     t = now_;
   }

@@ -37,11 +37,12 @@ class Simulator {
   // Schedules `fn` to run `delay` from now. Negative delays are clamped to 0
   // (fires "immediately", after already-queued events at the current time).
   // EventFn converts implicitly from any void() callable; small captures stay
-  // in the event slot's inline buffer (no allocation).
-  EventHandle Schedule(SimTime delay, EventFn fn);
+  // in the event slot's inline buffer (no allocation). The callable is built
+  // once, at the call site, and moved once, into its slot.
+  EventHandle Schedule(SimTime delay, EventFn&& fn);
 
   // Schedules `fn` at absolute time `t`; `t` in the past is clamped to now.
-  EventHandle ScheduleAt(SimTime t, EventFn fn);
+  EventHandle ScheduleAt(SimTime t, EventFn&& fn);
 
   // Runs events until the queue is exhausted.
   void Run();

@@ -185,13 +185,14 @@ bool TimeTravelTree::ReopenFrom(CheckpointRepo* repo, uint64_t manifest_handle) 
   if (manifest_image.empty()) {
     return false;
   }
-  CheckpointImageView view(manifest_image);
-  if (!view.ok() || !view.HasChunk(kManifestChunk)) {
+  const CheckpointImageView view(manifest_image);
+  const CheckpointImageView::Chunk* manifest = view.Find(kManifestChunk);
+  if (manifest == nullptr) {
     return false;
   }
   // The manifest is outside input: its count is bounded by the bytes that
   // follow it, and the tree it describes is checked before any image is read.
-  ArchiveReader r(view.Chunk(kManifestChunk));
+  ArchiveReader r(manifest->payload);
   const uint64_t count = r.Read<uint64_t>();
   constexpr uint64_t kNodeWireSize = 3 * sizeof(int32_t) + sizeof(SimTime) +
                                      3 * sizeof(uint64_t);

@@ -9,6 +9,7 @@
 // deliberately NOT compared across faulty/fault-free pairs (a restore
 // re-dispatches the replayed window's events), only across same-seed reruns.
 
+#include <algorithm>
 #include <bit>
 #include <cstdint>
 #include <filesystem>
@@ -167,8 +168,10 @@ std::vector<uint8_t> ReframeThroughBuilder(const std::vector<uint8_t>& image) {
   const CheckpointImageView view(image);
   EXPECT_TRUE(view.ok()) << view.error();
   CheckpointImageBuilder builder;
-  for (const std::string& id : view.ChunkIds()) {
-    builder.AddChunk(id, view.Chunk(id));
+  for (const CheckpointImageView::Chunk& c : view.chunks()) {
+    builder.AddChunk(std::string(c.id), std::vector<uint8_t>(
+                                            c.payload.data,
+                                            c.payload.data + c.payload.size));
   }
   return builder.Serialize();
 }
@@ -216,12 +219,17 @@ TEST(HaMicroCheckpointTest, SyncBypassMatchesPlainCoordinatorDigests) {
     const CheckpointImageView ha(ha_image);
     ASSERT_TRUE(host.ok()) << host.error();
     ASSERT_TRUE(ha.ok()) << ha.error();
-    EXPECT_EQ(host.ChunkIds(), host_ids);
-    ASSERT_GT(ha.chunk_count(), host.chunk_count());
-    for (size_t c = 0; c < host.chunk_count(); ++c) {
-      const std::string& id = host.ChunkIds()[c];
-      EXPECT_EQ(ha.ChunkIds()[c], id);
-      EXPECT_EQ(ha.Chunk(id), host.Chunk(id)) << id;
+    ASSERT_EQ(host.chunks().size(), host_ids.size());
+    ASSERT_GT(ha.chunks().size(), host.chunks().size());
+    for (size_t c = 0; c < host.chunks().size(); ++c) {
+      const CheckpointImageView::Chunk& h = host.chunks()[c];
+      const CheckpointImageView::Chunk& a = ha.chunks()[c];
+      EXPECT_EQ(h.id, host_ids[c]);
+      EXPECT_EQ(a.id, h.id);
+      EXPECT_TRUE(a.payload.size == h.payload.size &&
+                  std::equal(a.payload.data, a.payload.data + a.payload.size,
+                             h.payload.data))
+          << h.id;
     }
   }
 }
@@ -570,6 +578,7 @@ TEST(HaObservabilityTest, FailoverEmitsLedgerStampsAndMetrics) {
       EXPECT_EQ(arg(lr, "epoch"), static_cast<double>(rec.epoch));
       EXPECT_EQ(arg(lr, "replayed"), static_cast<double>(rec.replayed));
       EXPECT_EQ(arg(lr, "discarded"), static_cast<double>(rec.discarded));
+      EXPECT_EQ(rec.wall_ms, lr.end_ms - lr.begin_ms);
     }
   }
   EXPECT_EQ(failovers, 1u);

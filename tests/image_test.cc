@@ -9,9 +9,11 @@
 #include <iterator>
 #include <set>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
+#include "src/dummynet/delay_node.h"
 #include "src/dummynet/pipe.h"
 #include "src/guest/node.h"
 #include "src/sim/archive.h"
@@ -73,7 +75,20 @@ TEST(ImageContainerTest, RoundTripsChunksThroughSerialization) {
   CheckpointImageView view(image);
   ASSERT_TRUE(view.ok()) << view.error();
   EXPECT_EQ(view.format_version(), kImageFormatVersion);
-  EXPECT_EQ(view.chunk_count(), 2u);
+  ASSERT_EQ(view.chunks().size(), 2u);
+  // The view reads in place: every id and payload lies inside the caller's
+  // buffer, and Find hands out the same chunk.
+  const uint8_t* const begin = image.data();
+  const uint8_t* const end = image.data() + image.size();
+  for (const CheckpointImageView::Chunk& c : view.chunks()) {
+    const auto* id = reinterpret_cast<const uint8_t*>(c.id.data());
+    EXPECT_TRUE(id >= begin && id + c.id.size() <= end) << c.id;
+    EXPECT_TRUE(c.payload.data >= begin &&
+                c.payload.data + c.payload.size <= end)
+        << c.id;
+    EXPECT_EQ(view.Find(c.id), &c);
+  }
+  EXPECT_EQ(view.Find("absent"), nullptr);
 
   Counter a2("a"), b2("b");
   EXPECT_TRUE(view.RestoreInto(a2));
@@ -207,6 +222,25 @@ TEST(ImageContainerTest, ShortChunkReportsPartialRestore) {
   ASSERT_TRUE(view.ok());
   Counter a("a");
   EXPECT_FALSE(view.RestoreInto(a));
+
+  // A nested blob whose declared length runs past its chunk: the delay
+  // node's clock blob claims 1000 bytes of a 16-byte chunk.
+  Simulator sim;
+  DelayNode node(&sim, Rng(1), "delay0", ClockParams{});
+  ArchiveWriter w;
+  w.Write<uint64_t>(1000);
+  w.Write<uint64_t>(0);
+  const std::vector<uint8_t> overlong = w.Take();
+  ArchiveReader r(overlong);
+  const ArchiveReader clock = r.ReadNested();
+  EXPECT_FALSE(r.ok());
+  EXPECT_FALSE(clock.ok());
+  CheckpointImageBuilder nested;
+  nested.AddChunk(node.checkpoint_id(), overlong);
+  const std::vector<uint8_t> nested_image = nested.Serialize();
+  const CheckpointImageView nested_view(nested_image);
+  ASSERT_TRUE(nested_view.ok()) << nested_view.error();
+  EXPECT_FALSE(nested_view.RestoreInto(node));
 }
 
 // Format version 2, retired, put an image id and a parent id in the header
@@ -235,12 +269,8 @@ TEST(ImageContainerTest, RefusesFormatVersion2) {
   const CheckpointImageView view(image);
   EXPECT_FALSE(view.ok());
   EXPECT_EQ(view.error(), "unsupported format version 2");
-  EXPECT_EQ(view.chunk_count(), 0u);
+  EXPECT_TRUE(view.chunks().empty());
   EXPECT_FALSE(view.RestoreInto(a));
-  const CheckpointImageLiteView lite(image);
-  EXPECT_FALSE(lite.ok());
-  EXPECT_EQ(lite.error(), view.error());
-  EXPECT_TRUE(lite.chunks().empty());
 }
 
 // --- Seeded mutation fuzzing of the decoder ------------------------------------
@@ -281,30 +311,37 @@ SeedImage MakeSeed(
   return seed;
 }
 
-// True if the mutant is rejected with an error, or accepted and round-trips.
+std::vector<uint8_t> BytesOf(ByteSpan span) {
+  return std::vector<uint8_t>(span.data, span.data + span.size);
+}
+
+// True if the mutant is rejected with an error, or accepted and round-trips:
+// its chunk ids are unique, each found by id, and its rebuild parses back to
+// the same ids and payloads.
 bool RejectedOrRoundTrips(const std::vector<uint8_t>& mutant, bool* accepted) {
   const CheckpointImageView view(mutant);
   *accepted = view.ok();
   if (!view.ok()) {
-    return !view.error().empty() && view.chunk_count() == 0;
+    return !view.error().empty() && view.chunks().empty();
   }
-  const std::set<std::string> unique(view.ChunkIds().begin(),
-                                     view.ChunkIds().end());
-  if (!CheckpointImageLiteView(mutant).ok() ||
-      unique.size() != view.chunk_count()) {
-    return false;
-  }
+  std::set<std::string_view> unique;
   CheckpointImageBuilder builder;
-  for (const std::string& id : view.ChunkIds()) {
-    builder.AddChunk(id, view.Chunk(id));
+  for (const CheckpointImageView::Chunk& c : view.chunks()) {
+    if (!unique.insert(c.id).second || view.Find(c.id) != &c) {
+      return false;
+    }
+    builder.AddChunk(std::string(c.id), BytesOf(c.payload));
   }
   const std::vector<uint8_t> rebuilt = builder.Serialize();
   const CheckpointImageView again(rebuilt);
-  if (!again.ok() || again.ChunkIds() != view.ChunkIds()) {
+  if (!again.ok() || again.chunks().size() != view.chunks().size()) {
     return false;
   }
-  for (const std::string& id : view.ChunkIds()) {
-    if (!again.HasChunk(id) || again.Chunk(id) != view.Chunk(id)) {
+  for (size_t i = 0; i < view.chunks().size(); ++i) {
+    const CheckpointImageView::Chunk& a = view.chunks()[i];
+    const CheckpointImageView::Chunk& b = again.chunks()[i];
+    if (a.id != b.id || a.crc != b.crc ||
+        BytesOf(a.payload) != BytesOf(b.payload)) {
       return false;
     }
   }

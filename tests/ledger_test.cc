@@ -226,6 +226,7 @@ TEST_F(LedgerTest, JsonlExportRoundTripsThroughAnalyzerParser) {
 struct LedgerRunResult {
   uint64_t captures_digest = 0;
   uint64_t event_digest = 0;
+  std::vector<PartitionEpochCoordinator::EpochRecord> history;
   std::vector<AnalyzerRecord> records;
 };
 
@@ -250,6 +251,7 @@ LedgerRunResult RunCheckpointedFatTree(bool ledger_on, bool two_phase,
   LedgerRunResult r;
   r.captures_digest = epochs.CapturesDigest();
   r.event_digest = topo->EventDigest();
+  r.history = epochs.history();
   if (ledger_on) {
     r.records = tools::FromLedger(EpochLedger::Global().Merged());
     EpochLedger::Global().Clear();
@@ -339,6 +341,30 @@ TEST_F(LedgerTest, CoordinatorAttributionCoversEpochWallTime) {
       }
       EXPECT_EQ(epoch_phases[i], expected) << "epoch " << spans[i]->epoch;
     }
+
+    // The epoch records read the stamps' clock readings. A two-phase
+    // epoch's frozen and commit-wait times are its freeze and commit_wait
+    // stamps' durations; a synchronous epoch's frozen time runs from its
+    // capture stamp's begin to its last barrier stamp's end, and with no
+    // repository attached that stamp is the capture itself.
+    ASSERT_EQ(run.history.size(), spans.size());
+    size_t matched = 0;
+    for (const AnalyzerRecord* rec : serial) {
+      if (rec->epoch == 0 || rec->epoch > run.history.size()) {
+        continue;  // the horizon's final join belongs to no epoch record
+      }
+      const PartitionEpochCoordinator::EpochRecord& er =
+          run.history[rec->epoch - 1];
+      const double ms = rec->end_ms - rec->begin_ms;
+      if (rec->phase == (two_phase ? "freeze" : "capture")) {
+        EXPECT_EQ(er.frozen_wall_ms, ms) << "epoch " << rec->epoch;
+        ++matched;
+      } else if (rec->phase == "commit_wait") {
+        EXPECT_EQ(er.commit_wait_ms, ms) << "epoch " << rec->epoch;
+        ++matched;
+      }
+    }
+    EXPECT_EQ(matched, (two_phase ? 2 : 1) * spans.size());
 
     std::set<std::string> phases;
     for (const AnalyzerRecord& rec : run.records) {

@@ -305,7 +305,7 @@ uint64_t RunStatefulSwapCycle(CheckpointRepo* repo, SimTime* saved_at = nullptr)
 
 TEST_F(ObsTest, TracingIsPerturbationFreeOnRepoAttachedRun) {
   // A stateful swap through the fs server's durable repository: the put
-  // path (lite parse, hashing pool, group commit, repo.spill instants) and
+  // path (verified parse, hashing pool, group commit, repo.spill instants) and
   // the swap-in read-back must not perturb the simulation either — with or
   // without tracing.
   namespace fs = std::filesystem;

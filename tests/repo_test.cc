@@ -278,12 +278,13 @@ TEST_F(RepoTest, HistoryAppendsOnlyChangedPayloads) {
 }
 
 TEST_F(RepoTest, GcReclaimsUnreferencedPayloadsAndSurvivesReopen) {
-  uint64_t h2 = 0;
+  uint64_t h2 = 0, h3 = 0;
   {
     auto repo = OpenRepo();
     const uint64_t h1 = repo->PutImage(FullImage(10, 20));
     h2 = repo->PutImage(FullImage(11, 20));
-    ASSERT_NE(h2, 0u) << repo->error();
+    h3 = repo->PutImage(FullImage(12, 21));
+    ASSERT_NE(h3, 0u) << repo->error();
     // h1's unshared payload becomes garbage.
     ASSERT_TRUE(repo->RetireImage(h1));
     ASSERT_GT(repo->garbage_payload_bytes(), 0u);
@@ -294,15 +295,28 @@ TEST_F(RepoTest, GcReclaimsUnreferencedPayloadsAndSurvivesReopen) {
     EXPECT_EQ(repo->garbage_payload_bytes(), 0u);
     EXPECT_FALSE(repo->Has(h1));  // dropped entirely
     EXPECT_EQ(repo->Materialize(h2), FullImage(11, 20));
+
+    // The new journal is the handle watermark, then every live record in
+    // one batch record.
+    std::vector<JournalRecord> records;
+    uint64_t valid_prefix = 0;
+    std::string error;
+    ASSERT_TRUE(
+        ReadJournal(dir_ + "/journal.2", &records, &valid_prefix, &error))
+        << error;
+    ASSERT_EQ(records.size(), 2u);
+    EXPECT_EQ(records[0].type, kJournalNextHandle);
+    EXPECT_EQ(records[1].type, kJournalBatchPut);
   }
   // The GC'd epoch is what a fresh process opens.
   auto repo = OpenRepo();
   ASSERT_NE(repo, nullptr);
-  EXPECT_EQ(repo->live_image_count(), 1u);
+  EXPECT_EQ(repo->LiveHandles(), (std::vector<uint64_t>{h2, h3}));
   EXPECT_EQ(repo->Materialize(h2), FullImage(11, 20));
+  EXPECT_EQ(repo->Materialize(h3), FullImage(12, 21));
   // Handles are never reused, even though the GC dropped records.
-  const uint64_t h3 = repo->PutImage(FullImage(1, 2));
-  EXPECT_GT(h3, h2);
+  const uint64_t h4 = repo->PutImage(FullImage(1, 2));
+  EXPECT_GT(h4, h3);
 }
 
 // --- Recovery ------------------------------------------------------------------
@@ -459,9 +473,9 @@ void WriteFileBytes(const fs::path& p, const std::vector<uint8_t>& bytes) {
 // then gives the record a valid CRC, so corrupt content reaches the record
 // decoder and the replay: the open must refuse, or leave a usable repository
 // in which every Materialize succeeds or reports an error and a put and a GC
-// run. Three records of retired shapes, each appended with a valid CRC, must
-// be refused outright. The sanitize-preset run of this test is the no-UB
-// check of the repository's decoders.
+// run. Records of the retired types 1 and 3, each a valid put record
+// appended with a valid CRC, must be refused outright. The sanitize-preset
+// run of this test is the no-UB check of the repository's decoders.
 
 // Byte range of one journal record's payload; its CRC32 follows it.
 struct JournalPayload {
@@ -551,17 +565,21 @@ TEST_F(RepoMutationTest, EveryMutantIsRefusedOrOpensConsistent) {
     return CheckpointRepo::Open(mutant_dir.string(), options, error);
   };
 
-  // The retired record type 3, carrying a put record. The first put (a
-  // batch of one) holds handle 1's put record after its count and length.
-  {
-    const std::vector<uint8_t> put1(
+  // The retired record types 1 (a single put) and 3, each carrying a valid
+  // put record: the first put (a batch of one) holds handle 1's put record
+  // after its count and length, renamed here to the unused handle 6.
+  for (const uint8_t type : {1, 3}) {
+    std::vector<uint8_t> put(
         journal.begin() + records[0].offset + 2 * sizeof(uint64_t),
         journal.begin() + records[0].offset + records[0].size);
+    const uint64_t unused_handle = 6;
+    std::memcpy(put.data(), &unused_handle, sizeof unused_handle);
     std::vector<uint8_t> mutant_journal = journal;
-    AppendJournalRecord(&mutant_journal, 3, put1);
+    AppendJournalRecord(&mutant_journal, type, put);
     std::string error;
     EXPECT_EQ(open_mutant(mutant_journal, segment, &error), nullptr);
-    EXPECT_NE(error.find("unknown journal record type 3"), std::string::npos)
+    EXPECT_NE(error.find("unknown journal record type " + std::to_string(type)),
+              std::string::npos)
         << error;
   }
 
