@@ -175,10 +175,7 @@ void PartitionEpochCoordinator::BackgroundCommit(size_t index) {
                                static_cast<uint64_t>(index) + 1);
   const double c0 = ledger.NowMs();
   EpochRecord& rec = history_[index];
-  std::unique_ptr<RepoWriteBatch> batch =
-      repo_ != nullptr ? repo_->BeginBatch() : nullptr;
-  std::vector<std::shared_ptr<const std::vector<uint8_t>>> images(
-      staged_.size());
+  CheckpointRepo::Images images(staged_.size());
   for (size_t p = 0; p < staged_.size(); ++p) {
     const double s0 = lg ? ledger.NowMs() : 0.0;
     auto image = std::make_shared<const std::vector<uint8_t>>(
@@ -187,11 +184,11 @@ void PartitionEpochCoordinator::BackgroundCommit(size_t index) {
       ledger.StampHere(static_cast<int32_t>(p), "serialize.partition", s0,
                        ledger.NowMs(), "background");
     }
-    FoldImage(image, &rec, batch.get());
+    FoldImage(*image, &rec);
     images[p] = std::move(image);
   }
-  if (batch != nullptr) {
-    CommitSpill(std::move(batch), &rec);
+  if (repo_ != nullptr) {
+    CommitSpill(images, &rec);
   }
   background_images_ = std::move(images);
   const double c1 = ledger.NowMs();
@@ -200,24 +197,17 @@ void PartitionEpochCoordinator::BackgroundCommit(size_t index) {
   obs::EpochLedger::UnbindThread();
 }
 
-void PartitionEpochCoordinator::FoldImage(
-    const std::shared_ptr<const std::vector<uint8_t>>& image, EpochRecord* rec,
-    RepoWriteBatch* batch) {
-  // Staging first lets the hashing pool parse and hash the image while this
-  // thread folds it into the digest.
-  if (batch != nullptr) {
-    batch->Stage(image);
-  }
-  rec->image_bytes += image->size();
-  captures_digest_.MixBytes(image->data(), image->size());
+void PartitionEpochCoordinator::FoldImage(const std::vector<uint8_t>& image,
+                                          EpochRecord* rec) {
+  rec->image_bytes += image.size();
+  captures_digest_.MixBytes(image.data(), image.size());
 }
 
 double PartitionEpochCoordinator::CommitSpill(
-    std::unique_ptr<RepoWriteBatch> batch, EpochRecord* rec) {
+    const CheckpointRepo::Images& images, EpochRecord* rec) {
   obs::EpochLedger& ledger = obs::EpochLedger::Global();
   const double s0 = ledger.NowMs();
-  const CheckpointRepo::BatchCommitResult result =
-      repo_->CommitBatch(std::move(batch));
+  const CheckpointRepo::BatchCommitResult result = repo_->CommitBatch(images);
   const double s1 = ledger.NowMs();
   rec->spill_wall_ms = s1 - s0;
   if (!rec->async) {
@@ -227,8 +217,7 @@ double PartitionEpochCoordinator::CommitSpill(
   }
   rec->spill_ok = result.ok;
   rec->spill_images = result.images;
-  // Images were staged in partition order, so the handles are indexed by
-  // partition.
+  // The images are indexed by partition, so the handles are too.
   spill_handles_.clear();
   if (result.ok) {
     spill_handles_ = result.handles;
@@ -249,8 +238,7 @@ void PartitionEpochCoordinator::CaptureEpoch() {
                ? scheduler_->partition(0)->sim()->Now()
                : next_epoch_;
   if (capture_) {
-    std::vector<std::shared_ptr<const std::vector<uint8_t>>> images(
-        scheduler_->partition_count());
+    CheckpointRepo::Images images(scheduler_->partition_count());
     const double c0 = ledger.NowMs();
     // Each capture runs as one pool task and writes only its own slot; the
     // phase barrier inside ForEachPartition publishes the slots back to this
@@ -270,17 +258,15 @@ void PartitionEpochCoordinator::CaptureEpoch() {
         ledger.Stamp(p->id(), lr);
       }
     });
-    std::unique_ptr<RepoWriteBatch> batch =
-        repo_ != nullptr ? repo_->BeginBatch() : nullptr;
     for (const auto& image : images) {
-      FoldImage(image, &rec, batch.get());
+      FoldImage(*image, &rec);
     }
-    // The capture stamp closes after the fold: the digest and the staging
-    // are serial coordinator work inside the frozen window too.
+    // The capture stamp closes after the fold: the digest is serial
+    // coordinator work inside the frozen window too.
     double frozen_end = ledger.NowMs();
     ledger.StampHere(-1, "capture", c0, frozen_end, "barrier");
-    if (batch != nullptr) {
-      frozen_end = CommitSpill(std::move(batch), &rec);
+    if (repo_ != nullptr) {
+      frozen_end = CommitSpill(images, &rec);
     }
     rec.frozen_wall_ms = frozen_end - c0;
     committed_images_ = std::move(images);

@@ -112,10 +112,10 @@ class PartitionEpochCoordinator {
 
   // Spill every epoch's captures into `repo` as one group-committed batch:
   // the thread that folds the epoch (the barrier thread, or the background
-  // commit of an async epoch) stages the images in partition order and
-  // commits once — one segment flush, one journal record, recovery
-  // all-or-nothing. The repository's files depend only on the images, never
-  // on the capture mode or worker count. Null detaches.
+  // commit of an async epoch) commits the images in partition order, once —
+  // one segment flush, one journal record, recovery all-or-nothing. The
+  // repository's files depend only on the images, never on the capture mode
+  // or worker count. Null detaches.
   void AttachRepository(CheckpointRepo* repo) { repo_ = repo; }
 
   const std::vector<EpochRecord>& history() const { return history_; }
@@ -146,16 +146,14 @@ class PartitionEpochCoordinator {
   // Runs on background_; every coordinator member it touches is protected by
   // the join edges (the thread is joined before the next epoch mutates them).
   void BackgroundCommit(size_t index);
-  // Folds the next partition's image into `rec`, the captures digest and
-  // `batch` (null when no repository is attached). Both capture modes call
-  // it once per partition, in partition order.
-  void FoldImage(const std::shared_ptr<const std::vector<uint8_t>>& image,
-                 EpochRecord* rec, RepoWriteBatch* batch);
-  // Group-commits one epoch's batch: records the outcome in `rec` and
-  // publishes the handles, indexed by partition, as spill_handles(). A
-  // synchronous epoch stamps the commit as its "spill" phase. Returns the
-  // ledger-clock reading that ends the commit.
-  double CommitSpill(std::unique_ptr<RepoWriteBatch> batch, EpochRecord* rec);
+  // Folds the next partition's image into `rec` and the captures digest.
+  // Both capture modes call it once per partition, in partition order.
+  void FoldImage(const std::vector<uint8_t>& image, EpochRecord* rec);
+  // Group-commits one epoch's images, indexed by partition: records the
+  // outcome in `rec` and publishes the handles, indexed by partition, as
+  // spill_handles(). A synchronous epoch stamps the commit as its "spill"
+  // phase. Returns the ledger-clock reading that ends the commit.
+  double CommitSpill(const CheckpointRepo::Images& images, EpochRecord* rec);
   // Joins the in-flight background commit, if any, and publishes its images.
   void JoinBackground();
   // Emits epoch `k`'s boundary ledger record (span: end of the previous

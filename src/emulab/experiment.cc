@@ -242,31 +242,29 @@ void Experiment::StatefulSwapOut(bool eager_precopy,
           if (CheckpointRepo* repo = testbed_->repo(); repo != nullptr) {
             const uint64_t io_before = repo->bytes_written();
             // One group-committed batch for the whole experiment: every
-            // node's image is staged zero-copy (the engine's published
+            // node's image is committed zero-copy (the engine's published
             // buffer), the fs server flushes the segment once, and a single
             // journal record makes the swap generation durable
             // all-or-nothing — recovery never sees half an experiment.
-            std::unique_ptr<RepoWriteBatch> batch = repo->BeginBatch();
-            std::vector<std::string> staged_names;
-            std::vector<uint64_t> staged_sizes;
+            CheckpointRepo::Images images;
+            std::vector<std::string> names;
             for (const std::string& name : node_order_) {
-              const auto image = nodes_[name].engine->last_image();
+              auto image = nodes_[name].engine->last_image();
               if (image == nullptr) {
                 continue;
               }
-              staged_sizes.push_back(image->size());
-              batch->Stage(image);
-              staged_names.push_back(name);
+              images.push_back(std::move(image));
+              names.push_back(name);
             }
             const CheckpointRepo::BatchCommitResult result =
-                repo->CommitBatch(std::move(batch));
-            for (size_t i = 0; i < staged_names.size(); ++i) {
-              const std::string& name = staged_names[i];
+                repo->CommitBatch(images);
+            for (size_t i = 0; i < names.size(); ++i) {
+              const std::string& name = names[i];
               const uint64_t handle = result.ok ? result.handles[i] : 0;
               obs::TraceSession::Global().Instant(
                   name, "repo.spill", sim_->Now(),
                   {{"handle", static_cast<double>(handle)},
-                   {"bytes", static_cast<double>(staged_sizes[i])}});
+                   {"bytes", static_cast<double>(images[i]->size())}});
               if (handle == 0) {
                 record->repo_verified = false;
                 continue;

@@ -12,6 +12,9 @@
 //          └ (overlapped, background)   └ commit: serialize.partition[p] →
 //                repo.hash_wait → repo.append → repo.fsync → repo.journal
 //
+// (repo.hash_wait times the group commit's inline parse and hash of every
+// image: nothing is waited for.)
+//
 // Every participant stamps {epoch, partition, phase, begin, end, cause}
 // records. Stamps go lock-free into fixed per-shard buffers: shard p is
 // written only by the worker thread running partition p during a

@@ -9,6 +9,7 @@
 #include "src/obs/epoch_ledger.h"
 #include "src/obs/metrics.h"
 #include "src/sim/archive.h"
+#include "src/sim/digest.h"
 #include "src/sim/image.h"
 
 namespace tcsim {
@@ -74,9 +75,7 @@ uint64_t ReadCurrent(const std::string& dir) {
 }  // namespace
 
 CheckpointRepo::CheckpointRepo(std::string dir, RepoOptions options)
-    : dir_(std::move(dir)),
-      options_(options),
-      hash_pool_(std::make_unique<HashPool>(options.hash_threads)) {}
+    : dir_(std::move(dir)), options_(options) {}
 
 CheckpointRepo::~CheckpointRepo() = default;
 
@@ -206,9 +205,15 @@ bool CheckpointRepo::ApplyImageRecord(ArchiveReader record) {
     error_ = "duplicate handle " + std::to_string(handle) + " in journal";
     return false;
   }
-  // Verify every payload this record makes visible, byte for byte.
+  // Verify every payload this record makes visible, byte for byte, once:
+  // during Open only a payload just verified enters payloads_, so a key
+  // already mapped to this offset was verified there by an earlier record.
   std::vector<uint8_t> payload;
   for (const ChunkRef& cr : rec.chunks) {
+    const auto known = payloads_.find(cr.key);
+    if (known != payloads_.end() && known->second.offset == cr.offset) {
+      continue;
+    }
     if (!segment_->ReadPayload(cr.offset, cr.key, &payload)) {
       error_ = "payload of chunk '" + cr.id +
                "' failed verification (handle " + std::to_string(handle) + ")";
@@ -280,73 +285,67 @@ bool CheckpointRepo::ApplyJournalRecord(const JournalRecord& jrec) {
 uint64_t CheckpointRepo::PutImage(const std::vector<uint8_t>& image_bytes) {
   // A put is a batch of one: same validation, same rejection strings, one
   // (all-or-nothing) journal record.
-  std::unique_ptr<RepoWriteBatch> batch = BeginBatch();
-  batch->Stage(std::vector<uint8_t>(image_bytes));
-  const BatchCommitResult result = CommitBatch(std::move(batch));
+  const BatchCommitResult result =
+      CommitBatch({std::make_shared<const std::vector<uint8_t>>(image_bytes)});
   return result.ok ? result.handles[0] : 0;
 }
 
-std::unique_ptr<RepoWriteBatch> CheckpointRepo::BeginBatch() {
-  return std::unique_ptr<RepoWriteBatch>(new RepoWriteBatch(this));
-}
-
 CheckpointRepo::BatchCommitResult CheckpointRepo::CommitBatch(
-    std::unique_ptr<RepoWriteBatch> batch) {
+    const Images& images) {
   BatchCommitResult result;
-  if (batch == nullptr || batch->repo_ != this) {
-    result.error = "batch does not belong to this repository";
-    error_ = result.error;
-    return result;
-  }
-  // From here the batch is quiescent: staging has stopped (the caller handed
-  // over ownership) and WaitPrepared() synchronizes with the last task, so
-  // every entry is plain data owned by this thread.
-  obs::EpochLedger& ledger = obs::EpochLedger::Global();
-  const bool lg = ledger.enabled();
-  const double lh0 = lg ? ledger.NowMs() : 0.0;
-  batch->WaitPrepared();
-  if (lg) {
-    ledger.StampHere(-1, "repo.hash_wait", lh0, ledger.NowMs(), "hash_pool");
-  }
-  const std::vector<std::unique_ptr<RepoWriteBatch::Entry>>& entries =
-      batch->entries_;
-  result.handles.assign(entries.size(), 0);
-  result.staged_bytes = batch->staged_bytes_;
-  if (entries.empty()) {
+  result.handles.assign(images.size(), 0);
+  if (images.empty()) {
     result.ok = true;
     error_.clear();
     return result;
   }
-
-  // Publication order is stage order: handles, segment offsets, and the
-  // journal record depend only on the staged images and their order.
+  obs::EpochLedger& ledger = obs::EpochLedger::Global();
+  const bool lg = ledger.enabled();
   std::string err;
-  std::vector<ImageRecord> staged;  // this commit's records, in stage order
-  staged.reserve(entries.size());
+
+  // Step 1, before any append: parse every image and hash its payloads. The
+  // view CRC-checks each payload in place and each content key takes the
+  // view's verified CRC, so every payload is CRC'd once. `spans` holds each
+  // chunk's payload, inside the caller's image, in record order.
+  const double lh0 = lg ? ledger.NowMs() : 0.0;
+  std::vector<ImageRecord> staged(images.size());  // this commit's records
+  std::vector<ByteSpan> spans;
+  for (size_t i = 0; i < images.size(); ++i) {
+    result.staged_bytes += images[i]->size();
+    const CheckpointImageView view(*images[i]);
+    if (!view.ok()) {
+      err = "malformed image: " + view.error();
+      break;
+    }
+    staged[i].chunks.reserve(view.chunks().size());
+    for (const CheckpointImageView::Chunk& c : view.chunks()) {
+      Fnv1aDigest hash;
+      hash.MixBytes(c.payload.data, c.payload.size);
+      staged[i].chunks.push_back(
+          ChunkRef{std::string(c.id),
+                   ContentKey{hash.value(), c.crc, c.payload.size}, 0});
+      spans.push_back(c.payload);
+    }
+  }
+  if (lg) {
+    ledger.StampHere(-1, "repo.hash_wait", lh0, ledger.NowMs(), "inline");
+  }
+
+  // Step 2: dedup and append in list order, so handles, segment offsets and
+  // the journal record depend only on the images and their order. A failed
+  // append leaves the payloads before it as orphans the next GC reclaims,
+  // never a visible image.
   std::map<ContentKey, uint64_t> staged_offsets;  // appended this commit
   uint64_t dedup_hits = 0;
   const double la0 = lg ? ledger.NowMs() : 0.0;
-
-  for (const auto& owned : entries) {
-    const RepoWriteBatch::Entry* e = owned.get();
-    if (!e->parsed_ok) {
-      err = e->parse_error;
-      break;
-    }
-    // The hashing pool's view proved every payload CRC, so a parsed entry
-    // is valid as a whole. Earlier entries of a failing batch may already
-    // have appended — those bytes become orphans the next GC reclaims, never
-    // a visible image.
-    ImageRecord rec;
-    rec.chunks.reserve(e->chunks.size());
-    for (const RepoWriteBatch::StagedChunk& sc : e->chunks) {
-      ChunkRef cr;
-      cr.id = std::string(sc.id);
-      cr.key = sc.key;
-      result.logical_payload_bytes += sc.key.size;
-      auto known = payloads_.find(sc.key);
+  size_t next_span = 0;
+  for (size_t i = 0; i < staged.size() && err.empty(); ++i) {
+    for (ChunkRef& cr : staged[i].chunks) {
+      const ByteSpan payload = spans[next_span++];
+      result.logical_payload_bytes += cr.key.size;
+      auto known = payloads_.find(cr.key);
       auto in_batch = known != payloads_.end() ? staged_offsets.end()
-                                               : staged_offsets.find(sc.key);
+                                               : staged_offsets.find(cr.key);
       if (known != payloads_.end()) {
         cr.offset = known->second.offset;
         ++dedup_hits;
@@ -354,21 +353,15 @@ CheckpointRepo::BatchCommitResult CheckpointRepo::CommitBatch(
         cr.offset = in_batch->second;
         ++dedup_hits;
       } else {
-        cr.offset =
-            segment_->AppendSpan(sc.span.data, sc.span.size, sc.key.crc);
+        cr.offset = segment_->AppendSpan(payload.data, payload.size, cr.key.crc);
         if (cr.offset == 0) {
           err = "segment append failed";
           break;
         }
-        staged_offsets.emplace(sc.key, cr.offset);
-        result.appended_payload_bytes += sc.key.size;
+        staged_offsets.emplace(cr.key, cr.offset);
+        result.appended_payload_bytes += cr.key.size;
       }
-      rec.chunks.push_back(std::move(cr));
     }
-    if (!err.empty()) {
-      break;
-    }
-    staged.push_back(std::move(rec));
   }
 
   if (lg) {
@@ -449,9 +442,6 @@ CheckpointRepo::BatchCommitResult CheckpointRepo::CommitBatch(
   batch_images->Add(result.images);
   batch_staged->Add(result.staged_bytes);
   flushes->Add(2);  // one segment + one journal flush per group commit
-  static obs::Gauge* const queue_depth =
-      obs::MetricsRegistry::Global().FindGauge("repo.hashpool.max_queue_depth");
-  queue_depth->SetMax(static_cast<double>(hash_pool_->max_queue_depth()));
 
   result.ok = true;
   error_.clear();
@@ -488,14 +478,18 @@ std::vector<uint8_t> CheckpointRepo::Materialize(uint64_t handle) {
     return {};
   }
   CheckpointImageBuilder builder;
+  size_t payload_bytes = 0;
+  for (const ChunkRef& cr : rec.chunks) {
+    payload_bytes += cr.key.size;
+  }
+  builder.Reserve(payload_bytes);
   std::vector<uint8_t> payload;
   for (const ChunkRef& cr : rec.chunks) {
     if (!segment_->ReadPayload(cr.offset, cr.key, &payload)) {
       error_ = "payload of chunk '" + cr.id + "' failed CRC verification";
       return {};
     }
-    builder.AddChunk(cr.id, std::move(payload));
-    payload.clear();
+    builder.AddChunk(cr.id, payload);
   }
   error_.clear();
   std::vector<uint8_t> bytes = builder.Serialize();

@@ -21,8 +21,8 @@
 //    visible image with missing bytes.
 //  - Recovery: opening an existing repository replays the journal, truncates
 //    a torn tail, and re-verifies the CRC of every payload referenced by a
-//    visible image. A repository that cannot prove its payloads intact
-//    refuses to open.
+//    visible image, once per stored payload however many images share it. A
+//    repository that cannot prove its payloads intact refuses to open.
 //  - Retention is the live set: a payload stays while a live image
 //    references it. A refcount-based GC rewrites the (segment, journal) pair
 //    with only the live records and their payloads, installing the new epoch
@@ -40,11 +40,9 @@
 #include <string>
 #include <vector>
 
-#include "src/repo/hash_pool.h"
 #include "src/repo/journal.h"
 #include "src/repo/repo_format.h"
 #include "src/repo/segment_file.h"
-#include "src/repo/write_batch.h"
 #include "src/sim/archive.h"
 
 namespace tcsim {
@@ -55,9 +53,9 @@ struct RepoOptions {
   // writes within one process; production swap-out turns it on.
   bool fsync = false;
 
-  // Background hashing threads for the batched put path (content keys + CRC
-  // verification of staged payloads). 0 hashes inline on the staging thread.
-  // The thread count never changes the repository's bytes.
+  // Unused: a commit parses and hashes on the calling thread. Kept only
+  // because tcbench/tcbench.cc still sets it; it goes with the next
+  // benchmark change.
   uint32_t hash_threads = 2;
 };
 
@@ -83,37 +81,35 @@ class CheckpointRepo {
 
   // --- Batched group commit ----------------------------------------------------
   //
-  // The epoch-scale put path (see write_batch.h): stage many images —
-  // zero-copy, hashed on the background pool — then publish them with one
-  // segment flush and one atomic journal record. PutImage itself is a batch
-  // of one.
+  // The epoch-scale put path: publish many images with one segment flush and
+  // one atomic journal record. PutImage itself is a batch of one.
 
-  // Starts an empty batch bound to this repository, to be staged and
-  // committed on the repository's owning thread.
-  std::unique_ptr<RepoWriteBatch> BeginBatch();
+  // The images one commit publishes, in order. The coordinator, the
+  // swap-out and the time-travel tree already hold their images this way.
+  using Images = std::vector<std::shared_ptr<const std::vector<uint8_t>>>;
 
   struct BatchCommitResult {
     bool ok = false;
     std::string error;                   // set when !ok
-    std::vector<uint64_t> handles;       // in stage order; 0 on failure
+    std::vector<uint64_t> handles;       // in list order; 0 on failure
     size_t images = 0;                   // images published
-    uint64_t staged_bytes = 0;           // serialized image bytes staged
+    uint64_t staged_bytes = 0;           // serialized image bytes offered
     uint64_t logical_payload_bytes = 0;  // payload bytes offered
     uint64_t appended_payload_bytes = 0; // payload bytes appended (post-dedup)
   };
 
-  // Validates and publishes the whole batch, all-or-nothing: handles are
-  // assigned in stage order, every new payload is appended behind one
-  // flush, and a single
-  // kJournalBatchPut record publishes the epoch. On any rejection or I/O
-  // error nothing is published — the repository stays at its previous state
-  // (orphan segment bytes, if any, are garbage for the next GC) and `error`
-  // says why. An empty batch commits trivially. error() mirrors the result's
-  // error.
-  BatchCommitResult CommitBatch(std::unique_ptr<RepoWriteBatch> batch);
-
-  // The background hashing pool shared by this repository's batches.
-  HashPool& hash_pool() { return *hash_pool_; }
+  // Publishes `images` all-or-nothing, entirely on the calling thread (the
+  // repository's owner). First every image is parsed with
+  // CheckpointImageView, which CRC-checks each payload in place, and every
+  // payload is hashed; only then are the new payloads appended behind one
+  // flush and published by a single kJournalBatchPut record, with handles in
+  // list order. So a malformed image rejects the batch before any append.
+  // On any rejection or I/O error nothing is published — the repository
+  // stays at its previous state (orphan segment bytes from a failed append
+  // are garbage for the next GC) and `error` says why. The images are read
+  // in place and not kept after the call. An empty list commits trivially.
+  // error() mirrors the result's error.
+  BatchCommitResult CommitBatch(const Images& images);
 
   // Marks an image retired (no longer materializable). Its payloads stay on
   // disk while another live image references them through dedup, and become
@@ -213,14 +209,11 @@ class CheckpointRepo {
   // first). False on I/O failure.
   bool Commit(uint8_t type, const std::vector<uint8_t>& payload);
 
-  friend class RepoWriteBatch;
-
   std::string dir_;
   RepoOptions options_;
   uint64_t epoch_ = 1;
   std::unique_ptr<SegmentFile> segment_;
   std::unique_ptr<JournalWriter> journal_;
-  std::unique_ptr<HashPool> hash_pool_;
 
   std::map<uint64_t, ImageRecord> records_;
   uint64_t next_handle_ = 1;

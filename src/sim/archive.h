@@ -64,8 +64,8 @@ class ArchiveWriter {
   }
 
   // Pre-allocates backing storage for `total` bytes. Callers that know the
-  // final image size (e.g. CheckpointImageBuilder::Serialize) reserve once
-  // instead of growing geometrically through multi-megabyte images.
+  // final image size (e.g. SerializeStagedImage) reserve once instead of
+  // growing geometrically through multi-megabyte images.
   void Reserve(size_t total) { data_.reserve(total); }
 
   // Size of the serialized image so far, in bytes.

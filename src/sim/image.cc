@@ -22,11 +22,6 @@ const uint32_t* Crc32Table() {
   return table;
 }
 
-// Serialized size of a length-prefixed string.
-size_t StringWireSize(const std::string& s) {
-  return sizeof(uint64_t) + s.size();
-}
-
 }  // namespace
 
 uint32_t Crc32(const uint8_t* data, size_t n) {
@@ -39,29 +34,14 @@ uint32_t Crc32(const uint8_t* data, size_t n) {
 }
 
 void CheckpointImageBuilder::AddChunk(std::string id,
-                                      std::vector<uint8_t> payload) {
-  chunks_.push_back(PendingChunk{std::move(id), std::move(payload)});
+                                      const std::vector<uint8_t>& payload) {
+  staged_.entries.push_back(
+      StagedEntry{std::move(id), staged_.buffer.size(), payload.size()});
+  staged_.buffer.insert(staged_.buffer.end(), payload.begin(), payload.end());
 }
 
 std::vector<uint8_t> CheckpointImageBuilder::Serialize() const {
-  size_t total = 2 * sizeof(uint32_t) + sizeof(uint64_t);
-  for (const PendingChunk& c : chunks_) {
-    total += StringWireSize(c.id) + sizeof(uint64_t) + sizeof(uint32_t) +
-             c.payload.size();
-  }
-
-  ArchiveWriter w;
-  w.Reserve(total);
-  w.Write<uint32_t>(kImageMagic);
-  w.Write<uint32_t>(kImageFormatVersion);
-  w.Write<uint64_t>(chunks_.size());
-  for (const PendingChunk& c : chunks_) {
-    w.WriteString(c.id);
-    w.Write<uint64_t>(c.payload.size());
-    w.Write<uint32_t>(Crc32(c.payload));
-    w.WriteBytes(c.payload.data(), c.payload.size());
-  }
-  return w.Take();
+  return SerializeStagedImage(staged_);
 }
 
 CheckpointImageView::CheckpointImageView(const std::vector<uint8_t>& image) {

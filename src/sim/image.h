@@ -35,6 +35,7 @@
 
 #include "src/sim/archive.h"
 #include "src/sim/checkpointable.h"
+#include "src/sim/staging.h"
 
 namespace tcsim {
 
@@ -47,25 +48,24 @@ inline uint32_t Crc32(const std::vector<uint8_t>& data) {
 inline constexpr uint32_t kImageMagic = 0x504B4354;  // "TCKP" little-endian
 inline constexpr uint32_t kImageFormatVersion = 1;
 
-// Builds a composite image from component chunks.
+// Builds a composite image from component chunks: it stages each chunk in a
+// StagedCapture, and SerializeStagedImage frames them, so every image has one
+// writer.
 class CheckpointImageBuilder {
  public:
-  // Appends a raw payload chunk. Ids must be unique within one image. Both
-  // arguments are taken by value and moved into place, so callers that hand
-  // over rvalues pay zero payload copies.
-  void AddChunk(std::string id, std::vector<uint8_t> payload);
+  // Appends a raw payload chunk, copying the payload into the staging
+  // buffer. Ids must be unique within one image.
+  void AddChunk(std::string id, const std::vector<uint8_t>& payload);
 
-  // Serializes the envelope + all chunks, in insertion order. The output
-  // buffer is sized exactly once (no geometric growth).
+  // Sizes the staging buffer for `payload_bytes` of payloads up front, so a
+  // caller that knows the total copies each payload in once, with no regrowth.
+  void Reserve(size_t payload_bytes) { staged_.buffer.reserve(payload_bytes); }
+
+  // Serializes the envelope + all chunks, in insertion order.
   std::vector<uint8_t> Serialize() const;
 
  private:
-  struct PendingChunk {
-    std::string id;
-    std::vector<uint8_t> payload;
-  };
-
-  std::vector<PendingChunk> chunks_;
+  StagedCapture staged_;
 };
 
 // The one parser of the format. It parses an image structurally through

@@ -22,8 +22,8 @@ void StageComponents(std::span<Checkpointable* const> components,
 }
 
 std::vector<uint8_t> SerializeStagedImage(const StagedCapture& capture) {
-  // The v1 layout of CheckpointImageBuilder::Serialize, sized once: each
-  // staged entry is copied straight from the staging buffer into the image.
+  // The v1 layout of src/sim/image.h, sized once: each staged entry is
+  // copied straight from the staging buffer into the image.
   size_t total = 2 * sizeof(uint32_t) + sizeof(uint64_t);
   for (const StagedEntry& entry : capture.entries) {
     total += sizeof(uint64_t) + entry.id.size() + sizeof(uint64_t) +

@@ -12,6 +12,8 @@
 // every freeze phase: Reset keeps the buffer's capacity, so the steady state
 // performs no allocation for payload bytes in the frozen window ("pinned" in
 // the qemu-MC sense — the memory stays hot across epochs).
+// CheckpointImageBuilder (src/sim/image.h) stages the chunks it is handed in
+// one too, so SerializeStagedImage is the one writer of the image layout.
 
 #ifndef TCSIM_SRC_SIM_STAGING_H_
 #define TCSIM_SRC_SIM_STAGING_H_
@@ -57,9 +59,9 @@ struct StagedCapture {
 void StageComponents(std::span<Checkpointable* const> components,
                      StagedCapture* out);
 
-// Frames a staged capture as a v1 composite image in a single pass,
-// byte-identical to a CheckpointImageBuilder given one AddChunk per entry in
-// staged order. Every captured image, engine or partition, is framed here.
+// Frames a staged capture as a v1 composite image (src/sim/image.h) in a
+// single pass, sized once. It is the one writer of the layout: every image,
+// engine, partition or CheckpointImageBuilder, is framed here.
 std::vector<uint8_t> SerializeStagedImage(const StagedCapture& capture);
 
 }  // namespace tcsim

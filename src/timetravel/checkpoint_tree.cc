@@ -130,21 +130,20 @@ uint64_t TimeTravelTree::PersistTo(CheckpointRepo* repo) {
   // Node images first: a manifest only becomes visible once every image it
   // names is durably in the repository (the same publication discipline the
   // repository applies to chunks within one image). All unpersisted images go
-  // in one group-committed batch — the tree's shared_ptr buffers are staged
+  // in one group-committed batch — the tree's shared_ptr buffers are committed
   // without a copy, and a crash mid-persist leaves either none or all of this
   // call's images (the manifest that names them commits strictly after).
   {
-    std::unique_ptr<RepoWriteBatch> batch = repo->BeginBatch();
+    CheckpointRepo::Images images;
     std::vector<TreeNode*> pending;
     for (TreeNode& node : nodes_) {
       if (node.image == nullptr || node.repo_handle != 0) {
         continue;
       }
-      batch->Stage(node.image);
+      images.push_back(node.image);
       pending.push_back(&node);
     }
-    const CheckpointRepo::BatchCommitResult result =
-        repo->CommitBatch(std::move(batch));
+    const CheckpointRepo::BatchCommitResult result = repo->CommitBatch(images);
     if (!result.ok) {
       return 0;
     }

@@ -34,6 +34,7 @@
 #include "src/sim/image.h"
 #include "src/sim/time.h"
 #include "src/sim/trace.h"
+#include "tests/image_reference.h"
 
 namespace tcsim {
 namespace {
@@ -162,18 +163,19 @@ void ExpectTransparent(const HaRunResult& faulty, const HaRunResult& clean,
   ExpectTraceIdentical(faulty.trace, clean.trace);
 }
 
-// Re-frames `image` through the builder: every chunk's id and payload, read
-// back in file order, added with AddChunk.
-std::vector<uint8_t> ReframeThroughBuilder(const std::vector<uint8_t>& image) {
+// Re-frames `image` through the tests' reference writer: every chunk's id
+// and payload, read back in file order.
+std::vector<uint8_t> ReframeThroughReference(
+    const std::vector<uint8_t>& image) {
   const CheckpointImageView view(image);
   EXPECT_TRUE(view.ok()) << view.error();
-  CheckpointImageBuilder builder;
+  ReferenceChunks chunks;
   for (const CheckpointImageView::Chunk& c : view.chunks()) {
-    builder.AddChunk(std::string(c.id), std::vector<uint8_t>(
-                                            c.payload.data,
-                                            c.payload.data + c.payload.size));
+    chunks.emplace_back(std::string(c.id),
+                        std::vector<uint8_t>(c.payload.data,
+                                             c.payload.data + c.payload.size));
   }
-  return builder.Serialize();
+  return FrameReferenceImage(chunks);
 }
 
 // --- Sync bypass: the HA driver is a no-op wrapper when its features are off
@@ -196,16 +198,16 @@ TEST(HaMicroCheckpointTest, SyncBypassMatchesPlainCoordinatorDigests) {
   EXPECT_EQ(ha_run.captures, epochs.CapturesDigest());
 
   // The frozen walk's contract, on the state the run ends in: each image
-  // keeps its bytes when its chunks are re-framed through
-  // CheckpointImageBuilder, the reference writer, and the host/NIC image is
+  // keeps its bytes when its chunks are re-framed through the tests'
+  // reference writer (tests/image_reference.h), and the host/NIC image is
   // exactly the partition's hosts and NICs in node-id order — the HA image's
   // leading chunks.
   for (uint32_t p = 0; p < topo->partition_count(); ++p) {
     SCOPED_TRACE("partition " + std::to_string(p));
     const std::vector<uint8_t> ha_image = topo->CaptureHaPartitionImage(p);
-    EXPECT_EQ(ReframeThroughBuilder(ha_image), ha_image);
+    EXPECT_EQ(ReframeThroughReference(ha_image), ha_image);
     const std::vector<uint8_t> host_image = topo->CapturePartitionImage(p);
-    EXPECT_EQ(ReframeThroughBuilder(host_image), host_image);
+    EXPECT_EQ(ReframeThroughReference(host_image), host_image);
 
     std::vector<std::string> host_ids;
     for (size_t i = 0; i < topo->node_count(); ++i) {

@@ -24,6 +24,7 @@
 #include "src/sim/staging.h"
 #include "src/storage/branch_store.h"
 #include "src/storage/disk.h"
+#include "tests/image_reference.h"
 
 namespace tcsim {
 namespace {
@@ -96,16 +97,17 @@ TEST(ImageContainerTest, RoundTripsChunksThroughSerialization) {
   EXPECT_EQ(a2.value, 17u);
   EXPECT_EQ(b2.value, 42u);
 
-  // The staged-image writer frames a staged capture as the builder frames
-  // the same chunks: here an empty id, an empty payload and a 28-byte id, and
-  // a capture with no entries at all.
-  const std::vector<std::pair<std::string, std::vector<uint8_t>>> chunks = {
+  // The program's one image writer, SerializeStagedImage, frames a staged
+  // capture as the tests' reference writer frames the same chunks, and so
+  // does the builder, which stages what it is handed: here an empty id, an
+  // empty payload and a 28-byte id.
+  const ReferenceChunks chunks = {
       {"", PayloadOf(17)},
       {"empty-payload", {}},
       {"net.wire.lan.123.4.uplink.id", {1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11}},
   };
   StagedCapture staged;
-  CheckpointImageBuilder reference;
+  CheckpointImageBuilder staged_by_builder;
   for (const auto& [id, payload] : chunks) {
     StagedEntry entry;
     entry.id = id;
@@ -113,11 +115,40 @@ TEST(ImageContainerTest, RoundTripsChunksThroughSerialization) {
     entry.size = payload.size();
     staged.buffer.insert(staged.buffer.end(), payload.begin(), payload.end());
     staged.entries.push_back(entry);
-    reference.AddChunk(id, payload);
+    staged_by_builder.AddChunk(id, payload);
   }
-  EXPECT_EQ(SerializeStagedImage(staged), reference.Serialize());
-  EXPECT_EQ(SerializeStagedImage(StagedCapture{}),
-            CheckpointImageBuilder().Serialize());
+  const std::vector<uint8_t> reference = FrameReferenceImage(chunks);
+  EXPECT_EQ(SerializeStagedImage(staged), reference);
+  EXPECT_EQ(staged_by_builder.Serialize(), reference);
+
+  // Two images spelled out byte by byte pin the layout itself: a capture
+  // with no entries is the "TCKP" magic, version 1 and a zero count, and a
+  // one-chunk image adds the id "a" and the payload "123456789" under its
+  // known CRC32.
+  const std::vector<uint8_t> empty = {0x54, 0x43, 0x4B, 0x50, 1, 0, 0, 0,
+                                      0,    0,    0,    0,    0, 0, 0, 0};
+  EXPECT_EQ(SerializeStagedImage(StagedCapture{}), empty);
+  EXPECT_EQ(CheckpointImageBuilder().Serialize(), empty);
+  EXPECT_EQ(FrameReferenceImage({}), empty);
+  const std::vector<uint8_t> digits = {'1', '2', '3', '4', '5',
+                                       '6', '7', '8', '9'};
+  std::vector<uint8_t> one = {
+      0x54, 0x43, 0x4B, 0x50, 1, 0, 0, 0,  // magic, version
+      1,    0,    0,    0,    0, 0, 0, 0,  // chunk count
+      1,    0,    0,    0,    0, 0, 0, 0,  // id length
+      'a',                                 // id
+      9,    0,    0,    0,    0, 0, 0, 0,  // payload size
+      0x26, 0x39, 0xF4, 0xCB,              // payload CRC32
+  };
+  one.insert(one.end(), digits.begin(), digits.end());
+  StagedCapture one_staged;
+  one_staged.entries.push_back(StagedEntry{"a", 0, digits.size()});
+  one_staged.buffer = digits;
+  EXPECT_EQ(SerializeStagedImage(one_staged), one);
+  CheckpointImageBuilder one_chunk;
+  one_chunk.AddChunk("a", digits);
+  EXPECT_EQ(one_chunk.Serialize(), one);
+  EXPECT_EQ(FrameReferenceImage({{"a", digits}}), one);
 }
 
 TEST(ImageContainerTest, RejectsBadMagic) {

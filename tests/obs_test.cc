@@ -305,7 +305,7 @@ uint64_t RunStatefulSwapCycle(CheckpointRepo* repo, SimTime* saved_at = nullptr)
 
 TEST_F(ObsTest, TracingIsPerturbationFreeOnRepoAttachedRun) {
   // A stateful swap through the fs server's durable repository: the put
-  // path (verified parse, hashing pool, group commit, repo.spill instants) and
+  // path (verified parse, hashing, group commit, repo.spill instants) and
   // the swap-in read-back must not perturb the simulation either — with or
   // without tracing.
   namespace fs = std::filesystem;
@@ -334,15 +334,13 @@ TEST_F(ObsTest, TracingIsPerturbationFreeOnRepoAttachedRun) {
   EXPECT_EQ(digest_off, digest_full);
 
   // The repository telemetry landed: group commits, batched images, staged
-  // bytes, the two publication flushes per commit, and the hash-pool depth
-  // gauge.
+  // bytes and the two publication flushes per commit.
   MetricsRegistry& reg = MetricsRegistry::Global();
   EXPECT_GT(reg.FindCounter("repo.batch.commits")->value(), 0u);
   EXPECT_GT(reg.FindCounter("repo.batch.images")->value(), 0u);
   EXPECT_GT(reg.FindCounter("repo.batch.staged_bytes")->value(), 0u);
   EXPECT_GT(reg.FindCounter("repo.commit.flushes")->value(), 0u);
   EXPECT_EQ(reg.FindCounter("repo.batch.failed_commits")->value(), 0u);
-  ASSERT_NE(reg.FindGauge("repo.hashpool.max_queue_depth"), nullptr);
   // The spill is visible as the node's repo.spill instant, and the node's
   // one capture is recorded at its capture point: the saved instant, not
   // the later barrier where StatefulSwapOut reads last_image().

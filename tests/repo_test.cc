@@ -73,6 +73,16 @@ std::vector<uint8_t> FullImage(uint64_t a, uint64_t b) {
   return builder.Serialize();
 }
 
+// The list one CommitBatch publishes, in order.
+CheckpointRepo::Images Batch(std::vector<std::vector<uint8_t>> images) {
+  CheckpointRepo::Images batch;
+  for (std::vector<uint8_t>& image : images) {
+    batch.push_back(
+        std::make_shared<const std::vector<uint8_t>>(std::move(image)));
+  }
+  return batch;
+}
+
 // Segment bytes one stored payload of FullImage occupies.
 constexpr uint64_t kStoredPayload = kSegmentRecordOverhead + sizeof(uint64_t);
 
@@ -331,6 +341,8 @@ TEST_F(RepoTest, ReopenContinuesWhereTheLastProcessStopped) {
   }
   auto repo = OpenRepo();
   ASSERT_NE(repo, nullptr);
+  // Recovery verifies each stored payload once, although h2 shares "b".
+  EXPECT_EQ(repo->bytes_read(), repo->segment_bytes() - kSegmentHeaderBytes);
   EXPECT_EQ(repo->LiveHandles(), (std::vector<uint64_t>{h1, h2}));
   EXPECT_EQ(repo->Materialize(h1), FullImage(10, 20));
   EXPECT_EQ(repo->Materialize(h2), FullImage(11, 20));
@@ -524,10 +536,9 @@ class RepoMutationTest : public RepoTest {
     const uint64_t h1 = repo->PutImage(FullImage(10, 20));
     ASSERT_NE(h1, 0u) << repo->error();
     ASSERT_NE(repo->PutImage(FullImage(11, 20)), 0u) << repo->error();
-    auto batch = repo->BeginBatch();
-    batch->Stage(FullImage(30, 40));
-    batch->Stage(FullImage(12, 20));
-    ASSERT_TRUE(repo->CommitBatch(std::move(batch)).ok) << repo->error();
+    ASSERT_TRUE(
+        repo->CommitBatch(Batch({FullImage(30, 40), FullImage(12, 20)})).ok)
+        << repo->error();
     for (const uint64_t handle : repo->LiveHandles()) {
       intact_[handle] = repo->Materialize(handle);
     }
@@ -550,9 +561,6 @@ TEST_F(RepoMutationTest, EveryMutantIsRefusedOrOpensConsistent) {
   const std::vector<JournalPayload> records = JournalPayloads(journal);
   ASSERT_EQ(records.size(), 5u);
 
-  // Inline hashing: no pool threads are started per open.
-  RepoOptions options;
-  options.hash_threads = 0;
   const fs::path mutant_dir = dir_ + "_mutant";
   const auto open_mutant = [&](const std::vector<uint8_t>& mutant_journal,
                                const std::vector<uint8_t>& mutant_segment,
@@ -562,7 +570,7 @@ TEST_F(RepoMutationTest, EveryMutantIsRefusedOrOpensConsistent) {
     WriteFileBytes(mutant_dir / "CURRENT", current);
     WriteFileBytes(mutant_dir / "journal.1", mutant_journal);
     WriteFileBytes(mutant_dir / "segment.1", mutant_segment);
-    return CheckpointRepo::Open(mutant_dir.string(), options, error);
+    return CheckpointRepo::Open(mutant_dir.string(), RepoOptions{}, error);
   };
 
   // The retired record types 1 (a single put) and 3, each carrying a valid
@@ -787,12 +795,9 @@ TEST_F(RepoTest, BatchCommitsEpochAllAtOnceAndMatchesOracle) {
   ASSERT_NE(committed, 0u) << repo->error();
 
   // One epoch: an image sharing nothing and one sharing "b" with the
-  // committed image. Handles follow stage order.
-  auto batch = repo->BeginBatch();
-  batch->Stage(FullImage(30, 40));
-  batch->Stage(FullImage(31, 20));
-  EXPECT_EQ(batch->staged_count(), 2u);
-  const auto result = repo->CommitBatch(std::move(batch));
+  // committed image. Handles follow list order.
+  const auto result =
+      repo->CommitBatch(Batch({FullImage(30, 40), FullImage(31, 20)}));
   ASSERT_TRUE(result.ok) << result.error;
   EXPECT_EQ(result.images, 2u);
   ASSERT_EQ(result.handles.size(), 2u);
@@ -814,7 +819,7 @@ TEST_F(RepoTest, BatchCommitsEpochAllAtOnceAndMatchesOracle) {
   EXPECT_EQ(repo->Materialize(h_shared), FullImage(31, 20));
 
   // An empty batch is a no-op commit.
-  const auto empty = repo->CommitBatch(repo->BeginBatch());
+  const auto empty = repo->CommitBatch({});
   EXPECT_TRUE(empty.ok) << empty.error;
   EXPECT_EQ(empty.images, 0u);
 }
@@ -825,19 +830,18 @@ TEST_F(RepoTest, BatchRejectionIsAllOrNothing) {
   ASSERT_NE(h1, 0u) << repo->error();
 
   // Two good images around a corrupt one (a flipped payload bit): the whole
-  // epoch must be refused.
+  // epoch must be refused, before the good image ahead of it appends.
   std::vector<uint8_t> corrupt = FullImage(11, 20);
   corrupt.back() ^= 0x10;
-  auto batch = repo->BeginBatch();
-  batch->Stage(FullImage(30, 40));
-  batch->Stage(std::move(corrupt));
-  batch->Stage(FullImage(50, 60));
-  const auto result = repo->CommitBatch(std::move(batch));
+  const uint64_t segment_before = repo->segment_bytes();
+  const auto result = repo->CommitBatch(
+      Batch({FullImage(30, 40), std::move(corrupt), FullImage(50, 60)}));
   EXPECT_FALSE(result.ok);
   EXPECT_NE(result.error.find("CRC mismatch"), std::string::npos)
       << result.error;
   EXPECT_EQ(result.handles, (std::vector<uint64_t>{0, 0, 0}));
   EXPECT_EQ(repo->live_image_count(), 1u);
+  EXPECT_EQ(repo->segment_bytes(), segment_before);
 
   // The repository is still fully usable after rejections.
   EXPECT_NE(repo->PutImage(FullImage(70, 80)), 0u) << repo->error();
@@ -859,8 +863,8 @@ TEST_F(RepoTest, IncrementalRetentionMatchesRebuild) {
         << step;
     EXPECT_EQ(repo->LiveHandles(), rebuilt->LiveHandles()) << step;
   };
-  auto commit = [&](std::unique_ptr<RepoWriteBatch> batch) {
-    const auto result = repo->CommitBatch(std::move(batch));
+  auto commit = [&](const CheckpointRepo::Images& images) {
+    const auto result = repo->CommitBatch(images);
     EXPECT_TRUE(result.ok) << result.error;
     return result.handles;
   };
@@ -874,11 +878,8 @@ TEST_F(RepoTest, IncrementalRetentionMatchesRebuild) {
 
   // One epoch: an image sharing "b" with h2, one sharing "b" with h1, and
   // one whose payloads all dedup against h1.
-  auto batch = repo->BeginBatch();
-  batch->Stage(FullImage(31, 40));
-  batch->Stage(FullImage(11, 20));
-  batch->Stage(FullImage(10, 20));
-  const std::vector<uint64_t> epoch1 = commit(std::move(batch));
+  const std::vector<uint64_t> epoch1 = commit(
+      Batch({FullImage(31, 40), FullImage(11, 20), FullImage(10, 20)}));
   ASSERT_EQ(epoch1.size(), 3u);
   const uint64_t h3 = epoch1[0];
   const uint64_t h4 = epoch1[1];
@@ -901,10 +902,8 @@ TEST_F(RepoTest, IncrementalRetentionMatchesRebuild) {
 
   // Commits after GC: an image re-offering a payload the GC dropped and one
   // sharing h3's "b", then a single put sharing it too.
-  batch = repo->BeginBatch();
-  batch->Stage(FullImage(30, 40));
-  batch->Stage(FullImage(32, 40));
-  const std::vector<uint64_t> epoch2 = commit(std::move(batch));
+  const std::vector<uint64_t> epoch2 =
+      commit(Batch({FullImage(30, 40), FullImage(32, 40)}));
   ASSERT_EQ(epoch2.size(), 2u);
   expect_matches_rebuild("epoch after gc");
   const uint64_t h10 = repo->PutImage(FullImage(33, 40));
@@ -920,19 +919,16 @@ TEST_F(RepoTest, IncrementalRetentionMatchesRebuild) {
   EXPECT_GT(repo->garbage_payload_bytes(), 0u);
 }
 
-TEST_F(RepoTest, HashThreadsProduceByteIdenticalRepository) {
+TEST_F(RepoTest, BatchAppendsThePerPutSegment) {
   // One epoch of images through a per-put repository — the oracle, one
-  // commit per image with inline hashing — and through one batch hashed
-  // inline and on 2 and 4 pool threads. Every batch materializes like the
-  // oracle, the batch repositories' files are byte-identical, and a fresh
-  // process reading them materializes like the oracle too.
+  // commit per image — and through one batch. The batch materializes like
+  // the oracle, its segment is byte-identical to the oracle's, and a fresh
+  // process reading it materializes like the oracle too.
   auto check = [this](const std::vector<std::vector<uint8_t>>& images) {
     std::string error;
-    RepoOptions inline_hashing;
-    inline_hashing.hash_threads = 0;
     const std::string oracle_dir = dir_ + "_per_put";
     fs::remove_all(oracle_dir);
-    auto oracle = CheckpointRepo::Open(oracle_dir, inline_hashing, &error);
+    auto oracle = CheckpointRepo::Open(oracle_dir, RepoOptions{}, &error);
     ASSERT_NE(oracle, nullptr) << error;
     for (const std::vector<uint8_t>& image : images) {
       ASSERT_NE(oracle->PutImage(image), 0u) << oracle->error();
@@ -945,43 +941,26 @@ TEST_F(RepoTest, HashThreadsProduceByteIdenticalRepository) {
     }
     EXPECT_EQ(oracle_fold, put.value());
     oracle.reset();
+    const std::vector<uint8_t> oracle_segment =
+        FileBytes(fs::path(oracle_dir) / "segment.1");
     fs::remove_all(oracle_dir);
 
-    std::vector<uint8_t> segment, journal;  // the inline-hashed batch's files
-    for (const uint32_t hash_threads : {0u, 2u, 4u}) {
-      SCOPED_TRACE(std::to_string(hash_threads) + " hash threads");
-      const std::string dir = dir_ + "_hash" + std::to_string(hash_threads);
-      fs::remove_all(dir);
-      RepoOptions opts;
-      opts.hash_threads = hash_threads;
-      auto repo = CheckpointRepo::Open(dir, opts, &error);
-      ASSERT_NE(repo, nullptr) << error;
-      auto batch = repo->BeginBatch();
-      for (const std::vector<uint8_t>& image : images) {
-        batch->Stage(std::vector<uint8_t>(image));
-      }
-      ASSERT_EQ(batch->staged_count(), images.size());
-      ASSERT_TRUE(repo->CommitBatch(std::move(batch)).ok);
-      // Handles follow stage order, so the fold in handle order matches.
-      EXPECT_EQ(FoldMaterializations(repo.get()), oracle_fold);
-      repo.reset();
-
-      // The strongest form of the determinism claim: identical bytes on
-      // disk.
-      if (hash_threads == 0) {
-        segment = FileBytes(fs::path(dir) / "segment.1");
-        journal = FileBytes(fs::path(dir) / "journal.1");
-      } else {
-        EXPECT_EQ(FileBytes(fs::path(dir) / "segment.1"), segment);
-        EXPECT_EQ(FileBytes(fs::path(dir) / "journal.1"), journal);
-      }
-      if (hash_threads == 4) {
-        auto reopened = CheckpointRepo::Open(dir, RepoOptions{}, &error);
-        ASSERT_NE(reopened, nullptr) << error;
-        EXPECT_EQ(FoldMaterializations(reopened.get()), oracle_fold);
-      }
-      fs::remove_all(dir);
-    }
+    const std::string dir = dir_ + "_batch";
+    fs::remove_all(dir);
+    auto repo = CheckpointRepo::Open(dir, RepoOptions{}, &error);
+    ASSERT_NE(repo, nullptr) << error;
+    ASSERT_TRUE(repo->CommitBatch(Batch(images)).ok) << repo->error();
+    // Handles follow list order, so the fold in handle order matches.
+    EXPECT_EQ(FoldMaterializations(repo.get()), oracle_fold);
+    repo.reset();
+    // Both paths dedup and append in the same order, so the payloads land
+    // at the same offsets: only the journals differ.
+    EXPECT_EQ(FileBytes(fs::path(dir) / "segment.1"), oracle_segment);
+    auto reopened = CheckpointRepo::Open(dir, RepoOptions{}, &error);
+    ASSERT_NE(reopened, nullptr) << error;
+    EXPECT_EQ(FoldMaterializations(reopened.get()), oracle_fold);
+    reopened.reset();
+    fs::remove_all(dir);
   };
 
   // 16 two-chunk images with cross-image shared payloads, so dedup order
@@ -1028,9 +1007,7 @@ TEST_F(RepoTest, FailedCommitLeavesRepositoryOpenableAtPreviousEpoch) {
     full_disk.allow_bytes = 0;
     RepoIoFaultInjector::Arm(RepoIoTarget::kSegment, full_disk);
 
-    auto batch = repo->BeginBatch();
-    batch->Stage(FullImage(30, 40));
-    const auto result = repo->CommitBatch(std::move(batch));
+    const auto result = repo->CommitBatch(Batch({FullImage(30, 40)}));
     EXPECT_FALSE(result.ok);
     EXPECT_NE(result.error.find("append failed"), std::string::npos)
         << result.error;
@@ -1038,9 +1015,7 @@ TEST_F(RepoTest, FailedCommitLeavesRepositoryOpenableAtPreviousEpoch) {
     // instead of tearing the segment, and reads of committed state still
     // work.
     EXPECT_EQ(repo->live_image_count(), 1u);
-    auto retry = repo->BeginBatch();
-    retry->Stage(FullImage(50, 60));
-    EXPECT_FALSE(repo->CommitBatch(std::move(retry)).ok);
+    EXPECT_FALSE(repo->CommitBatch(Batch({FullImage(50, 60)})).ok);
     EXPECT_EQ(repo->Materialize(h1), FullImage(10, 20));
   }
 
@@ -1066,11 +1041,8 @@ class RepoBatchDurabilityTest : public RepoTest {
     auto repo = OpenRepo();
     const uint64_t h1 = repo->PutImage(FullImage(10, 20));
     ASSERT_NE(h1, 0u) << repo->error();
-    auto batch = repo->BeginBatch();
-    batch->Stage(FullImage(30, 40));
-    batch->Stage(FullImage(50, 60));
-    batch->Stage(FullImage(11, 20));
-    const auto result = repo->CommitBatch(std::move(batch));
+    const auto result = repo->CommitBatch(
+        Batch({FullImage(30, 40), FullImage(50, 60), FullImage(11, 20)}));
     ASSERT_TRUE(result.ok) << result.error;
     ASSERT_EQ(repo->live_image_count(), 4u);
   }
