@@ -102,7 +102,10 @@ BENCHMARK(BM_EventSteadyStateDispatch);
 // MicroCheckpointer (50 Hz, two-phase capture, buffered output, observer
 // attached). After 200 ms of warm-up each iteration runs one more epoch.
 // Counts heap allocations per dispatched event across the whole system —
-// hold, release, injection, replay bookkeeping and capture.
+// hold, release, injection, replay bookkeeping and capture — and reports
+// the partitions' summed event-queue high-water mark, which one pending
+// event per wire and per release batch bounds by the topology's stream
+// count rather than by the packets in flight.
 void BM_HaEpochSteadyState(benchmark::State& state) {
   GeneratedTopologyParams params;
   params.hosts = 100;
@@ -123,6 +126,13 @@ void BM_HaEpochSteadyState(benchmark::State& state) {
     }
     return n;
   };
+  const auto pending_high_water = [&topo] {
+    size_t n = 0;
+    for (size_t p = 0; p < topo->partition_count(); ++p) {
+      n += topo->partition_sim(p)->pending_high_water();
+    }
+    return n;
+  };
   SimTime now = 200 * kMillisecond;
   mc.RunUntil(now);
   const uint64_t events_before = events();
@@ -136,6 +146,8 @@ void BM_HaEpochSteadyState(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<int64_t>(dispatched));
   state.counters["allocs_per_event"] = benchmark::Counter(
       dispatched > 0 ? static_cast<double>(allocs) / static_cast<double>(dispatched) : 0);
+  state.counters["pending_high_water"] =
+      benchmark::Counter(static_cast<double>(pending_high_water()));
 }
 BENCHMARK(BM_HaEpochSteadyState)->Unit(benchmark::kMillisecond);
 

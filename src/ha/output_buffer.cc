@@ -85,12 +85,22 @@ void OutputCommitBuffer::FlushShardTelemetry() {
   }
 }
 
-void OutputCommitBuffer::Inject(uint32_t dst, uint64_t index, SimTime at) {
-  ReplayLog* log = &replay_logs_[dst];
-  topo_->partition_sim(dst)->ScheduleAt(at, [log, index] {
-    const Released& rec = log->at_index(index);
-    rec.sink->HandlePacket(rec.pkt);
-  });
+void OutputCommitBuffer::Arm(uint32_t dst, uint64_t index) {
+  const Released& rec = replay_logs_[dst].at_index(index);
+  topo_->partition_sim(dst)->ScheduleReserved(
+      rec.inject_at, rec.seq, [this, dst, index] { Deliver(dst, index); });
+}
+
+void OutputCommitBuffer::Deliver(uint32_t dst, uint64_t index) {
+  const ReplayLog& log = replay_logs_[dst];
+  const Released& rec = log.at_index(index);
+  // A batch is one barrier's run of entries, already in (inject_at, seq)
+  // order, so its next entry fires after this one.
+  if (index + 1 < log.end_index() &&
+      log.at_index(index + 1).release_barrier == rec.release_barrier) {
+    Arm(dst, index + 1);
+  }
+  rec.sink->HandlePacket(rec.pkt);
 }
 
 bool OutputCommitBuffer::DueKey(uint32_t s, SimTime cutoff,
@@ -104,34 +114,12 @@ bool OutputCommitBuffer::DueKey(uint32_t s, SimTime cutoff,
   return true;
 }
 
-namespace {
-
-// Restores a heap ordered by `after` (a min-heap: no element is `after` its
-// parent) whose root was just replaced.
-template <typename T, typename After>
-void SiftDownRoot(std::vector<T>& heap, After after) {
-  const size_t n = heap.size();
-  const T key = heap[0];
-  size_t i = 0;
-  for (size_t child = 1; child < n; child = 2 * i + 1) {
-    if (child + 1 < n && after(heap[child], heap[child + 1])) {
-      ++child;
-    }
-    if (!after(key, heap[child])) {
-      break;
-    }
-    heap[i] = heap[child];
-    i = child;
-  }
-  heap[i] = key;
-}
-
-}  // namespace
-
 size_t OutputCommitBuffer::ReleaseUpTo(SimTime cutoff, SimTime barrier) {
   obs::EpochLedger& ledger = obs::EpochLedger::Global();
   const bool lg = ledger.enabled();
   const double l0 = lg ? ledger.NowMs() : 0.0;
+  assert(barrier > last_barrier_ && "one release per barrier, in order");
+  last_barrier_ = barrier;
   FlushShardTelemetry();
   // Total deterministic order, independent of which partition produced what
   // first: arrival instant, then source partition, then source sequence.
@@ -160,8 +148,17 @@ size_t OutputCommitBuffer::ReleaseUpTo(SimTime cutoff, SimTime barrier) {
         std::max(released_floor_[st.src_partition], h.seq + 1);
     ReplayLog& log = replay_logs_[st.dst_partition];
     const uint64_t index = log.end_index();
-    log.push_back(Released{inject_at, barrier, st.sink, std::move(h.pkt)});
-    Inject(st.dst_partition, index, inject_at);
+    // The first entry of this barrier's batch into `log` is armed; each
+    // delivery arms the next. Every entry reserves its sequence number now,
+    // in release order.
+    const bool batch_head =
+        log.empty() || log.back().release_barrier != barrier;
+    log.push_back(Released{inject_at, barrier,
+                           topo_->partition_sim(st.dst_partition)->ReserveSeq(),
+                           st.sink, std::move(h.pkt)});
+    if (batch_head) {
+      Arm(st.dst_partition, index);
+    }
     if (observer_ != nullptr) {
       observer_->Observe(log.back().pkt, inject_at, st.src_partition,
                          st.dst_partition);
@@ -241,17 +238,23 @@ size_t OutputCommitBuffer::ReplayInbound(uint32_t victim, SimTime restored_to) {
   assert(topo_->partition_sim(victim)->Now() == restored_to &&
          "reset the victim before replaying");
   ReplayLog& log = replay_logs_[victim];
+  Simulator* sim = topo_->partition_sim(victim);
   size_t replayed = 0;
   // Entries are re-injected in their original release order; an entry whose
   // delivery fired before the restore-point capture (inject_at earlier than
   // the barrier, or at an earlier barrier's injection that the epoch's
   // RunUntil consumed) is already part of the image and skipped.
+  SimTime armed_batch = -1;  // release_barrier of the last batch armed
   for (uint64_t i = log.front_index(); i < log.end_index(); ++i) {
-    const Released& rec = log.at_index(i);
+    Released& rec = log.at_index(i);
     if (rec.inject_at <= restored_to && rec.release_barrier < restored_to) {
       continue;  // consumed before the restored image was captured
     }
-    Inject(victim, i, rec.inject_at);
+    rec.seq = sim->ReserveSeq();
+    if (rec.release_barrier != armed_batch) {
+      armed_batch = rec.release_barrier;
+      Arm(victim, i);
+    }
     ++replayed;
   }
   replayed_total_ += replayed;

@@ -37,15 +37,23 @@
 // re-held exactly once.
 //
 // Each released delivery is appended to its destination partition's replay
-// log, and its injected event names the entry by (log, absolute index)
-// instead of carrying a copy of the packet. The log doubles as the failover
-// replay log: a restored partition lost every released delivery still
-// pending in its event queue (the queue is wiped, and injected events are
-// not component state), so ReplayInbound re-injects the entries of the
-// victim's log the restored timeline still needs. DiscardUnreleasedFrom
-// drops a victim's held output — its replay regenerates exactly those sends,
-// which is what makes duplication impossible: output escapes the buffer only
-// once, after commit.
+// log with the event sequence number it reserves on that partition's
+// simulator, and its injected event names the entry by (destination
+// partition, absolute index) instead of carrying a copy of the packet. The
+// entries one barrier releases into one log form a batch, in (inject_at,
+// seq) order. Only a batch's first entry is scheduled at release; each
+// delivery schedules the next entry of its batch under its reserved number,
+// so the destination's event queue holds one entry per batch, not one per
+// packet, and every delivery fires where a per-packet event would have.
+//
+// The log doubles as the failover replay log: a restored partition lost
+// every released delivery still pending in its event queue (the queue is
+// wiped, and injected events are not component state), so ReplayInbound
+// re-injects the entries of the victim's log the restored timeline still
+// needs, arming the first re-injected entry of each batch.
+// DiscardUnreleasedFrom drops a victim's held output — its replay
+// regenerates exactly those sends, which is what makes duplication
+// impossible: output escapes the buffer only once, after commit.
 //
 // Lifetime: injected events point into the replay logs, so the buffer must
 // outlive every run of the topology it taps (MicroCheckpointer owns both the
@@ -105,7 +113,9 @@ class OutputCommitBuffer : public WireEgressTap {
   // epoch's instant), injecting each delivery into its destination partition
   // at max(deliver_at, barrier). Deliveries are injected in (deliver_at,
   // src partition, seq) order, merged from the streams. Coordinator thread,
-  // between windows. Returns the number released.
+  // between windows, at most once per barrier and with barriers increasing:
+  // one call's deliveries into one partition are one batch. Returns the
+  // number released.
   size_t ReleaseUpTo(SimTime cutoff, SimTime barrier);
 
   // Epoch bookkeeping: records every source partition's emission position
@@ -134,7 +144,10 @@ class OutputCommitBuffer : public WireEgressTap {
   // restore wiped from its event queue — entries with inject_at strictly
   // after `restored_to`, plus entries released at the `restored_to` barrier
   // itself (those fired after the epoch capture, so their effect is not in
-  // the image). Call with the victim's simulator already reset to
+  // the image). Each reserves a fresh sequence number, in log order, and the
+  // first re-injected entry of each batch is armed: the entries a batch
+  // skips are a prefix (inject_at is non-decreasing along it), so its chain
+  // delivers the rest. Call with the victim's simulator already reset to
   // `restored_to`. Returns the number re-injected.
   size_t ReplayInbound(uint32_t victim, SimTime restored_to);
 
@@ -192,13 +205,18 @@ class OutputCommitBuffer : public WireEgressTap {
   struct Released {
     SimTime inject_at = 0;        // when the delivery was scheduled to fire
     SimTime release_barrier = 0;  // the barrier that released it
+    uint64_t seq = 0;  // its event's sequence number on the destination
     PacketHandler* sink = nullptr;
     Packet pkt;
   };
   using ReplayLog = Fifo<Released>;
 
-  // Schedules the delivery of entry `index` of partition `dst`'s replay log.
-  void Inject(uint32_t dst, uint64_t index, SimTime at);
+  // Schedules the delivery of entry `index` of partition `dst`'s replay log
+  // at the entry's (inject_at, seq).
+  void Arm(uint32_t dst, uint64_t index);
+  // The injected event: arms the next entry of the same batch, then hands
+  // entry `index` to its sink.
+  void Deliver(uint32_t dst, uint64_t index);
   // Stream `s`'s front as a merge key, or false if it is empty or was sent
   // after `cutoff`.
   bool DueKey(uint32_t s, SimTime cutoff, MergeKey* key) const;
@@ -220,9 +238,10 @@ class OutputCommitBuffer : public WireEgressTap {
   // Restores only ever target the newest committed epoch (or the epoch-0
   // bootstrap early on), so old entries are pruned aggressively.
   std::map<uint64_t, std::vector<uint64_t>> epoch_seq_;
-  // Per destination partition, in release order. Never resized after
-  // construction: injected events hold pointers to its elements.
+  // Per destination partition, in release order. Injected events name
+  // their entry by (partition, absolute index).
   std::vector<ReplayLog> replay_logs_;
+  SimTime last_barrier_ = -1;  // ReleaseUpTo's latest barrier
   std::vector<MergeKey> merge_heap_;  // ReleaseUpTo's heap, reused
   uint64_t released_total_ = 0;
   uint64_t discarded_total_ = 0;

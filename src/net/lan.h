@@ -4,7 +4,6 @@
 #define TCSIM_SRC_NET_LAN_H_
 
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
 #include "src/net/nic.h"
@@ -55,13 +54,21 @@ class Lan : public PacketHandler {
   Wire* uplink(size_t i) { return uplinks_[i].get(); }
 
  private:
+  struct Port {
+    NodeId addr;
+    Nic* nic;
+  };
+
+  // Finds the port for `addr`, or the first port after it.
+  std::vector<Port>::iterator LowerBound(NodeId addr);
+
   Simulator* sim_;
   Rng rng_;
   uint64_t port_bandwidth_bps_;
   SimTime port_delay_;
   double loss_rate_;
   std::vector<std::unique_ptr<Wire>> uplinks_;
-  std::unordered_map<NodeId, Nic*> ports_;
+  std::vector<Port> ports_;  // sorted by addr, searched by binary search
   PacketHandler* gateway_ = nullptr;
   uint64_t unknown_dst_drops_ = 0;
   uint64_t forwarded_to_gateway_ = 0;

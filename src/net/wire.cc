@@ -110,14 +110,28 @@ void Wire::Transmit(const Packet& pkt) {
     return;
   }
   bytes_in_flight_ += pkt.size_bytes;
-  in_flight_.push_back(InFlightPacket{tx_done + delay_, pkt});
-  sim_->ScheduleAt(tx_done + delay_, [this] { DeliverHead(); });
+  const bool idle = in_flight_.empty();
+  in_flight_.push_back(
+      InFlightPacket{tx_done + delay_, sim_->ReserveSeq(), pkt});
+  if (idle) {
+    ArmHead();
+  }
+}
+
+void Wire::ArmHead() {
+  const InFlightPacket& head = in_flight_.front();
+  sim_->ScheduleReserved(head.deliver_at, head.seq, [this] { DeliverHead(); });
 }
 
 void Wire::DeliverHead() {
   assert(!in_flight_.empty());
   InFlightPacket entry = std::move(in_flight_.front());
   in_flight_.pop_front();
+  // Arm the next delivery before the sink runs: a sink that transmits on
+  // this wire must find it armed iff it holds packets.
+  if (!in_flight_.empty()) {
+    ArmHead();
+  }
   bytes_in_flight_ -= entry.pkt.size_bytes;
   bytes_delivered_ += entry.pkt.size_bytes;
   sink_->HandlePacket(entry.pkt);
@@ -142,7 +156,8 @@ void Wire::SaveState(ArchiveWriter* w) const {
   w->Write<uint64_t>(bytes_in_flight_);
   rng_.Save(w);
   w->Write<uint32_t>(static_cast<uint32_t>(in_flight_.size()));
-  for (const InFlightPacket& e : in_flight_) {
+  for (uint64_t i = in_flight_.front_index(); i < in_flight_.end_index(); ++i) {
+    const InFlightPacket& e = in_flight_.at_index(i);
     w->Write<int64_t>(e.deliver_at);
     SavePacket(w, e.pkt);
   }
@@ -161,18 +176,21 @@ void Wire::RestoreState(ArchiveReader& r) {
   rng_.Restore(r);
   in_flight_.clear();
   const uint32_t n = r.Read<uint32_t>();
+  // Each entry reserves a fresh sequence number, in FIFO order, where the
+  // delivery event it stands for would have been scheduled.
   for (uint32_t i = 0; i < n; ++i) {
     InFlightPacket e;
     e.deliver_at = r.Read<int64_t>();
+    e.seq = sim_->ReserveSeq();
     e.pkt = LoadPacket(r);
     in_flight_.push_back(std::move(e));
   }
-  // Re-arm the delivery events the restore wiped out with the event queue —
-  // the DMTCP-style closure re-registration step. Restore runs with the
-  // clock at or before every deliver_at (checkpoints only capture future
-  // deliveries), so these fire at their original instants.
-  for (const InFlightPacket& e : in_flight_) {
-    sim_->ScheduleAt(e.deliver_at, [this] { DeliverHead(); });
+  // Re-arm the delivery the restore wiped out with the event queue — the
+  // DMTCP-style closure re-registration step. Restore runs with the clock at
+  // or before every deliver_at (checkpoints only capture future
+  // deliveries), so the deliveries fire at their original instants.
+  if (!in_flight_.empty()) {
+    ArmHead();
   }
 }
 

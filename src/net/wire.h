@@ -48,12 +48,19 @@ class WireEgressTap {
 // loss. A bandwidth of 0 means "infinitely fast" — used for the zero-delay
 // links between experiment nodes and their delay nodes (Section 4.4).
 //
+// An intra-partition wire keeps one pending event, however many packets are
+// in flight: Transmit reserves each packet's event sequence number and
+// queues the packet, and only the head delivery is scheduled. Delivering
+// the head schedules the next one under its reserved number, so every
+// delivery fires at the (time, seq) a per-packet event would have had.
+//
 // Checkpointable: a wire's restorable state is its serializer clock
 // (busy_until_), its loss rng, its byte/packet counters, any armed link
 // fault, and — for intra-partition wires — the explicit list of deliveries
 // still in flight. In-flight deliveries are kept as plain data (deliver
 // instant + packet) rather than captured closures, so RestoreState can
-// re-arm them DMTCP-plugin style after the event queue was wiped.
+// re-arm them DMTCP-plugin style after the event queue was wiped. Sequence
+// numbers are not saved: a restore reserves fresh ones.
 class Wire : public Checkpointable {
  public:
   Wire(Simulator* sim, Rng rng, uint64_t bandwidth_bps, SimTime propagation_delay,
@@ -137,13 +144,17 @@ class Wire : public Checkpointable {
  private:
   struct InFlightPacket {
     SimTime deliver_at = 0;
+    uint64_t seq = 0;  // the delivery event's reserved sequence number
     Packet pkt;
   };
 
   SimTime SerializationTime(uint32_t bytes) const;
-  // Completes the oldest in-flight delivery. Wires deliver FIFO by
-  // construction: busy_until_ is monotone and the propagation delay is
-  // constant, so arrival order equals transmission order.
+  // Schedules the oldest in-flight delivery under its reserved number.
+  void ArmHead();
+  // Completes the oldest in-flight delivery and arms the next. Wires deliver
+  // FIFO by construction: busy_until_ is monotone and the propagation delay
+  // is constant, so arrival order equals transmission order, and each
+  // delivery's (deliver_at, seq) is later than its predecessor's.
   void DeliverHead();
 
   Simulator* sim_;

@@ -35,7 +35,7 @@ bool EventHandle::pending() const {
   return queue_ != nullptr && queue_->SlotPending(slot_, generation_);
 }
 
-EventHandle EventQueue::Push(SimTime t, EventFn&& fn) {
+EventHandle EventQueue::PushReserved(SimTime t, uint64_t seq, EventFn&& fn) {
   CheckGuard();
   uint32_t index;
   if (free_head_ != kNoSlot) {
@@ -49,12 +49,21 @@ EventHandle EventQueue::Push(SimTime t, EventFn&& fn) {
   Slot& slot = slots_[index];
   slot.fn = std::move(fn);
   slot.live = true;
-  // The sequence number is consumed here, at scheduling time, whether or not
-  // the event later fires — it encodes the scheduling site's position in the
-  // global event-creation order, which is what the determinism digest keys on.
-  const uint64_t seq = next_seq_++;
-  heap_.push_back(HeapEntry{t, seq, index, slot.generation});
-  std::push_heap(heap_.begin(), heap_.end(), After{});
+  // `seq` was consumed when it was reserved (for Push, just now), whether or
+  // not the event later fires: it encodes the scheduling site's position in
+  // the global event-creation order, which is what the determinism digest
+  // keys on.
+  assert(seq < next_seq_);
+  const HeapEntry entry{t, seq, index, slot.generation};
+  if (!heap_.empty() && Stale(heap_.front())) {
+    // Usually the entry the last Pop dispatched: take its place.
+    heap_.front() = entry;
+    --stale_;
+    SiftDownRoot(heap_, After{});
+  } else {
+    heap_.push_back(entry);
+    std::push_heap(heap_.begin(), heap_.end(), After{});
+  }
   ++live_;
   if (live_ > live_high_water_) {
     live_high_water_ = live_;
@@ -137,8 +146,7 @@ EventFn EventQueue::Pop(SimTime* t) {
   DropStale();
   assert(!heap_.empty());
   const HeapEntry top = heap_.front();
-  std::pop_heap(heap_.begin(), heap_.end(), After{});
-  heap_.pop_back();
+  ++stale_;  // the entry stays at the root; ReleaseSlot makes it stale
   *t = top.time;
   EventFn fn = std::move(slots_[top.slot].fn);
   ReleaseSlot(top.slot);

@@ -1,9 +1,16 @@
 // A cancellable priority queue of timed events.
 //
-// Events with equal timestamps fire in insertion order (a monotonic sequence
-// number breaks ties), which keeps whole-simulation runs deterministic and
-// reproducible — a requirement for the transparency property tests, which
-// compare two runs event for event.
+// Events with equal timestamps fire in sequence-number order, which keeps
+// whole-simulation runs deterministic and reproducible — a requirement for
+// the transparency property tests, which compare two runs event for event.
+// A sequence number is consumed when it is reserved: Push reserves and
+// schedules at once, and a FIFO stream of events (a wire's in-flight
+// packets, a release batch) reserves each entry's number when the entry is
+// created but keeps only its head scheduled, arming the next entry with
+// PushReserved when the head fires. Every event keeps the (time, seq) it
+// would have had if all had been pushed at once, so dispatch order and the
+// digest do not depend on when an event was armed, and the heap holds one
+// entry per stream instead of one per packet.
 //
 // Storage layout (the hot path of every benchmark in this tree):
 //  - Callbacks live in a slab of reusable slots; a freed slot goes on a free
@@ -23,12 +30,19 @@
 //  - The binary heap is a plain std::vector of POD entries ordered with
 //    push_heap/pop_heap, so Pop moves the callback out of its slot directly —
 //    no const_cast move from priority_queue::top().
+//  - Pop leaves the dispatched entry at the root, where it reads as stale
+//    once its slot is freed. Most callbacks schedule a follow-up event, and
+//    the first push after a Pop takes the stale root's place and sifts down
+//    from there: a near-future event stops after a level or two, where a
+//    pop_heap plus push_heap would have walked the heap's height twice. If
+//    nothing is pushed, the next NextTime or Pop drops the stale root.
 
 #ifndef TCSIM_SRC_SIM_EVENT_QUEUE_H_
 #define TCSIM_SRC_SIM_EVENT_QUEUE_H_
 
 #include <atomic>
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "src/sim/digest.h"
@@ -58,6 +72,28 @@ struct QueueGuard {
 // Tag identifying the calling thread for QueueGuard ownership checks
 // (a hash of std::thread::id, never 0).
 uint64_t CurrentThreadTag();
+
+// Restores a heap ordered by `after` (a min-heap: no element is `after` its
+// parent) whose root was just replaced: one sift from the root, where a
+// pop_heap plus push_heap would sift twice. The event queue and the HA
+// release merge use it.
+template <typename T, typename After>
+void SiftDownRoot(std::vector<T>& heap, After after) {
+  const size_t n = heap.size();
+  const T key = heap[0];
+  size_t i = 0;
+  for (size_t child = 1; child < n; child = 2 * i + 1) {
+    if (child + 1 < n && after(heap[child], heap[child + 1])) {
+      ++child;
+    }
+    if (!after(key, heap[child])) {
+      break;
+    }
+    heap[i] = heap[child];
+    i = child;
+  }
+  heap[i] = key;
+}
 
 // A handle to a scheduled event that allows cancellation. Handles are cheap
 // to copy; a default-constructed handle refers to nothing. A handle must not
@@ -90,7 +126,22 @@ class EventHandle {
 class EventQueue {
  public:
   // Enqueues `fn` to fire at absolute time `t`.
-  EventHandle Push(SimTime t, EventFn&& fn);
+  EventHandle Push(SimTime t, EventFn&& fn) {
+    return PushReserved(t, next_seq_++, std::move(fn));
+  }
+
+  // Consumes the next sequence number without scheduling anything. The
+  // caller later schedules the event it stands for with PushReserved.
+  uint64_t ReserveSeq() {
+    CheckGuard();
+    return next_seq_++;
+  }
+
+  // Enqueues `fn` to fire at absolute time `t` under `seq`, a number taken
+  // from ReserveSeq and not used before. The caller must push it before any
+  // event ordered after (t, seq) is popped; it then fires exactly where a
+  // Push at reservation time would have.
+  EventHandle PushReserved(SimTime t, uint64_t seq, EventFn&& fn);
 
   // True if no live (non-cancelled) events remain.
   bool Empty() const { return live_ == 0; }
@@ -130,9 +181,9 @@ class EventQueue {
   size_t heap_entries() const { return heap_.size(); }
 
   // Largest live-event population ever reached — the queue-depth high-water
-  // mark exported as "sim.queue.depth_high_water". Maintained inline in Push
-  // (one compare); the telemetry layer only reads it, keeping the dispatch
-  // hot path free of any metric lookup.
+  // mark exported as "sim.queue.depth_high_water". Maintained inline in
+  // PushReserved (one compare); the telemetry layer only reads it, keeping
+  // the dispatch hot path free of any metric lookup.
   size_t live_high_water() const { return live_high_water_; }
 
   // --- Partition ownership guard ---------------------------------------------
@@ -211,7 +262,7 @@ class EventQueue {
   std::vector<Slot> slots_;
   uint32_t free_head_ = kNoSlot;
   mutable std::vector<HeapEntry> heap_;
-  mutable size_t stale_ = 0;  // heap_ entries whose event was cancelled
+  mutable size_t stale_ = 0;  // heap_ entries cancelled or dispatched
   size_t live_ = 0;
   size_t live_high_water_ = 0;
   uint64_t next_seq_ = 0;

@@ -1,17 +1,18 @@
-// A FIFO queue in one vector.
+// A FIFO queue in one ring buffer.
 //
 // std::deque allocates a node every few elements once the elements are
 // 100-byte records (libstdc++ packs 512-byte nodes), so a queue that is
 // steadily pushed and popped allocates and frees forever. Fifo keeps its
-// elements in one vector: pop_front advances a head index, and the dead
-// prefix is erased once it reaches half the vector, so a queue at steady
-// state reuses its capacity and allocates nothing, at an amortized O(1) move
-// per element.
+// elements in one vector used as a ring with a power-of-two capacity:
+// pop_front resets the front slot and advances the head, and push_back
+// doubles the ring only when it is full. A queue at steady state therefore
+// reuses its capacity, allocates nothing and never moves a live element.
 //
 // Every element also has an absolute index: the number of elements pushed
-// before it, minus those taken back with pop_back. The index stays valid
-// across compaction until the element is popped, so an index can stand in
-// for a pointer that compaction would invalidate.
+// before it, minus those taken back with pop_back. Its slot is the index
+// modulo the capacity, so the index stays valid across growth until the
+// element is popped, and an index can stand in for a pointer that growth
+// would invalidate.
 
 #ifndef TCSIM_SRC_SIM_FIFO_H_
 #define TCSIM_SRC_SIM_FIFO_H_
@@ -27,66 +28,79 @@ namespace tcsim {
 template <typename T>
 class Fifo {
  public:
-  using const_iterator = typename std::vector<T>::const_iterator;
-
-  bool empty() const { return head_ == items_.size(); }
-  size_t size() const { return items_.size() - head_; }
+  bool empty() const { return head_ == end_; }
+  size_t size() const { return static_cast<size_t>(end_ - head_); }
 
   T& front() {
     assert(!empty());
-    return items_[head_];
+    return slot(head_);
   }
   const T& front() const {
     assert(!empty());
-    return items_[head_];
+    return slot(head_);
   }
   T& back() {
     assert(!empty());
-    return items_.back();
+    return slot(end_ - 1);
   }
 
-  void push_back(T value) { items_.push_back(std::move(value)); }
+  void push_back(T value) {
+    if (size() == ring_.size()) {
+      Grow();
+    }
+    slot(end_) = std::move(value);
+    ++end_;
+  }
 
   void pop_front() {
     assert(!empty());
+    slot(head_) = T();
     ++head_;
-    if (2 * head_ >= items_.size()) {
-      items_.erase(items_.begin(),
-                   items_.begin() + static_cast<std::ptrdiff_t>(head_));
-      base_ += head_;
-      head_ = 0;
-    }
   }
 
   void pop_back() {
     assert(!empty());
-    items_.pop_back();
+    --end_;
+    slot(end_) = T();
   }
 
   void clear() {
-    base_ += items_.size();
-    items_.clear();
-    head_ = 0;
+    while (!empty()) {
+      pop_front();
+    }
   }
-
-  // Live elements, front to back.
-  const_iterator begin() const {
-    return items_.begin() + static_cast<std::ptrdiff_t>(head_);
-  }
-  const_iterator end() const { return items_.end(); }
 
   // Absolute indices: front() is at front_index(), back() at end_index() - 1.
-  uint64_t front_index() const { return base_ + head_; }
-  uint64_t end_index() const { return base_ + items_.size(); }
+  uint64_t front_index() const { return head_; }
+  uint64_t end_index() const { return end_; }
   T& at_index(uint64_t index) {
-    assert(index >= front_index() && index < end_index());
-    return items_[index - base_];
+    assert(index >= head_ && index < end_);
+    return slot(index);
+  }
+  const T& at_index(uint64_t index) const {
+    assert(index >= head_ && index < end_);
+    return slot(index);
   }
 
  private:
-  std::vector<T> items_;
-  size_t head_ = 0;    // items_[0, head_) are popped
-  uint64_t base_ = 0;  // absolute index of items_[0]
+  T& slot(uint64_t index) { return ring_[index & (ring_.size() - 1)]; }
+  const T& slot(uint64_t index) const {
+    return ring_[index & (ring_.size() - 1)];
+  }
+
+  // Doubles the capacity, moving each live element to its index's slot in
+  // the larger ring.
+  void Grow() {
+    std::vector<T> larger(ring_.empty() ? 1 : 2 * ring_.size());
+    for (uint64_t i = head_; i < end_; ++i) {
+      larger[i & (larger.size() - 1)] = std::move(slot(i));
+    }
+    ring_.swap(larger);
+  }
+
+  std::vector<T> ring_;  // capacity: 0 or a power of two
+  uint64_t head_ = 0;    // absolute index of front()
+  uint64_t end_ = 0;     // absolute index one past back()
 };
 
 }  // namespace tcsim

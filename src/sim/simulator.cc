@@ -1,5 +1,6 @@
 #include "src/sim/simulator.h"
 
+#include <cassert>
 #include <utility>
 
 namespace tcsim {
@@ -16,6 +17,11 @@ EventHandle Simulator::ScheduleAt(SimTime t, EventFn&& fn) {
     t = now_;
   }
   return queue_.Push(t, std::move(fn));
+}
+
+EventHandle Simulator::ScheduleReserved(SimTime t, uint64_t seq, EventFn&& fn) {
+  assert(t >= now_ && "a reserved event is never clamped to now");
+  return queue_.PushReserved(t, seq, std::move(fn));
 }
 
 void Simulator::Run() {

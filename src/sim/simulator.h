@@ -44,6 +44,18 @@ class Simulator {
   // Schedules `fn` at absolute time `t`; `t` in the past is clamped to now.
   EventHandle ScheduleAt(SimTime t, EventFn&& fn);
 
+  // Reserves the sequence number of an event to be scheduled later with
+  // ScheduleReserved: the event's place among same-instant events is fixed
+  // now, where a ScheduleAt would have fixed it. A FIFO of future events
+  // reserves one number per entry and keeps only its head scheduled (see
+  // EventQueue).
+  uint64_t ReserveSeq() { return queue_.ReserveSeq(); }
+
+  // Schedules `fn` at absolute time `t` under the reserved number `seq`.
+  // `t` must not be in the past: unlike ScheduleAt, nothing is clamped,
+  // because a clamped event would no longer fire at its reserved place.
+  EventHandle ScheduleReserved(SimTime t, uint64_t seq, EventFn&& fn);
+
   // Runs events until the queue is exhausted.
   void Run();
 

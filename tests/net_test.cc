@@ -95,9 +95,8 @@ TEST(WireTest, SaveMidDrainRestoresRemainingDeliveries) {
     pkt.id = 100 + i;
     wire.Transmit(pkt);
   }
-  // Six delivered: the in-flight queue's head is past its compaction point
-  // (half the entries dead), so the save sees a compacted, partly drained
-  // queue.
+  // Six delivered: the save sees a partly drained queue whose front is not
+  // the first slot of its ring.
   sim.RunUntil(115 * kMicrosecond);
   ASSERT_EQ(sink.deliveries.size(), 6u);
   ArchiveWriter saved;
@@ -123,6 +122,66 @@ TEST(WireTest, SaveMidDrainRestoresRemainingDeliveries) {
   EXPECT_EQ(remaining.front(),
             std::make_pair(uint64_t{106}, 120 * kMicrosecond));
   EXPECT_EQ(restored_sink.deliveries, remaining);
+}
+
+// A burst keeps one delivery event pending, not one per packet, and every
+// packet still arrives at its own instant, in FIFO order, with the place
+// among same-instant events it had when it was transmitted. A restore in the
+// middle of the burst re-arms one event.
+TEST(WireTest, BurstArmsOneEventAndKeepsEachDeliverysPlace) {
+  // 1 Gbps, 50 us propagation: ten back-to-back 1250-byte packets arrive
+  // 10 us apart, from 60 us to 150 us.
+  constexpr SimTime kDelay = 50 * kMicrosecond;
+  Simulator sim;
+  DeliveryLog sink(&sim);
+  Wire wire(&sim, Rng(1), 1'000'000'000, kDelay, 0.0, &sink);
+  // Two markers at packet 102's arrival instant: one scheduled before the
+  // burst, one after. Their ids are 0 and 1.
+  auto marker = [&sink, &sim](uint64_t id) {
+    return [&sink, &sim, id] { sink.deliveries.push_back({id, sim.Now()}); };
+  };
+  sim.ScheduleAt(80 * kMicrosecond, marker(0));
+  for (uint64_t i = 0; i < 10; ++i) {
+    Packet pkt = MakePacket(1, 2, 1250);
+    pkt.id = 100 + i;
+    wire.Transmit(pkt);
+  }
+  sim.ScheduleAt(80 * kMicrosecond, marker(1));
+  EXPECT_EQ(sim.pending_events(), 3u);  // the two markers and the wire
+
+  sim.RunUntil(115 * kMicrosecond);
+  ASSERT_EQ(sink.deliveries.size(), 8u);
+  EXPECT_EQ(sim.pending_events(), 1u);
+  ArchiveWriter saved;
+  wire.SaveState(&saved);
+  Simulator restored_sim;
+  restored_sim.ResetForRestore(sim.Now());
+  DeliveryLog restored_sink(&restored_sim);
+  Wire restored(&restored_sim, Rng(2), 1'000'000'000, kDelay, 0.0,
+                &restored_sink);
+  ArchiveReader reader(saved.data());
+  restored.RestoreState(reader);
+  ASSERT_TRUE(reader.ok());
+  EXPECT_EQ(restored_sim.pending_events(), 1u);
+
+  sim.Run();
+  restored_sim.Run();
+  std::vector<std::pair<uint64_t, SimTime>> expected;
+  for (uint64_t i = 0; i < 10; ++i) {
+    if (i == 2) {
+      expected.push_back({0, 80 * kMicrosecond});
+    }
+    const SimTime arrival = (60 + 10 * static_cast<SimTime>(i)) * kMicrosecond;
+    expected.push_back({100 + i, arrival});
+    if (i == 2) {
+      expected.push_back({1, 80 * kMicrosecond});
+    }
+  }
+  EXPECT_EQ(sink.deliveries, expected);
+  const std::vector<std::pair<uint64_t, SimTime>> remaining(
+      expected.begin() + 8, expected.end());
+  EXPECT_EQ(restored_sink.deliveries, remaining);
+  EXPECT_EQ(sim.pending_high_water(), 3u);
 }
 
 TEST(WireTest, ZeroBandwidthMeansInfinitelyFast) {

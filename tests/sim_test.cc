@@ -2,12 +2,17 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <deque>
+#include <functional>
+#include <memory>
 #include <set>
 #include <utility>
 #include <vector>
 
 #include "src/sim/archive.h"
 #include "src/sim/event_queue.h"
+#include "src/sim/fifo.h"
 #include "src/sim/random.h"
 #include "src/sim/simulator.h"
 #include "src/sim/stats.h"
@@ -276,6 +281,107 @@ TEST(EventQueueTest, PopAfterCancellationChurnSkipsStaleEntries) {
   EXPECT_GT(rebuilds, 0);
 }
 
+// A FIFO stream keeps only its head scheduled: each entry reserves its
+// sequence number when it is created, and each dispatch arms the stream's
+// next entry with PushReserved. Mixed with plain Pushes, made up front and
+// from inside dispatched events, and with many equal times, dispatch order
+// and digest() must equal an oracle queue that pushed every event when it
+// was created.
+TEST(EventQueueTest, ReservedStreamsDispatchLikeOnePushPerEvent) {
+  constexpr int kStreams = 4;
+  constexpr int kEvents = 400;
+  struct Created {
+    SimTime at;
+    int stream;  // -1: a plain Push
+  };
+  // Creation order; a stream's times never decrease along it, so its
+  // (time, seq) keys increase.
+  std::vector<Created> created;
+  Rng rng(11);
+  SimTime stream_at[kStreams] = {};
+  for (int i = 0; i < kEvents; ++i) {
+    const int stream = static_cast<int>(rng.UniformInt(-2, kStreams - 1));
+    if (stream < 0) {
+      created.push_back({rng.UniformInt(0, 60), -1});
+    } else {
+      stream_at[stream] += rng.UniformInt(0, 1);
+      created.push_back({stream_at[stream], stream});
+    }
+  }
+
+  struct Run {
+    EventQueue q;
+    std::vector<int> order;  // dispatched event ids
+    int next_id = kEvents;   // ids of events pushed while dispatching
+    // Per stream: its entries' ids and reserved sequence numbers.
+    std::vector<std::vector<std::pair<int, uint64_t>>> streams;
+    std::vector<size_t> heads;
+  };
+  // Every 5th dispatched event pushes a follow-up at its own instant or
+  // just after, in both runs; that consumes one sequence number each.
+  auto dispatch = [](Run& run, int id, SimTime at) {
+    run.order.push_back(id);
+    if (id % 5 == 0) {
+      const int follow_up = run.next_id++;
+      run.q.Push(at + follow_up % 2, [&run, follow_up] {
+        run.order.push_back(follow_up);
+      });
+    }
+  };
+
+  Run oracle;
+  for (int i = 0; i < kEvents; ++i) {
+    const SimTime at = created[i].at;
+    oracle.q.Push(at, [&, i, at] { dispatch(oracle, i, at); });
+  }
+
+  Run chained;
+  chained.streams.resize(kStreams);
+  chained.heads.assign(kStreams, 0);
+  std::function<void(int)> arm_head = [&](int s) {
+    auto& stream = chained.streams[s];
+    if (chained.heads[s] == stream.size()) {
+      return;
+    }
+    const auto [id, seq] = stream[chained.heads[s]++];
+    const SimTime at = created[id].at;
+    chained.q.PushReserved(at, seq, [&, s, id, at] {
+      arm_head(s);
+      dispatch(chained, id, at);
+    });
+  };
+  for (int i = 0; i < kEvents; ++i) {
+    const Created& c = created[i];
+    if (c.stream < 0) {
+      const SimTime at = c.at;
+      chained.q.Push(at, [&, i, at] { dispatch(chained, i, at); });
+    } else {
+      chained.streams[c.stream].push_back({i, chained.q.ReserveSeq()});
+    }
+  }
+  for (int s = 0; s < kStreams; ++s) {
+    arm_head(s);  // pushed after every later reservation
+  }
+
+  for (Run* run : {&oracle, &chained}) {
+    while (!run->q.Empty()) {
+      SimTime at = 0;
+      EventFn fn = run->q.Pop(&at);
+      fn();
+    }
+  }
+  ASSERT_EQ(oracle.order.size(), static_cast<size_t>(oracle.next_id));
+  EXPECT_EQ(chained.order, oracle.order);
+  EXPECT_EQ(chained.q.digest(), oracle.q.digest());
+  // Each stream held one queue entry instead of one per event.
+  const size_t plain = static_cast<size_t>(
+      std::count_if(created.begin(), created.end(),
+                    [](const Created& c) { return c.stream < 0; }));
+  const size_t bound = plain + kStreams + (oracle.next_id - kEvents);
+  EXPECT_LE(chained.q.live_high_water(), bound);
+  EXPECT_GT(oracle.q.live_high_water(), bound);
+}
+
 // A handle whose slot was recycled must read as not-pending and its Cancel
 // must not touch the new occupant (the generation check).
 TEST(EventQueueTest, StaleHandleCannotCancelRecycledSlot) {
@@ -296,6 +402,57 @@ TEST(EventQueueTest, StaleHandleCannotCancelRecycledSlot) {
   fn = q.Pop(&t);
   fn();
   EXPECT_TRUE(second_fired);
+}
+
+// --- Fifo ring --------------------------------------------------------------------
+
+// Absolute indices name the same element while the ring wraps and while it
+// grows with its front past the first slot; pop_back and clear keep the
+// numbering, and popped slots release what they held.
+TEST(FifoTest, AbsoluteIndicesSurviveWrapAndGrowth) {
+  Fifo<std::shared_ptr<uint64_t>> fifo;
+  std::deque<uint64_t> model;  // values; a value is its absolute index
+  uint64_t next = 0;
+  auto expect_matches = [&] {
+    ASSERT_EQ(fifo.size(), model.size());
+    ASSERT_EQ(fifo.end_index() - fifo.front_index(), model.size());
+    for (uint64_t i = fifo.front_index(); i < fifo.end_index(); ++i) {
+      EXPECT_EQ(*fifo.at_index(i), model[i - fifo.front_index()]);
+    }
+  };
+  Rng rng(5);
+  for (int round = 0; round < 300; ++round) {
+    // Grow the backlog over time, so growth happens with the front anywhere.
+    const int pushes = static_cast<int>(rng.UniformInt(0, 4));
+    for (int i = 0; i < pushes; ++i) {
+      fifo.push_back(std::make_shared<uint64_t>(next));
+      model.push_back(next++);
+    }
+    const int pops = static_cast<int>(rng.UniformInt(0, 3));
+    for (int i = 0; i < pops && !model.empty(); ++i) {
+      EXPECT_EQ(*fifo.front(), model.front());
+      fifo.pop_front();
+      model.pop_front();
+    }
+    if (round % 17 == 0 && !model.empty()) {
+      EXPECT_EQ(*fifo.back(), model.back());
+      fifo.pop_back();
+      model.pop_back();
+      --next;  // pop_back takes the index back
+    }
+    expect_matches();
+  }
+  // A popped element is released at once, not when its slot is reused.
+  std::weak_ptr<uint64_t> front = fifo.front();
+  fifo.pop_front();
+  model.pop_front();
+  EXPECT_TRUE(front.expired());
+  const uint64_t end = fifo.end_index();
+  fifo.clear();
+  EXPECT_TRUE(fifo.empty());
+  EXPECT_EQ(fifo.front_index(), end);
+  fifo.push_back(std::make_shared<uint64_t>(end));
+  EXPECT_EQ(*fifo.at_index(end), end);
 }
 
 TEST(RngTest, UniformBounds) {
