@@ -21,7 +21,7 @@ MicroCheckpointer::MicroCheckpointer(GeneratedTopology* topo,
     });
   }
   if (policy_.buffer_output) {
-    buffer_ = std::make_unique<OutputCommitBuffer>(topo_);
+    buffer_ = std::make_unique<OutputCommitBuffer>(topo_->boundary());
   }
   failover_ = std::make_unique<FailoverManager>(topo_, buffer_.get());
   // Epoch-0 bootstrap: capture the initial state so a kill during the very

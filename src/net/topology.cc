@@ -224,7 +224,9 @@ Wire* GeneratedTopology::MakeInteriorWire(uint32_t src_partition,
       sims_[src_partition].get(), Rng(params_.seed ^ Mix64(0x9000 + next_wire_seed_++)),
       bandwidth_bps, delay, params_.loss_rate, sink);
   if (src_partition != dst_partition) {
-    wire->BindCrossPartition(partitions_[src_partition], dst_partition);
+    wire->BindCrossPartition(
+        boundary_.get(),
+        boundary_->AddStream(src_partition, dst_partition, sink));
     scheduler_->RegisterCrossLatency(delay);
   }
   interior_wires_.push_back(std::move(wire));
@@ -251,11 +253,15 @@ std::unique_ptr<GeneratedTopology> GeneratedTopology::Build(
   PartitionScheduler::Options opts;
   opts.workers = workers;
   topo->scheduler_ = std::make_unique<PartitionScheduler>(opts);
+  std::vector<Simulator*> sims;
   for (uint32_t p = 0; p < effective; ++p) {
     topo->sims_.push_back(std::make_unique<Simulator>());
-    topo->partitions_.push_back(
-        topo->scheduler_->AddPartition(topo->sims_.back().get()));
+    sims.push_back(topo->sims_.back().get());
+    topo->scheduler_->AddPartition(sims.back());
   }
+  topo->boundary_ = std::make_unique<PartitionBoundary>(std::move(sims));
+  topo->scheduler_->SetBoundary(
+      [b = topo->boundary_.get()](SimTime bound) { return b->Step(bound); });
   topo->zone_partition_.resize(layout.zones);
   for (uint32_t z = 0; z < layout.zones; ++z) {
     topo->zone_partition_[z] = z % effective;
@@ -386,8 +392,8 @@ void GeneratedTopology::FreezeWalks() {
   }
   // Interior wires belong to the partition that drives their source side; a
   // cross-partition wire's restorable state (serializer clock, loss rng,
-  // counters) all lives there — its deliveries are boundary posts, not
-  // in-flight entries.
+  // counters) all lives there — its deliveries are boundary stream entries,
+  // not in-flight entries.
   for (size_t i = 0; i < interior_wires_.size(); ++i) {
     Wire* w = interior_wires_[i].get();
     w->SetCheckpointId("net.wire.x." + std::to_string(i));

@@ -35,6 +35,7 @@
 #include <string>
 #include <vector>
 
+#include "src/net/boundary.h"
 #include "src/net/lan.h"
 #include "src/net/nic.h"
 #include "src/net/packet.h"
@@ -199,6 +200,9 @@ class GeneratedTopology {
   void RunUntil(SimTime t) { scheduler_->RunUntil(t); }
 
   PartitionScheduler* scheduler() { return scheduler_.get(); }
+  // The one path across partition cuts: one stream per cross-partition
+  // interior wire, in construction order, stepped after every window.
+  PartitionBoundary* boundary() { return boundary_.get(); }
   const TopologyLayout& layout() const { return layout_; }
   const GeneratedTopologyParams& params() const { return params_; }
   size_t partition_count() const { return sims_.size(); }
@@ -255,8 +259,7 @@ class GeneratedTopology {
                           const std::vector<uint8_t>& image);
 
   // Interior (router-to-router / router-to-LAN) wires, in construction
-  // order; the HA layer uses these to install egress taps on the
-  // cross-partition ones and to aim link faults.
+  // order; the HA layer aims link faults at them.
   size_t interior_wire_count() const { return interior_wires_.size(); }
   Wire* interior_wire(size_t i) { return interior_wires_[i].get(); }
   // Partition whose simulator drives interior wire `i` (its source side).
@@ -283,7 +286,7 @@ class GeneratedTopology {
   TopologyLayout layout_;
   std::vector<std::unique_ptr<Simulator>> sims_;  // one per partition
   std::unique_ptr<PartitionScheduler> scheduler_;
-  std::vector<Partition*> partitions_;  // owned by scheduler_
+  std::unique_ptr<PartitionBoundary> boundary_;
   std::vector<uint32_t> zone_partition_;
   std::vector<std::unique_ptr<Lan>> lans_;
   std::vector<std::unique_ptr<StaticRouter>> zone_routers_;

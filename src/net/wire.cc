@@ -5,7 +5,7 @@
 #include <utility>
 
 #include "src/sim/archive.h"
-#include "src/sim/partition.h"
+#include "src/net/boundary.h"
 
 namespace tcsim {
 
@@ -55,13 +55,11 @@ Packet LoadPacket(ArchiveReader& r) {
 
 }  // namespace
 
-void Wire::BindCrossPartition(Partition* source, uint32_t dst_partition) {
-  assert(source->sim() == sim_ &&
-         "cross-partition wire must be driven from its source partition");
+void Wire::BindCrossPartition(PartitionBoundary* boundary, uint32_t stream) {
   assert(delay_ > 0 && "cross-partition links need positive latency "
                        "(it bounds the scheduler lookahead)");
-  source_partition_ = source;
-  dst_partition_ = dst_partition;
+  boundary_ = boundary;
+  stream_ = stream;
 }
 
 SimTime Wire::SerializationTime(uint32_t bytes) const {
@@ -93,20 +91,13 @@ void Wire::Transmit(const Packet& pkt) {
     bytes_dropped_ += pkt.size_bytes;
     return;
   }
-  if (source_partition_ != nullptr) {
+  if (boundary_ != nullptr) {
     // Cross-partition delivery: the packet leaves this wire's accounting at
-    // the boundary post (in-flight bytes stay 0 so the conservation audit
-    // holds without the destination thread writing these counters), and the
+    // the hand-off (in-flight bytes stay 0 so the conservation audit holds
+    // without the destination thread writing these counters), and the
     // sink's HandlePacket runs inside the destination partition.
     bytes_delivered_ += pkt.size_bytes;
-    if (tap_ != nullptr &&
-        tap_->OnCrossEgress(tap_stream_, pkt, tx_done + delay_)) {
-      return;  // held by the output-commit buffer; it posts the delivery
-    }
-    PacketHandler* sink = sink_;
-    source_partition_->PostRemote(
-        dst_partition_, tx_done + delay_,
-        [sink, copy = pkt] { sink->HandlePacket(copy); });
+    boundary_->Emit(stream_, pkt, tx_done + delay_);
     return;
   }
   bytes_in_flight_ += pkt.size_bytes;

@@ -16,7 +16,7 @@
 
 namespace tcsim {
 
-class Partition;
+class PartitionBoundary;
 
 // Anything that can accept a packet: a NIC, a switch fabric, a Dummynet pipe.
 class PacketHandler {
@@ -25,22 +25,6 @@ class PacketHandler {
 
   // Delivers `pkt` to this element at the current simulation time.
   virtual void HandlePacket(const Packet& pkt) = 0;
-};
-
-// Interposes on cross-partition wire egress — the seam the HA output-commit
-// buffer hangs off. Called at the source side, before the boundary post.
-class WireEgressTap {
- public:
-  virtual ~WireEgressTap() = default;
-
-  // `stream` is the index the tap was installed under (SetEgressTap); the
-  // wire's source and destination partitions and its sink are constants of
-  // the stream. `deliver_at` is the instant the packet would arrive at the
-  // sink. Return true to take ownership of the delivery (the wire posts
-  // nothing; the tap releases or drops the packet itself); false to let the
-  // normal boundary post proceed.
-  virtual bool OnCrossEgress(uint32_t stream, const Packet& pkt,
-                             SimTime deliver_at) = 0;
 };
 
 // A one-way wire. Models serialization (back-to-back packets queue behind one
@@ -84,28 +68,16 @@ class Wire : public Checkpointable {
   void set_sink(PacketHandler* sink) { sink_ = sink; }
   PacketHandler* sink() const { return sink_; }
 
-  // Marks this wire as a cross-partition link: the source end (serialization,
-  // loss, busy time) stays in `source`'s simulator, but delivery is posted
-  // through the partition outbox into `dst_partition`, where the sink lives.
-  // The wire's propagation delay becomes part of the scheduler's conservative
+  // Marks this wire as a cross-partition link: the source end
+  // (serialization, loss, busy time) stays in this wire's simulator, and
+  // every packet that survives the loss draw goes to `boundary` as `stream`,
+  // whose sink lives in the destination partition (src/net/boundary.h). The
+  // wire's propagation delay becomes part of the scheduler's conservative
   // lookahead — callers must register it via
   // PartitionScheduler::RegisterCrossLatency. Delivered-byte accounting
-  // happens at the boundary post: once handed to the destination partition
-  // the packet is off this wire (the destination thread never writes the
-  // source-side counters).
-  void BindCrossPartition(Partition* source, uint32_t dst_partition);
-
-  bool is_cross_partition() const { return source_partition_ != nullptr; }
-  uint32_t dst_partition() const { return dst_partition_; }
-
-  // Installs (or clears, with null) the cross-partition egress tap; the wire
-  // names itself to the tap as `stream`. Only consulted on cross-partition
-  // wires; intra-partition traffic is interior to the closed system and
-  // never externally visible.
-  void SetEgressTap(WireEgressTap* tap, uint32_t stream = 0) {
-    tap_ = tap;
-    tap_stream_ = stream;
-  }
+  // happens at the hand-off: once in the boundary the packet is off this
+  // wire (the destination thread never writes the source-side counters).
+  void BindCrossPartition(PartitionBoundary* boundary, uint32_t stream);
 
   // Fault injection: until simulated instant `until`, transmissions are lost
   // with probability `loss` instead of the configured loss rate. loss >= 1
@@ -163,10 +135,8 @@ class Wire : public Checkpointable {
   SimTime delay_;
   double loss_rate_;
   PacketHandler* sink_;
-  Partition* source_partition_ = nullptr;  // non-null: cross-partition wire
-  uint32_t dst_partition_ = 0;
-  WireEgressTap* tap_ = nullptr;
-  uint32_t tap_stream_ = 0;
+  PartitionBoundary* boundary_ = nullptr;  // non-null: cross-partition wire
+  uint32_t stream_ = 0;
   SimTime busy_until_ = 0;
   SimTime fault_until_ = 0;
   double fault_loss_ = 0.0;

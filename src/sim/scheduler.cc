@@ -2,9 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <cstdio>
-#include <cstdlib>
-#include <utility>
 
 #include "src/sim/digest.h"
 
@@ -72,14 +69,15 @@ void PartitionScheduler::RunUntil(SimTime t) {
     window_bound_ = bound;
     ++stats_.windows;
     ExecutePhase(active_.size());
-    DrainOutboxes();
+    if (boundary_step_) {
+      stats_.cross_events += boundary_step_(bound);
+    }
   }
   // Quiesce: land every clock at exactly t (all events <= t have fired above,
   // so these calls only advance idle clocks).
   for (const auto& p : partitions_) {
     p->sim_->RunUntil(t);
   }
-  DrainOutboxes();
 }
 
 void PartitionScheduler::ForEachPartition(
@@ -88,43 +86,6 @@ void PartitionScheduler::ForEachPartition(
   custom_fn_ = &fn;
   ExecutePhase(partitions_.size());
   custom_fn_ = nullptr;
-}
-
-void PartitionScheduler::DrainOutboxes() {
-  injections_.clear();
-  for (const auto& p : partitions_) {
-    for (Partition::RemoteEvent& re : p->outbox_) {
-      injections_.push_back(Injection{re.at, re.dst, &re.fn});
-    }
-  }
-  if (injections_.empty()) {
-    return;
-  }
-  // stable_sort over the concatenation in partition-id order makes the
-  // injection order a total deterministic function of the workload: (delivery
-  // time, source partition id, post order). Destination-side sequence numbers
-  // — and therefore the per-partition digests — come out identical in
-  // sequential and parallel runs.
-  std::stable_sort(
-      injections_.begin(), injections_.end(),
-      [](const Injection& a, const Injection& b) { return a.at < b.at; });
-  for (Injection& inj : injections_) {
-    if (inj.dst >= partitions_.size()) {
-      // A PostRemote addressed to a partition id the scheduler never handed
-      // out is a wiring bug; indexing would be out-of-bounds UB, so fail
-      // loudly in release builds too instead of corrupting memory.
-      std::fprintf(stderr,
-                   "PartitionScheduler: cross-partition event addressed to "
-                   "unknown partition %u (have %zu partitions)\n",
-                   inj.dst, partitions_.size());
-      std::abort();
-    }
-    partitions_[inj.dst]->sim_->ScheduleAt(inj.at, std::move(*inj.fn));
-    ++stats_.cross_events;
-  }
-  for (const auto& p : partitions_) {
-    p->outbox_.clear();
-  }
 }
 
 void PartitionScheduler::RunTask(size_t i) {

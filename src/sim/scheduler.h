@@ -12,12 +12,13 @@
 // sends during the window arrives no earlier than next + L, so every event
 // with time <= bound := next + L - 1 can run without waiting for remote
 // input. Each partition with NextEventTime() <= bound runs RunUntil(bound)
-// concurrently; at the barrier the coordinator drains every outbox — sorted
-// by (delivery time, source partition id, post order), a total determinism
-// order — and injects the deliveries into their destination simulators. The
-// strict alternation of windows and injections is identical in sequential and
-// parallel mode, which is why the per-partition digests (and hence their
-// merge) are bit-identical across modes.
+// concurrently; after the window the coordinator runs the boundary step
+// (SetBoundary), which injects the window's cross-partition deliveries into
+// their destination simulators in a total deterministic order (see
+// src/net/boundary.h). The strict alternation of windows and boundary steps
+// is identical in sequential and parallel mode, which is why the
+// per-partition digests (and hence their merge) are bit-identical across
+// modes.
 //
 // With no registered cross links the lookahead is unbounded and RunUntil
 // degenerates to a single window — each partition free-runs to the target.
@@ -32,6 +33,7 @@
 #include <memory>
 #include <mutex>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "src/sim/partition.h"
@@ -68,6 +70,15 @@ class PartitionScheduler {
   // conservative lookahead is the minimum over all registered latencies.
   void RegisterCrossLatency(SimTime latency);
 
+  // Installs the between-window step: called on the coordinator thread after
+  // every window with the window's inclusive bound, it injects what crossed
+  // a partition cut during the window and returns the number of deliveries
+  // injected (Stats::cross_events). Nothing is delivered across partitions
+  // without it.
+  void SetBoundary(std::function<uint64_t(SimTime bound)> step) {
+    boundary_step_ = std::move(step);
+  }
+
   // Advances every partition to exactly `t`: all events with time <= t have
   // fired, all cross-partition deliveries with time <= t are applied, every
   // clock reads t. This is the quiescent point checkpoint epochs capture at.
@@ -98,7 +109,6 @@ class PartitionScheduler {
  private:
   enum class PhaseKind { kWindow, kCustom };
 
-  void DrainOutboxes();
   // Runs `count` tasks of the current phase across the pool (or inline),
   // returning once all have finished.
   void ExecutePhase(size_t count);
@@ -109,6 +119,7 @@ class PartitionScheduler {
   Options options_;
   std::vector<std::unique_ptr<Partition>> partitions_;
   SimTime lookahead_ = kNoPendingEvent;  // unbounded until a link registers
+  std::function<uint64_t(SimTime)> boundary_step_;
   Stats stats_;
 
   // Phase parameters, written by the coordinator before it publishes a new
@@ -117,13 +128,6 @@ class PartitionScheduler {
   SimTime window_bound_ = 0;
   std::vector<size_t> active_;  // partition indices with work this window
   const std::function<void(Partition*)>* custom_fn_ = nullptr;
-
-  struct Injection {
-    SimTime at;
-    uint32_t dst;
-    EventFn* fn;
-  };
-  std::vector<Injection> injections_;  // scratch, coordinator-only
 
   // Pool state. All handoffs go through mu_ / the two condvars plus the two
   // atomics, so the pool is clean under TSan.

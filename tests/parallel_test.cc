@@ -11,6 +11,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <atomic>
 #include <cstdint>
@@ -20,14 +21,18 @@
 #include <memory>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "src/checkpoint/epoch_coordinator.h"
+#include "src/net/boundary.h"
+#include "src/net/packet.h"
 #include "src/net/topology.h"
 #include "src/repo/checkpoint_repo.h"
 #include "src/sim/digest.h"
 #include "src/sim/event_queue.h"
 #include "src/sim/partition.h"
+#include "src/sim/random.h"
 #include "src/sim/scheduler.h"
 #include "src/sim/simulator.h"
 #include "src/sim/time.h"
@@ -38,26 +43,26 @@ namespace {
 
 // --- Scheduler window machinery ------------------------------------------------
 
-// Two partitions exchanging a one-packet "ping-pong" through PostRemote at a
-// fixed cross latency, with an unrelated local tick chain in each partition so
-// windows carry both local and remote work.
+// Two partitions exchanging a one-packet "ping-pong" through a partition
+// boundary's streams at a fixed cross latency, with an unrelated local tick
+// chain in each partition so windows carry both local and remote work.
 struct PingPongFixture {
-  struct Bouncer {
-    Partition* self = nullptr;
-    uint32_t peer_id = 0;
-    Bouncer* peer = nullptr;
+  struct Bouncer : PacketHandler {
+    Simulator* sim = nullptr;
+    PartitionBoundary* boundary = nullptr;
+    uint32_t stream = 0;  // toward the peer
     SimTime latency = 0;
     SimTime stop = 0;
     uint64_t hops = 0;
 
+    void HandlePacket(const Packet&) override { Arrive(); }
+
     void Arrive() {
       ++hops;
-      Simulator* sim = self->sim();
       if (sim->Now() + latency > stop) {
         return;
       }
-      self->PostRemote(peer_id, sim->Now() + latency,
-                       [p = peer] { p->Arrive(); });
+      boundary->Emit(stream, Packet{}, sim->Now() + latency);
     }
   };
 
@@ -76,13 +81,22 @@ struct PingPongFixture {
     constexpr SimTime kStop = 20 * kMillisecond;
     Simulator s0, s1;
     PartitionScheduler sched(PartitionScheduler::Options{workers});
-    Partition* p0 = sched.AddPartition(&s0);
-    Partition* p1 = sched.AddPartition(&s1);
+    sched.AddPartition(&s0);
+    sched.AddPartition(&s1);
     sched.RegisterCrossLatency(kLatency);
+    PartitionBoundary boundary({&s0, &s1});
+    sched.SetBoundary([&boundary](SimTime bound) { return boundary.Step(bound); });
 
-    Bouncer b0{p0, 1, nullptr, kLatency, kStop};
-    Bouncer b1{p1, 0, &b0, kLatency, kStop};
-    b0.peer = &b1;
+    Bouncer b0, b1;
+    b0.sim = &s0;
+    b1.sim = &s1;
+    for (Bouncer* b : {&b0, &b1}) {
+      b->boundary = &boundary;
+      b->latency = kLatency;
+      b->stop = kStop;
+    }
+    b0.stream = boundary.AddStream(0, 1, &b1);
+    b1.stream = boundary.AddStream(1, 0, &b0);
     s0.ScheduleAt(0, [&b0] { b0.Arrive(); });
 
     // Local-only tick chains, denser than the cross latency, so most windows
@@ -244,31 +258,37 @@ UnevenWindowsResult RunUnevenWindows(uint32_t workers) {
   constexpr SimTime kLatency = 50 * kMicrosecond;
   constexpr SimTime kStop = 30 * kMillisecond;
   std::vector<std::unique_ptr<Simulator>> sims;
+  std::vector<Simulator*> sim_ptrs;
   PartitionScheduler sched(PartitionScheduler::Options{workers});
-  std::vector<Partition*> parts;
   for (int i = 0; i < kPartitions; ++i) {
     sims.push_back(std::make_unique<Simulator>());
-    parts.push_back(sched.AddPartition(sims[i].get()));
+    sim_ptrs.push_back(sims[i].get());
+    sched.AddPartition(sims[i].get());
   }
   sched.RegisterCrossLatency(kLatency);
+  PartitionBoundary boundary(sim_ptrs);
+  sched.SetBoundary([&boundary](SimTime bound) { return boundary.Step(bound); });
 
-  // Incremented only by events running in partition 0, so a single thread at
-  // a time; the scheduler barrier publishes it back to this thread.
-  uint64_t remote_landed = 0;
+  // Counts arrivals in partition 0, so a single thread at a time; the
+  // scheduler barrier publishes it back to this thread.
+  struct Landing : PacketHandler {
+    uint64_t landed = 0;
+    void HandlePacket(const Packet&) override { ++landed; }
+  };
+  Landing landing;
 
   struct Ticker {
-    Partition* part;
+    Simulator* sim;
     SimTime interval;
     SimTime latency;
     SimTime stop;
-    uint64_t* remote_landed;  // non-null => post to partition 0 each tick
+    PartitionBoundary* boundary;  // non-null => post to partition 0 each tick
+    uint32_t stream = 0;
     uint64_t count = 0;
     void Tick() {
       ++count;
-      Simulator* sim = part->sim();
-      if (remote_landed != nullptr && sim->Now() + latency <= stop) {
-        part->PostRemote(0, sim->Now() + latency,
-                         [c = remote_landed] { ++*c; });
+      if (boundary != nullptr && sim->Now() + latency <= stop) {
+        boundary->Emit(stream, Packet{}, sim->Now() + latency);
       }
       if (sim->Now() + interval <= stop) {
         sim->Schedule(interval, [this] { Tick(); });
@@ -277,13 +297,14 @@ UnevenWindowsResult RunUnevenWindows(uint32_t workers) {
   };
   std::vector<std::unique_ptr<Ticker>> tickers;
   tickers.push_back(std::make_unique<Ticker>(
-      Ticker{parts[0], 10 * kMicrosecond, kLatency, kStop, nullptr}));
+      Ticker{sim_ptrs[0], 10 * kMicrosecond, kLatency, kStop, nullptr}));
   for (int i = 1; i < kPartitions; ++i) {
     tickers.push_back(std::make_unique<Ticker>(
-        Ticker{parts[i], kMillisecond, kLatency, kStop, &remote_landed}));
+        Ticker{sim_ptrs[i], kMillisecond, kLatency, kStop, &boundary,
+               boundary.AddStream(static_cast<uint32_t>(i), 0, &landing)}));
   }
   for (auto& t : tickers) {
-    t->part->sim()->Schedule(t->interval, [tk = t.get()] { tk->Tick(); });
+    t->sim->Schedule(t->interval, [tk = t.get()] { tk->Tick(); });
   }
 
   sched.RunUntil(kStop + kMillisecond);
@@ -295,7 +316,7 @@ UnevenWindowsResult RunUnevenWindows(uint32_t workers) {
   for (int i = 1; i < kPartitions; ++i) {
     r.sparse_ticks += tickers[i]->count;
   }
-  r.remote_landed = remote_landed;
+  r.remote_landed = landing.landed;
   EXPECT_EQ(sched.GuardViolations(), 0u);
   return r;
 }
@@ -318,6 +339,170 @@ TEST(PartitionSchedulerTest, UnevenWindowWidthsMatchOracleUnderWorkers) {
   EXPECT_GT(oracle.sparse_ticks, 50u);
   EXPECT_GT(oracle.cross_events, 50u);
   EXPECT_EQ(oracle.remote_landed, oracle.cross_events);
+}
+
+// --- Partition boundary -----------------------------------------------------------
+
+// A sink that records each delivery's (instant, packet id).
+struct DeliveryRecorder : PacketHandler {
+  explicit DeliveryRecorder(Simulator* s) : sim(s) {}
+  void HandlePacket(const Packet& pkt) override {
+    got.emplace_back(sim->Now(), pkt.id);
+  }
+  Simulator* sim;
+  std::vector<std::pair<SimTime, uint64_t>> got;
+};
+
+// Three source partitions feed partition 0 over two wires each. The wires
+// advance independently, so a partition's posts are not in arrival order,
+// and arrival instants tie within and across partitions. Released in one
+// step, the deliveries must fire in the order of a stable sort by arrival
+// time over the posts taken in (source partition, emission) order.
+TEST(PartitionBoundaryTest, ReleaseOrderIsAStableSortOfPostsByTime) {
+  constexpr uint32_t kPartitions = 4;
+  constexpr uint32_t kWires = 2;
+  constexpr SimTime kFirstArrival = kMillisecond;
+  std::vector<std::unique_ptr<Simulator>> sims;
+  std::vector<Simulator*> sim_ptrs;
+  for (uint32_t p = 0; p < kPartitions; ++p) {
+    sims.push_back(std::make_unique<Simulator>());
+    sim_ptrs.push_back(sims.back().get());
+  }
+  PartitionBoundary boundary(sim_ptrs);
+  DeliveryRecorder sink(sim_ptrs[0]);
+  struct WireState {
+    uint32_t stream;
+    SimTime last_arrival = kFirstArrival;
+  };
+  std::vector<WireState> wires;
+  for (uint32_t src = 1; src < kPartitions; ++src) {
+    for (uint32_t w = 0; w < kWires; ++w) {
+      wires.push_back(WireState{boundary.AddStream(src, 0, &sink)});
+    }
+  }
+
+  using Post = std::pair<SimTime, uint64_t>;  // (arrival, packet id)
+  std::vector<std::vector<Post>> posts(kPartitions);
+  Rng rng(7);
+  for (uint64_t k = 0; k < 60; ++k) {
+    // Round-robin across sources: the interleaving across partitions must
+    // not matter, only each partition's own emission order.
+    for (uint32_t src = 1; src < kPartitions; ++src) {
+      WireState& wire = wires[(src - 1) * kWires + rng.NextUint64() % kWires];
+      wire.last_arrival +=
+          static_cast<SimTime>(rng.NextUint64() % 3) * kMicrosecond;
+      Packet pkt;
+      pkt.id = (uint64_t{src} << 32) | k;
+      boundary.Emit(wire.stream, pkt, wire.last_arrival);
+      posts[src].emplace_back(wire.last_arrival, pkt.id);
+    }
+  }
+  std::vector<Post> expected;
+  bool unsorted_source = false;
+  for (uint32_t src = 1; src < kPartitions; ++src) {
+    unsorted_source = unsorted_source ||
+                      !std::is_sorted(posts[src].begin(), posts[src].end());
+    expected.insert(expected.end(), posts[src].begin(), posts[src].end());
+  }
+  std::stable_sort(expected.begin(), expected.end(),
+                   [](const Post& a, const Post& b) { return a.first < b.first; });
+  bool cross_tie = false;
+  for (size_t i = 1; i < expected.size(); ++i) {
+    cross_tie = cross_tie || (expected[i].first == expected[i - 1].first &&
+                              expected[i].second >> 32 !=
+                                  expected[i - 1].second >> 32);
+  }
+  ASSERT_TRUE(unsorted_source);
+  ASSERT_TRUE(cross_tie);
+
+  EXPECT_EQ(boundary.Step(kFirstArrival - 1), expected.size());
+  EXPECT_EQ(boundary.held_count(), 0u);
+  sim_ptrs[0]->Run();
+  EXPECT_EQ(sink.got, expected);
+}
+
+// One window's packets on one stream become one batch: the destination
+// holds a single pending event for all of them, and each still fires at its
+// own arrival instant.
+TEST(PartitionBoundaryTest, WindowOfPacketsArmsOneEventPerStream) {
+  constexpr SimTime kLatency = 100 * kMicrosecond;
+  constexpr uint64_t kPackets = 50;
+  Simulator s0, s1;
+  PartitionScheduler sched;
+  sched.AddPartition(&s0);
+  sched.AddPartition(&s1);
+  sched.RegisterCrossLatency(kLatency);
+  PartitionBoundary boundary({&s0, &s1});
+  sched.SetBoundary([&boundary](SimTime bound) { return boundary.Step(bound); });
+  DeliveryRecorder sink(&s1);
+  const uint32_t stream = boundary.AddStream(0, 1, &sink);
+  std::vector<std::pair<SimTime, uint64_t>> expected;
+  for (uint64_t i = 0; i < kPackets; ++i) {
+    expected.emplace_back(kLatency + static_cast<SimTime>(i) * kMicrosecond, i);
+  }
+  s0.ScheduleAt(0, [&] {
+    for (const auto& [at, id] : expected) {
+      Packet pkt;
+      pkt.id = id;
+      boundary.Emit(stream, pkt, at);
+    }
+  });
+
+  sched.RunUntil(kLatency - 1);  // exactly one window, [0, kLatency - 1]
+  EXPECT_EQ(sched.stats().windows, 1u);
+  EXPECT_EQ(sched.stats().cross_events, kPackets);
+  EXPECT_EQ(s1.pending_events(), 1u);
+
+  sched.RunUntil(kMillisecond);
+  EXPECT_EQ(sink.got, expected);
+  EXPECT_EQ(s1.pending_high_water(), 1u);
+}
+
+// A held boundary released three batches into partition 1; the first was
+// delivered before the restore point. After a restore to the second batch's
+// barrier, Prune drops the first batch and Replay re-arms the other two with
+// one pending event each, which deliver every entry at its instant.
+TEST(PartitionBoundaryTest, ReplayOfAPrunedLogArmsOneEventPerBatch) {
+  constexpr SimTime kUs = kMicrosecond;
+  Simulator s0, s1;
+  PartitionBoundary boundary({&s0, &s1});
+  boundary.Hold(nullptr);
+  DeliveryRecorder sink(&s1);
+  const uint32_t stream = boundary.AddStream(0, 1, &sink);
+  uint64_t next_id = 0;
+  const auto emit = [&](SimTime deliver_at) {
+    Packet pkt;
+    pkt.id = next_id++;
+    boundary.Emit(stream, pkt, deliver_at);
+  };
+
+  emit(1 * kUs);
+  emit(2 * kUs);
+  emit(3 * kUs);
+  EXPECT_EQ(boundary.Step(4 * kUs), 0u);  // held: windows release nothing
+  EXPECT_EQ(boundary.Release(0, 5 * kUs), 3u);
+  EXPECT_EQ(s1.pending_events(), 1u);
+  s1.RunUntil(10 * kUs);
+  emit(12 * kUs);
+  emit(13 * kUs);
+  EXPECT_EQ(boundary.Release(0, 10 * kUs), 2u);
+  emit(25 * kUs);
+  emit(26 * kUs);
+  EXPECT_EQ(boundary.Release(0, 20 * kUs), 2u);
+  EXPECT_EQ(s1.pending_events(), 2u);
+  s1.RunUntil(22 * kUs);
+  EXPECT_EQ(sink.got.size(), 5u);  // batches A and B
+
+  // Kill at 22 us; restore to 10 us.
+  boundary.Prune(10 * kUs);
+  s1.ResetForRestore(10 * kUs);
+  EXPECT_EQ(boundary.Replay(1, 10 * kUs), 4u);
+  EXPECT_EQ(s1.pending_events(), 2u);
+  sink.got.clear();
+  s1.RunUntil(30 * kUs);
+  const std::vector<std::pair<SimTime, uint64_t>> expected = {
+      {12 * kUs, 3}, {13 * kUs, 4}, {25 * kUs, 5}, {26 * kUs, 6}};
+  EXPECT_EQ(sink.got, expected);
 }
 
 // --- Queue ownership guard ------------------------------------------------------
@@ -438,6 +623,11 @@ TEST(GeneratedTopologyTest, FatTree100ParallelMatchesOracle) {
 
   EXPECT_EQ(oracle.partitions, 4u);
   EXPECT_EQ(parallel.partitions, 4u);
+  // Pinned: the oracle and the parallel run share every line of the kernel,
+  // so only a fixed value catches a change that moves both alike (say, one
+  // extra sequence number reserved per cross-partition release).
+  EXPECT_EQ(oracle.event_digest, 0x85ee3af90cdc7865u);
+  EXPECT_EQ(oracle.behavior_digest, 0xc95af2f95e10907eu);
   EXPECT_EQ(oracle.event_digest, parallel.event_digest);
   EXPECT_EQ(oracle.behavior_digest, parallel.behavior_digest);
   EXPECT_EQ(oracle.total_events, parallel.total_events);
@@ -459,6 +649,8 @@ TEST(GeneratedTopologyTest, MultiLanZonesParallelMatchesOracle) {
   const auto parallel =
       RunTopology(TopologyShape::kMultiLanZones, 4, /*workers=*/3, kHorizon);
 
+  EXPECT_EQ(oracle.event_digest, 0x0295a2e152764f58u);  // pinned, as above
+  EXPECT_EQ(oracle.behavior_digest, 0xb9eebcdd996179b9u);
   EXPECT_EQ(oracle.event_digest, parallel.event_digest);
   EXPECT_EQ(oracle.behavior_digest, parallel.behavior_digest);
   EXPECT_EQ(oracle.total_events, parallel.total_events);
