@@ -88,9 +88,10 @@ class OutputCommitBuffer {
   size_t DiscardUnreleasedFrom(uint32_t victim, uint64_t epoch);
 
   // Failover: re-arms the victim's replay log, which the restore wiped from
-  // its event queue (PartitionBoundary::Replay). Every restore targets the
-  // newest committed epoch, which PruneReplayLog has already pruned the log
-  // at, so every entry left postdates the image. Call with the victim's
+  // its event queue (PartitionBoundary::Replay). Entries whose delivery the
+  // restored image already holds are skipped: PruneReplayLog drops them only
+  // from the log's front, so one can outlive the prune behind an older
+  // release that a slower wire delivers later. Call with the victim's
   // simulator already reset to `restored_to`. Returns the number re-injected.
   size_t ReplayInbound(uint32_t victim, SimTime restored_to);
 

@@ -148,22 +148,31 @@ size_t PartitionBoundary::Replay(uint32_t dst, SimTime restored_to) {
   Simulator* sim = sims_[dst];
   assert(sim->Now() == restored_to && "reset the destination before replay");
   Log& log = logs_[dst];
+  size_t replayed = 0;
+  // Prune trims only the log's front, so an entry whose delivery the image
+  // already holds can sit behind an older batch's later delivery (a slower
+  // wire into the same partition); it is skipped. Along a batch inject_at
+  // is monotone, so the skipped entries are a prefix and the first kept
+  // entry heads the rest of the batch's chain.
+  SimTime armed_batch = -1;  // release_barrier of the last batch armed
   for (uint64_t i = log.front_index(); i < log.end_index(); ++i) {
     Delivery& d = log.at_index(i);
-    // Prune(restored_to) dropped what the restored image already holds.
-    assert((d.inject_at > restored_to || d.release_barrier >= restored_to) &&
-           "replay needs a log pruned at the restore point");
+    if (d.inject_at <= restored_to && d.release_barrier < restored_to) {
+      continue;  // delivered before the restored image was captured
+    }
     d.seq = sim->ReserveSeq();
-    if (i == log.front_index() ||
-        log.at_index(i - 1).release_barrier != d.release_barrier) {
+    if (d.release_barrier != armed_batch) {
+      armed_batch = d.release_barrier;
       Arm(dst, i);
     }
+    ++replayed;
   }
-  return log.size();
+  return replayed;
 }
 
 void PartitionBoundary::Prune(SimTime floor) {
   for (Log& log : logs_) {
+    // Replay's skip rule, applied to each log's front.
     while (!log.empty() && log.front().inject_at <= floor &&
            log.front().release_barrier < floor) {
       log.pop_front();

@@ -102,16 +102,16 @@ class PartitionBoundary {
   // positions. Returns the number dropped.
   size_t Discard(uint32_t src, uint64_t watermark);
 
-  // Re-arms every entry of `dst`'s log after `dst`'s simulator was reset to
-  // `restored_to`: each entry reserves a fresh sequence number, in log order,
-  // and the first entry of each batch is scheduled. The log must have been
-  // pruned at `restored_to`, so every entry's delivery postdates the restored
-  // image (asserted). Returns the number re-armed.
+  // Re-arms `dst`'s log after `dst`'s simulator was reset to `restored_to`,
+  // skipping entries whose delivery is in the restored image (delivered at
+  // or before `restored_to` by a release before it): each other entry
+  // reserves a fresh sequence number, in log order, and the first of each
+  // batch is scheduled. Returns the number re-armed.
   size_t Replay(uint32_t dst, SimTime restored_to);
 
-  // Drops every log entry a restore to `floor` or later cannot need: those
-  // delivered at or before `floor` by a release before `floor`. Their events
-  // have fired.
+  // Drops, from the front of each log, the entries that Replay at `floor` or
+  // later would skip; their events have fired. An entry behind the first
+  // kept one stays until the entries ahead of it go.
   void Prune(SimTime floor);
 
   // Packets held in the streams.

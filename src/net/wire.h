@@ -66,7 +66,6 @@ class Wire : public Checkpointable {
 
   // Re-targets the wire (used when rewiring topologies during swap-in).
   void set_sink(PacketHandler* sink) { sink_ = sink; }
-  PacketHandler* sink() const { return sink_; }
 
   // Marks this wire as a cross-partition link: the source end
   // (serialization, loss, busy time) stays in this wire's simulator, and

@@ -505,6 +505,52 @@ TEST(PartitionBoundaryTest, ReplayOfAPrunedLogArmsOneEventPerBatch) {
   EXPECT_EQ(sink.got, expected);
 }
 
+// Two streams into partition 1: a slow wire's delivery released first stays
+// in the log past the restore point and stops Prune at the log's front, so
+// a later batch's delivery that the restored image already holds survives
+// the prune behind it. Replay must skip that delivery (it happened before
+// the image) and still arm the rest of its batch, which had not.
+TEST(PartitionBoundaryTest, ReplaySkipsDeliveriesThePruneLeftBehindASlowerOne) {
+  constexpr SimTime kUs = kMicrosecond;
+  Simulator s0, s1;
+  PartitionBoundary boundary({&s0, &s1});
+  boundary.Hold(nullptr);
+  DeliveryRecorder sink(&s1);
+  const uint32_t slow = boundary.AddStream(0, 1, &sink);
+  const uint32_t fast = boundary.AddStream(0, 1, &sink);
+  uint64_t next_id = 0;
+  const auto emit = [&](uint32_t stream, SimTime deliver_at) {
+    Packet pkt;
+    pkt.id = next_id++;
+    boundary.Emit(stream, pkt, deliver_at);
+  };
+
+  emit(slow, 30 * kUs);  // id 0
+  EXPECT_EQ(boundary.Release(0, 5 * kUs), 1u);
+  emit(fast, 12 * kUs);  // id 1: delivered before the restore point
+  emit(fast, 25 * kUs);  // id 2: same batch, delivered after it
+  EXPECT_EQ(boundary.Release(0, 10 * kUs), 2u);
+  s1.RunUntil(20 * kUs);
+  emit(fast, 28 * kUs);  // id 3: released at the restore point
+  EXPECT_EQ(boundary.Release(0, 20 * kUs), 1u);
+  s1.RunUntil(26 * kUs);
+  const std::vector<std::pair<SimTime, uint64_t>> before_kill = {
+      {12 * kUs, 1}, {25 * kUs, 2}};
+  EXPECT_EQ(sink.got, before_kill);
+
+  // Kill at 26 us; restore to 20 us. The slow entry blocks the prune, so
+  // id 1 is still in the log.
+  boundary.Prune(20 * kUs);
+  s1.ResetForRestore(20 * kUs);
+  EXPECT_EQ(boundary.Replay(1, 20 * kUs), 3u);
+  EXPECT_EQ(s1.pending_events(), 3u);  // one per batch
+  sink.got.clear();
+  s1.RunUntil(40 * kUs);
+  const std::vector<std::pair<SimTime, uint64_t>> expected = {
+      {25 * kUs, 2}, {28 * kUs, 3}, {30 * kUs, 0}};
+  EXPECT_EQ(sink.got, expected);
+}
+
 // --- Queue ownership guard ------------------------------------------------------
 
 TEST(QueueGuardTest, StaleHandleCannotCancelReusedSlot) {
