@@ -266,6 +266,11 @@ TEST(DistributedCheckpointTest, IperfStreamSurvivesCheckpointWithoutRetransmissi
   EXPECT_EQ(iperf.sender_stats().retransmits, 0u);
   EXPECT_EQ(iperf.sender_stats().timeouts, 0u);
   EXPECT_EQ(iperf.sender_stats().dup_acks_received, 0u);
+  // Pins the paper stack's event order through the delay node: every
+  // delivery and transmission the pipes schedule, and each one's place among
+  // same-instant events, across a suspend, an in-place image re-apply and a
+  // resume.
+  EXPECT_EQ(f.sim.Digest(), 0xa08e3c8373e865a9u);
 }
 
 TEST(DistributedCheckpointTest, DelayNodePipesFreezeAndResume) {
