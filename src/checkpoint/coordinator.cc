@@ -85,7 +85,7 @@ void DistributedCoordinator::BeginRound(
   // subscribing after the coordinator was built (or between rounds) must be
   // waited for, or the barrier completes early and resumes a half-suspended
   // experiment.
-  expected_ = expected_override_ > 0 ? expected_override_ : bus_->subscriber_count();
+  expected_ = bus_->subscriber_count();
   current_.expected_participants = expected_;
 
   obs::TraceSession& trace = obs::TraceSession::Global();
@@ -99,7 +99,18 @@ void DistributedCoordinator::BeginRound(
 
 void DistributedCoordinator::CheckpointScheduled(
     SimTime lead, std::function<void(const DistributedCheckpointRecord&)> done) {
-  BeginRound(std::move(done), /*hold=*/false);
+  BeginScheduledRound(lead, std::move(done), /*hold=*/false);
+}
+
+void DistributedCoordinator::CheckpointScheduledAndHold(
+    SimTime lead, std::function<void(const DistributedCheckpointRecord&)> saved) {
+  BeginScheduledRound(lead, std::move(saved), /*hold=*/true);
+}
+
+void DistributedCoordinator::BeginScheduledRound(
+    SimTime lead, std::function<void(const DistributedCheckpointRecord&)> done,
+    bool hold) {
+  BeginRound(std::move(done), hold);
 
   auto msg = std::make_shared<CheckpointControlMessage>();
   msg->type = CheckpointControlMessage::Type::kCheckpointAt;
@@ -134,13 +145,6 @@ void DistributedCoordinator::OnDone(const LocalCheckpointRecord& record) {
     }
     return;
   }
-  if (current_.locals.size() >= expected_) {
-    // The barrier already completed (possible when the expected count is
-    // pinned below the live subscriber set): a straggler reporting during the
-    // resume window must not mutate the completed round's record.
-    obs::TraceSession::Global().Instant("coordinator", "ckpt.straggler_done", sim_->Now());
-    return;
-  }
   if (current_.locals.empty()) {
     // First participant has saved: quiescing is over, the barrier collects.
     obs::TraceSession& trace = obs::TraceSession::Global();
@@ -152,17 +156,6 @@ void DistributedCoordinator::OnDone(const LocalCheckpointRecord& record) {
   if (current_.locals.size() >= expected_) {
     FinishRound();
   }
-}
-
-void DistributedCoordinator::CheckpointScheduledAndHold(
-    SimTime lead, std::function<void(const DistributedCheckpointRecord&)> saved) {
-  BeginRound(std::move(saved), /*hold=*/true);
-
-  auto msg = std::make_shared<CheckpointControlMessage>();
-  msg->type = CheckpointControlMessage::Type::kCheckpointAt;
-  msg->local_time = boss_clock_->LocalNow() + lead;
-  current_.scheduled_local_time = msg->local_time;
-  bus_->Publish(std::move(msg));
 }
 
 void DistributedCoordinator::ResumeAll(std::function<void()> resumed) {
@@ -208,29 +201,19 @@ void DistributedCoordinator::FinishRound() {
   trace.EndSpan(barrier_span_, sim_->Now());
   barrier_span_ = 0;
 
+  // Every participant is suspended: the round holds until ResumeAll.
+  held_ = true;
   if (hold_) {
     // Stateful swap-out: leave everything suspended; the caller resumes
     // later (possibly much later) via ResumeAll.
-    held_ = true;
     if (done_cb_) {
       auto cb = std::move(done_cb_);
       cb(current_);
     }
     return;
   }
-  // Barrier complete: schedule the synchronized resume.
-  current_.resume_local_time = boss_clock_->LocalNow() + kResumeMargin;
-  auto msg = std::make_shared<CheckpointControlMessage>();
-  msg->type = CheckpointControlMessage::Type::kResumeAt;
-  msg->local_time = current_.resume_local_time;
-  bus_->Publish(std::move(msg));
-
-  resume_span_ = trace.BeginSpan("coordinator", "ckpt.resume", sim_->Now());
-  // Report shortly after the resume instant, once everyone is running again.
-  boss_clock_->ScheduleAtLocal(current_.resume_local_time + kMillisecond, [this] {
-    in_progress_ = false;
-    history_.push_back(current_);
-    EndEpochSpans();
+  // Barrier complete: resume at once, and report once everyone runs again.
+  ResumeAll([this] {
     if (done_cb_) {
       auto cb = std::move(done_cb_);
       cb(history_.back());

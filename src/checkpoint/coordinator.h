@@ -64,12 +64,6 @@ class DistributedCoordinator {
   DistributedCoordinator(const DistributedCoordinator&) = delete;
   DistributedCoordinator& operator=(const DistributedCoordinator&) = delete;
 
-  // Overrides the barrier size. By default each round counts the bus's *live*
-  // subscriber set at the instant the round starts (participants may
-  // subscribe between rounds); pass a nonzero `n` to pin it, 0 to restore
-  // the live-count behaviour.
-  void SetExpectedParticipants(size_t n) { expected_override_ = n; }
-
   // Publishes "checkpoint at now + lead" and, once the barrier completes,
   // "resume at <barrier + margin>". `done` fires after the resume time.
   void CheckpointScheduled(SimTime lead,
@@ -105,6 +99,10 @@ class DistributedCoordinator {
 
  private:
   void BeginRound(std::function<void(const DistributedCheckpointRecord&)> done, bool hold);
+  // Starts a round that checkpoints at the coordinator's local now + lead.
+  void BeginScheduledRound(SimTime lead,
+                           std::function<void(const DistributedCheckpointRecord&)> done,
+                           bool hold);
   void OnDone(const LocalCheckpointRecord& record);
   void FinishRound();
   // Closes the resume + epoch spans once the round's record is in history_.
@@ -113,8 +111,7 @@ class DistributedCoordinator {
   Simulator* sim_;
   NotificationBus* bus_;
   HardwareClock* boss_clock_;
-  size_t expected_ = 0;           // barrier size of the current round
-  size_t expected_override_ = 0;  // nonzero pins the barrier size
+  size_t expected_ = 0;  // barrier size of the current round
   // Slack between barrier completion and the synchronized resume instant.
   static constexpr SimTime kResumeMargin = 5 * kMillisecond;
 

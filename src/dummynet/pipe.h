@@ -8,24 +8,33 @@
 // sitting in these pipes, so serializing the pipe hierarchy captures them
 // (Section 4.4).
 //
-// A Pipe supports live suspension: pending transmissions and the delay line
-// are frozen with their *remaining* times, and on resume are rescheduled so
-// packets experience exactly the delay they would have without the
-// checkpoint — the "virtualize time to account for the time spent in the
-// checkpoint" step of the paper's Dummynet modifications.
+// A packet passes three stages: the queue (awaiting bandwidth), the one
+// transmission (its serialization time), and the delay line (the link
+// latency). The delay line is a FIFO stream like a Wire's in-flight
+// packets (DESIGN.md §8): the transmit-done event reserves the delivery's
+// event sequence number and queues the packet with its deadline, and only
+// the head delivery is scheduled, so a pipe holds at most two pending
+// events however many packets it carries.
+//
+// A Pipe supports live suspension: Suspend cancels the two events and
+// records the suspend instant, and Resume shifts the transmission and
+// every deadline by the downtime and re-arms them, so packets experience
+// exactly the delay they would have without the checkpoint — the
+// "virtualize time to account for the time spent in the checkpoint" step
+// of the paper's Dummynet modifications. Images store each remaining time
+// from one anchor: the suspend instant while suspended, otherwise now.
 
 #ifndef TCSIM_SRC_DUMMYNET_PIPE_H_
 #define TCSIM_SRC_DUMMYNET_PIPE_H_
 
 #include <cstdint>
-#include <deque>
 #include <string>
-#include <vector>
 
 #include "src/net/packet.h"
 #include "src/net/wire.h"
 #include "src/sim/archive.h"
 #include "src/sim/event_queue.h"
+#include "src/sim/fifo.h"
 #include "src/sim/invariants.h"
 #include "src/sim/random.h"
 #include "src/sim/simulator.h"
@@ -51,12 +60,14 @@ class Pipe : public PacketHandler {
   // Ingress: queue the packet for shaping (tail-drop if the queue is full).
   void HandlePacket(const Packet& pkt) override;
 
-  // Freezes the pipe: cancels all pending transmit/delivery events, recording
-  // remaining times. Arriving packets are logged while suspended.
+  // Freezes the pipe: cancels the pending transmit-done and delivery events
+  // and records the suspend instant. Arriving packets are logged while
+  // suspended.
   void Suspend();
 
-  // Unfreezes: reschedules every frozen packet with its remaining time and
-  // ingests packets that arrived during the suspension.
+  // Unfreezes: shifts the transmission and every delivery deadline by the
+  // downtime, re-arms them, and ingests packets that arrived during the
+  // suspension.
   void Resume();
 
   bool suspended() const { return suspended_; }
@@ -68,7 +79,7 @@ class Pipe : public PacketHandler {
 
   // Restores a state saved by Save() into an idle (or reset) pipe. Packets
   // resume with the remaining delays they had at save time. While the pipe
-  // is suspended, remaining times are stored without scheduling events —
+  // is suspended, nothing is scheduled and no sequence number is reserved —
   // Resume() arms them. `credit_ingress` credits the reconstructed packets
   // to the ingress counter; pass false when restoring in place over state
   // this pipe already counted (the delay-node resume-from-image path),
@@ -103,12 +114,12 @@ class Pipe : public PacketHandler {
   void RegisterInvariants(InvariantRegistry* reg, const std::string& name);
 
  private:
+  // A packet in the delay line: it leaves the pipe at `deliver_at`, under
+  // the event sequence number reserved when it entered the line.
   struct InTransit {
-    uint64_t id;
+    SimTime deliver_at = 0;
+    uint64_t seq = 0;
     Packet pkt;
-    SimTime due;        // absolute delivery time while running
-    SimTime remaining;  // remaining delay while suspended
-    EventHandle event;
   };
 
   // Shaping-path entry without the ingress count — used by Resume() to
@@ -117,8 +128,15 @@ class Pipe : public PacketHandler {
 
   void StartTransmissionIfIdle();
   void OnTransmitDone();
-  void ScheduleDelivery(const Packet& pkt, SimTime delay);
-  void Deliver(uint64_t transit_id);
+  // Schedules the delay line's head under its reserved number.
+  void ArmHead();
+  // Forwards the delay line's head and arms the next entry. The line is
+  // FIFO: transmissions end in order and the delay is constant, so each
+  // entry's (deliver_at, seq) is later than its predecessor's.
+  void DeliverHead();
+  // What remaining times in an image count from: the suspend instant while
+  // suspended, otherwise now.
+  SimTime Anchor() const { return suspended_ ? suspended_at_ : sim_->Now(); }
   SimTime SerializationTime(uint32_t bytes) const;
 
   Simulator* sim_;
@@ -126,17 +144,17 @@ class Pipe : public PacketHandler {
   PipeConfig config_;
   PacketHandler* sink_;
 
-  std::deque<Packet> queue_;        // awaiting bandwidth
+  Fifo<Packet> queue_;  // awaiting bandwidth
   bool tx_active_ = false;
   Packet tx_packet_;
-  SimTime tx_done_at_ = 0;          // absolute, while running
-  SimTime tx_remaining_ = 0;        // while suspended
+  SimTime tx_done_at_ = 0;
   EventHandle tx_event_;
-  std::vector<InTransit> delay_line_;
-  uint64_t next_transit_id_ = 1;
+  Fifo<InTransit> delay_line_;
+  EventHandle head_event_;  // the delay line's head delivery
 
   bool suspended_ = false;
-  std::deque<Packet> suspend_ingress_log_;
+  SimTime suspended_at_ = 0;
+  Fifo<Packet> suspend_ingress_log_;
 
   uint64_t forwarded_ = 0;
   uint64_t queue_drops_ = 0;

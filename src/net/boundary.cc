@@ -43,11 +43,11 @@ void PartitionBoundary::Emit(uint32_t stream, const Packet& pkt,
 }
 
 uint64_t PartitionBoundary::Step(SimTime bound) {
-  if (held_) {
-    return 0;
+  if (!held_) {
+    Prune(bound);
+    Release(bound, bound);
   }
-  Prune(bound);
-  return Release(bound, bound);
+  return std::exchange(released_since_step_, 0);
 }
 
 void PartitionBoundary::Arm(uint32_t dst, uint64_t index) {
@@ -124,6 +124,7 @@ size_t PartitionBoundary::Release(SimTime cutoff, SimTime barrier) {
       SiftDownRoot(merge_heap_, ReleasesAfter{});
     }
   }
+  released_since_step_ += released;
   return released;
 }
 

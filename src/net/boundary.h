@@ -73,7 +73,8 @@ class PartitionBoundary {
 
   // The scheduler's between-window step (PartitionScheduler::SetBoundary):
   // unless held, prunes what the window delivered and releases everything
-  // with `bound` as cutoff and barrier. Returns the number released.
+  // with `bound` as cutoff and barrier. Returns the number released since
+  // the previous step, by this step or by a holder's Release in between.
   uint64_t Step(SimTime bound);
 
   // Holds every packet until Release; `on_release` (may be empty) sees each
@@ -189,6 +190,7 @@ class PartitionBoundary {
   std::vector<Log> logs_;  // per destination partition, in release order
   std::vector<MergeKey> merge_heap_;  // Release's heap, reused
   SimTime last_barrier_ = -1;
+  uint64_t released_since_step_ = 0;
   bool held_ = false;
   ReleaseHook on_release_;
 };

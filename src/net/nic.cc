@@ -68,24 +68,7 @@ void Nic::SaveState(ArchiveWriter* w) const {
   w->Write<uint64_t>(packets_logged_);
   w->Write<uint64_t>(suspend_log_.size());
   for (const LoggedPacket& entry : suspend_log_) {
-    const Packet& p = entry.pkt;
-    w->Write<uint64_t>(p.id);
-    w->Write<NodeId>(p.src);
-    w->Write<NodeId>(p.dst);
-    w->Write<uint16_t>(p.src_port);
-    w->Write<uint16_t>(p.dst_port);
-    w->Write<uint8_t>(static_cast<uint8_t>(p.proto));
-    w->Write<uint32_t>(p.size_bytes);
-    // TcpHeader fields are written individually: struct padding bytes are
-    // not deterministic and would break bit-identical image round-trips.
-    w->Write<uint64_t>(p.tcp.seq);
-    w->Write<uint64_t>(p.tcp.ack);
-    w->Write<uint32_t>(p.tcp.payload_len);
-    w->Write<uint32_t>(p.tcp.window);
-    w->Write<uint8_t>(p.tcp.syn ? 1 : 0);
-    w->Write<uint8_t>(p.tcp.fin ? 1 : 0);
-    w->Write<uint8_t>(p.tcp.is_retransmit ? 1 : 0);
-    w->Write<SimTime>(p.first_sent);
+    SavePacket(w, entry.pkt);
     w->Write<SimTime>(entry.arrival);
   }
 }
@@ -99,21 +82,7 @@ void Nic::RestoreState(ArchiveReader& r) {
   suspend_log_.clear();
   for (uint64_t i = 0; i < n && r.ok(); ++i) {
     LoggedPacket entry;
-    entry.pkt.id = r.Read<uint64_t>();
-    entry.pkt.src = r.Read<NodeId>();
-    entry.pkt.dst = r.Read<NodeId>();
-    entry.pkt.src_port = r.Read<uint16_t>();
-    entry.pkt.dst_port = r.Read<uint16_t>();
-    entry.pkt.proto = static_cast<Protocol>(r.Read<uint8_t>());
-    entry.pkt.size_bytes = r.Read<uint32_t>();
-    entry.pkt.tcp.seq = r.Read<uint64_t>();
-    entry.pkt.tcp.ack = r.Read<uint64_t>();
-    entry.pkt.tcp.payload_len = r.Read<uint32_t>();
-    entry.pkt.tcp.window = r.Read<uint32_t>();
-    entry.pkt.tcp.syn = r.Read<uint8_t>() != 0;
-    entry.pkt.tcp.fin = r.Read<uint8_t>() != 0;
-    entry.pkt.tcp.is_retransmit = r.Read<uint8_t>() != 0;
-    entry.pkt.first_sent = r.Read<SimTime>();
+    entry.pkt = LoadPacket(r);
     entry.arrival = r.Read<SimTime>();
     if (r.ok()) {
       suspend_log_.push_back(std::move(entry));

@@ -60,6 +60,18 @@ struct Packet {
   SimTime first_sent = 0;   // physical time of first transmission
 };
 
+class ArchiveWriter;
+class ArchiveReader;
+
+// The image layout of a packet, shared by every component whose checkpoint
+// state holds packets: a wire's in-flight deliveries, a NIC's suspend log
+// and a Dummynet pipe's queue, transmission and delay line. Fields are
+// written one by one, because struct padding bytes are not deterministic
+// and image bytes must be. The shared application payload is not
+// serialized: a packet restored from an image carries headers and sizes.
+void SavePacket(ArchiveWriter* w, const Packet& pkt);
+Packet LoadPacket(ArchiveReader& r);
+
 // Fixed protocol overheads used when sizing packets.
 inline constexpr uint32_t kPacketHeaderBytes = 58;   // eth + ip + tcp headers
 inline constexpr uint32_t kTcpMss = 1448;            // payload bytes per segment

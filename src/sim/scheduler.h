@@ -73,8 +73,9 @@ class PartitionScheduler {
   // Installs the between-window step: called on the coordinator thread after
   // every window with the window's inclusive bound, it injects what crossed
   // a partition cut during the window and returns the number of deliveries
-  // injected (Stats::cross_events). Nothing is delivered across partitions
-  // without it.
+  // injected since the previous step, whoever injected them
+  // (Stats::cross_events). Nothing is delivered across partitions without
+  // it.
   void SetBoundary(std::function<uint64_t(SimTime bound)> step) {
     boundary_step_ = std::move(step);
   }

@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
 #include <vector>
 
 #include "src/dummynet/delay_node.h"
@@ -143,6 +144,104 @@ TEST(PipeTest, TransparentToTotalTransitTimeAcrossSuspension) {
   sim.Run();
   ASSERT_EQ(sink.times.size(), 1u);
   EXPECT_EQ(sink.times[0] - downtime, 21 * kMillisecond);
+}
+
+// (id, delivery instant) of every packet `sink` received, in order.
+std::vector<std::pair<uint64_t, SimTime>> Deliveries(const TimedCollector& sink) {
+  std::vector<std::pair<uint64_t, SimTime>> out;
+  for (size_t i = 0; i < sink.packets.size(); ++i) {
+    out.emplace_back(sink.packets[i].id, sink.times[i]);
+  }
+  return out;
+}
+
+// A burst keeps one delivery event pending per pipe, not one per packet,
+// and every packet still arrives at its own instant, in FIFO order, with
+// the place among same-instant events that an event scheduled when it
+// finished transmitting would have had. Suspending mid-burst shifts each
+// later delivery by exactly the downtime, and a restore re-arms one event.
+TEST(PipeTest, BurstArmsOneDeliveryAndKeepsEachPlace) {
+  // 1 Gbps, 50 us (the iperf link): ten back-to-back 1250-byte packets
+  // finish transmitting 10 us apart, from 10 us to 100 us, and arrive from
+  // 60 us to 150 us.
+  PipeConfig cfg;
+  cfg.bandwidth_bps = 1'000'000'000;
+  cfg.delay = 50 * kMicrosecond;
+  const auto arrival = [](uint64_t i) {
+    return (60 + 10 * static_cast<SimTime>(i)) * kMicrosecond;
+  };
+
+  Simulator sim;
+  TimedCollector sink(&sim);
+  Pipe pipe(&sim, Rng(1), cfg, &sink);
+  // Two markers at packet 102's arrival instant, ids 0 and 1: one scheduled
+  // before the burst, one after packet 102 finished transmitting (30 us)
+  // but before its delivery is armed (70 us).
+  const auto marker = [&sink](uint64_t id) {
+    return [&sink, id] { sink.HandlePacket(MakePacket(id)); };
+  };
+  sim.ScheduleAt(arrival(2), marker(0));
+  for (uint64_t i = 0; i < 10; ++i) {
+    pipe.HandlePacket(MakePacket(100 + i));
+  }
+  sim.RunUntil(35 * kMicrosecond);
+  sim.ScheduleAt(arrival(2), marker(1));
+  // Three packets in the delay line and one transmitting: two markers, the
+  // transmission and the line's head.
+  EXPECT_EQ(sim.pending_events(), 4u);
+
+  sim.RunUntil(105 * kMicrosecond);  // every transmission done, 5 in the line
+  EXPECT_EQ(sim.pending_events(), 1u);
+  ArchiveWriter saved;
+  pipe.Save(&saved);
+  Simulator restored_sim;
+  restored_sim.ResetForRestore(sim.Now());
+  TimedCollector restored_sink(&restored_sim);
+  Pipe restored(&restored_sim, Rng(2), PipeConfig{}, &restored_sink);
+  ArchiveReader reader(saved.data());
+  restored.Restore(reader);
+  ASSERT_TRUE(reader.AtEnd());
+  EXPECT_EQ(restored_sim.pending_events(), 1u);
+
+  sim.Run();
+  restored_sim.Run();
+  std::vector<std::pair<uint64_t, SimTime>> expected;
+  for (uint64_t i = 0; i < 10; ++i) {
+    if (i == 2) {
+      expected.push_back({0, arrival(2)});
+    }
+    expected.push_back({100 + i, arrival(i)});
+    if (i == 2) {
+      expected.push_back({1, arrival(2)});
+    }
+  }
+  EXPECT_EQ(Deliveries(sink), expected);
+  const std::vector<std::pair<uint64_t, SimTime>> remaining(
+      expected.end() - 5, expected.end());
+  EXPECT_EQ(Deliveries(restored_sink), remaining);
+
+  // Suspended from 75 us for 1 ms: 100 and 101 have arrived, 102-106 are in
+  // the delay line, 107 is transmitting and 108-109 are queued. Every later
+  // delivery moves by exactly the downtime.
+  constexpr SimTime kDowntime = kMillisecond;
+  Simulator frozen_sim;
+  TimedCollector frozen_sink(&frozen_sim);
+  Pipe frozen(&frozen_sim, Rng(1), cfg, &frozen_sink);
+  for (uint64_t i = 0; i < 10; ++i) {
+    frozen.HandlePacket(MakePacket(100 + i));
+  }
+  frozen_sim.RunUntil(75 * kMicrosecond);
+  frozen.Suspend();
+  EXPECT_EQ(frozen_sim.pending_events(), 0u);
+  frozen_sim.RunUntil(75 * kMicrosecond + kDowntime);
+  frozen.Resume();
+  EXPECT_EQ(frozen_sim.pending_events(), 2u);  // the transmission, the head
+  frozen_sim.Run();
+  std::vector<std::pair<uint64_t, SimTime>> shifted;
+  for (uint64_t i = 0; i < 10; ++i) {
+    shifted.push_back({100 + i, arrival(i) + (i < 2 ? 0 : kDowntime)});
+  }
+  EXPECT_EQ(Deliveries(frozen_sink), shifted);
 }
 
 TEST(DelayNodeTest, ShapesBothDirections) {

@@ -377,20 +377,6 @@ TEST(CoordinatorTest, BarrierCountsSubscribersJoinedAfterConstruction) {
   EXPECT_EQ(second.locals.size(), 3u);
 }
 
-TEST(CoordinatorTest, ExpectedParticipantsOverridePinsTheBarrier) {
-  CoordinatorFixture f;
-  f.AddParticipant("a");
-  f.AddParticipant("b");
-  f.AddParticipant("c");
-  f.coordinator->SetExpectedParticipants(2);
-  const DistributedCheckpointRecord rec = f.RunRound();
-  EXPECT_EQ(rec.expected_participants, 2u);
-  EXPECT_EQ(rec.locals.size(), 2u);
-  f.coordinator->SetExpectedParticipants(0);  // back to the live count
-  const DistributedCheckpointRecord live = f.RunRound();
-  EXPECT_EQ(live.expected_participants, 3u);
-}
-
 // Regression: a duplicate kDone (retransmission, confused daemon) must not
 // count toward the barrier — previously it completed the round while a
 // participant was still saving. It is deduped, counted, and audited.

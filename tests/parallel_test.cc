@@ -458,6 +458,44 @@ TEST(PartitionBoundaryTest, WindowOfPacketsArmsOneEventPerStream) {
   EXPECT_EQ(s1.pending_high_water(), 1u);
 }
 
+// A holder releases between runs, outside any window step. The next
+// window's step reports that release as cross-partition deliveries, though
+// a held step releases nothing itself.
+TEST(PartitionBoundaryTest, HolderReleaseCountsInTheNextStep) {
+  constexpr SimTime kLatency = 100 * kMicrosecond;
+  constexpr uint64_t kPackets = 3;
+  Simulator s0, s1;
+  PartitionScheduler sched;
+  sched.AddPartition(&s0);
+  sched.AddPartition(&s1);
+  sched.RegisterCrossLatency(kLatency);
+  PartitionBoundary boundary({&s0, &s1});
+  sched.SetBoundary([&boundary](SimTime bound) { return boundary.Step(bound); });
+  boundary.Hold(nullptr);
+  DeliveryRecorder sink(&s1);
+  const uint32_t stream = boundary.AddStream(0, 1, &sink);
+  std::vector<std::pair<SimTime, uint64_t>> expected;
+  for (uint64_t i = 0; i < kPackets; ++i) {
+    expected.emplace_back(kLatency + static_cast<SimTime>(i) * kMicrosecond, i);
+  }
+  s0.ScheduleAt(0, [&] {
+    for (const auto& [at, id] : expected) {
+      Packet pkt;
+      pkt.id = id;
+      boundary.Emit(stream, pkt, at);
+    }
+  });
+
+  sched.RunUntil(kLatency - 1);
+  EXPECT_EQ(sched.stats().cross_events, 0u);  // held
+  EXPECT_EQ(boundary.Release(kLatency - 1, kLatency - 1), kPackets);
+  EXPECT_EQ(sched.stats().cross_events, 0u);
+
+  sched.RunUntil(kMillisecond);
+  EXPECT_EQ(sched.stats().cross_events, kPackets);
+  EXPECT_EQ(sink.got, expected);
+}
+
 // A held boundary released three batches into partition 1; the first was
 // delivered before the restore point. After a restore to the second batch's
 // barrier, Prune drops the first batch and Replay re-arms the other two with
